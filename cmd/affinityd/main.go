@@ -210,6 +210,11 @@ func run() (err error) {
 	}
 	srv := service.New(cfg)
 
+	// Install the drain handler before announcing the port: a supervisor
+	// that signals as soon as it reads the listening line must get a
+	// drain, not the default handler's immediate death.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -236,8 +241,6 @@ func run() (err error) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("affinityd: %v — draining (in-flight jobs finish, queued jobs cancel)\n", s)

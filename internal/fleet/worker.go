@@ -285,9 +285,9 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	resp := ExecuteResponse{APIVersion: api.Version, CellID: cell.ID, Key: key, Worker: advertise, Engine: cell.Engine}
 
 	if w.cfg.Cache != nil {
-		if body, ok := w.cfg.Cache.Get(key); ok {
+		if body, costNs, ok := w.cfg.Cache.GetCost(key); ok {
 			w.Stats.CacheHits.Inc()
-			resp.Source, resp.Body = "cache", body
+			resp.Source, resp.Body, resp.ExecNs = "cache", body, costNs
 			writeFleetJSON(rw, http.StatusOK, resp)
 			return
 		}

@@ -23,6 +23,7 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -52,7 +53,11 @@ func Workers(n int) int {
 //
 // When a cell fails, the context passed to the remaining cells is
 // cancelled so long-running simulations can abort early; cells that have
-// already started may still run to completion. fn must confine its writes
+// already started may still run to completion. A sibling stopped by that
+// cancellation reports a context error, which is a symptom rather than
+// the cause, so a non-cancellation error always wins over one: among
+// real failures the lowest index is returned, and a cancellation error
+// only when no cell failed for a real reason. fn must confine its writes
 // to per-index state (e.g. results[i]) for the fan-out to be
 // deterministic.
 func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
@@ -83,15 +88,21 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	defer cancel()
 
 	var (
-		next   atomic.Int64 // next unclaimed cell index
-		mu     sync.Mutex
-		firstI = n // lowest failing index seen
-		firstE error
-		wg     sync.WaitGroup
+		next    atomic.Int64 // next unclaimed cell index
+		mu      sync.Mutex
+		firstI  = n // lowest index failing for a real reason
+		firstE  error
+		cancelI = n // lowest index stopped by a context error
+		cancelE error
+		wg      sync.WaitGroup
 	)
 	fail := func(i int, err error) {
 		mu.Lock()
-		if i < firstI {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if i < cancelI {
+				cancelI, cancelE = i, err
+			}
+		} else if i < firstI {
 			firstI, firstE = i, err
 		}
 		mu.Unlock()
@@ -119,6 +130,9 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	wg.Wait()
 	if firstE != nil {
 		return firstE
+	}
+	if cancelE != nil {
+		return cancelE
 	}
 	return ctx.Err()
 }

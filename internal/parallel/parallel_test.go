@@ -100,6 +100,25 @@ func TestForEachErrorCancelsRemaining(t *testing.T) {
 	}
 }
 
+func TestForEachRealErrorBeatsSiblingCancellation(t *testing.T) {
+	// Cell 0 blocks until the fan-out cancels it and then reports the
+	// cancellation, as a nested ForEach or a context-aware cell would;
+	// cell 1 fails for a real reason. The real error must win even though
+	// the cancelled cell has the lower index.
+	for _, workers := range []int{2, 8} {
+		err := ForEach(context.Background(), workers, 2, func(ctx context.Context, i int) error {
+			if i == 0 {
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			return errors.New("cell 1: deadlock")
+		})
+		if err == nil || err.Error() != "cell 1: deadlock" {
+			t.Errorf("workers=%d: err = %v, want the real failure", workers, err)
+		}
+	}
+}
+
 func TestForEachPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		err := ForEach(context.Background(), workers, 10, func(_ context.Context, i int) error {

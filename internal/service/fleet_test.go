@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/resultcache"
 	"repro/internal/version"
 )
 
@@ -113,6 +116,54 @@ func TestFleetBudgetExhaustedFallsBackLocal(t *testing.T) {
 	}
 	if raw := string(readAll(t, pl)); strings.Contains(raw, "budget_exhausted") {
 		t.Errorf("fleet-less job listing leaks budget_exhausted:\n%s", raw)
+	}
+}
+
+// TestWorkerMemoryHitKeepsCost pins the ExecuteResponse.ExecNs contract
+// for a worker's memory tier: a cell the worker already holds comes back
+// with the cost recorded alongside its bytes, and the coordinator files
+// it under that cost — not under the dispatch round trip.
+func TestWorkerMemoryHitKeepsCost(t *testing.T) {
+	const seededCost = 4242
+	params := experiments.CampaignParams{Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition"}}
+	plan, err := experiments.Cells("compare", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Cells) != 1 {
+		t.Fatalf("plan has %d cells, want 1", len(plan.Cells))
+	}
+	key := resultcache.Key(plan.Cells[0].KeyKind, plan.Cells[0].KeyParams, version.Engine)
+	partial := []byte(`{"jobs":[{"app":"MATRIX","mean_rt_sec":1}]}`)
+
+	coordCache := resultcache.New(1 << 20)
+	e := newEnv(t, Config{
+		Fleet:     fleet.NewCoordinator(fleet.Config{Cache: coordCache, HedgeDelay: time.Minute}),
+		CellCache: coordCache,
+	})
+	workerCache := resultcache.New(1 << 20)
+	workerCache.PutCost(key, partial, seededCost)
+	w := fleet.NewWorker(fleet.WorkerConfig{Coordinator: e.url, Capacity: 4, Cache: workerCache, Heartbeat: time.Minute})
+	mux := http.NewServeMux()
+	w.RegisterHandlers(mux)
+	wts := httptest.NewServer(mux)
+	t.Cleanup(wts.Close)
+	w.Start(wts.URL)
+	t.Cleanup(w.Stop)
+
+	resp := e.submit(`{"kind":"compare","params":{"fast":true,"reps":1,"mix":5,"policies":["Equipartition"]}}`)
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("campaign: %d %s", resp.StatusCode, body)
+	}
+	if got := w.Stats.CacheHits.Load(); got != 1 {
+		t.Fatalf("worker cache hits = %d, want 1 (the seeded cell)", got)
+	}
+	body, cost, ok := coordCache.GetCost(key)
+	if !ok || !bytes.Equal(body, partial) {
+		t.Fatalf("coordinator cell cache holds %q (ok=%v), want the worker's bytes", body, ok)
+	}
+	if cost != seededCost {
+		t.Errorf("coordinator filed the cell at cost %d, want the worker's recorded %d", cost, seededCost)
 	}
 }
 

@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke ci
+.PHONY: all build vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke ci
 
 all: build
 
@@ -71,6 +71,14 @@ bench-check:
 	| ./benchjson.bin -check BENCH_cache.json
 	rm -f benchjson.bin
 
+# The bench module's API gate: bench/ is a separate Go module (the repo
+# benchmark's load driver) that imports internal/experiments and
+# internal/service, so a reshaped package API breaks it without failing
+# `go build ./...` here. Vets and tests it against this checkout, offline;
+# it edits nothing under bench/.
+bench-api:
+	cd bench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
+
 # The affinityd gate: boots the daemon's serving core on a random port,
 # POSTs the same table1 campaign twice, and requires the second response
 # to be a result-cache hit with a byte-identical body; also proves SIGTERM
@@ -121,4 +129,4 @@ analytic-smoke:
 	$(GO) run ./cmd/analyticcalib -check
 	$(GO) test -count=1 -run 'TestEngine|TestAnalytic|TestAuto|TestCalibration' ./internal/experiments/
 
-ci: vet build race bench-smoke bench-cache bench-check serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke
+ci: vet build race bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke

@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,14 +35,21 @@ func benchOptions() experiments.Options {
 	return o
 }
 
+// benchCampaign runs one campaign kind at the benchOptions scale.
+func benchCampaign(b *testing.B, kind string) any {
+	b.Helper()
+	res, err := experiments.Run(context.Background(), kind, experiments.CampaignParams{Replications: 2, BudgetSec: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkCharacterize regenerates Figures 2-4: the applications'
 // parallelism profiles, elapsed times and average demands in isolation.
 func BenchmarkCharacterize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		chars, err := experiments.Characterize(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		chars := benchCampaign(b, "characterize").(experiments.CharacterizeCampaignResult).Apps
 		for _, c := range chars {
 			switch c.Name {
 			case "MVA":
@@ -60,15 +68,11 @@ func BenchmarkCharacterize(b *testing.B) {
 // extremes (paper: 914 µs and 2330 µs).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t1, err := experiments.Table1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		q25, q400 := 25*simtime.Millisecond, 400*simtime.Millisecond
-		b.ReportMetric(t1.Cells[q25]["MVA"].PNA.Micros(), "PNA-MVA-Q25-us")
-		b.ReportMetric(t1.Cells[q400]["MVA"].PNA.Micros(), "PNA-MVA-Q400-us")
-		b.ReportMetric(t1.Cells[q400]["GRAVITY"].PNA.Micros(), "PNA-GRAV-Q400-us")
-		b.ReportMetric(t1.Cells[q400]["MATRIX"].PA["MVA"].Micros(), "PA-MAT-vs-MVA-Q400-us")
+		t1 := benchCampaign(b, "table1").(experiments.Table1CampaignResult)
+		b.ReportMetric(t1.Cells["25"]["MVA"].PNAMicros, "PNA-MVA-Q25-us")
+		b.ReportMetric(t1.Cells["400"]["MVA"].PNAMicros, "PNA-MVA-Q400-us")
+		b.ReportMetric(t1.Cells["400"]["GRAVITY"].PNAMicros, "PNA-GRAV-Q400-us")
+		b.ReportMetric(t1.Cells["400"]["MATRIX"].PAMicros["MVA"], "PA-MAT-vs-MVA-Q400-us")
 	}
 }
 
@@ -185,18 +189,18 @@ func BenchmarkTable4(b *testing.B) {
 // for mix 5's GRAVITY at product 1 and 4096, and its crossover product.
 func BenchmarkFigure8to13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := benchOptions()
 		cr := compareAllMixes(b, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
-		t1, err := experiments.Table1(opts)
+		t1 := benchCampaign(b, "table1").(experiments.Table1CampaignResult)
+		scen, err := experiments.FutureScenarios(cr, t1.Table1())
 		if err != nil {
 			b.Fatal(err)
 		}
-		scen, err := experiments.FutureScenarios(cr, t1)
+		dynamic := []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
+		sweep, err := experiments.FutureSweep(scen, dynamic, 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
-		charts, err := experiments.FutureCharts(cr, scen,
-			[]string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}, 4096)
+		charts, err := experiments.FutureCharts(sweep, dynamic)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,31 +2,20 @@ package main
 
 import (
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestEngineFlagValidation is the cross-CLI table test for -engine: every
-// binary that registers the flag must reject a tier its campaign kind
-// cannot run — analytic/auto on the non-grid kinds, unknown names
-// anywhere — with the service's "params.engine" field-path error, before
-// any simulation starts. One positive case per grid CLI pins that valid
-// tiers still parse.
+// TestEngineFlagValidation is the table test for -engine across the
+// subcommands: each must reject a tier its campaign kind cannot run —
+// analytic/auto on the non-grid kinds, unknown names anywhere — with the
+// service's "params.engine" field-path error, before any simulation
+// starts. One positive case pins that valid tiers still parse.
 func TestEngineFlagValidation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds four binaries in -short mode")
+		t.Skip("builds the binary in -short mode")
 	}
-	dir := t.TempDir()
-	bins := map[string]string{}
-	for _, cli := range []string{"affinitysim", "measurepenalty", "policycompare", "futuremodel"} {
-		bin := filepath.Join(dir, cli)
-		build := exec.Command("go", "build", "-o", bin, "../"+cli)
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", cli, err, out)
-		}
-		bins[cli] = bin
-	}
+	bins := buildCLIs(t, "affinitysim")
 
 	cases := []struct {
 		name    string
@@ -46,16 +35,10 @@ func TestEngineFlagValidation(t *testing.T) {
 			[]string{"compare", "-engine", "bogus"}, "params.engine"},
 		{"affinitysim compare accepts analytic", "affinitysim",
 			[]string{"compare", "-engine", "analytic", "-fast", "-mix", "5", "-reps", "1"}, ""},
-		{"measurepenalty rejects analytic", "measurepenalty",
-			[]string{"-engine", "analytic"}, "params.engine"},
-		{"measurepenalty rejects unknown tier", "measurepenalty",
-			[]string{"-engine", "bogus"}, "params.engine"},
-		{"policycompare rejects unknown tier", "policycompare",
-			[]string{"-engine", "bogus"}, "params.engine"},
-		{"policycompare accepts analytic", "policycompare",
-			[]string{"-engine", "analytic", "-fast", "-mix", "5", "-reps", "1"}, ""},
-		{"futuremodel rejects unknown tier", "futuremodel",
-			[]string{"-engine", "bogus"}, "params.engine"},
+		{"affinitysim measure rejects unknown tier", "affinitysim",
+			[]string{"measure", "-detail", "-engine", "bogus"}, "params.engine"},
+		{"affinitysim future rejects unknown tier", "affinitysim",
+			[]string{"future", "-simulate", "-engine", "bogus"}, "params.engine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

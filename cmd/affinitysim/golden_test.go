@@ -10,31 +10,94 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/report"
 )
 
-// cliGoldens pins the campaign CLIs' observable behaviour: stdout,
+// cliGoldens pins the campaign CLI's observable behaviour: stdout,
 // stderr and exit code of each invocation, recorded under
 // testdata/golden/<name>.{stdout,stderr,code}. Every case is replayed at
-// -workers 1 and -workers 4 and must match byte for byte.
+// -workers 1 and -workers 4 and must match byte for byte. The
+// policycompare, futuremodel and measurepenalty goldens were recorded
+// from those standalone CLIs before they were folded into affinitysim;
+// each is reproduced by the affinitysim invocation listed with it,
+// spelling out the flags whose defaults differed (futuremodel -fast used
+// a 4 s Table-1 budget). adjust, where set, undoes a deliberate layout
+// difference before the comparison — see the adjusters below.
 var cliGoldens = []struct {
-	name string
-	bin  string
-	args []string
+	name   string
+	args   []string
+	adjust func(t *testing.T, stdout string) string
 }{
-	{"affinitysim_characterize_fast", "affinitysim", []string{"characterize", "-fast"}},
-	{"affinitysim_measure_fast_budget4", "affinitysim", []string{"measure", "-fast", "-budget", "4"}},
-	{"affinitysim_compare_fast_reps2_csv_timeshare_stats", "affinitysim", []string{"compare", "-fast", "-reps", "2", "-csv", "-timeshare", "-stats"}},
-	{"affinitysim_compare_fast_mix5_workers1", "affinitysim", []string{"compare", "-fast", "-mix", "5", "-workers", "1"}},
+	{"affinitysim_characterize_fast", []string{"characterize", "-fast"}, nil},
+	{"affinitysim_measure_fast_budget4", []string{"measure", "-fast", "-budget", "4"}, nil},
+	{"affinitysim_compare_fast_reps2_csv_timeshare_stats", []string{"compare", "-fast", "-reps", "2", "-csv", "-timeshare", "-stats"}, nil},
+	{"affinitysim_compare_fast_mix5_workers1", []string{"compare", "-fast", "-mix", "5", "-workers", "1"}, nil},
 	// Mix 3 under Dyn-Aff-Delay deadlocks at replication 4: the golden
 	// keeps that defect visible (exit 1, the scheduler's error on stderr).
-	{"affinitysim_compare_fast", "affinitysim", []string{"compare", "-fast"}},
-	{"affinitysim_future_fast_reps2_budget4_stats", "affinitysim", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-stats"}},
-	{"affinitysim_extras_fast", "affinitysim", []string{"extras", "-fast"}},
-	{"policycompare_fast_reps2_timeshare", "policycompare", []string{"-fast", "-reps", "2", "-timeshare"}},
-	{"futuremodel_fast_reps2", "futuremodel", []string{"-fast", "-reps", "2"}},
-	{"futuremodel_fast_reps2_csv", "futuremodel", []string{"-fast", "-reps", "2", "-csv"}},
-	{"futuremodel_fast_reps2_simulate", "futuremodel", []string{"-fast", "-reps", "2", "-simulate"}},
-	{"measurepenalty_budget4_detail", "measurepenalty", []string{"-budget", "4", "-detail"}},
+	{"affinitysim_compare_fast", []string{"compare", "-fast"}, nil},
+	{"affinitysim_future_fast_reps2_budget4_stats", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-stats"}, stripCrossovers},
+	{"affinitysim_extras_fast", []string{"extras", "-fast"}, nil},
+	{"policycompare_fast_reps2_timeshare", []string{"compare", "-fast", "-reps", "2", "-timeshare"}, foldTimeShareColumn},
+	{"futuremodel_fast_reps2", []string{"future", "-fast", "-reps", "2", "-budget", "4"}, nil},
+	{"futuremodel_fast_reps2_csv", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-csv"}, nil},
+	{"futuremodel_fast_reps2_simulate", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-simulate"}, nil},
+	{"measurepenalty_budget4_detail", []string{"measure", "-budget", "4", "-detail"}, nil},
+}
+
+// stripCrossovers removes the crossover table that affinitysim future
+// gained from futuremodel. The table itself must be present and identical
+// to the one in futuremodel's golden, which printed it after the same
+// charts.
+func stripCrossovers(t *testing.T, stdout string) string {
+	t.Helper()
+	fm := readGolden(t, "futuremodel_fast_reps2").stdout
+	i := strings.Index(fm, "Crossover products")
+	if i < 0 {
+		t.Fatal("futuremodel golden has no crossover table")
+	}
+	table := fm[i:]
+	if !strings.Contains(stdout, table) {
+		t.Fatalf("future output lacks futuremodel's crossover table:\n%s", table)
+	}
+	return strings.Replace(stdout, table, "", 1)
+}
+
+// foldTimeShareColumn rewrites affinitysim compare -timeshare output into
+// policycompare's layout, which showed TimeShare-RR as a fourth Figure 5
+// column: affinitysim prints the same numbers as its own "Extra —
+// TimeShare-RR" table, the third block.
+func foldTimeShareColumn(t *testing.T, stdout string) string {
+	t.Helper()
+	blocks := strings.Split(stdout, "\n\n")
+	if len(blocks) < 3 || !strings.HasPrefix(blocks[2], "Extra — TimeShare-RR") {
+		t.Fatalf("compare -timeshare output lacks the TimeShare-RR table:\n%s", stdout)
+	}
+	parse := func(block string) report.Table {
+		lines := strings.Split(block, "\n")
+		tab := report.Table{Title: lines[0], Headers: strings.Fields(lines[1])}
+		for _, l := range lines[3:] {
+			tab.Rows = append(tab.Rows, strings.Fields(l))
+		}
+		return tab
+	}
+	fig5, extra := parse(blocks[0]), parse(blocks[2])
+	if len(fig5.Rows) != len(extra.Rows) {
+		t.Fatalf("Figure 5 has %d rows, the TimeShare-RR table %d", len(fig5.Rows), len(extra.Rows))
+	}
+	fig5.Headers = append(fig5.Headers, extra.Headers[2])
+	for i := range fig5.Rows {
+		if fig5.Rows[i][0] != extra.Rows[i][0] || fig5.Rows[i][1] != extra.Rows[i][1] {
+			t.Fatalf("row %d: Figure 5 job %v, TimeShare-RR job %v", i, fig5.Rows[i][:2], extra.Rows[i][:2])
+		}
+		fig5.Rows[i] = append(fig5.Rows[i], extra.Rows[i][2])
+	}
+	var b strings.Builder
+	if err := fig5.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	blocks[0] = strings.TrimSuffix(b.String(), "\n")
+	return strings.Join(append(blocks[:2], blocks[3:]...), "\n\n")
 }
 
 // cliResult is one invocation's observable behaviour.
@@ -112,13 +175,16 @@ func TestCLIGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays every golden campaign twice")
 	}
-	bins := buildCLIs(t, "affinitysim", "policycompare", "futuremodel", "measurepenalty")
+	bin := buildCLIs(t, "affinitysim")["affinitysim"]
 	for _, tc := range cliGoldens {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			want := readGolden(t, tc.name)
 			for _, workers := range []string{"1", "4"} {
-				got := runCLI(t, bins[tc.bin], append(append([]string(nil), tc.args...), "-workers", workers))
+				got := runCLI(t, bin, append(append([]string(nil), tc.args...), "-workers", workers))
+				if tc.adjust != nil && got.code == 0 {
+					got.stdout = tc.adjust(t, got.stdout)
+				}
 				if got.code != want.code {
 					t.Errorf("workers=%s: exit code %d, golden %d (stderr %q)", workers, got.code, want.code, got.stderr)
 				}

@@ -6,9 +6,10 @@
 // Usage:
 //
 //	affinitysim characterize [flags]   # Figures 2-4: application characteristics
-//	affinitysim measure      [flags]   # Table 1: P^A and P^NA penalties
+//	affinitysim measure      [flags]   # Table 1: P^A and P^NA penalties (-detail: per-regime runs)
 //	affinitysim compare      [flags]   # Figures 5-6, Tables 3-4: policy comparison
-//	affinitysim future       [flags]   # Figures 8-13: future-machine extrapolation
+//	affinitysim future       [flags]   # Figures 8-13 and crossover products: future-machine
+//	                                   # extrapolation (-simulate: scaled-machine validation)
 //	affinitysim trace        [flags]   # Gantt timeline of one run (-mix, -policy, -window)
 //	affinitysim extras       [flags]   # beyond-the-paper exhibits (Section 8 contrast,
 //	                                   # MPL sweep, two-level-cache analysis)
@@ -20,11 +21,15 @@
 //	-seed N       root random seed (default 1)
 //	-reps N       replications per (mix, policy) cell (default 5)
 //	-budget SEC   Table-1 measurement compute budget in seconds (default 20)
-//	-fast         scaled-down quick mode
-//	-csv          emit CSV instead of aligned tables
+//	-fast         scaled-down applications (replications and budget keep their flag values)
+//	-csv          emit CSV instead of aligned tables (future: the sweep data)
 //	-mix N        restrict the comparison to one workload mix (1-6)
 //	-timeshare    include the time-sharing round-robin baseline
 //	-maxproduct P largest speed-times-cache product to sweep (default 4096)
+//	-detail       measure: also print per-regime run data (response times,
+//	              switch counts, miss counts)
+//	-simulate     future: also simulate the scaled machines directly (mix #5)
+//	              and print simulated vs model relative response times
 //	-policy NAME  policy for the trace subcommand (default Dyn-Aff)
 //	-window SEC   trace window length in seconds (default 5, from t=0)
 //	-workers N    simulation cells run concurrently (0 = all CPUs, 1 = sequential);
@@ -32,9 +37,14 @@
 //	-stats        print the response-time decomposition table (engine
 //	              counters: reallocations, P^A/P^NA charges, penalty time)
 //	              after the exhibits; exhibit output is unchanged
+//
+// Every exhibit runs as a registered campaign through experiments.Run —
+// the cell plans the affinityd service executes — so a subcommand's
+// numbers are the ones the service serves for the same parameters.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -42,7 +52,10 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/measure"
+	"repro/internal/memtrace"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/simtime"
@@ -58,15 +71,24 @@ func main() {
 }
 
 type cli struct {
-	opts       experiments.Options
+	opts experiments.Options
+	// params carries opts onto the wire for experiments.Run; ctx carries
+	// the -stats collector.
+	params     experiments.CampaignParams
+	ctx        context.Context
 	csv        bool
 	mix        int
 	timeshare  bool
 	maxProduct float64
 	policy     string
 	window     float64
+	detail     bool
+	simulate   bool
 	common     *cliflags.Common
 }
+
+// dynamicPolicies are the Figure 5 and Figures 8-13 columns.
+var dynamicPolicies = []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
 
 func parse(args []string) (string, *cli, error) {
 	if len(args) == 0 {
@@ -87,6 +109,8 @@ func parse(args []string) (string, *cli, error) {
 	fs.Float64Var(&c.maxProduct, "maxproduct", 4096, "largest speed*cache product")
 	fs.StringVar(&c.policy, "policy", "Dyn-Aff", "policy for the trace subcommand")
 	fs.Float64Var(&c.window, "window", 5, "trace window length (seconds)")
+	fs.BoolVar(&c.detail, "detail", false, "measure: print per-regime run details")
+	fs.BoolVar(&c.simulate, "simulate", false, "future: also simulate the scaled machines directly")
 	if err := fs.Parse(args[1:]); err != nil {
 		return "", nil, err
 	}
@@ -119,6 +143,20 @@ func parse(args []string) (string, *cli, error) {
 	if err := c.opts.Validate(); err != nil {
 		return "", nil, err
 	}
+	// The same options as wire params. Every field is explicit, so -fast
+	// changes only the application scale here: -reps and -budget always
+	// carry a value (their flag defaults unless set), whereas a request's
+	// fast:true also selects FastOptions' replications and budget.
+	c.params = experiments.CampaignParams{
+		Procs:        c.opts.Machine.Processors,
+		Replications: c.opts.Replications,
+		BudgetSec:    *budget,
+		AppScale:     c.opts.AppScale,
+		Seed:         c.opts.Seed,
+		Engine:       c.opts.Engine,
+		Workers:      c.opts.Workers,
+	}
+	c.ctx = obs.WithCollector(context.Background(), c.opts.Stats)
 	return cmd, c, nil
 }
 
@@ -151,8 +189,7 @@ func (c *cli) dispatch(cmd string) error {
 	case "measure":
 		return c.measure()
 	case "compare":
-		_, err := c.compare()
-		return err
+		return c.compare()
 	case "future":
 		return c.future()
 	case "trace":
@@ -166,12 +203,31 @@ func (c *cli) dispatch(cmd string) error {
 		if err := c.measure(); err != nil {
 			return err
 		}
-		if _, err := c.compare(); err != nil {
+		if err := c.compare(); err != nil {
 			return err
 		}
 		return c.future()
 	}
 	return fmt.Errorf("unknown subcommand %q", cmd)
+}
+
+// campaign runs one registered campaign kind with the CLI's options;
+// set adds the kind's own parameters.
+func (c *cli) campaign(kind string, set func(*experiments.CampaignParams)) (any, error) {
+	p := c.params
+	if set != nil {
+		set(&p)
+	}
+	return experiments.Run(c.ctx, kind, p)
+}
+
+// comparePolicies is the compare grid's policy axis.
+func (c *cli) comparePolicies(p *experiments.CampaignParams) {
+	p.Mix = c.mix
+	p.Policies = []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"}
+	if c.timeshare {
+		p.Policies = append(p.Policies, "TimeShare-RR")
+	}
 }
 
 // trace runs one mix under one policy with tracing enabled and renders the
@@ -213,11 +269,11 @@ func (c *cli) trace() error {
 
 // extras runs the beyond-the-paper exhibits.
 func (c *cli) extras() error {
-	rw, err := experiments.RelatedWork(c.opts)
+	rw, err := c.campaign("relatedwork", nil)
 	if err != nil {
 		return err
 	}
-	if err := c.emit(experiments.RelatedWorkTable(rw)); err != nil {
+	if err := c.emit(experiments.RelatedWorkTable(rw.(experiments.RelatedWorkCampaignResult).Result)); err != nil {
 		return err
 	}
 	mplPolicies := []string{"Equipartition", "Dynamic", "Dyn-Aff"}
@@ -262,10 +318,11 @@ func (c *cli) emit(t report.Table) error {
 }
 
 func (c *cli) characterize() error {
-	chars, err := experiments.Characterize(c.opts)
+	res, err := c.campaign("characterize", nil)
 	if err != nil {
 		return err
 	}
+	chars := res.(experiments.CharacterizeCampaignResult).Apps
 	if err := c.emit(experiments.CharacterTable(chars)); err != nil {
 		return err
 	}
@@ -273,119 +330,160 @@ func (c *cli) characterize() error {
 }
 
 func (c *cli) measure() error {
-	t1, err := experiments.Table1(c.opts)
+	res, err := c.campaign("table1", nil)
 	if err != nil {
 		return err
 	}
-	for _, t := range experiments.Table1Report(t1) {
+	for _, t := range experiments.Table1Report(res.(experiments.Table1CampaignResult)) {
 		if err := c.emit(t); err != nil {
+			return err
+		}
+	}
+	if c.detail {
+		return c.measureDetail()
+	}
+	return nil
+}
+
+// measureDetail prints the per-regime runs behind Table 1. No campaign
+// result carries them, so the protocol runs again here, directly; it is
+// deterministic, so the runs are the ones the table was derived from.
+func (c *cli) measureDetail() error {
+	mc := c.opts.Machine
+	mc.Processors = 1 // the paper's measurement uses a single processor
+	t1, err := measure.BuildTable1Ctx(c.ctx, mc, memtrace.Patterns(), measure.DefaultQs(),
+		c.opts.MeasureBudget, c.opts.Seed, c.opts.Workers)
+	if err != nil {
+		return err
+	}
+	t := report.Table{
+		Title: "Per-regime run detail",
+		Headers: []string{"Q", "measured", "regime", "intervening",
+			"RT (s)", "switches", "misses", "miss ratio"},
+	}
+	addRun := func(q simtime.Duration, app, intervening string, r measure.RunResult) {
+		ratio := 0.0
+		if r.Accesses > 0 {
+			ratio = float64(r.Misses) / float64(r.Accesses)
+		}
+		t.AddRow(q.String(), app, r.Regime.String(), intervening,
+			report.F(r.ResponseTime.SecondsF(), 3),
+			fmt.Sprintf("%d", r.Switches),
+			fmt.Sprintf("%d", r.Misses),
+			report.F(ratio, 4))
+	}
+	for _, q := range t1.Qs {
+		for _, app := range t1.Apps {
+			pen := t1.Cells[q][app]
+			addRun(q, app, "-", pen.Stationary)
+			addRun(q, app, "-", pen.Migrating)
+			for _, iv := range t1.Apps {
+				if r, ok := pen.Multi[iv]; ok {
+					addRun(q, app, iv, r)
+				}
+			}
+		}
+	}
+	return t.Write(os.Stdout)
+}
+
+func (c *cli) compare() error {
+	v, err := c.campaign("compare", c.comparePolicies)
+	if err != nil {
+		return err
+	}
+	res := v.(experiments.CompareCampaignResult)
+	fig5, err := experiments.Figure5Report(res, dynamicPolicies)
+	if err != nil {
+		return err
+	}
+	if err := c.emit(fig5); err != nil {
+		return err
+	}
+	fig6, err := experiments.Figure5Report(res, []string{"Dyn-Aff-NoPri"})
+	if err != nil {
+		return err
+	}
+	fig6.Title = "Figure 6 — Dyn-Aff-NoPri response times relative to Equipartition"
+	if err := c.emit(fig6); err != nil {
+		return err
+	}
+	if c.timeshare {
+		ts, err := experiments.Figure5Report(res, []string{"TimeShare-RR"})
+		if err != nil {
+			return err
+		}
+		ts.Title = "Extra — TimeShare-RR (quantum-driven) relative to Equipartition"
+		if err := c.emit(ts); err != nil {
+			return err
+		}
+	}
+	var homog []int
+	for _, n := range res.Mixes {
+		if n == 5 || n == c.mix {
+			t3, err := experiments.Table3Report(res, n, dynamicPolicies)
+			if err != nil {
+				return err
+			}
+			if err := c.emit(t3); err != nil {
+				return err
+			}
+		}
+		if mix, err := workload.MixByNumber(n); err == nil && mix.Homogeneous() {
+			homog = append(homog, n)
+		}
+	}
+	if len(homog) > 0 {
+		t4, err := experiments.Table4Report(res, homog, "Dyn-Aff", "Dyn-Aff-NoPri")
+		if err != nil {
+			return err
+		}
+		if err := c.emit(t4); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (c *cli) mixes() ([]workload.Mix, error) {
-	if c.mix == 0 {
-		return workload.Mixes(), nil
-	}
-	m, err := workload.MixByNumber(c.mix)
-	if err != nil {
-		return nil, err
-	}
-	return []workload.Mix{m}, nil
-}
-
-func (c *cli) policies() []string {
-	ps := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"}
-	if c.timeshare {
-		ps = append(ps, "TimeShare-RR")
-	}
-	return ps
-}
-
-func (c *cli) compare() (*experiments.CompareResult, error) {
-	mixes, err := c.mixes()
-	if err != nil {
-		return nil, err
-	}
-	cr, err := experiments.ComparePolicies(c.opts, mixes, c.policies())
-	if err != nil {
-		return nil, err
-	}
-	fig5, err := cr.Figure5Report([]string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.emit(fig5); err != nil {
-		return nil, err
-	}
-	fig6, err := cr.Figure5Report([]string{"Dyn-Aff-NoPri"})
-	if err != nil {
-		return nil, err
-	}
-	fig6.Title = "Figure 6 — Dyn-Aff-NoPri response times relative to Equipartition"
-	if err := c.emit(fig6); err != nil {
-		return nil, err
-	}
-	if c.timeshare {
-		ts, err := cr.Figure5Report([]string{"TimeShare-RR"})
-		if err != nil {
-			return nil, err
-		}
-		ts.Title = "Extra — TimeShare-RR (quantum-driven) relative to Equipartition"
-		if err := c.emit(ts); err != nil {
-			return nil, err
-		}
-	}
-	for _, mix := range mixes {
-		if mix.Number == 5 || c.mix == mix.Number {
-			t3, err := cr.Table3Report(mix.Number, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
-			if err != nil {
-				return nil, err
-			}
-			if err := c.emit(t3); err != nil {
-				return nil, err
-			}
-		}
-	}
-	var homog []int
-	for _, mix := range mixes {
-		if mix.Homogeneous() {
-			homog = append(homog, mix.Number)
-		}
-	}
-	if len(homog) > 0 {
-		t4, err := cr.Table4Report(homog, "Dyn-Aff", "Dyn-Aff-NoPri")
-		if err != nil {
-			return nil, err
-		}
-		if err := c.emit(t4); err != nil {
-			return nil, err
-		}
-	}
-	return cr, nil
-}
-
+// future runs the future kind's grid — the compare cells and the table1
+// cells — as those two campaigns, so the extracted model scenarios stay
+// at hand for the crossover table and -simulate, then sweeps them exactly
+// as the future kind's merge does.
 func (c *cli) future() error {
-	mixes, err := c.mixes()
+	v, err := c.campaign("compare", c.comparePolicies)
 	if err != nil {
 		return err
 	}
-	cr, err := experiments.ComparePolicies(c.opts, mixes, c.policies())
+	cr, err := v.(experiments.CompareCampaignResult).CompareResult(c.opts)
 	if err != nil {
 		return err
 	}
-	t1, err := experiments.Table1(c.opts)
+	v, err = c.campaign("table1", nil)
 	if err != nil {
 		return err
 	}
-	scen, err := experiments.FutureScenarios(cr, t1)
+	scen, err := experiments.FutureScenarios(cr, v.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		return err
 	}
-	charts, err := experiments.FutureCharts(cr, scen,
-		[]string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}, c.maxProduct)
+	sweep, err := experiments.FutureSweep(scen, dynamicPolicies, c.maxProduct)
+	if err != nil {
+		return err
+	}
+	if c.csv {
+		err = writeSweepCSV(sweep)
+	} else {
+		err = c.writeCharts(sweep, scen)
+	}
+	if err != nil || !c.simulate {
+		return err
+	}
+	return c.simulateFuture(scen)
+}
+
+// writeCharts prints Figures 8-13 and each scenario's crossover product.
+func (c *cli) writeCharts(sweep experiments.FutureCampaignResult, scen map[experiments.ScenarioKey]model.Scenario) error {
+	charts, err := experiments.FutureCharts(sweep, dynamicPolicies)
 	if err != nil {
 		return err
 	}
@@ -395,5 +493,69 @@ func (c *cli) future() error {
 		}
 		fmt.Println()
 	}
-	return nil
+	products := model.Products(c.maxProduct, 4)
+	t := report.Table{
+		Title:   "Crossover products (relative RT reaches 1.0; 0 = never within sweep)",
+		Headers: append([]string{"scenario"}, dynamicPolicies...),
+	}
+	for _, s := range sweep.Scenarios {
+		key := experiments.ScenarioKey{Mix: s.Mix, App: s.App}
+		sc := scen[key]
+		row := []string{key.String()}
+		for _, pol := range dynamicPolicies {
+			if _, ok := sc.Policies[pol]; !ok {
+				row = append(row, "-")
+				continue
+			}
+			cross, err := sc.Crossover(pol, products)
+			if err != nil {
+				return err
+			}
+			row = append(row, report.F(cross, 0))
+		}
+		t.AddRow(row...)
+	}
+	return t.Write(os.Stdout)
+}
+
+// writeSweepCSV prints the sweep as scenario, policy, product, relative RT
+// rows.
+func writeSweepCSV(sweep experiments.FutureCampaignResult) error {
+	t := report.Table{Headers: []string{"scenario", "policy", "product", "relative_rt"}}
+	for _, s := range sweep.Scenarios {
+		key := experiments.ScenarioKey{Mix: s.Mix, App: s.App}
+		for _, sw := range s.Policies {
+			for i, y := range sw.RelRT {
+				t.AddRow(key.String(), sw.Policy, report.F(sweep.Products[i], 2), report.F(y, 5))
+			}
+		}
+	}
+	return t.WriteCSV(os.Stdout)
+}
+
+// simulateFuture re-runs mix #5 on directly scaled machines (the
+// futuresim kind) and prints the simulated relative response times next
+// to the analytic model's for the mix's GRAVITY job ("-" where the
+// comparison did not cover mix #5).
+func (c *cli) simulateFuture(scen map[experiments.ScenarioKey]model.Scenario) error {
+	products := []float64{1, 16, 64, 256, 1024}
+	v, err := c.campaign("futuresim", func(p *experiments.CampaignParams) {
+		p.Mix, p.Policies, p.Products = 5, dynamicPolicies, products
+	})
+	if err != nil {
+		return err
+	}
+	modelRel := make(map[string][]float64)
+	if sc, ok := scen[experiments.ScenarioKey{Mix: 5, App: "GRAVITY"}]; ok {
+		for _, pol := range dynamicPolicies {
+			ys, err := sc.SweepProduct(pol, products)
+			if err != nil {
+				return err
+			}
+			modelRel[pol] = ys
+		}
+	}
+	tab := experiments.FutureSimTable(v.(experiments.FutureSimCampaignResult), modelRel, dynamicPolicies)
+	tab.Title = "Mix #5 — simulated scaled machines vs analytic model (model column: GRAVITY job)"
+	return tab.Write(os.Stdout)
 }

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,7 +21,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -31,24 +31,26 @@ func main() {
 	if *fast {
 		opts = experiments.FastOptions()
 	}
+	ctx := context.Background()
 
-	// Step 1-2: measurements.
-	mix, err := workload.MixByNumber(5)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Step 1-2: measurements, as two campaigns: the mix-5 policy
+	// comparison and the Table-1 penalty measurements.
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
-	cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix}, policies)
+	cmp, err := experiments.Run(ctx, "compare", experiments.CampaignParams{Fast: *fast, Mix: 5, Policies: policies})
 	if err != nil {
 		log.Fatal(err)
 	}
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.Run(ctx, "table1", experiments.CampaignParams{Fast: *fast})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Step 3: parameter extraction.
-	scen, err := experiments.FutureScenarios(cr, t1)
+	cr, err := cmp.(experiments.CompareCampaignResult).CompareResult(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	scen, err := experiments.FutureScenarios(cr, t1.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,8 +67,12 @@ func main() {
 	fmt.Println()
 
 	// Step 4: sweep and crossovers.
-	charts, err := experiments.FutureCharts(cr, scen,
-		[]string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}, 4096)
+	dynamic := []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
+	sweep, err := experiments.FutureSweep(scen, dynamic, 4096)
+	if err != nil {
+		log.Fatal(err)
+	}
+	charts, err := experiments.FutureCharts(sweep, dynamic)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func main() {
 
 	products := model.Products(1<<22, 4)
 	fmt.Println("\nCrossover products (where the policy stops beating Equipartition):")
-	for _, pol := range []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"} {
+	for _, pol := range dynamic {
 		cross, err := sc.Crossover(pol, products)
 		if err != nil {
 			log.Fatal(err)

@@ -8,31 +8,32 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/workload"
 )
 
 func main() {
 	fast := flag.Bool("fast", false, "scaled-down applications and fewer replications")
 	flag.Parse()
 
-	opts := experiments.DefaultOptions()
-	if *fast {
-		opts = experiments.FastOptions()
-	}
-	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"}
-	cr, err := experiments.ComparePolicies(opts, workload.Mixes(), policies)
+	// The compare campaign: every mix under every policy, replicated. -fast
+	// selects the scaled-down FastOptions preset.
+	v, err := experiments.Run(context.Background(), "compare", experiments.CampaignParams{
+		Fast:     *fast,
+		Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := v.(experiments.CompareCampaignResult)
 
 	// Figure 5: the well-behaved dynamic policies.
-	fig5, err := cr.Figure5Report([]string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
+	fig5, err := experiments.Figure5Report(res, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func main() {
 
 	// Figure 6: the artificial no-priority variant — note how erratic the
 	// ratios are compared to Figure 5.
-	fig6, err := cr.Figure5Report([]string{"Dyn-Aff-NoPri"})
+	fig6, err := experiments.Figure5Report(res, []string{"Dyn-Aff-NoPri"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func main() {
 
 	// Table 3: why affinity doesn't matter (yet): compare the affinity
 	// percentages with the response times.
-	t3, err := cr.Table3Report(5, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
+	t3, err := experiments.Table3Report(res, 5, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	fmt.Println()
 
 	// Table 4: sacrificing fairness for affinity buys (at best) noise.
-	t4, err := cr.Table4Report([]int{1, 4}, "Dyn-Aff", "Dyn-Aff-NoPri")
+	t4, err := experiments.Table4Report(res, []int{1, 4}, "Dyn-Aff", "Dyn-Aff-NoPri")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -24,11 +25,11 @@ func TestModelReproducesMeasurementAtBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.Run(context.Background(), "table1", experiments.CampaignParams{Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := experiments.FutureScenarios(cr, t1)
+	scen, err := experiments.FutureScenarios(cr, t1.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +57,13 @@ func TestModelReproducesMeasurementAtBaseline(t *testing.T) {
 // reproducible: identical options produce byte-identical reports.
 func TestPipelineDeterminism(t *testing.T) {
 	render := func() string {
-		opts := experiments.FastOptions()
-		opts.Replications = 1
-		mix, _ := workload.MixByNumber(5)
-		cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix},
-			[]string{"Equipartition", "Dynamic", "Dyn-Aff"})
+		res, err := experiments.Run(context.Background(), "compare", experiments.CampaignParams{
+			Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff"},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := cr.Figure5Report([]string{"Dynamic", "Dyn-Aff"})
+		tab, err := experiments.Figure5Report(res.(experiments.CompareCampaignResult), []string{"Dynamic", "Dyn-Aff"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +134,11 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 	// Conclusion 4 (Figs 8-13): Dynamic's relative RT rises with the
 	// speed×cache product and crosses 1.0; the affinity variants cross
 	// later or not at all.
-	t1, err := experiments.Table1(opts)
+	t1, err := experiments.Run(context.Background(), "table1", experiments.CampaignParams{BudgetSec: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := experiments.FutureScenarios(cr, t1)
+	scen, err := experiments.FutureScenarios(cr, t1.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
-// Package cliflags factors the flag handling every campaign CLI shares —
-// -workers, -seed, -cpuprofile, -memprofile — so the five binaries
-// (affinitysim, measurepenalty, policycompare, futuremodel, affinityd)
-// define them once, with identical names, defaults, and help text.
+// Package cliflags factors the flag handling the campaign binaries share —
+// -workers, -seed, -cpuprofile, -memprofile, -stats, -engine — so
+// affinitysim (every exhibit: characterize, measure, compare, future,
+// trace, extras) and affinityd define them once, with identical names,
+// defaults, and help text.
 package cliflags
 
 import (

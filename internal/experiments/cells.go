@@ -23,20 +23,57 @@ import (
 // material — never on the rest of the grid — so overlapping campaigns
 // (a superset policy list, a second kind sharing a sub-grid) address the
 // same cache entries, and a merge over any mix of fresh and cached
-// partials is byte-identical to the monolithic Campaign.Run.
+// partials is byte-identical to a run that executed every cell
+// (testdata/campaign_bodies.sha256 pins those bytes).
 //
 // The invariants every per-kind builder maintains:
 //
-//  1. Cell order matches the monolithic driver's grid order, so the
-//     merge can reassemble by index.
+//  1. Cell order is the kind's grid order, so the merge can reassemble
+//     by index.
 //  2. Partials carry enough raw precision for the merge to perform each
 //     lossy conversion (simtime.Duration -> float microseconds, ratio
-//     against a baseline) exactly once, in the same place the monolithic
-//     path performs it. Replication means are folded in replication
-//     order inside the cell, exactly as the monolithic accumulators do.
+//     against a baseline) exactly once. Replication means are folded in
+//     replication order inside the cell.
 //  3. Key params exclude Workers (results are bitwise identical at every
 //     worker count) and exclude the grid lists themselves (a cell's
 //     identity is its own coordinates, so supersets reuse subsets).
+
+// Run normalizes p, plans the campaign with Cells, executes every cell on
+// p.Workers workers, and merges the canonical-JSON partials into the
+// kind's wire result — the one way to run a campaign in process. The
+// result is bitwise identical at every worker count and encodes (under
+// report.CanonicalJSON) to the bytes the service serves for the same
+// params. If ctx carries an obs collector, per-run simulation stats fold
+// into it out of band: each cell collects its own, and the cells' stats
+// fold in grid order once all have run, so the totals are identical at
+// every worker count. A cancelled ctx stops scheduling new cells
+// promptly and returns ctx's error.
+func Run(ctx context.Context, kind string, p CampaignParams) (any, error) {
+	plan, err := Cells(kind, p)
+	if err != nil {
+		return nil, err
+	}
+	collector := obs.CollectorFrom(ctx)
+	cellStats := make([]*obs.CampaignStats, len(plan.Cells))
+	partials := make([][]byte, len(plan.Cells))
+	err = parallel.ForEach(ctx, plan.Params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
+		if collector != nil {
+			cellStats[i] = obs.NewCampaignStats()
+			ctx = obs.WithCollector(ctx, cellStats[i])
+		}
+		res, err := plan.Cells[i].Run(ctx)
+		if err != nil {
+			return err
+		}
+		partials[i], err = report.CanonicalJSON(res)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	parallel.Fold(cellStats, func(_ int, s *obs.CampaignStats) { collector.Merge(s) })
+	return plan.Merge(ctx, partials)
+}
 
 // Cell is one unit of a sharded campaign.
 type Cell struct {
@@ -67,7 +104,7 @@ type Cell struct {
 func (c *Cell) Run(ctx context.Context) (any, error) { return c.run(ctx) }
 
 // CellPlan is a campaign split into cells plus the deterministic merge
-// that reassembles the monolithic wire result.
+// that reassembles the campaign's wire result.
 type CellPlan struct {
 	Kind string
 	// Params is the campaign's normalized parameterization.
@@ -80,8 +117,8 @@ type CellPlan struct {
 
 // Merge reassembles the campaign result from one canonical-JSON partial
 // per cell, in Cells order. The output marshals (under
-// report.CanonicalJSON) to exactly the bytes Campaign.Run produces for
-// the same params.
+// report.CanonicalJSON) to exactly the bytes Run produces for the same
+// params, whichever cells came from a cache.
 func (p *CellPlan) Merge(ctx context.Context, partials [][]byte) (any, error) {
 	if len(partials) != len(p.Cells) {
 		return nil, fmt.Errorf("experiments: %s: %d partials for %d cells", p.Kind, len(partials), len(p.Cells))
@@ -211,8 +248,7 @@ type table1CellKey struct {
 
 // table1CellPartial carries one cell's penalties as raw simtime ticks,
 // not float microseconds: Duration -> Micros() is a lossy float
-// division, so the merge performs it exactly once, in the same place the
-// monolithic path does.
+// division, so the merge performs it exactly once.
 type table1CellPartial struct {
 	PNARaw int64            `json:"pna_raw"`
 	PARaw  map[string]int64 `json:"pa_raw"`
@@ -223,8 +259,7 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 		return nil, err
 	}
 	// DefaultQs is ascending, so cell order (q-major, pattern-minor, the
-	// BuildTable1Ctx layout) already matches the sorted iteration of the
-	// monolithic wire encoding.
+	// BuildTable1Ctx layout) is already the wire result's Q order.
 	qs := measure.DefaultQs()
 	names := patternNames()
 	plan := &CellPlan{Kind: "table1", Params: np}
@@ -308,34 +343,6 @@ func patternNames() []string {
 		names[i] = p.Name
 	}
 	return names
-}
-
-// table1MeasureCells rebuilds a measure.Table1 from table1 cell partials
-// laid out q-major: parts[qi*len(names)+pi]. Only the fields the future
-// kind's parameter extraction reads (PNA, PA) are populated.
-func table1MeasureCells(qs []simtime.Duration, names []string, parts []table1CellPartial) measure.Table1 {
-	t1 := measure.Table1{
-		Qs:    qs,
-		Apps:  append([]string(nil), names...),
-		Cells: make(map[simtime.Duration]map[string]measure.Penalties, len(qs)),
-	}
-	for qi, q := range qs {
-		t1.Cells[q] = make(map[string]measure.Penalties, len(names))
-		for pi, app := range names {
-			part := parts[qi*len(names)+pi]
-			pen := measure.Penalties{
-				Measured: app,
-				Q:        q,
-				PNA:      simtime.Duration(part.PNARaw),
-				PA:       make(map[string]simtime.Duration, len(part.PARaw)),
-			}
-			for iv, raw := range part.PARaw {
-				pen.PA[iv] = simtime.Duration(raw)
-			}
-			t1.Cells[q][app] = pen
-		}
-	}
-	return t1
 }
 
 // ---- compare (shared with future) --------------------------------------
@@ -451,7 +458,7 @@ func compareCellList(np CampaignParams, mixNumbers []int, policies []string) ([]
 
 // compareMergeRows rebuilds the compare wire rows from per-cell partials
 // laid out policy-minor: parts[mi*len(policies)+pi]. RelRT is derived
-// here, from the same float values the monolithic path divides.
+// here, from the cells' replication-mean response times.
 func compareMergeRows(mixNumbers []int, policies []string, parts []compareCellPartial) CompareCampaignResult {
 	out := CompareCampaignResult{Policies: append([]string(nil), policies...)}
 	hasBaseline := false
@@ -464,8 +471,8 @@ func compareMergeRows(mixNumbers []int, policies []string, parts []compareCellPa
 		out.Mixes = append(out.Mixes, mixNum)
 		var base compareCellPartial
 		if hasBaseline {
-			// Matches the monolithic map lookup: with duplicate baseline
-			// entries all partials are identical, so any one serves.
+			// With duplicate baseline entries all partials are identical,
+			// so any one serves.
 			for pi, pol := range policies {
 				if pol == "Equipartition" {
 					base = parts[mi*len(policies)+pi]
@@ -538,10 +545,9 @@ func compareCellPlan(np CampaignParams) (*CellPlan, error) {
 // kind's simulation grid is workload.Mixes() x withBaseline(policies)
 // compare cells followed by the table1 measurement cells, so a prior
 // compare or table1 campaign (or another future run with an overlapping
-// policy list) seeds its cache entries. The merge reconstructs the
-// CompareResult and measure.Table1 that the Section-7.3 parameter
-// extraction reads, then runs the analytic sweep — pure float math on
-// exactly the values the monolithic path feeds it.
+// policy list) seeds its cache entries. The merge is the compare merge
+// and the table1 merge followed by the Section-7.3 parameter extraction
+// and the analytic sweep — pure float math on the merged results.
 func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 	opts, err := np.options()
 	if err != nil {
@@ -559,58 +565,24 @@ func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 	}
 	plan := &CellPlan{Kind: "future", Params: np, Cells: append(compareCells, t1Plan.Cells...)}
 	nc := len(compareCells)
-	qs := measure.DefaultQs()
-	names := patternNames()
 	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
 		cparts, err := decodeParts[compareCellPartial](raws[:nc])
 		if err != nil {
 			return nil, err
 		}
-		tparts, err := decodeParts[table1CellPartial](raws[nc:])
+		cr, err := compareMergeRows(mixNumbers, cols, cparts).CompareResult(opts)
 		if err != nil {
 			return nil, err
 		}
-		// Rebuild the CompareResult the scenario extraction reads. Each
-		// job's RT sample holds the one value the extraction takes the
-		// mean of — the cell's replication-averaged mean itself, whose
-		// single-value mean is exact.
-		mixes := workload.Mixes()
-		cr := &CompareResult{
-			Opts:      opts,
-			Mixes:     mixes,
-			Policies:  cols,
-			Summaries: make(map[int]map[string][]JobSummary, len(mixes)),
-		}
-		for mi, mix := range mixes {
-			cr.Summaries[mix.Number] = make(map[string][]JobSummary, len(cols))
-			for ci, col := range cols {
-				part := cparts[mi*len(cols)+ci]
-				sums := make([]JobSummary, len(part.Jobs))
-				for ji, job := range part.Jobs {
-					rt := &stats.Sample{}
-					rt.Add(job.MeanRTSec)
-					sums[ji] = JobSummary{
-						App:           job.App,
-						RT:            rt,
-						WorkSec:       job.WorkSec,
-						WasteSec:      job.WasteSec,
-						MissSec:       job.MissSec,
-						SwitchSec:     job.SwitchSec,
-						AvgAlloc:      job.AvgAlloc,
-						Reallocations: job.Reallocations,
-						PctAffinity:   job.PctAffinity,
-						IntervalMs:    job.IntervalMs,
-					}
-				}
-				cr.Summaries[mix.Number][col] = sums
-			}
-		}
-		t1 := table1MeasureCells(qs, names, tparts)
-		scen, err := FutureScenarios(cr, t1)
+		t1, err := t1Plan.merge(ctx, raws[nc:])
 		if err != nil {
 			return nil, err
 		}
-		return futureResultJSON(ctx, scen, np)
+		scen, err := FutureScenarios(cr, t1.(Table1CampaignResult).Table1())
+		if err != nil {
+			return nil, err
+		}
+		return FutureSweep(scen, np.Policies, np.MaxProduct)
 	}
 	return plan, nil
 }
@@ -634,8 +606,7 @@ type futureSimCellKey struct {
 }
 
 // futureSimCellPartial is one point's replication-mean response time;
-// the merge divides policy means by the Equipartition mean, exactly as
-// the monolithic path does.
+// the merge divides policy means by the Equipartition mean.
 type futureSimCellPartial struct {
 	MeanRTSec float64 `json:"mean_rt_sec"`
 }
@@ -648,8 +619,7 @@ func futureSimCellPlan(np CampaignParams) (*CellPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The baseline joins the policy axis as column zero, unconditionally —
-	// mirroring FutureSimulatedCtx.
+	// The baseline joins the policy axis as column zero, unconditionally.
 	cols := append([]string{"Equipartition"}, np.Policies...)
 	plan := &CellPlan{Kind: "futuresim", Params: np}
 	for _, prod := range np.Products {

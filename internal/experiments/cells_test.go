@@ -9,41 +9,21 @@ import (
 	"repro/internal/report"
 )
 
-// TestCellMergeMatchesMonolithic is the tentpole contract: for every
+// TestCellMergeMatchesMonolithic is the sharding contract: for every
 // registered kind, splitting the campaign into cells, executing them in
 // reversed order (on 1 and on 8 workers), and merging the canonical-JSON
-// partials reproduces the monolithic Campaign.Run bytes exactly.
+// partials reproduces the monolithic bytes exactly — the body digests
+// recorded from the standalone per-kind drivers before they were folded
+// into the cell path.
 func TestCellMergeMatchesMonolithic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")
 	}
-	cases := []struct {
-		kind string
-		p    CampaignParams
-	}{
-		{"characterize", CampaignParams{Fast: true, Replications: 1}},
-		{"table1", CampaignParams{Fast: true, BudgetSec: 0.5}},
-		{"compare", CampaignParams{Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition", "Dyn-Aff"}}},
-		{"future", CampaignParams{Fast: true, Replications: 1, BudgetSec: 0.5, Policies: []string{"Dynamic"}}},
-		{"futuresim", CampaignParams{Fast: true, Replications: 1, Mix: 5, Policies: []string{"Dynamic"}, Products: []float64{1, 4}}},
-		{"relatedwork", CampaignParams{Fast: true, Replications: 1}},
-	}
-	for _, tc := range cases {
+	want := goldenBodyDigests(t)
+	for _, tc := range goldenCampaigns {
 		tc := tc
 		t.Run(tc.kind, func(t *testing.T) {
 			t.Parallel()
-			c, ok := CampaignByKind(tc.kind)
-			if !ok {
-				t.Fatalf("unknown kind %q", tc.kind)
-			}
-			mono, err := c.Run(context.Background(), tc.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			monoJSON, err := report.CanonicalJSON(mono)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 8} {
 				p := tc.p
 				p.Workers = workers
@@ -83,13 +63,8 @@ func TestCellMergeMatchesMonolithic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mergedJSON, err := report.CanonicalJSON(merged)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(monoJSON, mergedJSON) {
-					t.Errorf("workers=%d: merged bytes differ from monolithic\nmono:   %.200s\nmerged: %.200s",
-						workers, monoJSON, mergedJSON)
+				if got := bodyDigest(t, merged); got != want[tc.kind] {
+					t.Errorf("workers=%d: merged body sha256 %s, monolithic golden %s", workers, got, want[tc.kind])
 				}
 			}
 		})

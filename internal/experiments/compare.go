@@ -78,8 +78,8 @@ func ComparePoliciesCtx(ctx context.Context, opts Options, mixes []workload.Mix,
 			return fmt.Errorf("experiments: unknown policy %q", polName)
 		}
 		// Resolve the engine tier from the cell's canonical coordinate —
-		// the same resolution the cell planner performs, so the monolithic
-		// and cell-sharded paths agree bit for bit under engine=auto.
+		// the same resolution the cell planner performs, so a direct call
+		// and a planned cell agree bit for bit under engine=auto.
 		engine := resolveCellEngine(opts.engine(), compareCellCoord(
 			opts.Machine.Processors, R, opts.AppScale, opts.Seed, mix.Number, polName))
 		res, err := runCell(engine, sched.Config{
@@ -172,29 +172,30 @@ func (cr *CompareResult) Relative(mixNumber int, policy, baseline string) ([]flo
 	return out, nil
 }
 
-// Figure5Report renders response times of the dynamic policies relative to
-// Equipartition for every job in every mix (the paper's Figure 5; with
-// Dyn-Aff-NoPri in the policy list it also covers Figure 6).
-func (cr *CompareResult) Figure5Report(policies []string) (report.Table, error) {
+// Figure5Report renders response times of the given policies relative to
+// Equipartition for every job in every mix of a compare result (the
+// paper's Figure 5; with Dyn-Aff-NoPri in the policy list it also covers
+// Figure 6). The result must include the Equipartition baseline.
+func Figure5Report(res CompareCampaignResult, policies []string) (report.Table, error) {
 	t := report.Table{
 		Title:   "Figure 5 — response times relative to Equipartition",
 		Headers: []string{"mix", "job"},
 	}
 	t.Headers = append(t.Headers, policies...)
-	for _, mix := range cr.Mixes {
-		rel := make(map[string][]float64)
-		for _, p := range policies {
-			r, err := cr.Relative(mix.Number, p, "Equipartition")
-			if err != nil {
-				return report.Table{}, err
-			}
-			rel[p] = r
+	for _, mix := range res.Mixes {
+		if res.rows(mix, "Equipartition") == nil {
+			return report.Table{}, fmt.Errorf("experiments: mix #%d has no baseline %q", mix, "Equipartition")
 		}
-		jobs := cr.Summaries[mix.Number][policies[0]]
-		for i, js := range jobs {
-			row := []string{fmt.Sprintf("#%d", mix.Number), fmt.Sprintf("%s-%d", js.App, i)}
-			for _, p := range policies {
-				row = append(row, report.F(rel[p][i], 3))
+		cols := make([][]CompareCampaignRow, len(policies))
+		for pi, p := range policies {
+			if cols[pi] = res.rows(mix, p); cols[pi] == nil {
+				return report.Table{}, fmt.Errorf("experiments: mix #%d has no policy %q", mix, p)
+			}
+		}
+		for i, job := range cols[0] {
+			row := []string{fmt.Sprintf("#%d", mix), fmt.Sprintf("%s-%d", job.App, i)}
+			for pi := range policies {
+				row = append(row, report.F(cols[pi][i].RelRT, 3))
 			}
 			t.AddRow(row...)
 		}
@@ -205,79 +206,62 @@ func (cr *CompareResult) Figure5Report(policies []string) (report.Table, error) 
 // Table3Report renders the affinity-influence table for one mix (the
 // paper's Table 3 uses mix #5): %affinity, #reallocations, reallocation
 // interval, and response time per job under each policy.
-func (cr *CompareResult) Table3Report(mixNumber int, policies []string) (report.Table, error) {
-	mix, ok := cr.Summaries[mixNumber]
-	if !ok {
-		return report.Table{}, fmt.Errorf("experiments: no mix #%d", mixNumber)
-	}
+func Table3Report(res CompareCampaignResult, mixNumber int, policies []string) (report.Table, error) {
 	t := report.Table{
 		Title:   fmt.Sprintf("Table 3 — influence of affinity on scheduling (mix #%d)", mixNumber),
 		Headers: []string{"metric"},
 	}
-	for _, p := range policies {
-		sums, ok := mix[p]
-		if !ok {
+	cols := make([][]CompareCampaignRow, len(policies))
+	for pi, p := range policies {
+		if cols[pi] = res.rows(mixNumber, p); cols[pi] == nil {
 			return report.Table{}, fmt.Errorf("experiments: mix #%d has no policy %q", mixNumber, p)
 		}
-		for i, js := range sums {
-			t.Headers = append(t.Headers, fmt.Sprintf("%s %s-%d", p, js.App, i))
+		for i, job := range cols[pi] {
+			t.Headers = append(t.Headers, fmt.Sprintf("%s %s-%d", p, job.App, i))
 		}
 	}
-	addRow := func(name string, get func(JobSummary) string) {
+	addRow := func(name string, get func(CompareCampaignRow) string) {
 		row := []string{name}
-		for _, p := range policies {
-			for _, js := range mix[p] {
-				row = append(row, get(js))
+		for _, jobs := range cols {
+			for _, job := range jobs {
+				row = append(row, get(job))
 			}
 		}
 		t.AddRow(row...)
 	}
-	addRow("%affinity", func(js JobSummary) string { return report.Pct(js.PctAffinity) })
-	addRow("#reallocations", func(js JobSummary) string { return report.F(js.Reallocations, 0) })
-	addRow("realloc interval (ms)", func(js JobSummary) string { return report.F(js.IntervalMs, 0) })
-	addRow("response time (s)", func(js JobSummary) string { return report.F(js.MeanRT(), 1) })
+	addRow("%affinity", func(r CompareCampaignRow) string { return report.Pct(r.PctAffinity) })
+	addRow("#reallocations", func(r CompareCampaignRow) string { return report.F(r.Reallocations, 0) })
+	addRow("realloc interval (ms)", func(r CompareCampaignRow) string { return report.F(r.IntervalMs, 0) })
+	addRow("response time (s)", func(r CompareCampaignRow) string { return report.F(r.MeanRTSec, 1) })
 	return t, nil
 }
 
-// Table4Report renders the average job response times of the homogeneous
-// mixes under two policies (the paper's Table 4: Dyn-Aff vs Dyn-Aff-NoPri
-// on mixes 1 and 4).
-func (cr *CompareResult) Table4Report(mixNumbers []int, policyA, policyB string) (report.Table, error) {
+// Table4Report renders the average job response times of the given mixes
+// under two policies (the paper's Table 4: Dyn-Aff vs Dyn-Aff-NoPri on
+// the homogeneous mixes 1 and 4).
+func Table4Report(res CompareCampaignResult, mixNumbers []int, policyA, policyB string) (report.Table, error) {
 	t := report.Table{
 		Title:   "Table 4 — average job response time, homogeneous workloads (s)",
 		Headers: []string{"workload", policyA, policyB},
 	}
 	for _, n := range mixNumbers {
-		mix, ok := cr.Summaries[n]
-		if !ok {
-			return report.Table{}, fmt.Errorf("experiments: no mix #%d", n)
+		mix, err := workload.MixByNumber(n)
+		if err != nil {
+			return report.Table{}, err
 		}
-		mean := func(policy string) (float64, error) {
-			sums, ok := mix[policy]
-			if !ok {
-				return 0, fmt.Errorf("experiments: mix #%d has no policy %q", n, policy)
+		row := []string{mix.String()}
+		for _, p := range []string{policyA, policyB} {
+			jobs := res.rows(n, p)
+			if jobs == nil {
+				return report.Table{}, fmt.Errorf("experiments: mix #%d has no policy %q", n, p)
 			}
 			total := 0.0
-			for _, js := range sums {
-				total += js.MeanRT()
+			for _, job := range jobs {
+				total += job.MeanRTSec
 			}
-			return total / float64(len(sums)), nil
+			row = append(row, report.F(total/float64(len(jobs)), 2))
 		}
-		a, err := mean(policyA)
-		if err != nil {
-			return report.Table{}, err
-		}
-		b, err := mean(policyB)
-		if err != nil {
-			return report.Table{}, err
-		}
-		var name string
-		for _, m := range cr.Mixes {
-			if m.Number == n {
-				name = m.String()
-			}
-		}
-		t.AddRow(name, report.F(a, 2), report.F(b, 2))
+		t.AddRow(row...)
 	}
 	return t, nil
 }

@@ -42,6 +42,21 @@ func TestComparePoliciesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// determinismParams is determinismOpts on the wire.
+func determinismParams(workers int) CampaignParams {
+	return CampaignParams{Fast: true, BudgetSec: 2, Workers: workers}
+}
+
+// mustRun executes one campaign through Run or fails the test.
+func mustRun(t *testing.T, ctx context.Context, kind string, p CampaignParams) any {
+	t.Helper()
+	res, err := Run(ctx, kind, p)
+	if err != nil {
+		t.Fatalf("%s (workers=%d): %v", kind, p.Workers, err)
+	}
+	return res
+}
+
 func TestFutureScenariosDeterministicAcrossWorkers(t *testing.T) {
 	mixes := workload.Mixes()[:2]
 	policies := []string{"Equipartition", "Dyn-Aff"}
@@ -53,11 +68,8 @@ func TestFutureScenariosDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: compare: %v", workers, err)
 		}
-		t1, err := Table1Ctx(context.Background(), o)
-		if err != nil {
-			t.Fatalf("workers=%d: table1: %v", workers, err)
-		}
-		scen, err := FutureScenarios(cr, t1)
+		t1 := mustRun(t, context.Background(), "table1", determinismParams(workers)).(Table1CampaignResult)
+		scen, err := FutureScenarios(cr, t1.Table1())
 		if err != nil {
 			t.Fatalf("workers=%d: scenarios: %v", workers, err)
 		}
@@ -74,60 +86,44 @@ func TestFutureScenariosDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestFutureSimulatedDeterministicAcrossWorkers(t *testing.T) {
-	mix := workload.Mixes()[4]
-	run := func(workers int) []FutureSimPoint {
+	run := func(workers int) any {
 		t.Helper()
-		o := determinismOpts()
-		o.Workers = workers
-		pts, err := FutureSimulatedCtx(context.Background(), o, mix,
-			[]string{"Dyn-Aff"}, []float64{1, 4})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return pts
+		p := determinismParams(workers)
+		p.Mix, p.Policies, p.Products = 5, []string{"Dyn-Aff"}, []float64{1, 4}
+		return mustRun(t, context.Background(), "futuresim", p)
 	}
 	if seq, par := run(1), run(8); !reflect.DeepEqual(seq, par) {
-		t.Fatal("FutureSimulated points differ between Workers=1 and Workers=8")
+		t.Fatal("futuresim results differ between Workers=1 and Workers=8")
 	}
 }
 
 func TestCharacterizeDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []AppCharacter {
+	run := func(workers int) any {
 		t.Helper()
-		o := determinismOpts()
-		o.Workers = workers
-		chars, err := CharacterizeCtx(context.Background(), o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return chars
+		return mustRun(t, context.Background(), "characterize", determinismParams(workers))
 	}
 	if seq, par := run(1), run(8); !reflect.DeepEqual(seq, par) {
-		t.Fatal("Characterize results differ between Workers=1 and Workers=8")
+		t.Fatal("characterize results differ between Workers=1 and Workers=8")
 	}
 }
 
 // TestSimStatsDeterministicAcrossWorkers extends the worker-count
-// invariance to the out-of-band instrumentation: the folded SimStats —
-// totals, per-policy breakdown, cell count, even the eventq high-water
-// mark — must be identical whether cells ran sequentially or on eight
-// workers. Stats are folded in grid order after the parallel phase, so
-// this holds by construction; the test pins it.
+// invariance to the out-of-band instrumentation: the SimStats folded into
+// a context's collector while Run executes cells — totals, per-policy
+// breakdown, cell count, even the eventq high-water mark — must be
+// identical whether cells ran sequentially or on eight workers. Every
+// folded quantity is an integer sum or a maximum, so the order in which
+// concurrent cells fold in cannot change the totals; the test pins it.
 func TestSimStatsDeterministicAcrossWorkers(t *testing.T) {
-	mixes := workload.Mixes()[:3]
-	policies := []string{"Equipartition", "Dyn-Aff"}
 	run := func(workers int) obs.CampaignSnapshot {
 		t.Helper()
-		o := determinismOpts()
-		o.Workers = workers
-		o.Stats = obs.NewCampaignStats()
-		if _, err := ComparePoliciesCtx(context.Background(), o, mixes, policies); err != nil {
-			t.Fatalf("workers=%d: compare: %v", workers, err)
-		}
-		if _, err := Table1Ctx(context.Background(), o); err != nil {
-			t.Fatalf("workers=%d: table1: %v", workers, err)
-		}
-		return o.Stats.Snapshot()
+		stats := obs.NewCampaignStats()
+		ctx := obs.WithCollector(context.Background(), stats)
+		p := determinismParams(workers)
+		p.Policies = []string{"Equipartition", "Dyn-Aff"}
+		mustRun(t, ctx, "compare", p)
+		mustRun(t, ctx, "table1", p)
+		return stats.Snapshot()
 	}
 	seq, par := run(1), run(8)
 	if seq.Cells == 0 || seq.Total.Runs == 0 || seq.Total.Reallocations == 0 {

@@ -248,10 +248,6 @@ func TestCalibrationGridMatchesGolden(t *testing.T) {
 // speedup the analytic tier exists for (the acceptance floor is 10x;
 // sequential runs measure ~100x).
 func BenchmarkFutureSimEngines(b *testing.B) {
-	c, ok := CampaignByKind("futuresim")
-	if !ok {
-		b.Fatal("futuresim kind not registered")
-	}
 	for _, engine := range []string{EngineSim, EngineAnalytic} {
 		engine := engine
 		b.Run(engine, func(b *testing.B) {
@@ -261,7 +257,7 @@ func BenchmarkFutureSimEngines(b *testing.B) {
 			p.Workers = 1 // sequential: compare engine cost, not parallelism
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(context.Background(), p); err != nil {
+				if _, err := Run(context.Background(), "futuresim", p); err != nil {
 					b.Fatal(err)
 				}
 			}

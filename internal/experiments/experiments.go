@@ -1,13 +1,23 @@
 // Package experiments wires the substrate packages into the paper's
-// experiments: one driver per table and figure, consumed by the command-line
-// tools, the examples, and the benchmark harness.
+// experiments. Every exhibit is a registered campaign kind, executed by
+// Run(ctx, kind, params) — plan the grid's cells, fan them out, merge —
+// and rendered from the kind's wire result; the command-line tools, the
+// examples, the service and the fleet all go through the same cell plans.
 //
 // The experiment inventory (see DESIGN.md for the full index):
 //
-//   - Characterize      → Figures 2–4 (application characteristics)
-//   - Table1            → Table 1 (P^A and P^NA per application and Q)
-//   - ComparePolicies   → Figures 5 and 6, Tables 3 and 4
-//   - FutureScenarios   → Figures 8–13 (model extrapolation)
+//   - characterize → Figures 2–4 (CharacterTable, ProfileTable)
+//   - table1       → Table 1 (Table1Report)
+//   - compare      → Figures 5 and 6, Tables 3 and 4 (Figure5Report,
+//     Table3Report, Table4Report)
+//   - future       → Figures 8–13 (FutureScenarios, FutureSweep,
+//     FutureCharts)
+//   - futuresim    → Section 7 validation (FutureSimTable)
+//   - relatedwork  → Section 8 (RelatedWorkTable)
+//
+// ComparePoliciesCtx is the scheduling-comparison kernel every compare
+// cell runs; MPLSweep and OpenArrivals are extension drivers with no
+// campaign kind.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -59,10 +60,7 @@ func TestScaledApps(t *testing.T) {
 }
 
 func TestCharacterize(t *testing.T) {
-	chars, err := Characterize(FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	chars := mustRun(t, context.Background(), "characterize", CampaignParams{Fast: true}).(CharacterizeCampaignResult).Apps
 	if len(chars) != 3 {
 		t.Fatalf("characterized %d apps", len(chars))
 	}
@@ -103,16 +101,18 @@ func TestCharacterize(t *testing.T) {
 	}
 }
 
+// fastTable1 runs the table1 campaign at the FastOptions budget.
+func fastTable1(t *testing.T) Table1CampaignResult {
+	t.Helper()
+	return mustRun(t, context.Background(), "table1", CampaignParams{Fast: true}).(Table1CampaignResult)
+}
+
 func TestTable1SmallBudget(t *testing.T) {
-	opts := FastOptions()
-	t1, err := Table1(opts)
-	if err != nil {
-		t.Fatal(err)
+	res := fastTable1(t)
+	if t1 := res.Table1(); len(t1.Apps) != 3 || len(t1.Qs) != 3 || len(t1.Cells) != 3 {
+		t.Fatalf("table dims: %d apps, %d qs, %d cells", len(t1.Apps), len(t1.Qs), len(t1.Cells))
 	}
-	if len(t1.Apps) != 3 || len(t1.Qs) != 3 {
-		t.Fatalf("table dims: %d apps, %d qs", len(t1.Apps), len(t1.Qs))
-	}
-	tabs := Table1Report(t1)
+	tabs := Table1Report(res)
 	if len(tabs) != 3 {
 		t.Fatalf("reports = %d", len(tabs))
 	}
@@ -128,10 +128,12 @@ func TestTable1SmallBudget(t *testing.T) {
 }
 
 func TestPenaltyFor(t *testing.T) {
-	opts := FastOptions()
-	t1, err := Table1(opts)
-	if err != nil {
-		t.Fatal(err)
+	res := fastTable1(t)
+	t1 := res.Table1()
+	// The wire round trip is exact: the rebuilt ticks render back to the
+	// wire's microseconds.
+	if got, want := t1.Cells[400*simtime.Millisecond]["MVA"].PNA.Micros(), res.Cells["400"]["MVA"].PNAMicros; got != want {
+		t.Errorf("P^NA round trip: %v µs, wire %v µs", got, want)
 	}
 	pa, pna := PenaltyFor(t1, "MVA", []string{"MATRIX"}, 400*simtime.Millisecond)
 	if pna <= 0 || pa <= 0 {
@@ -154,39 +156,43 @@ func TestPenaltyFor(t *testing.T) {
 // The big one: the end-to-end pipeline at test scale, checking the paper's
 // qualitative conclusions hold.
 func TestPipelineQualitative(t *testing.T) {
-	opts := FastOptions()
-	mixes := []workload.Mix{
-		{Number: 4, Gravity: 2},
-		{Number: 5, Matrix: 1, Gravity: 1},
-	}
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"}
-	cr, err := ComparePolicies(opts, mixes, policies)
-	if err != nil {
-		t.Fatal(err)
+	// Mixes 4 and 5, one compare campaign each. Cells are independent of
+	// the rest of their grid, so the concatenated rows are exactly the
+	// two-mix result.
+	res := CompareCampaignResult{Policies: policies}
+	for _, mix := range []int{4, 5} {
+		r := mustRun(t, context.Background(), "compare",
+			CampaignParams{Fast: true, Mix: mix, Policies: policies}).(CompareCampaignResult)
+		res.Mixes = append(res.Mixes, r.Mixes...)
+		res.Rows = append(res.Rows, r.Rows...)
+	}
+	relOf := func(mix int, pol string) []float64 {
+		var rel []float64
+		for _, row := range res.rows(mix, pol) {
+			rel = append(rel, row.RelRT)
+		}
+		return rel
 	}
 
 	// Paper conclusion 1: dynamic policies beat (or at worst match)
 	// Equipartition on mean response time.
-	for _, mix := range mixes {
+	for _, mix := range res.Mixes {
 		for _, pol := range []string{"Dynamic", "Dyn-Aff"} {
-			rel, err := cr.Relative(mix.Number, pol, "Equipartition")
-			if err != nil {
-				t.Fatal(err)
-			}
+			rel := relOf(mix, pol)
 			mean := 0.0
 			for _, r := range rel {
 				mean += r
 			}
 			mean /= float64(len(rel))
 			if mean > 1.02 {
-				t.Errorf("mix #%d %s mean relative RT %.3f > 1", mix.Number, pol, mean)
+				t.Errorf("mix #%d %s mean relative RT %.3f > 1", mix, pol, mean)
 			}
 		}
 	}
 
 	// Paper conclusion 2: the dynamic variants are nearly identical today.
-	relDyn, _ := cr.Relative(5, "Dynamic", "Equipartition")
-	relAff, _ := cr.Relative(5, "Dyn-Aff", "Equipartition")
+	relDyn, relAff := relOf(5, "Dynamic"), relOf(5, "Dyn-Aff")
 	for i := range relDyn {
 		diff := relDyn[i] - relAff[i]
 		if diff < 0 {
@@ -200,21 +206,21 @@ func TestPipelineQualitative(t *testing.T) {
 
 	// Reports render.
 	var b strings.Builder
-	fig5, err := cr.Figure5Report([]string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
+	fig5, err := Figure5Report(res, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := fig5.Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	t3, err := cr.Table3Report(5, []string{"Dynamic", "Dyn-Aff"})
+	t3, err := Table3Report(res, 5, []string{"Dynamic", "Dyn-Aff"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := t3.Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	t4, err := cr.Table4Report([]int{4}, "Dyn-Aff", "Dyn-Aff-NoPri")
+	t4, err := Table4Report(res, []int{4}, "Dyn-Aff", "Dyn-Aff-NoPri")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +229,11 @@ func TestPipelineQualitative(t *testing.T) {
 	}
 
 	// Future extrapolation end to end.
-	t1, err := Table1(opts)
+	cr, err := res.CompareResult(FastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := FutureScenarios(cr, t1)
+	scen, err := FutureScenarios(cr, fastTable1(t).Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +251,17 @@ func TestPipelineQualitative(t *testing.T) {
 	if ys[1] <= ys[0] {
 		t.Errorf("Dynamic relative RT did not rise: %v", ys)
 	}
-	charts, err := FutureCharts(cr, scen, []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}, 1024)
+	dyn := []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
+	sweep, err := FutureSweep(scen, dyn, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(charts) != len(mixes) {
-		t.Fatalf("charts = %d, want %d", len(charts), len(mixes))
+	charts, err := FutureCharts(sweep, dyn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(charts) != len(res.Mixes) {
+		t.Fatalf("charts = %d, want %d", len(charts), len(res.Mixes))
 	}
 	for _, ch := range charts {
 		if err := ch.Write(&b); err != nil {
@@ -291,11 +302,20 @@ func TestRelativeErrors(t *testing.T) {
 	if _, err := cr.Relative(1, "Dynamic", "bogus"); err == nil {
 		t.Error("missing baseline accepted")
 	}
-	if _, err := cr.Table3Report(9, nil); err == nil {
+	var empty CompareCampaignResult
+	if _, err := Table3Report(empty, 9, []string{"Dynamic"}); err == nil {
 		t.Error("Table3 for missing mix accepted")
 	}
-	if _, err := cr.Table4Report([]int{9}, "Dynamic", "Equipartition"); err == nil {
+	if _, err := Table4Report(empty, []int{9}, "Dynamic", "Equipartition"); err == nil {
 		t.Error("Table4 for missing mix accepted")
+	}
+	if _, err := Table4Report(empty, []int{1}, "Dynamic", "Equipartition"); err == nil {
+		t.Error("Table4 for missing policy accepted")
+	}
+	noBaseline := CompareCampaignResult{Mixes: []int{1}, Policies: []string{"Dynamic"},
+		Rows: []CompareCampaignRow{{Mix: 1, Policy: "Dynamic", App: "MVA"}}}
+	if _, err := Figure5Report(noBaseline, []string{"Dynamic"}); err == nil {
+		t.Error("Figure 5 without the Equipartition baseline accepted")
 	}
 }
 

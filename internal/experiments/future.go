@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/measure"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/simtime"
 	"repro/internal/workload"
@@ -156,61 +154,39 @@ func FigureApp(mix workload.Mix) string {
 	}
 }
 
-// FutureCharts produces one chart per mix: the dynamic policies' relative
-// response times against the speed×cache product (Figures 8–13). It is
-// FutureChartsCtx without cancellation.
-func FutureCharts(cr *CompareResult, scenarios map[ScenarioKey]model.Scenario, policies []string, maxProduct float64) ([]report.Chart, error) {
-	return FutureChartsCtx(context.Background(), cr, scenarios, policies, maxProduct)
-}
-
-// FutureChartsCtx is FutureCharts with cancellation.
-func FutureChartsCtx(ctx context.Context, cr *CompareResult, scenarios map[ScenarioKey]model.Scenario, policies []string, maxProduct float64) ([]report.Chart, error) {
-	products := model.Products(maxProduct, 2)
-	// Sweep each mix's scenario on the campaign's worker pool; slots keep
-	// the charts in mix order, and figure numbers are assigned afterwards
-	// so skipped mixes do not leave gaps.
-	slots := make([]*report.Chart, len(cr.Mixes))
-	err := parallel.ForEach(ctx, cr.Opts.Workers, len(cr.Mixes), func(ctx context.Context, mi int) error {
-		mix := cr.Mixes[mi]
-		key := ScenarioKey{Mix: mix.Number, App: FigureApp(mix)}
-		sc, ok := scenarios[key]
-		if !ok {
-			return nil
+// FutureCharts renders a future result as one chart per mix: the given
+// policies' relative response times against the speed×cache product for
+// the mix's representative application (Figures 8–13, numbered in mix
+// order over the mixes the result covers).
+func FutureCharts(res FutureCampaignResult, policies []string) ([]report.Chart, error) {
+	var charts []report.Chart
+	for _, sc := range res.Scenarios {
+		mix, err := workload.MixByNumber(sc.Mix)
+		if err != nil {
+			return nil, err
 		}
-		ch := &report.Chart{
-			Title:  key.String(),
+		if sc.App != FigureApp(mix) {
+			continue
+		}
+		key := ScenarioKey{Mix: sc.Mix, App: sc.App}
+		ch := report.Chart{
+			Title:  fmt.Sprintf("Figure %d — relative response times, %s", 8+len(charts), key),
 			XLabel: "processor-speed x cache-size (log2)",
 			YLabel: "RT / RT(Equipartition)",
-			Xs:     products,
+			Xs:     res.Products,
 			LogX:   true,
 			RefY:   1.0,
 			RefYOn: true,
 		}
 		for _, pol := range policies {
-			if _, ok := sc.Policies[pol]; !ok {
-				continue
+			for _, sw := range sc.Policies {
+				if sw.Policy == pol {
+					ch.Series = append(ch.Series, report.Series{Name: pol, Ys: sw.RelRT})
+					break
+				}
 			}
-			ys, err := sc.SweepProduct(pol, products)
-			if err != nil {
-				return err
-			}
-			ch.Series = append(ch.Series, report.Series{Name: pol, Ys: ys})
 		}
-		slots[mi] = ch
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var charts []report.Chart
-	figure := 8
-	for _, ch := range slots {
-		if ch == nil {
-			continue
-		}
-		ch.Title = fmt.Sprintf("Figure %d — relative response times, %s", figure, ch.Title)
-		charts = append(charts, *ch)
-		figure++
+		charts = append(charts, ch)
 	}
 	return charts, nil
 }

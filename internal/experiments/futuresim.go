@@ -1,127 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/report"
-	"repro/internal/sched"
-	"repro/internal/workload"
 )
-
-// FutureSimPoint compares, at one speed×cache product, the analytic model's
-// predicted relative response time with the value obtained by actually
-// simulating the scaled machine.
-type FutureSimPoint struct {
-	Product float64
-	// SimRel is the simulated relative response time (policy mean RT /
-	// Equipartition mean RT) on the scaled machine.
-	SimRel map[string]float64
-}
-
-// FutureSimulated re-runs the scheduling simulation on scaled machines
-// (speed = cache = √product, the Figure 8-13 axis) — a validation the paper
-// could not perform, since its future machines did not exist. The paper's
-// analytic model assumes future applications grow into their caches (its
-// P^NA × √cache term); the simulated applications keep 1991 footprints, so
-// the simulation brackets the model from the optimistic side: its relative
-// response times should rise no faster than the model's.
-func FutureSimulated(opts Options, mix workload.Mix, policies []string, products []float64) ([]FutureSimPoint, error) {
-	return FutureSimulatedCtx(context.Background(), opts, mix, policies, products)
-}
-
-// FutureSimulatedCtx is FutureSimulated with cancellation, fanning the
-// (product, policy, replication) cells out over opts.Workers workers. The
-// Equipartition baseline joins the policy axis as column zero. Replication
-// seeds are shared across products and policies — parallel.CellSeed of the
-// replication alone — so every point of every curve observes the same
-// workload draws, pairing the curves exactly as the sequential code did.
-func FutureSimulatedCtx(ctx context.Context, opts Options, mix workload.Mix, policies []string, products []float64) ([]FutureSimPoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := mix.Validate(); err != nil {
-		return nil, err
-	}
-	// Resolve every scaled machine and policy name before the fan-out, so
-	// configuration errors surface immediately and deterministically.
-	scaled := make([]machine.Config, len(products))
-	for i, prod := range products {
-		mc, err := futureSimMachine(opts.Machine, prod)
-		if err != nil {
-			return nil, err
-		}
-		scaled[i] = mc
-	}
-	cols := append([]string{"Equipartition"}, policies...)
-	for _, polName := range cols {
-		if _, ok := core.ByName(polName); !ok {
-			return nil, fmt.Errorf("experiments: unknown policy %q", polName)
-		}
-	}
-
-	// One slot per (product, column, replication) mean-response sample;
-	// idx = (prodIdx*len(cols) + col)*R + rep.
-	R := opts.Replications
-	rts := make([]float64, len(products)*len(cols)*R)
-	simStats := make([]obs.SimStats, len(rts))
-	err := parallel.ForEach(ctx, opts.Workers, len(rts), func(ctx context.Context, idx int) error {
-		rep := idx % R
-		col := idx / R % len(cols)
-		prodIdx := idx / R / len(cols)
-		seed := parallel.CellSeed(opts.Seed, uint64(rep))
-		pol, _ := core.ByName(cols[col])
-		// Same coordinate-driven engine resolution as the cell planner, so
-		// engine=auto picks identical tiers on both execution paths.
-		engine := resolveCellEngine(opts.engine(), futureSimCellCoord(
-			opts.Machine.Processors, R, opts.AppScale, opts.Seed,
-			mix.Number, products[prodIdx], cols[col]))
-		r, err := runCell(engine, sched.Config{
-			Machine: scaled[prodIdx],
-			Policy:  pol,
-			Apps:    opts.apps(mix, seed),
-			Seed:    seed,
-		})
-		if err != nil {
-			return fmt.Errorf("experiments: product %v policy %s: %w", products[prodIdx], cols[col], err)
-		}
-		rts[idx] = r.MeanResponse()
-		simStats[idx] = r.Stats
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if opts.Stats != nil {
-		parallel.Fold(simStats, func(idx int, s obs.SimStats) {
-			opts.Stats.Add(cols[idx/R%len(cols)], s)
-		})
-	}
-
-	var out []FutureSimPoint
-	for prodIdx, prod := range products {
-		mean := func(col int) float64 {
-			base := (prodIdx*len(cols) + col) * R
-			var m float64
-			for rep := 0; rep < R; rep++ {
-				m += rts[base+rep] / float64(R)
-			}
-			return m
-		}
-		pt := FutureSimPoint{Product: prod, SimRel: make(map[string]float64)}
-		base := mean(0)
-		for pi, pol := range policies {
-			pt.SimRel[pol] = mean(pi+1) / base
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
 
 // futureSimMachine scales the base machine to one speed*cache product
 // point of the Figure 8-13 axis: processor speed grows by √product and
@@ -138,9 +23,10 @@ func futureSimMachine(base machine.Config, product float64) (machine.Config, err
 	return base.Scaled(factor, cacheScale)
 }
 
-// FutureSimTable renders the simulated-future comparison against the
-// analytic model's predictions for the same products.
-func FutureSimTable(points []FutureSimPoint, modelRel map[string][]float64, policies []string) report.Table {
+// FutureSimTable renders a futuresim result against the analytic
+// model's predictions for the same products (modelRel[policy][i] pairs
+// with the result's i-th point; a missing prediction renders as "-").
+func FutureSimTable(res FutureSimCampaignResult, modelRel map[string][]float64, policies []string) report.Table {
 	t := report.Table{
 		Title:   "Future machines: simulated relative RT vs analytic model",
 		Headers: []string{"product"},
@@ -148,7 +34,7 @@ func FutureSimTable(points []FutureSimPoint, modelRel map[string][]float64, poli
 	for _, p := range policies {
 		t.Headers = append(t.Headers, p+" (sim)", p+" (model)")
 	}
-	for i, pt := range points {
+	for i, pt := range res.Points {
 		row := []string{report.F(pt.Product, 0)}
 		for _, p := range policies {
 			row = append(row, report.F(pt.SimRel[p], 3))

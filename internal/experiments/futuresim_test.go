@@ -1,22 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 func TestFutureSimulated(t *testing.T) {
-	opts := FastOptions()
-	opts.Replications = 1
-	mix, _ := workload.MixByNumber(5)
 	policies := []string{"Dynamic", "Dyn-Aff"}
-	products := []float64{1, 16, 64}
-	pts, err := FutureSimulated(opts, mix, policies, products)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, context.Background(), "futuresim", CampaignParams{
+		Fast: true, Replications: 1, Mix: 5, Policies: policies, Products: []float64{1, 16, 64},
+	}).(FutureSimCampaignResult)
+	pts := res.Points
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -43,7 +38,7 @@ func TestFutureSimulated(t *testing.T) {
 	}
 
 	modelRel := map[string][]float64{"Dynamic": {0.9, 0.95, 1.0}}
-	tab := FutureSimTable(pts, modelRel, policies)
+	tab := FutureSimTable(res, modelRel, policies)
 	var b strings.Builder
 	if err := tab.Write(&b); err != nil {
 		t.Fatal(err)
@@ -54,15 +49,13 @@ func TestFutureSimulated(t *testing.T) {
 }
 
 func TestFutureSimulatedErrors(t *testing.T) {
-	opts := FastOptions()
-	mix, _ := workload.MixByNumber(5)
-	if _, err := FutureSimulated(opts, mix, []string{"Dynamic"}, []float64{0.5}); err == nil {
-		t.Error("sub-unit product accepted")
-	}
-	if _, err := FutureSimulated(opts, mix, []string{"bogus"}, []float64{1}); err == nil {
-		t.Error("bogus policy accepted")
-	}
-	if _, err := FutureSimulated(opts, workload.Mix{Number: 9}, []string{"Dynamic"}, []float64{1}); err == nil {
-		t.Error("empty mix accepted")
+	for name, p := range map[string]CampaignParams{
+		"sub-unit product": {Fast: true, Policies: []string{"Dynamic"}, Products: []float64{0.5}},
+		"bogus policy":     {Fast: true, Policies: []string{"bogus"}, Products: []float64{1}},
+		"unknown mix":      {Fast: true, Mix: 9, Policies: []string{"Dynamic"}, Products: []float64{1}},
+	} {
+		if _, err := Run(context.Background(), "futuresim", p); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -63,8 +63,9 @@ func bodyDigest(t *testing.T, res any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestCampaignBodyGoldens runs every golden campaign at 1 and 8 workers
-// and requires its canonical body to hash to the recorded digest.
+// TestCampaignBodyGoldens runs every golden campaign through Run at 1 and
+// 8 workers and requires its canonical body to hash to the recorded
+// digest.
 func TestCampaignBodyGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")
@@ -74,14 +75,10 @@ func TestCampaignBodyGoldens(t *testing.T) {
 		tc := tc
 		t.Run(tc.kind, func(t *testing.T) {
 			t.Parallel()
-			c, ok := CampaignByKind(tc.kind)
-			if !ok {
-				t.Fatalf("unknown kind %q", tc.kind)
-			}
 			for _, workers := range []int{1, 8} {
 				p := tc.p
 				p.Workers = workers
-				res, err := c.Run(context.Background(), p)
+				res, err := Run(context.Background(), tc.kind, p)
 				if err != nil {
 					t.Fatal(err)
 				}

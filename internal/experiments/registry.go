@@ -6,9 +6,11 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/measure"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/simtime"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -122,28 +124,15 @@ func (p CampaignParams) optionsCtx(ctx context.Context) (Options, error) {
 	return o, nil
 }
 
-// Campaign is one registered campaign kind: a name, a human description,
-// and a dispatch function. Every experiment the repo can run is reachable
-// through this one interface; the service, and any future batch or queue
-// front end, needs no per-kind code.
+// Campaign is one registered campaign kind: a wire name and a human
+// description. Every experiment the repo can run is reachable through
+// Run(ctx, kind, params); the service, the CLIs and any future batch or
+// queue front end need no per-kind code.
 type Campaign struct {
 	// Kind is the wire name ("table1", "compare", ...).
 	Kind string
 	// Description is a one-line summary for listings.
 	Description string
-	run         func(ctx context.Context, p CampaignParams) (any, error)
-}
-
-// Run normalizes and validates p, then executes the campaign. The result
-// is a JSON-marshalable value whose encoding is deterministic under
-// report.CanonicalJSON. A cancelled ctx stops scheduling new simulation
-// cells promptly and returns ctx's error.
-func (c Campaign) Run(ctx context.Context, p CampaignParams) (any, error) {
-	np, err := c.Normalize(p)
-	if err != nil {
-		return nil, err
-	}
-	return c.run(ctx, np)
 }
 
 // Normalize returns p with every default made explicit and every field
@@ -256,32 +245,26 @@ var campaignRegistry = []Campaign{
 	{
 		Kind:        "characterize",
 		Description: "Figures 2-4: per-application parallelism characteristics, measured in isolation",
-		run:         runCharacterizeCampaign,
 	},
 	{
 		Kind:        "table1",
 		Description: "Table 1: per-switch cache penalties P^A and P^NA by application and rescheduling interval",
-		run:         runTable1Campaign,
 	},
 	{
 		Kind:        "compare",
 		Description: "Figures 5-6, Tables 3-4: policy comparison across the six workload mixes",
-		run:         runCompareCampaign,
 	},
 	{
 		Kind:        "future",
 		Description: "Figures 8-13: analytic model sweep over future speed*cache products",
-		run:         runFutureCampaign,
 	},
 	{
 		Kind:        "futuresim",
 		Description: "Section 7 validation: directly simulated scaled machines vs the analytic model",
-		run:         runFutureSimCampaign,
 	},
 	{
 		Kind:        "relatedwork",
 		Description: "Section 8: affinity gains under time sharing vs space sharing",
-		run:         runRelatedWorkCampaign,
 	},
 }
 
@@ -328,54 +311,34 @@ type Table1CampaignCell struct {
 	PAMicros  map[string]float64 `json:"pa_us"`
 }
 
-func runTable1Campaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
+// Table1 rebuilds the measure.Table1 view of the result — the penalties
+// PenaltyFor and FutureScenarios read. The conversion is exact (see
+// fromWire), so the view holds the measured ticks.
+func (r Table1CampaignResult) Table1() measure.Table1 {
+	t1 := measure.Table1{
+		Apps:  r.Apps,
+		Cells: make(map[simtime.Duration]map[string]measure.Penalties, len(r.QsMs)),
 	}
-	t1, err := Table1Ctx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := Table1CampaignResult{
-		Apps:  append([]string(nil), t1.Apps...),
-		Cells: make(map[string]map[string]Table1CampaignCell, len(t1.Qs)),
-	}
-	qs := append([]simtime.Duration(nil), t1.Qs...)
-	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-	for _, q := range qs {
-		out.QsMs = append(out.QsMs, q.Millis())
-		cells := make(map[string]Table1CampaignCell, len(t1.Apps))
-		for app, pen := range t1.Cells[q] {
-			cell := Table1CampaignCell{
-				PNAMicros: pen.PNA.Micros(),
-				PAMicros:  make(map[string]float64, len(pen.PA)),
+	for _, ms := range r.QsMs {
+		q := fromWire(ms, simtime.Millisecond)
+		t1.Qs = append(t1.Qs, q)
+		cells := make(map[string]measure.Penalties, len(r.Apps))
+		for app, c := range r.Cells[fmt.Sprintf("%g", ms)] {
+			pen := measure.Penalties{Measured: app, Q: q, PNA: fromWire(c.PNAMicros, simtime.Microsecond),
+				PA: make(map[string]simtime.Duration, len(c.PAMicros))}
+			for iv, us := range c.PAMicros {
+				pen.PA[iv] = fromWire(us, simtime.Microsecond)
 			}
-			for iv, d := range pen.PA {
-				cell.PAMicros[iv] = d.Micros()
-			}
-			cells[app] = cell
+			cells[app] = pen
 		}
-		out.Cells[fmt.Sprintf("%g", q.Millis())] = cells
+		t1.Cells[q] = cells
 	}
-	return out, nil
+	return t1
 }
 
 // CharacterizeCampaignResult is the characterize kind's result.
 type CharacterizeCampaignResult struct {
 	Apps []AppCharacter `json:"apps"`
-}
-
-func runCharacterizeCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	chars, err := CharacterizeCtx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return CharacterizeCampaignResult{Apps: chars}, nil
 }
 
 // CompareCampaignRow is one (mix, policy, job) outcome of the compare
@@ -407,70 +370,63 @@ type CompareCampaignResult struct {
 	Rows     []CompareCampaignRow `json:"rows"`
 }
 
-func runCompareCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
+// CompareResult rebuilds the CompareResult view of the rows that the
+// Section-7.3 parameter extraction (FutureScenarios) reads. Each job's
+// RT sample holds the one value the extraction takes the mean of — the
+// row's replication mean itself, whose single-value mean is exact. opts
+// supplies the machine and extraction interval the result was run with.
+func (r CompareCampaignResult) CompareResult(opts Options) (*CompareResult, error) {
+	cr := &CompareResult{
+		Opts:      opts,
+		Policies:  r.Policies,
+		Summaries: make(map[int]map[string][]JobSummary, len(r.Mixes)),
 	}
-	mixes := workload.Mixes()
-	if p.Mix != 0 {
-		m, err := workload.MixByNumber(p.Mix)
+	for _, n := range r.Mixes {
+		mix, err := workload.MixByNumber(n)
 		if err != nil {
 			return nil, err
 		}
-		mixes = []workload.Mix{m}
+		cr.Mixes = append(cr.Mixes, mix)
+		cr.Summaries[n] = make(map[string][]JobSummary, len(r.Policies))
 	}
-	cr, err := ComparePoliciesCtx(ctx, opts, mixes, p.Policies)
-	if err != nil {
-		return nil, err
+	for _, row := range r.Rows {
+		rt := &stats.Sample{}
+		rt.Add(row.MeanRTSec)
+		// Truncating to the job index makes a policy listed twice
+		// overwrite its first copy rather than double its jobs.
+		sums := cr.Summaries[row.Mix][row.Policy][:row.Job]
+		cr.Summaries[row.Mix][row.Policy] = append(sums, JobSummary{
+			App:           row.App,
+			RT:            rt,
+			WorkSec:       row.WorkSec,
+			WasteSec:      row.WasteSec,
+			MissSec:       row.MissSec,
+			SwitchSec:     row.SwitchSec,
+			AvgAlloc:      row.AvgAlloc,
+			Reallocations: row.Reallocations,
+			PctAffinity:   row.PctAffinity,
+			IntervalMs:    row.IntervalMs,
+		})
 	}
-	return compareResultJSON(cr)
+	return cr, nil
 }
 
-// compareResultJSON flattens a CompareResult into the wire shape.
-func compareResultJSON(cr *CompareResult) (CompareCampaignResult, error) {
-	out := CompareCampaignResult{Policies: append([]string(nil), cr.Policies...)}
-	hasBaseline := false
-	for _, pol := range cr.Policies {
-		if pol == "Equipartition" {
-			hasBaseline = true
+// rows returns the result's rows for one (mix, policy) cell, in job
+// order, or nil if the result has no such cell.
+func (r CompareCampaignResult) rows(mix int, policy string) []CompareCampaignRow {
+	for i, row := range r.Rows {
+		if row.Mix != mix || row.Policy != policy {
+			continue
 		}
-	}
-	for _, mix := range cr.Mixes {
-		out.Mixes = append(out.Mixes, mix.Number)
-		for _, pol := range cr.Policies {
-			var rel []float64
-			if hasBaseline {
-				var err error
-				rel, err = cr.Relative(mix.Number, pol, "Equipartition")
-				if err != nil {
-					return CompareCampaignResult{}, err
-				}
-			}
-			for ji, js := range cr.Summaries[mix.Number][pol] {
-				row := CompareCampaignRow{
-					Mix:           mix.Number,
-					Policy:        pol,
-					Job:           ji,
-					App:           js.App,
-					MeanRTSec:     js.MeanRT(),
-					WorkSec:       js.WorkSec,
-					WasteSec:      js.WasteSec,
-					MissSec:       js.MissSec,
-					SwitchSec:     js.SwitchSec,
-					AvgAlloc:      js.AvgAlloc,
-					Reallocations: js.Reallocations,
-					PctAffinity:   js.PctAffinity,
-					IntervalMs:    js.IntervalMs,
-				}
-				if rel != nil {
-					row.RelRT = rel[ji]
-				}
-				out.Rows = append(out.Rows, row)
-			}
+		// The cell's rows are contiguous and numbered from job 0, so the
+		// next cell begins where the numbering restarts.
+		n := 1
+		for i+n < len(r.Rows) && r.Rows[i+n].Job == n {
+			n++
 		}
+		return r.Rows[i : i+n]
 	}
-	return out, nil
+	return nil
 }
 
 // FutureCampaignSweep is one policy's model sweep within one scenario.
@@ -498,26 +454,6 @@ type FutureCampaignResult struct {
 	Scenarios []FutureCampaignScenario `json:"scenarios"`
 }
 
-func runFutureCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	cr, err := ComparePoliciesCtx(ctx, opts, workload.Mixes(), withBaseline(p.Policies))
-	if err != nil {
-		return nil, err
-	}
-	t1, err := Table1Ctx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	scen, err := FutureScenarios(cr, t1)
-	if err != nil {
-		return nil, err
-	}
-	return futureResultJSON(ctx, scen, p)
-}
-
 // withBaseline returns policies with Equipartition prepended unless it is
 // already present: the future model needs the baseline's summaries, but
 // listing it twice would simulate its cells — the most expensive in the
@@ -531,10 +467,12 @@ func withBaseline(policies []string) []string {
 	return append([]string{"Equipartition"}, policies...)
 }
 
-// futureResultJSON sweeps every scenario over the product axis into the
-// wire shape, scenarios sorted by (mix, app).
-func futureResultJSON(ctx context.Context, scen map[ScenarioKey]model.Scenario, p CampaignParams) (FutureCampaignResult, error) {
-	products := model.Products(p.MaxProduct, 2)
+// FutureSweep sweeps every scenario's policies (those of the given list
+// the scenario has) over the product axis 1..maxProduct, two points per
+// doubling, into the future kind's wire shape, scenarios sorted by
+// (mix, app).
+func FutureSweep(scen map[ScenarioKey]model.Scenario, policies []string, maxProduct float64) (FutureCampaignResult, error) {
+	products := model.Products(maxProduct, 2)
 	keys := make([]ScenarioKey, 0, len(scen))
 	for k := range scen {
 		keys = append(keys, k)
@@ -547,12 +485,9 @@ func futureResultJSON(ctx context.Context, scen map[ScenarioKey]model.Scenario, 
 	})
 	out := FutureCampaignResult{Products: products}
 	for _, k := range keys {
-		if err := ctx.Err(); err != nil {
-			return FutureCampaignResult{}, err
-		}
 		sc := scen[k]
 		entry := FutureCampaignScenario{Mix: k.Mix, App: k.App}
-		for _, pol := range p.Policies {
+		for _, pol := range policies {
 			if _, ok := sc.Policies[pol]; !ok {
 				continue
 			}
@@ -587,40 +522,8 @@ type FutureSimCampaignResult struct {
 	Points   []FutureSimCampaignPoint `json:"points"`
 }
 
-func runFutureSimCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mix, err := workload.MixByNumber(p.Mix)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := FutureSimulatedCtx(ctx, opts, mix, p.Policies, p.Products)
-	if err != nil {
-		return nil, err
-	}
-	out := FutureSimCampaignResult{Mix: p.Mix, Policies: append([]string(nil), p.Policies...)}
-	for _, pt := range pts {
-		out.Points = append(out.Points, FutureSimCampaignPoint{Product: pt.Product, SimRel: pt.SimRel})
-	}
-	return out, nil
-}
-
 // RelatedWorkCampaignResult is the relatedwork kind's result; the inner
 // type already exposes only JSON-safe fields.
 type RelatedWorkCampaignResult struct {
 	Result *RelatedWorkResult `json:"result"`
-}
-
-func runRelatedWorkCampaign(ctx context.Context, p CampaignParams) (any, error) {
-	opts, err := p.optionsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rw, err := RelatedWorkCtx(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return RelatedWorkCampaignResult{Result: rw}, nil
 }

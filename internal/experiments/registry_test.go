@@ -92,11 +92,7 @@ func TestCampaignNormalizeRejectsBadParams(t *testing.T) {
 		{"table1", CampaignParams{BudgetSec: 0.01}}, // below the largest Q
 	}
 	for _, tc := range cases {
-		c, ok := CampaignByKind(tc.kind)
-		if !ok {
-			t.Fatalf("unknown kind %q", tc.kind)
-		}
-		if _, err := c.Run(context.Background(), tc.p); err == nil {
+		if _, err := Run(context.Background(), tc.kind, tc.p); err == nil {
 			t.Errorf("%s %+v: expected an error", tc.kind, tc.p)
 		}
 	}
@@ -108,17 +104,16 @@ func fastCampaignParams() CampaignParams {
 	return CampaignParams{Fast: true, Replications: 1, BudgetSec: 0.5, Workers: 2}
 }
 
-// TestCampaignRunDeterministicJSON runs the cheap kinds twice and asserts
-// the canonical encodings match byte for byte — the property the service's
-// result cache relies on.
+// TestCampaignRunDeterministicJSON runs the cheap kinds twice through Run
+// and asserts the canonical encodings match byte for byte — the property
+// the service's result cache relies on.
 func TestCampaignRunDeterministicJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")
 	}
 	for _, kind := range []string{"characterize", "relatedwork"} {
-		c, _ := CampaignByKind(kind)
 		enc := func() []byte {
-			res, err := c.Run(context.Background(), fastCampaignParams())
+			res, err := Run(context.Background(), kind, fastCampaignParams())
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
@@ -144,8 +139,7 @@ func TestCampaignRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, kind := range []string{"characterize", "table1", "compare", "future", "futuresim", "relatedwork"} {
-		c, _ := CampaignByKind(kind)
-		if _, err := c.Run(ctx, fastCampaignParams()); err == nil {
+		if _, err := Run(ctx, kind, fastCampaignParams()); err == nil {
 			t.Errorf("%s: cancelled run returned no error", kind)
 		}
 	}

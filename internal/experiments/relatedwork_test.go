@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,11 +9,7 @@ import (
 )
 
 func TestRelatedWorkShape(t *testing.T) {
-	opts := FastOptions()
-	r, err := RelatedWork(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustRun(t, context.Background(), "relatedwork", CampaignParams{Fast: true}).(RelatedWorkCampaignResult).Result
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -1,64 +1,25 @@
 package experiments
 
 import (
-	"context"
-	"sort"
+	"fmt"
+	"math"
 
 	"repro/internal/machine"
 	"repro/internal/measure"
-	"repro/internal/memtrace"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/simtime"
 )
 
-// Table1 runs the Section-4 penalty measurement protocol over the three
-// applications and the paper's three rescheduling intervals, producing the
-// data behind the paper's Table 1. It is Table1Ctx without cancellation.
-func Table1(opts Options) (measure.Table1, error) {
-	return Table1Ctx(context.Background(), opts)
-}
-
-// Table1Ctx is Table1 with cancellation; the (Q, application) measurement
-// cells run on opts.Workers workers.
-func Table1Ctx(ctx context.Context, opts Options) (measure.Table1, error) {
-	if err := opts.Validate(); err != nil {
-		return measure.Table1{}, err
-	}
-	mc := opts.Machine
-	mc.Processors = 1 // the paper's measurement uses a single processor
-	t1, err := measure.BuildTable1Ctx(ctx, mc, memtrace.Patterns(), measure.DefaultQs(), opts.MeasureBudget, opts.Seed, opts.Workers)
-	if err != nil {
-		return t1, err
-	}
-	if opts.Stats != nil {
-		opts.Stats.Add("measure", table1Stats(mc, t1, opts.MeasureBudget))
-	}
-	return t1, nil
-}
-
-// table1Stats derives a SimStats from the Section-4 measurement protocol.
-// The protocol has no event queue, so the dispatch counters map onto its
-// regimes instead: every migrating-regime switch is a migration charging
-// P^NA (with a cache flush, as the paper streams through memory), and
-// every multiprogrammed-regime switch charges P^A; the penalty time is
-// the regime's whole response-time delta over the stationary baseline.
-// Cells are folded in (Q, measured application) grid order, so the totals
-// are identical at every worker count.
-func table1Stats(mc machine.Config, t1 measure.Table1, budget simtime.Duration) obs.SimStats {
-	var s obs.SimStats
-	for _, q := range t1.Qs {
-		for _, app := range t1.Apps {
-			s.Merge(table1CellStats(mc, t1.Cells[q][app], t1.Apps, budget))
-		}
-	}
-	return s
-}
-
-// table1CellStats is one (Q, measured application) cell's contribution to
-// the protocol's SimStats; table1Stats sums these in grid order, and the
-// cell execution path folds them one cell at a time. All fields are
-// integer, so the totals agree regardless of grouping.
+// table1CellStats derives one (Q, measured application) cell's SimStats
+// from the Section-4 measurement protocol. The protocol has no event
+// queue, so the dispatch counters map onto its regimes instead: every
+// migrating-regime switch is a migration charging P^NA (with a cache
+// flush, as the paper streams through memory), and every
+// multiprogrammed-regime switch charges P^A; the penalty time is the
+// regime's whole response-time delta over the stationary baseline. All
+// fields are integer, so campaign totals agree regardless of the order
+// cells fold in.
 func table1CellStats(mc machine.Config, pen measure.Penalties, apps []string, budget simtime.Duration) obs.SimStats {
 	var s obs.SimStats
 	addRun := func(r measure.RunResult) {
@@ -90,32 +51,39 @@ func table1CellStats(mc machine.Config, pen measure.Penalties, apps []string, bu
 	return s
 }
 
-// Table1Report renders the measured penalties in the paper's Table-1
-// layout: one block per Q; rows are measured applications; the first column
-// is P^NA and the rest are P^A against each intervening application.
-func Table1Report(t1 measure.Table1) []report.Table {
+// Table1Report renders a table1 result in the paper's Table-1 layout:
+// one block per Q; rows are measured applications; the first column is
+// P^NA and the rest are P^A against each intervening application.
+func Table1Report(res Table1CampaignResult) []report.Table {
 	var out []report.Table
-	qs := append([]simtime.Duration(nil), t1.Qs...)
-	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
-	for _, q := range qs {
+	for _, ms := range res.QsMs {
+		q := fromWire(ms, simtime.Millisecond)
 		t := report.Table{
 			Title:   "Table 1 — P^NA and P^A (µs per switch), Q = " + q.String(),
 			Headers: []string{"measured", "P^NA"},
 		}
-		for _, iv := range t1.Apps {
+		for _, iv := range res.Apps {
 			t.Headers = append(t.Headers, "P^A/"+iv)
 		}
-		for _, app := range t1.Apps {
-			pen := t1.Cells[q][app]
-			row := []string{app, report.F(pen.PNA.Micros(), 0)}
-			for _, iv := range t1.Apps {
-				row = append(row, report.F(pen.PA[iv].Micros(), 0))
+		cells := res.Cells[fmt.Sprintf("%g", ms)]
+		for _, app := range res.Apps {
+			pen := cells[app]
+			row := []string{app, report.F(pen.PNAMicros, 0)}
+			for _, iv := range res.Apps {
+				row = append(row, report.F(pen.PAMicros[iv], 0))
 			}
 			t.AddRow(row...)
 		}
 		out = append(out, t)
 	}
 	return out
+}
+
+// fromWire converts a wire float count of unit back to the Duration it
+// was derived from. Every wire duration began as an integer count of
+// nanoseconds divided by the unit, so rounding recovers it exactly.
+func fromWire(v float64, unit simtime.Duration) simtime.Duration {
+	return simtime.Duration(math.Round(v * float64(unit)))
 }
 
 // PenaltyFor returns (P^A, P^NA) in seconds for the given measured

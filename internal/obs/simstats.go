@@ -98,6 +98,30 @@ func (c *CampaignStats) Add(policy string, s SimStats) {
 	c.mu.Unlock()
 }
 
+// Merge folds everything o has collected into c, as one grouped Add per
+// policy. Folding per-cell collectors in grid order this way makes the
+// totals independent of the order concurrent cells finished in — even
+// InvalLines, the one float, whose sums depend on association order.
+func (c *CampaignStats) Merge(o *CampaignStats) {
+	if c == nil || o == nil {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cells += o.cells
+	c.total.Merge(o.total)
+	for policy, s := range o.perPolicy {
+		p := c.perPolicy[policy]
+		if p == nil {
+			p = &SimStats{}
+			c.perPolicy[policy] = p
+		}
+		p.Merge(*s)
+	}
+}
+
 // CampaignSnapshot is a point-in-time copy of a CampaignStats.
 // PolicyOrder lists PerPolicy's keys sorted, so renderers iterate
 // deterministically.

@@ -25,9 +25,10 @@ import (
 // completed cell is cached immediately. A campaign cancelled mid-flight
 // therefore leaves its finished cells behind, and a re-submission (or a
 // superset campaign sharing a sub-grid) resumes instead of restarting.
-// The merged body is byte-identical to a monolithic run — the
-// experiments-layer contract pinned by TestCellMergeMatchesMonolithic —
-// so the campaign-level cache and the cell cache never disagree.
+// The merged body is byte-identical to an in-process experiments.Run of
+// the same params — the experiments-layer contract pinned by its body
+// goldens — so the campaign-level cache and the cell cache never
+// disagree.
 
 // jobEvent is one NDJSON line of GET /v1/jobs/{id}/events: a "cell"
 // progress event per completed cell, then exactly one terminal event

@@ -77,17 +77,10 @@ import (
 	"repro/internal/version"
 )
 
-// Runner executes one campaign; the default dispatches through the
-// experiments registry. Tests substitute controllable runners.
+// Runner executes one campaign as an opaque call. The server itself runs
+// campaigns cell by cell through their plans; tests substitute
+// controllable runners.
 type Runner func(ctx context.Context, kind string, p experiments.CampaignParams) (any, error)
-
-func registryRunner(ctx context.Context, kind string, p experiments.CampaignParams) (any, error) {
-	c, ok := experiments.CampaignByKind(kind)
-	if !ok {
-		return nil, fmt.Errorf("service: unknown campaign kind %q", kind)
-	}
-	return c.Run(ctx, p)
-}
 
 // Config parameterizes a Server. Zero values select the defaults noted on
 // each field.
@@ -184,9 +177,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
-	}
-	if c.Runner == nil {
-		c.Runner = registryRunner
 	}
 	if c.HedgeBudget == 0 {
 		c.HedgeBudget = 16
@@ -336,9 +326,9 @@ type jobView struct {
 	Workers     map[string]int `json:"workers,omitempty"`
 	// BudgetExhausted reports that the campaign spent its entire fleet
 	// re-dispatch budget (-hedge-budget); later cells ran locally.
-	BudgetExhausted bool `json:"budget_exhausted,omitempty"`
-	ResultURL   string         `json:"result_url,omitempty"`
-	EventsURL   string         `json:"events_url,omitempty"`
+	BudgetExhausted bool   `json:"budget_exhausted,omitempty"`
+	ResultURL       string `json:"result_url,omitempty"`
+	EventsURL       string `json:"events_url,omitempty"`
 }
 
 // Server is the affinityd serving core, independent of any listener so
@@ -348,9 +338,6 @@ type Server struct {
 	cache   *resultcache.Cache
 	metrics *metrics
 	mux     *http.ServeMux
-	// useCells selects the cell execution path; false when a custom
-	// Runner makes the campaign opaque to the server.
-	useCells bool
 	// cellCache holds per-cell partial results, keyed by cell content
 	// address.
 	cellCache *resultcache.Cache
@@ -380,10 +367,6 @@ type Server struct {
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
-	// Cell execution requires the real registry: a custom Runner is
-	// opaque, so its jobs run monolithically. Decided before withDefaults
-	// installs the registry runner.
-	useCells := cfg.Runner == nil
 	cfg = cfg.withDefaults()
 	cellCache := cfg.CellCache
 	if cellCache == nil {
@@ -393,7 +376,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		cache:       resultcache.New(cfg.CacheBytes),
-		useCells:    useCells,
 		cellCache:   cellCache,
 		store:       cfg.Store,
 		fleet:       cfg.Fleet,
@@ -775,7 +757,7 @@ func (s *Server) worker() {
 		// band and the result bytes stay identical to an uninstrumented
 		// run.
 		exec := func() ([]byte, error) {
-			if s.useCells {
+			if s.cfg.Runner == nil {
 				return s.runCells(j)
 			}
 			res, err := s.cfg.Runner(obs.WithCollector(j.ctx, j.stats), j.kind, j.params)

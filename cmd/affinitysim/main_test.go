@@ -18,8 +18,20 @@ func TestParse(t *testing.T) {
 	if _, _, err := parse([]string{"compare", "-badflag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if _, _, err := parse([]string{"compare", "-procs", "0"}); err == nil {
-		t.Error("zero procs accepted")
+	for _, bad := range [][]string{
+		{"compare", "-procs", "0"},
+		{"future", "-reps", "0"},
+		{"measure", "-budget", "0"},
+	} {
+		if _, _, err := parse(bad); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+	}
+}
+
+func TestRunRejectsBadMix(t *testing.T) {
+	if err := run([]string{"compare", "-fast", "-mix", "9"}); err == nil {
+		t.Error("mix 9 accepted")
 	}
 }
 

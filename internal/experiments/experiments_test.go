@@ -312,6 +312,9 @@ func TestRelativeErrors(t *testing.T) {
 	if _, err := Table4Report(empty, []int{1}, "Dynamic", "Equipartition"); err == nil {
 		t.Error("Table4 for missing policy accepted")
 	}
+	if _, err := (CompareCampaignResult{Mixes: []int{1}, Rows: []CompareCampaignRow{{Mix: 2}}}).CompareResult(opts); err == nil {
+		t.Error("CompareResult accepted a row outside the result's mixes")
+	}
 	noBaseline := CompareCampaignResult{Mixes: []int{1}, Policies: []string{"Dynamic"},
 		Rows: []CompareCampaignRow{{Mix: 1, Policy: "Dynamic", App: "MVA"}}}
 	if _, err := Figure5Report(noBaseline, []string{"Dynamic"}); err == nil {

@@ -389,13 +389,16 @@ func (r CompareCampaignResult) CompareResult(opts Options) (*CompareResult, erro
 		cr.Mixes = append(cr.Mixes, mix)
 		cr.Summaries[n] = make(map[string][]JobSummary, len(r.Policies))
 	}
-	for _, row := range r.Rows {
+	for i, row := range r.Rows {
+		byPolicy, ok := cr.Summaries[row.Mix]
+		if !ok || row.Job < 0 || row.Job > len(byPolicy[row.Policy]) {
+			return nil, fmt.Errorf("experiments: compare row %d (mix #%d, %s, job %d) is outside the result's grid", i, row.Mix, row.Policy, row.Job)
+		}
 		rt := &stats.Sample{}
 		rt.Add(row.MeanRTSec)
 		// Truncating to the job index makes a policy listed twice
 		// overwrite its first copy rather than double its jobs.
-		sums := cr.Summaries[row.Mix][row.Policy][:row.Job]
-		cr.Summaries[row.Mix][row.Policy] = append(sums, JobSummary{
+		byPolicy[row.Policy] = append(byPolicy[row.Policy][:row.Job], JobSummary{
 			App:           row.App,
 			RT:            rt,
 			WorkSec:       row.WorkSec,

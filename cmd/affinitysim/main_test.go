@@ -35,6 +35,28 @@ func TestRunRejectsBadMix(t *testing.T) {
 	}
 }
 
+func TestFutureRejectsBadOptions(t *testing.T) {
+	for _, args := range [][]string{
+		{"future", "-fast", "-reps", "0"},
+		{"future", "-fast", "-reps", "0", "-simulate"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v: zero replications accepted", args)
+		}
+	}
+}
+
+func TestMeasureRejectsBadOptions(t *testing.T) {
+	for _, args := range [][]string{
+		{"measure", "-budget", "0"},
+		{"measure", "-budget", "0", "-detail"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v: zero budget accepted", args)
+		}
+	}
+}
+
 func TestRunUnknownSubcommand(t *testing.T) {
 	if err := run([]string{"bogus"}); err == nil {
 		t.Error("unknown subcommand accepted")

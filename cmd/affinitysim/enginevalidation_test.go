@@ -10,7 +10,8 @@ import (
 // subcommands: each must reject a tier its campaign kind cannot run —
 // analytic/auto on the non-grid kinds, unknown names anywhere — with the
 // service's "params.engine" field-path error, before any simulation
-// starts. One positive case pins that valid tiers still parse.
+// starts. The positive cases pin that valid tiers still run, including
+// on the subcommands that mix grid and non-grid kinds.
 func TestEngineFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary in -short mode")
@@ -35,6 +36,12 @@ func TestEngineFlagValidation(t *testing.T) {
 			[]string{"compare", "-engine", "bogus"}, "params.engine"},
 		{"affinitysim compare accepts analytic", "affinitysim",
 			[]string{"compare", "-engine", "analytic", "-fast", "-mix", "5", "-reps", "1"}, ""},
+		// future and all run characterize and table1 campaigns next to
+		// their compare grid; those always simulate, whatever -engine says.
+		{"affinitysim future accepts analytic", "affinitysim",
+			[]string{"future", "-simulate", "-engine", "analytic", "-fast", "-reps", "1", "-budget", "1"}, ""},
+		{"affinitysim all accepts analytic", "affinitysim",
+			[]string{"all", "-engine", "analytic", "-fast", "-reps", "1", "-budget", "1"}, ""},
 		{"affinitysim measure rejects unknown tier", "affinitysim",
 			[]string{"measure", "-detail", "-engine", "bogus"}, "params.engine"},
 		{"affinitysim future rejects unknown tier", "affinitysim",

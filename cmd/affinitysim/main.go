@@ -18,7 +18,7 @@
 // Common flags:
 //
 //	-procs N      number of processors (default 16, as in the paper)
-//	-seed N       root random seed (default 1)
+//	-seed N       root random seed (default 1; 0 also selects it)
 //	-reps N       replications per (mix, policy) cell (default 5)
 //	-budget SEC   Table-1 measurement compute budget in seconds (default 20)
 //	-fast         scaled-down applications (replications and budget keep their flag values)
@@ -140,6 +140,11 @@ func parse(args []string) (string, *cli, error) {
 	c.opts.Replications = *reps
 	c.opts.MeasureBudget = simtime.Seconds(*budget)
 	c.common.Apply(&c.opts)
+	if c.opts.Seed == 0 {
+		// A campaign's seed 0 means the default seed; the runs outside the
+		// campaigns (trace, measure -detail, extras' sweeps) use the same.
+		c.opts.Seed = experiments.DefaultOptions().Seed
+	}
 	if err := c.opts.Validate(); err != nil {
 		return "", nil, err
 	}
@@ -220,6 +225,12 @@ func (c *cli) campaign(kind string, set func(*experiments.CampaignParams)) (any,
 	}
 	return experiments.Run(c.ctx, kind, p)
 }
+
+// simOnly clears the engine tier for the kinds without a simulation grid
+// (characterize, table1) that future and all run next to their compare
+// grid: -engine selects how the grid's cells run, and these kinds always
+// simulate.
+func simOnly(p *experiments.CampaignParams) { p.Engine = "" }
 
 // comparePolicies is the compare grid's policy axis.
 func (c *cli) comparePolicies(p *experiments.CampaignParams) {
@@ -318,7 +329,7 @@ func (c *cli) emit(t report.Table) error {
 }
 
 func (c *cli) characterize() error {
-	res, err := c.campaign("characterize", nil)
+	res, err := c.campaign("characterize", simOnly)
 	if err != nil {
 		return err
 	}
@@ -330,30 +341,38 @@ func (c *cli) characterize() error {
 }
 
 func (c *cli) measure() error {
-	res, err := c.campaign("table1", nil)
+	if c.detail {
+		return c.measureDetail()
+	}
+	res, err := c.campaign("table1", simOnly)
 	if err != nil {
 		return err
 	}
-	for _, t := range experiments.Table1Report(res.(experiments.Table1CampaignResult)) {
+	return c.emitTable1(res.(experiments.Table1CampaignResult))
+}
+
+func (c *cli) emitTable1(res experiments.Table1CampaignResult) error {
+	for _, t := range experiments.Table1Report(res) {
 		if err := c.emit(t); err != nil {
 			return err
 		}
 	}
-	if c.detail {
-		return c.measureDetail()
-	}
 	return nil
 }
 
-// measureDetail prints the per-regime runs behind Table 1. No campaign
-// result carries them, so the protocol runs again here, directly; it is
-// deterministic, so the runs are the ones the table was derived from.
+// measureDetail prints Table 1 and the per-regime runs behind it. No
+// campaign result carries those runs, so the protocol runs here directly,
+// once, and Table 1 is rendered from the same runs through
+// experiments.Table1Result — the table1 campaign's result for them.
 func (c *cli) measureDetail() error {
 	mc := c.opts.Machine
 	mc.Processors = 1 // the paper's measurement uses a single processor
 	t1, err := measure.BuildTable1Ctx(c.ctx, mc, memtrace.Patterns(), measure.DefaultQs(),
 		c.opts.MeasureBudget, c.opts.Seed, c.opts.Workers)
 	if err != nil {
+		return err
+	}
+	if err := c.emitTable1(experiments.Table1Result(t1, mc, c.opts.MeasureBudget, c.opts.Stats)); err != nil {
 		return err
 	}
 	t := report.Table{
@@ -458,7 +477,7 @@ func (c *cli) future() error {
 	if err != nil {
 		return err
 	}
-	v, err = c.campaign("table1", nil)
+	v, err = c.campaign("table1", simOnly)
 	if err != nil {
 		return err
 	}

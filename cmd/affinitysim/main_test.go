@@ -2,6 +2,8 @@ package main
 
 import (
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestParse(t *testing.T) {
@@ -17,6 +19,12 @@ func TestParse(t *testing.T) {
 	}
 	if _, _, err := parse([]string{"compare", "-badflag"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+	// Seed 0 means the default seed on every path, campaign or not.
+	if _, c, err := parse([]string{"measure", "-seed", "0"}); err != nil {
+		t.Fatal(err)
+	} else if def := experiments.DefaultOptions().Seed; c.opts.Seed != def || c.params.Seed != def {
+		t.Errorf("-seed 0: opts seed %d, params seed %d, want %d", c.opts.Seed, c.params.Seed, def)
 	}
 	for _, bad := range [][]string{
 		{"compare", "-procs", "0"},

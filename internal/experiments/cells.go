@@ -254,6 +254,43 @@ type table1CellPartial struct {
 	PARaw  map[string]int64 `json:"pa_raw"`
 }
 
+func newTable1Partial(pen measure.Penalties) table1CellPartial {
+	part := table1CellPartial{
+		PNARaw: int64(pen.PNA),
+		PARaw:  make(map[string]int64, len(pen.PA)),
+	}
+	for iv, d := range pen.PA {
+		part.PARaw[iv] = int64(d)
+	}
+	return part
+}
+
+// mergeTable1 assembles the table1 result from its cells' partials, laid
+// out q-major and application-minor.
+func mergeTable1(qs []simtime.Duration, names []string, parts []table1CellPartial) Table1CampaignResult {
+	out := Table1CampaignResult{
+		Apps:  append([]string(nil), names...),
+		Cells: make(map[string]map[string]Table1CampaignCell, len(qs)),
+	}
+	for qi, q := range qs {
+		out.QsMs = append(out.QsMs, q.Millis())
+		cells := make(map[string]Table1CampaignCell, len(names))
+		for pi, app := range names {
+			part := parts[qi*len(names)+pi]
+			cell := Table1CampaignCell{
+				PNAMicros: simtime.Duration(part.PNARaw).Micros(),
+				PAMicros:  make(map[string]float64, len(part.PARaw)),
+			}
+			for iv, raw := range part.PARaw {
+				cell.PAMicros[iv] = simtime.Duration(raw).Micros()
+			}
+			cells[app] = cell
+		}
+		out.Cells[fmt.Sprintf("%g", q.Millis())] = cells
+	}
+	return out
+}
+
 func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 	if _, err := np.options(); err != nil {
 		return nil, err
@@ -294,14 +331,7 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 					if o.Stats != nil {
 						o.Stats.Add("measure", table1CellStats(mc, pen, names, o.MeasureBudget))
 					}
-					part := table1CellPartial{
-						PNARaw: int64(pen.PNA),
-						PARaw:  make(map[string]int64, len(pen.PA)),
-					}
-					for iv, d := range pen.PA {
-						part.PARaw[iv] = int64(d)
-					}
-					return part, nil
+					return newTable1Partial(pen), nil
 				},
 			})
 		}
@@ -311,27 +341,7 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := Table1CampaignResult{
-			Apps:  append([]string(nil), names...),
-			Cells: make(map[string]map[string]Table1CampaignCell, len(qs)),
-		}
-		for qi, q := range qs {
-			out.QsMs = append(out.QsMs, q.Millis())
-			cells := make(map[string]Table1CampaignCell, len(names))
-			for pi, app := range names {
-				part := parts[qi*len(names)+pi]
-				cell := Table1CampaignCell{
-					PNAMicros: simtime.Duration(part.PNARaw).Micros(),
-					PAMicros:  make(map[string]float64, len(part.PARaw)),
-				}
-				for iv, raw := range part.PARaw {
-					cell.PAMicros[iv] = simtime.Duration(raw).Micros()
-				}
-				cells[app] = cell
-			}
-			out.Cells[fmt.Sprintf("%g", q.Millis())] = cells
-		}
-		return out, nil
+		return mergeTable1(qs, names, parts), nil
 	}
 	return plan, nil
 }

@@ -111,9 +111,11 @@ func TestCharacterizeDeterministicAcrossWorkers(t *testing.T) {
 // invariance to the out-of-band instrumentation: the SimStats folded into
 // a context's collector while Run executes cells — totals, per-policy
 // breakdown, cell count, even the eventq high-water mark — must be
-// identical whether cells ran sequentially or on eight workers. Every
-// folded quantity is an integer sum or a maximum, so the order in which
-// concurrent cells fold in cannot change the totals; the test pins it.
+// identical whether cells ran sequentially or on eight workers. Some
+// folded quantities are float sums (InvalLines), whose totals depend on
+// association order; they are worker-invariant because Run collects each
+// cell separately and folds the per-cell collectors in grid order. The
+// test pins it.
 func TestSimStatsDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) obs.CampaignSnapshot {
 		t.Helper()

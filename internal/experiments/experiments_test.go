@@ -2,9 +2,14 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/measure"
+	"repro/internal/memtrace"
+	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
@@ -124,6 +129,43 @@ func TestTable1SmallBudget(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "P^NA") {
 		t.Error("report missing P^NA column")
+	}
+}
+
+// TestTable1ResultMatchesCampaign pins that a Table 1 built directly with
+// measure.BuildTable1Ctx converts to the table1 campaign's result byte for
+// byte and records the same stats — affinitysim measure -detail relies on
+// it to run the protocol once.
+func TestTable1ResultMatchesCampaign(t *testing.T) {
+	p := CampaignParams{Fast: true, BudgetSec: 2}
+	campStats := obs.NewCampaignStats()
+	want := mustRun(t, obs.WithCollector(context.Background(), campStats), "table1", p)
+	o, err := p.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := o.Machine
+	mc.Processors = 1
+	t1, err := measure.BuildTable1Ctx(context.Background(), mc, memtrace.Patterns(), measure.DefaultQs(),
+		o.MeasureBudget, o.Seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	directStats := obs.NewCampaignStats()
+	got := Table1Result(t1, mc, o.MeasureBudget, directStats)
+	wb, err := report.CanonicalJSON(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := report.CanonicalJSON(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gb) != string(wb) {
+		t.Fatalf("direct Table 1 result differs from the campaign's:\ndirect   %s\ncampaign %s", gb, wb)
+	}
+	if cs, ds := campStats.Snapshot(), directStats.Snapshot(); !reflect.DeepEqual(cs, ds) {
+		t.Fatalf("stats differ:\ncampaign %+v\ndirect   %+v", cs, ds)
 	}
 }
 

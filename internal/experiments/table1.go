@@ -51,6 +51,27 @@ func table1CellStats(mc machine.Config, pen measure.Penalties, apps []string, bu
 	return s
 }
 
+// Table1Result is the table1 kind's result for a Table 1 measured
+// directly with measure.BuildTable1Ctx on the single-processor machine mc
+// at budget: its cells go through the table1 cells' partials and merge, so
+// the result equals the campaign's for the same budget and seed. A non-nil
+// stats records each cell's counters in grid order, as the cells do.
+// affinitysim measure -detail renders Table 1 from it, so the protocol
+// behind the per-regime runs it prints runs once.
+func Table1Result(t1 measure.Table1, mc machine.Config, budget simtime.Duration, stats *obs.CampaignStats) Table1CampaignResult {
+	parts := make([]table1CellPartial, 0, len(t1.Qs)*len(t1.Apps))
+	for _, q := range t1.Qs {
+		for _, app := range t1.Apps {
+			pen := t1.Cells[q][app]
+			if stats != nil {
+				stats.Add("measure", table1CellStats(mc, pen, t1.Apps, budget))
+			}
+			parts = append(parts, newTable1Partial(pen))
+		}
+	}
+	return mergeTable1(t1.Qs, t1.Apps, parts)
+}
+
 // Table1Report renders a table1 result in the paper's Table-1 layout:
 // one block per Q; rows are measured applications; the first column is
 // P^NA and the rest are P^A against each intervening application.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diskstore"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/resultcache"
@@ -427,5 +429,109 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 	if got := c.Stats.PeerHits.Load(); got != 1 {
 		t.Errorf("coordinator PeerHits = %d, want 1", got)
+	}
+}
+
+// startWorker boots a real Worker behind an httptest listener and
+// registers it with the coordinator at coordURL.
+func startWorker(t *testing.T, cfg WorkerConfig) (*Worker, *httptest.Server) {
+	t.Helper()
+	if cfg.Heartbeat == 0 {
+		cfg.Heartbeat = time.Minute
+	}
+	w := NewWorker(cfg)
+	mux := http.NewServeMux()
+	w.RegisterHandlers(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	w.Start(ts.URL)
+	t.Cleanup(w.Stop)
+	return w, ts
+}
+
+// openStore opens a store in a fresh temp directory, closed with the
+// test.
+func openStore(t *testing.T) *diskstore.Store {
+	t.Helper()
+	s, err := diskstore.Open(t.TempDir(), diskstore.Options{EngineVersion: version.Engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// getCell GETs a cell-read endpoint, returning status, body, and the
+// exec-cost header.
+func getCell(t *testing.T, base, key string) (int, []byte, string) {
+	t.Helper()
+	resp, err := http.Get(base + PathCells + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body, resp.Header.Get(execCostHeader)
+}
+
+// TestCoordinatorCellRelayFilesBothTiers: a cell read that misses both
+// coordinator tiers is relayed to a worker's cell-read endpoint, served
+// with the worker's cost, and filed in both coordinator tiers under
+// that cost.
+func TestCoordinatorCellRelayFilesBothTiers(t *testing.T) {
+	const key, cost = "relay-key", 4321
+	body := []byte(`{"relayed":true}`)
+	cache, store := resultcache.New(1<<20), openStore(t)
+	c := NewCoordinator(Config{Cache: cache, Store: store, HedgeDelay: time.Minute})
+	coord := coordServer(t, c)
+
+	wcache := resultcache.New(1 << 20)
+	wcache.PutCost(key, body, cost)
+	startWorker(t, WorkerConfig{Coordinator: coord.URL, Cache: wcache})
+
+	code, got, costHdr := getCell(t, coord.URL, key)
+	if code != http.StatusOK || !bytes.Equal(got, body) || costHdr != "4321" {
+		t.Fatalf("relayed read: %d %q cost %q, want 200 %q cost 4321", code, got, costHdr, body)
+	}
+	if n := c.Stats.WorkerFills.Load(); n != 1 {
+		t.Errorf("WorkerFills = %d, want 1", n)
+	}
+	if b, cs, ok := cache.GetCost(key); !ok || !bytes.Equal(b, body) || cs != cost {
+		t.Errorf("coordinator memory tier: %q cost %d ok=%v, want the worker's bytes at cost %d", b, cs, ok, cost)
+	}
+	if err := store.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if b, cs, ok := store.Get(key); !ok || !bytes.Equal(b, body) || cs != cost {
+		t.Errorf("coordinator disk tier: %q cost %d ok=%v, want the worker's bytes at cost %d", b, cs, ok, cost)
+	}
+}
+
+// TestWorkerCellReadServesDisk: a worker's cell-read endpoint serves a
+// cell held only in its disk store, with the stored exec cost.
+func TestWorkerCellReadServesDisk(t *testing.T) {
+	const key = "disk-key"
+	body := []byte(`{"from":"disk"}`)
+	store := openStore(t)
+	store.Put(key, body, 987)
+	if err := store.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(Config{})
+	coord := coordServer(t, c)
+	w, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Cache: resultcache.New(1 << 20), Store: store})
+
+	code, got, costHdr := getCell(t, wts.URL, key)
+	if code != http.StatusOK || !bytes.Equal(got, body) || costHdr != "987" {
+		t.Fatalf("worker disk read: %d %q cost %q, want 200 %q cost 987", code, got, costHdr, body)
+	}
+	if n := w.Stats.CellServes.Load(); n != 1 {
+		t.Errorf("CellServes = %d, want 1", n)
+	}
+	if code, _, _ := getCell(t, wts.URL, "absent"); code != http.StatusNotFound {
+		t.Errorf("absent key: status %d, want 404", code)
 	}
 }

@@ -381,3 +381,26 @@ func TestCampaignSchemas(t *testing.T) {
 		}
 	}
 }
+
+// TestFailingCellIsMissNotExecution: a cell whose run fails fails the
+// job and counts as a miss, never as an execution, and nothing is
+// cached for it. The failing input is the known Dyn-Aff-Delay deadlock
+// on mix 3 (ROADMAP, "A preempted task is never resumed").
+func TestFailingCellIsMissNotExecution(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign runs in -short mode")
+	}
+	e := newEnv(t, Config{})
+	r := e.submit(`{"kind":"compare","params":{"fast":true,"reps":5,"mix":3,"policies":["Dyn-Aff-Delay"]}}`)
+	body := readAll(t, r)
+	if r.StatusCode == http.StatusOK {
+		t.Fatalf("deadlocking campaign succeeded: %s", body)
+	}
+	c := &e.s.metrics.cells
+	if m, x := c.Misses.Load(), c.Executions.Load(); m != 1 || x != 0 {
+		t.Errorf("misses=%d executions=%d, want 1 and 0", m, x)
+	}
+	if st := e.s.CellCache().Stats(); st.Entries != 0 {
+		t.Errorf("failed cell cached: %+v", st)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/diskstore"
+	"repro/internal/experiments"
 	"repro/internal/version"
 )
 
@@ -354,5 +355,38 @@ func TestCancelKeepsCompletedCellsDurable(t *testing.T) {
 	c := &e2.s.metrics.cells
 	if d, x := c.DiskHits.Load(), c.Executions.Load(); int(d) < completed || int(d+x) != 5 {
 		t.Errorf("resubmit accounting: disk=%d executions=%d, want disk >= %d and disk+exec = 5", d, x, completed)
+	}
+}
+
+// TestStoreBodyPromotionKeepsCost: a submit answered from the disk tier
+// promotes the body into the memory tier under the cost the store
+// recorded, not as a free entry.
+func TestStoreBodyPromotionKeepsCost(t *testing.T) {
+	const cost = 55555
+	camp, _ := experiments.CampaignByKind("table1")
+	params, err := camp.Normalize(experiments.CampaignParams{Fast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := cacheKey("table1", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"seeded":"body"}`)
+	store := openStore(t, t.TempDir())
+	defer store.Close()
+	store.Put(key, body, cost)
+	if err := store.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	e := newEnv(t, Config{Store: store})
+	r := e.submit(`{"kind":"table1","params":{"fast":true}}`)
+	got := readAll(t, r)
+	if r.StatusCode != http.StatusOK || r.Header.Get("X-Cache") != "disk" || !bytes.Equal(got, body) {
+		t.Fatalf("submit: %d X-Cache %q %q, want 200 disk %q", r.StatusCode, r.Header.Get("X-Cache"), got, body)
+	}
+	if b, c, ok := e.s.Cache().GetCost(key); !ok || !bytes.Equal(b, body) || c != cost {
+		t.Errorf("promoted body %q cost %d ok=%v, want cost %d", b, c, ok, cost)
 	}
 }

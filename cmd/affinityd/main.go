@@ -171,18 +171,17 @@ func run() (err error) {
 			*storeDir, st.Entries, st.Segments, st.DiskBytes)
 		cfg.Store = store
 	}
-	// Fleet roles. Both build the cell cache explicitly so the fleet
-	// side and the service share one instance: the coordinator's peer
-	// cache fill must serve exactly the tiers the service reads, and a
-	// worker's execute path must reuse what its own /v1 traffic cached.
+	// The cell cache is built here so the fleet side and the service
+	// share one instance: the coordinator's peer cache fill must serve
+	// exactly the tiers the service reads, and a worker's execute path
+	// must reuse what its own /v1 traffic cached.
+	cfg.CellCache = resultcache.New(cfg.CacheBytes)
 	var fleetWorker *fleet.Worker
 	switch {
 	case *coordinator:
-		cellCache := resultcache.New(cfg.CacheBytes)
-		cfg.CellCache = cellCache
 		cfg.HedgeBudget = *hedgeBudget
 		cfg.Fleet = fleet.NewCoordinator(fleet.Config{
-			Cache:      cellCache,
+			Cache:      cfg.CellCache,
 			Store:      cfg.Store,
 			Token:      *fleetToken,
 			HedgeDelay: time.Duration(*hedgeMS) * time.Millisecond,
@@ -194,13 +193,11 @@ func run() (err error) {
 		fmt.Printf("affinityd: coordinator mode (%s; hedge after %dms, budget %d; workers join at %s)\n",
 			authMode, *hedgeMS, *hedgeBudget, fleet.PathRegister)
 	case *join != "":
-		cellCache := resultcache.New(cfg.CacheBytes)
-		cfg.CellCache = cellCache
 		fleetWorker = fleet.NewWorker(fleet.WorkerConfig{
 			Coordinator: *join,
 			Token:       *fleetToken,
 			Capacity:    common.Workers,
-			Cache:       cellCache,
+			Cache:       cfg.CellCache,
 			Store:       cfg.Store,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "affinityd: "+format+"\n", args...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/pprof"
 
 	"repro/internal/core"
 	"repro/internal/measure"
@@ -61,11 +62,8 @@ func Run(ctx context.Context, kind string, p CampaignParams) (any, error) {
 			cellStats[i] = obs.NewCampaignStats()
 			ctx = obs.WithCollector(ctx, cellStats[i])
 		}
-		res, err := plan.Cells[i].Run(ctx)
-		if err != nil {
-			return err
-		}
-		partials[i], err = report.CanonicalJSON(res)
+		var err error
+		partials[i], err = plan.RunBody(ctx, i)
 		return err
 	})
 	if err != nil {
@@ -131,6 +129,26 @@ func (p *CellPlan) Merge(ctx context.Context, partials [][]byte) (any, error) {
 		raws[i] = json.RawMessage(b)
 	}
 	return p.merge(ctx, raws)
+}
+
+// RunBody executes cell i and returns its canonical-JSON partial, the
+// bytes Merge consumes and the result tiers file. CPU profile samples
+// carry the campaign kind and the cell as pprof labels.
+func (p *CellPlan) RunBody(ctx context.Context, i int) ([]byte, error) {
+	c := &p.Cells[i]
+	var res any
+	var err error
+	pprof.Do(ctx, pprof.Labels("campaign", p.Kind, "cell", c.ID), func(ctx context.Context) {
+		res, err = c.Run(ctx)
+	})
+	if err != nil {
+		return nil, err
+	}
+	body, err := report.CanonicalJSON(res)
+	if err != nil {
+		return nil, fmt.Errorf("encode cell %s: %w", c.ID, err)
+	}
+	return body, nil
 }
 
 // Cells normalizes p and splits the campaign into its cell plan.

@@ -99,7 +99,7 @@ type Metrics struct {
 	// Dispatches counts attempts launched (first tries, retries, and
 	// hedges all included).
 	Dispatches obs.Counter
-	// RemoteCells counts Dispatch calls resolved by a worker's result.
+	// RemoteCells counts DispatchBudget calls resolved by a worker's result.
 	RemoteCells obs.Counter
 	// Retries counts attempts relaunched after a failed one.
 	Retries obs.Counter
@@ -183,6 +183,7 @@ func WorkerID(url string) string {
 // Coordinator owns the fleet's worker registry and cell dispatch.
 type Coordinator struct {
 	cfg    Config
+	tiers  resultcache.Tiers
 	client *http.Client
 	auth   *authenticator
 
@@ -202,6 +203,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	return &Coordinator{
 		cfg:     cfg,
+		tiers:   resultcache.Tiers{Memory: cfg.Cache, Disk: cfg.Store},
 		client:  client,
 		auth:    newAuthenticator(cfg.Token),
 		workers: make(map[string]*workerState),
@@ -286,9 +288,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 // handleCell is peer cache fill: a fleet member asks for a cell body
 // the fleet may already have paid for. The coordinator checks its own
-// memory tier, then its disk store, then relays the read to the other
-// workers' tiers — excluding the requester (X-Fleet-Peer), which just
-// reported the miss.
+// tiers, then relays the read to the other workers' tiers — excluding
+// the requester (X-Fleet-Peer), which just reported the miss.
 func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
 	api.EchoRequestID(w, r)
 	if err := c.auth.verify(r, nil); err != nil {
@@ -297,27 +298,22 @@ func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	if c.cfg.Cache != nil {
-		if body, costNs, ok := c.cfg.Cache.GetCost(key); ok {
-			c.Stats.PeerHits.Inc()
-			serveCell(w, body, costNs)
-			return
-		}
-	}
-	if c.cfg.Store != nil {
-		if body, costNs, ok := c.cfg.Store.Get(key); ok {
-			c.Stats.PeerHits.Inc()
-			serveCell(w, body, costNs)
-			return
-		}
-	}
-	if body, costNs, ok := c.peerFill(r.Context(), key, r.Header.Get(peerHeader)); ok {
+	// With no run step Resolve cannot fail.
+	l, _ := c.tiers.Resolve(r.Context(), key, func(ctx context.Context) ([]byte, uint64, bool) {
+		body, costNs, _, ok := c.PeerFill(ctx, key, r.Header.Get(peerHeader))
+		return body, costNs, ok
+	}, nil)
+	switch l.Source {
+	case resultcache.Memory, resultcache.Disk:
+		c.Stats.PeerHits.Inc()
+	case resultcache.Filled:
 		c.Stats.WorkerFills.Inc()
-		serveCell(w, body, costNs)
+	default:
+		c.Stats.PeerMisses.Inc()
+		writeFleetError(w, http.StatusNotFound, "not_found", "", "cell not cached anywhere in the fleet")
 		return
 	}
-	c.Stats.PeerMisses.Inc()
-	writeFleetError(w, http.StatusNotFound, "not_found", "", "cell not cached anywhere in the fleet")
+	serveCell(w, l.Body, l.CostNs)
 }
 
 // serveCell writes a raw cell body with its exec-cost metadata.
@@ -327,22 +323,12 @@ func serveCell(w http.ResponseWriter, body []byte, costNs uint64) {
 	w.Write(body)
 }
 
-// PeerFill asks the live workers' memory+disk tiers for a cell body the
-// coordinator itself is missing — the reverse direction of peer cache
-// fill. Used by the service when dispatch cannot run the cell remotely
-// (budget exhausted, all attempts failed) but a worker may still hold
-// the bytes. Returns the serving worker's URL alongside the body.
-func (c *Coordinator) PeerFill(ctx context.Context, key string) (body []byte, costNs uint64, worker string, ok bool) {
-	return c.peerFillAttributed(ctx, key, "")
-}
-
-// peerFill is PeerFill without attribution, for the relay path.
-func (c *Coordinator) peerFill(ctx context.Context, key, exclude string) ([]byte, uint64, bool) {
-	body, costNs, _, ok := c.peerFillAttributed(ctx, key, exclude)
-	return body, costNs, ok
-}
-
-func (c *Coordinator) peerFillAttributed(ctx context.Context, key, exclude string) ([]byte, uint64, string, bool) {
+// PeerFill asks the live workers' tiers, except exclude's, for a cell
+// body the coordinator itself is missing — the reverse direction of
+// peer cache fill, for the relay and for a service whose dispatch could
+// not run the cell. Each probe is bounded by PeerFillTimeout. Returns
+// the serving worker's URL alongside the body.
+func (c *Coordinator) PeerFill(ctx context.Context, key, exclude string) (body []byte, costNs uint64, worker string, ok bool) {
 	now := time.Now()
 	c.mu.Lock()
 	c.expireLocked(now)
@@ -382,33 +368,29 @@ func (c *Coordinator) peerFillAttributed(ctx context.Context, key, exclude strin
 		if ctx.Err() != nil {
 			return nil, 0, "", false
 		}
-		body, costNs, ok := c.fetchCell(ctx, cd.url, key)
+		fctx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
+		body, costNs, ok := fetchCell(fctx, c.client, c.auth, cd.url, key, nil)
+		cancel()
 		if ok {
-			// Promote: the coordinator's own tiers now have the bytes, so
-			// the next reader anywhere in the fleet stops at tier one.
-			if c.cfg.Cache != nil {
-				c.cfg.Cache.PutCost(key, body, costNs)
-			}
-			if c.cfg.Store != nil {
-				c.cfg.Store.Put(key, body, costNs)
-			}
 			return body, costNs, cd.url, true
 		}
 	}
 	return nil, 0, "", false
 }
 
-// fetchCell GETs one worker's cell-read endpoint, bounded by the
-// peer-fill timeout.
-func (c *Coordinator) fetchCell(ctx context.Context, workerURL, key string) ([]byte, uint64, bool) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, workerURL+PathCells+url.PathEscape(key), nil)
+// fetchCell GETs the cell-read endpoint at base, signed, with header's
+// fields added. Any failure — transport, non-200, an empty or malformed
+// body — is a miss.
+func fetchCell(ctx context.Context, client *http.Client, auth *authenticator, base, key string, header http.Header) ([]byte, uint64, bool) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathCells+url.PathEscape(key), nil)
 	if err != nil {
 		return nil, 0, false
 	}
-	c.auth.sign(req, nil)
-	resp, err := c.client.Do(req)
+	for k, v := range header {
+		req.Header[k] = v
+	}
+	auth.sign(req, nil)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, 0, false
 	}
@@ -453,11 +435,11 @@ type WorkerDetail struct {
 	// RTTMeanMs is the EWMA the scorer uses; the percentiles summarize
 	// the full per-worker histogram (log2 buckets, so upper bounds
 	// within 2×).
-	RTTMeanMs  float64 `json:"rtt_mean_ms"`
-	RTTCount   uint64  `json:"rtt_count"`
-	RTTP50Ms   float64 `json:"rtt_p50_ms"`
-	RTTP90Ms   float64 `json:"rtt_p90_ms"`
-	RTTP99Ms   float64 `json:"rtt_p99_ms"`
+	RTTMeanMs float64 `json:"rtt_mean_ms"`
+	RTTCount  uint64  `json:"rtt_count"`
+	RTTP50Ms  float64 `json:"rtt_p50_ms"`
+	RTTP90Ms  float64 `json:"rtt_p90_ms"`
+	RTTP99Ms  float64 `json:"rtt_p99_ms"`
 }
 
 func (ws *workerState) view() WorkerView {
@@ -634,12 +616,6 @@ type attemptOutcome struct {
 	err       error
 	attempt   int    // 1-based launch order
 	placement string // the scored decision that launched it
-}
-
-// Dispatch executes one cell on the fleet with an unlimited re-dispatch
-// budget; see DispatchBudget.
-func (c *Coordinator) Dispatch(ctx context.Context, req ExecuteRequest) (*ExecuteResponse, error) {
-	return c.DispatchBudget(ctx, req, nil)
 }
 
 // DispatchBudget executes one cell on the fleet: bounded retry with

@@ -150,7 +150,7 @@ func TestRegisterRejectsEngineSkew(t *testing.T) {
 
 func TestDispatchNoWorkersFallsBack(t *testing.T) {
 	c := NewCoordinator(Config{})
-	if _, err := c.Dispatch(context.Background(), execReq("c1")); err != ErrNoWorkers {
+	if _, err := c.DispatchBudget(context.Background(), execReq("c1"), nil); err != ErrNoWorkers {
 		t.Fatalf("Dispatch with no workers: %v, want ErrNoWorkers", err)
 	}
 	if got := c.Stats.Fallbacks.Load(); got != 1 {
@@ -177,7 +177,7 @@ func TestDispatchRetriesDeadWorker(t *testing.T) {
 	registerWorker(t, ts.URL, deadURL, 16, version.Engine)
 	registerWorker(t, ts.URL, live.ts.URL, 1, version.Engine)
 
-	resp, err := c.Dispatch(context.Background(), execReq("c0"))
+	resp, err := c.DispatchBudget(context.Background(), execReq("c0"), nil)
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestHedgedDispatchFirstValidWins(t *testing.T) {
 	registerWorker(t, ts.URL, fast.ts.URL, 1, version.Engine)
 
 	start := time.Now()
-	resp, err := c.Dispatch(context.Background(), execReq("c0"))
+	resp, err := c.DispatchBudget(context.Background(), execReq("c0"), nil)
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}
@@ -270,7 +270,7 @@ func TestHedgeDeterminismProperty(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := c.Dispatch(context.Background(), execReq(fmt.Sprintf("c%03d", i)))
+			resp, err := c.DispatchBudget(context.Background(), execReq(fmt.Sprintf("c%03d", i)), nil)
 			if err != nil {
 				t.Errorf("dispatch %d: %v", i, err)
 				return
@@ -372,7 +372,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	}
 
 	req := ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key}
-	resp, err := c.Dispatch(context.Background(), req)
+	resp, err := c.DispatchBudget(context.Background(), req, nil)
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}
@@ -391,7 +391,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	peerReq.Key = "peer-key"
 	// The worker verifies plan identity before its tier lookups, so the
 	// mismatched key must be refused, not served.
-	if _, err := c.Dispatch(context.Background(), peerReq); err == nil {
+	if _, err := c.DispatchBudget(context.Background(), peerReq, nil); err == nil {
 		t.Fatal("dispatch with mismatched key succeeded; worker must refuse")
 	}
 
@@ -533,5 +533,48 @@ func TestWorkerCellReadServesDisk(t *testing.T) {
 	}
 	if code, _, _ := getCell(t, wts.URL, "absent"); code != http.StatusNotFound {
 		t.Errorf("absent key: status %d, want 404", code)
+	}
+}
+
+// TestWorkerPeerFillIsDurable: a cell a worker peer-fills from the
+// coordinator is written to the worker's disk store as well as its
+// memory tier, so the worker still has it after a restart.
+func TestWorkerPeerFillIsDurable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans a simulation cell in -short mode")
+	}
+	params := experiments.CampaignParams{Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition"}, Workers: 1}
+	plan, err := experiments.Cells("compare", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := &plan.Cells[0]
+	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
+	body := []byte(`{"peer":"filled"}`)
+
+	cache := resultcache.New(1 << 20)
+	cache.PutCost(key, body, 321)
+	coord := coordServer(t, NewCoordinator(Config{Cache: cache, HedgeDelay: time.Minute}))
+	store := openStore(t)
+	w, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Cache: resultcache.New(1 << 20), Store: store})
+
+	payload, _ := json.Marshal(ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key})
+	hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp ExecuteResponse
+	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if resp.Source != "peer" || w.Stats.PeerFills.Load() != 1 {
+		t.Fatalf("source %q, PeerFills %d: want a peer fill", resp.Source, w.Stats.PeerFills.Load())
+	}
+	if err := store.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !store.Contains(key) {
+		t.Error("peer-filled cell not written to the worker's store")
 	}
 }

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +15,6 @@ import (
 	"repro/internal/diskstore"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/resultcache"
 	"repro/internal/version"
 )
@@ -85,6 +81,7 @@ type WorkerMetrics struct {
 // coordinator.
 type Worker struct {
 	cfg    WorkerConfig
+	tiers  resultcache.Tiers
 	client *http.Client
 	auth   *authenticator
 
@@ -114,6 +111,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Worker{
 		cfg:    cfg,
+		tiers:  resultcache.Tiers{Memory: cfg.Cache, Disk: cfg.Store},
 		client: client,
 		auth:   newAuthenticator(cfg.Token),
 		ctx:    ctx,
@@ -284,65 +282,34 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Unlock()
 	resp := ExecuteResponse{APIVersion: api.Version, CellID: cell.ID, Key: key, Worker: advertise, Engine: cell.Engine}
 
-	if w.cfg.Cache != nil {
-		if body, costNs, ok := w.cfg.Cache.GetCost(key); ok {
-			w.Stats.CacheHits.Inc()
-			resp.Source, resp.Body, resp.ExecNs = "cache", body, costNs
-			writeFleetJSON(rw, http.StatusOK, resp)
-			return
-		}
-	}
-	if w.cfg.Store != nil {
-		if body, costNs, ok := w.cfg.Store.Get(key); ok {
-			w.Stats.DiskHits.Inc()
-			if w.cfg.Cache != nil {
-				w.cfg.Cache.PutCost(key, body, costNs)
-			}
-			resp.Source, resp.Body, resp.ExecNs = "disk", body, costNs
-			writeFleetJSON(rw, http.StatusOK, resp)
-			return
-		}
-	}
-	if body, costNs, ok := w.peerFetch(r.Context(), key, r.Header.Get(api.RequestIDHeader)); ok {
-		w.Stats.PeerFills.Inc()
-		if w.cfg.Cache != nil {
-			w.cfg.Cache.PutCost(key, body, costNs)
-		}
-		resp.Source, resp.Body, resp.ExecNs = "peer", body, costNs
-		writeFleetJSON(rw, http.StatusOK, resp)
-		return
-	}
-
-	start := time.Now()
-	var res any
-	var runErr error
-	pprof.Do(r.Context(), pprof.Labels("campaign", plan.Kind, "cell", cell.ID), func(ctx context.Context) {
-		res, runErr = cell.Run(ctx)
+	// Peer-filled and executed bytes land in both local tiers, so the
+	// store keeps them across a restart.
+	l, err := w.tiers.Resolve(r.Context(), key, func(ctx context.Context) ([]byte, uint64, bool) {
+		return w.peerFetch(ctx, key, r.Header.Get(api.RequestIDHeader))
+	}, func(ctx context.Context) ([]byte, error) {
+		return plan.RunBody(ctx, req.Index)
 	})
-	if runErr != nil {
-		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusInternalServerError, "internal", "", fmt.Sprintf("cell %s: %v", cell.ID, runErr))
-		return
-	}
-	body, err := report.CanonicalJSON(res)
 	if err != nil {
 		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusInternalServerError, "internal", "", fmt.Sprintf("encode cell %s: %v", cell.ID, err))
+		writeFleetError(rw, http.StatusInternalServerError, "internal", "", fmt.Sprintf("cell %s: %v", cell.ID, err))
 		return
 	}
-	elapsed := uint64(time.Since(start))
-	w.Stats.Executions.Inc()
-	w.Stats.ExecNs.Observe(elapsed)
-	// Cache locally in both tiers: the worker's future dispatches (and
-	// the rest of the fleet, via the cell-read endpoint) reuse the work
-	// even if the coordinator's copy is evicted.
-	if w.cfg.Cache != nil {
-		w.cfg.Cache.PutCost(key, body, elapsed)
+	switch l.Source {
+	case resultcache.Memory:
+		w.Stats.CacheHits.Inc()
+		resp.Source = "cache"
+	case resultcache.Disk:
+		w.Stats.DiskHits.Inc()
+		resp.Source = "disk"
+	case resultcache.Filled:
+		w.Stats.PeerFills.Inc()
+		resp.Source = "peer"
+	default:
+		w.Stats.Executions.Inc()
+		w.Stats.ExecNs.Observe(l.CostNs)
+		resp.Source = "executed"
 	}
-	if w.cfg.Store != nil {
-		w.cfg.Store.Put(key, body, elapsed)
-	}
-	resp.Source, resp.Body, resp.ExecNs = "executed", body, elapsed
+	resp.Body, resp.ExecNs = l.Body, l.CostNs
 	writeFleetJSON(rw, http.StatusOK, resp)
 }
 
@@ -357,20 +324,10 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 		writeAuthError(rw, err)
 		return
 	}
-	key := r.PathValue("key")
-	if w.cfg.Cache != nil {
-		if body, costNs, ok := w.cfg.Cache.GetCost(key); ok {
-			w.Stats.CellServes.Inc()
-			serveCell(rw, body, costNs)
-			return
-		}
-	}
-	if w.cfg.Store != nil {
-		if body, costNs, ok := w.cfg.Store.Get(key); ok {
-			w.Stats.CellServes.Inc()
-			serveCell(rw, body, costNs)
-			return
-		}
+	if l := w.tiers.Get(r.PathValue("key")); l.Source != resultcache.Miss {
+		w.Stats.CellServes.Inc()
+		serveCell(rw, l.Body, l.CostNs)
+		return
 	}
 	writeFleetError(rw, http.StatusNotFound, "not_found", "", "cell not in this worker's tiers")
 }
@@ -384,30 +341,12 @@ func (w *Worker) peerFetch(ctx context.Context, key, requestID string) ([]byte, 
 	if w.cfg.Coordinator == "" {
 		return nil, 0, false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+PathCells+url.PathEscape(key), nil)
-	if err != nil {
-		return nil, 0, false
-	}
+	header := http.Header{}
 	w.mu.Lock()
-	req.Header.Set(peerHeader, w.advertise)
+	header.Set(peerHeader, w.advertise)
 	w.mu.Unlock()
 	if requestID != "" {
-		req.Header.Set(api.RequestIDHeader, requestID)
+		header.Set(api.RequestIDHeader, requestID)
 	}
-	w.auth.sign(req, nil)
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, 0, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil || len(body) == 0 || !json.Valid(body) {
-		return nil, 0, false
-	}
-	costNs, _ := strconv.ParseUint(resp.Header.Get(execCostHeader), 10, 64)
-	return body, costNs, true
+	return fetchCell(ctx, w.client, w.auth, w.cfg.Coordinator, key, header)
 }

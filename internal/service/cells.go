@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -201,96 +200,69 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 	err = parallel.ForEach(ctx, j.params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
 		cell := &plan.Cells[i]
 		key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
-		if body, ok := s.cellCache.Get(key); ok {
-			s.metrics.cells.Hits.Inc()
-			partials[i] = body
-			j.cells.recordCell(j.id, cell.ID, i, "hit", cell.Engine, "", "")
-			return nil
-		}
-		// Disk tier: a cell some earlier process (or an evicted cache
-		// generation) already simulated. Promote it so siblings in this
-		// grid — and the next campaign — hit memory.
-		if s.store != nil {
-			if body, costNs, ok := s.store.Get(key); ok {
-				s.metrics.cells.DiskHits.Inc()
-				s.cellCache.PutCost(key, body, costNs)
-				partials[i] = body
-				j.cells.recordCell(j.id, cell.ID, i, "disk", cell.Engine, "", "")
-				return nil
-			}
-		}
-		s.metrics.cells.Misses.Inc()
-		start := time.Now()
 		// Fleet dispatch: in coordinator mode a missed cell is executed
-		// on a worker, with retry/hedging absorbed inside Dispatch so
-		// exactly one result ever comes back per miss — the Misses ==
+		// on a worker, with retry/hedging absorbed inside DispatchBudget
+		// so exactly one result ever comes back per miss — the Misses ==
 		// Executions invariant is placement-independent. When dispatch
 		// cannot produce a result (no live workers, budget exhausted,
 		// every attempt failed), bidirectional peer fill gets one shot —
 		// a worker's cache tier may still hold bytes the fleet already
 		// paid for — and then the cell falls back to local execution:
 		// the fleet accelerates campaigns, never gates them.
-		var body []byte
 		var workerURL, placement string
-		costNs := uint64(0)
+		var fill func(context.Context) ([]byte, uint64, bool)
 		if s.fleet != nil {
-			if resp, err := s.fleet.DispatchBudget(ctx, fleet.ExecuteRequest{
-				Kind:      plan.Kind,
-				Params:    j.params,
-				Index:     i,
-				CellID:    cell.ID,
-				Key:       key,
-				RequestID: j.requestID,
-			}, j.budget); err == nil {
-				body, workerURL, costNs, placement = resp.Body, resp.Worker, resp.ExecNs, resp.Placement
-			} else if pb, pc, pw, ok := s.fleet.PeerFill(ctx, key); ok {
-				body, workerURL, costNs, placement = pb, pw, pc, "peer_fill"
+			fill = func(ctx context.Context) ([]byte, uint64, bool) {
+				if resp, err := s.fleet.DispatchBudget(ctx, fleet.ExecuteRequest{
+					Kind:      plan.Kind,
+					Params:    j.params,
+					Index:     i,
+					CellID:    cell.ID,
+					Key:       key,
+					RequestID: j.requestID,
+				}, j.budget); err == nil {
+					workerURL, placement = resp.Worker, resp.Placement
+					return resp.Body, resp.ExecNs, true
+				}
+				body, costNs, worker, ok := s.fleet.PeerFill(ctx, key, "")
+				if ok {
+					workerURL, placement = worker, "peer_fill"
+				}
+				return body, costNs, ok
 			}
 		}
-		if body == nil {
-			// Label the execution so CPU profiles attribute samples to the
-			// campaign kind and grid coordinate they simulated.
-			var res any
-			var runErr error
-			pprof.Do(ctx, pprof.Labels("campaign", plan.Kind, "cell", cell.ID), func(ctx context.Context) {
-				res, runErr = cell.Run(ctx)
-			})
-			if runErr != nil {
-				return runErr
-			}
-			var err error
-			body, err = report.CanonicalJSON(res)
+		// The tiers file a fresh partial in memory and on disk the moment
+		// it completes: a drain or cancel later in the campaign keeps this
+		// cell's work, and the write-behind disk Put survives a process
+		// death. A remote cell keeps the worker's measured cost, so
+		// eviction still weighs simulation time rather than network time.
+		l, err := s.cells.Resolve(ctx, key, fill, func(ctx context.Context) ([]byte, error) {
+			return plan.RunBody(ctx, i)
+		})
+		switch l.Source {
+		case resultcache.Memory:
+			s.metrics.cells.Hits.Inc()
+		case resultcache.Disk:
+			s.metrics.cells.DiskHits.Inc()
+		default:
+			s.metrics.cells.Misses.Inc()
 			if err != nil {
-				return fmt.Errorf("encode cell %s: %w", cell.ID, err)
+				return err
+			}
+			s.metrics.cells.Executions.Inc()
+			span(&s.metrics.cells.ExecNs, l.MissPath)
+			// Engine-tier accounting: kinds without an engine choice always
+			// simulate, so anything not explicitly analytic counts as sim.
+			if cell.Engine == experiments.EngineAnalytic {
+				s.metrics.cells.EngineAnalytic.Inc()
+				span(&s.metrics.cells.EngineAnalyticNs, l.MissPath)
+			} else {
+				s.metrics.cells.EngineSim.Inc()
+				span(&s.metrics.cells.EngineSimNs, l.MissPath)
 			}
 		}
-		s.metrics.cells.Executions.Inc()
-		elapsed := time.Since(start)
-		span(&s.metrics.cells.ExecNs, elapsed)
-		// Engine-tier accounting: kinds without an engine choice always
-		// simulate, so anything not explicitly analytic counts as sim.
-		if cell.Engine == experiments.EngineAnalytic {
-			s.metrics.cells.EngineAnalytic.Inc()
-			span(&s.metrics.cells.EngineAnalyticNs, elapsed)
-		} else {
-			s.metrics.cells.EngineSim.Inc()
-			span(&s.metrics.cells.EngineSimNs, elapsed)
-		}
-		// Cache the partial the moment it completes — in both tiers: a
-		// drain or cancel later in the campaign keeps this cell's work,
-		// and the write-behind disk Put survives a process death. The
-		// exec time rides along as the eviction currency (a remote cell
-		// keeps the worker's measured cost, so eviction still weighs
-		// simulation time rather than network time).
-		if costNs == 0 {
-			costNs = uint64(elapsed)
-		}
-		s.cellCache.PutCost(key, body, costNs)
-		if s.store != nil {
-			s.store.Put(key, body, costNs)
-		}
-		partials[i] = body
-		j.cells.recordCell(j.id, cell.ID, i, "miss", cell.Engine, workerURL, placement)
+		partials[i] = l.Body
+		j.cells.recordCell(j.id, cell.ID, i, cacheLabel[l.Source], cell.Engine, workerURL, placement)
 		return nil
 	})
 	if err != nil {

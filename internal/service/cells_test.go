@@ -400,7 +400,7 @@ func TestFailingCellIsMissNotExecution(t *testing.T) {
 	if m, x := c.Misses.Load(), c.Executions.Load(); m != 1 || x != 0 {
 		t.Errorf("misses=%d executions=%d, want 1 and 0", m, x)
 	}
-	if st := e.s.CellCache().Stats(); st.Entries != 0 {
+	if st := e.s.cells.Memory.Stats(); st.Entries != 0 {
 		t.Errorf("failed cell cached: %+v", st)
 	}
 }

@@ -135,7 +135,7 @@ func (m *metrics) serve(w http.ResponseWriter, r *http.Request) {
 	m.server.mu.Unlock()
 	gauge("affinityd_jobs_retained", "Jobs currently retained in the jobs map (queued, running, and recent terminal).", retained)
 
-	cs := m.server.cache.Stats()
+	cs := m.server.bodies.Memory.Stats()
 	counter("affinityd_cache_hits_total", "Result-cache hits.", cs.Hits)
 	counter("affinityd_cache_misses_total", "Result-cache misses.", cs.Misses)
 	counter("affinityd_cache_evictions_total", "Result-cache LRU evictions.", cs.Evictions)
@@ -156,7 +156,7 @@ func (m *metrics) serve(w http.ResponseWriter, r *http.Request) {
 		"# TYPE affinityd_cell_engine_executions_total counter\n")
 	fmt.Fprintf(&b, "affinityd_cell_engine_executions_total{engine=\"sim\"} %d\n", m.cells.EngineSim.Load())
 	fmt.Fprintf(&b, "affinityd_cell_engine_executions_total{engine=\"analytic\"} %d\n", m.cells.EngineAnalytic.Load())
-	ccs := m.server.cellCache.Stats()
+	ccs := m.server.cells.Memory.Stats()
 	counter("affinityd_cellcache_evictions_total", "Cell-cache LRU evictions.", ccs.Evictions)
 	gauge("affinityd_cellcache_entries", "Cell-cache resident entries.", ccs.Entries)
 	gauge("affinityd_cellcache_bytes", "Cell-cache resident bytes.", ccs.Bytes)
@@ -165,8 +165,8 @@ func (m *metrics) serve(w http.ResponseWriter, r *http.Request) {
 	// Persistent disk tier. Rendered even when no store is configured (all
 	// zeros) so dashboards and scrape tests see a stable metric set.
 	var ds diskstore.Stats
-	if m.server.store != nil {
-		ds = m.server.store.Stats()
+	if m.server.cells.Disk != nil {
+		ds = m.server.cells.Disk.Stats()
 	}
 	counter("affinityd_store_hits_total", "Disk-store hits (CRC-verified reads).", ds.Hits)
 	counter("affinityd_store_misses_total", "Disk-store misses.", ds.Misses)

@@ -181,6 +181,9 @@ func (c Config) withDefaults() Config {
 	if c.HedgeBudget == 0 {
 		c.HedgeBudget = 16
 	}
+	if c.CellCache == nil {
+		c.CellCache = resultcache.New(c.CacheBytes)
+	}
 	return c
 }
 
@@ -335,15 +338,12 @@ type jobView struct {
 // tests can drive it through httptest or a real socket alike.
 type Server struct {
 	cfg     Config
-	cache   *resultcache.Cache
 	metrics *metrics
 	mux     *http.ServeMux
-	// cellCache holds per-cell partial results, keyed by cell content
-	// address.
-	cellCache *resultcache.Cache
-	// store is the disk tier under both caches; nil when persistence is
-	// disabled.
-	store *diskstore.Store
+	// bodies holds whole campaign results, cells per-cell partials, each
+	// keyed by content address. Both share one disk tier (nil when
+	// persistence is disabled).
+	bodies, cells resultcache.Tiers
 	// fleet is the coordinator-mode dispatcher; nil when this daemon
 	// executes every cell itself.
 	fleet *fleet.Coordinator
@@ -368,16 +368,11 @@ type Server struct {
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	cellCache := cfg.CellCache
-	if cellCache == nil {
-		cellCache = resultcache.New(cfg.CacheBytes)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
-		cache:       resultcache.New(cfg.CacheBytes),
-		cellCache:   cellCache,
-		store:       cfg.Store,
+		bodies:      resultcache.Tiers{Memory: resultcache.New(cfg.CacheBytes), Disk: cfg.Store},
+		cells:       resultcache.Tiers{Memory: cfg.CellCache, Disk: cfg.Store},
 		fleet:       cfg.Fleet,
 		fleetWorker: cfg.FleetWorker,
 		queue:       make(chan *job, cfg.QueueDepth),
@@ -426,10 +421,7 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Cache exposes the result cache (the smoke gate reads its counters).
-func (s *Server) Cache() *resultcache.Cache { return s.cache }
-
-// CellCache exposes the per-cell result cache.
-func (s *Server) CellCache() *resultcache.Cache { return s.cellCache }
+func (s *Server) Cache() *resultcache.Cache { return s.bodies.Memory }
 
 // campaignRequest is the POST /v1/campaigns body.
 type campaignRequest struct {
@@ -485,26 +477,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.submitted.Add(1)
 
-	// Memoized result: serve the stored bytes verbatim.
-	lookupStart := time.Now()
-	body, hit := s.cache.Get(key)
-	span(&s.metrics.spanCacheLookup, time.Since(lookupStart))
-	if hit {
-		writeBody(w, body, "hit", key)
-		return
+	// Memoized result: serve the stored bytes verbatim. A disk hit is
+	// CRC-verified bytes an earlier process paid for, promoted into the
+	// memory tier — indistinguishable from a fresh run.
+	l := s.bodies.Get(key)
+	span(&s.metrics.spanCacheLookup, l.MemoryProbe)
+	if s.bodies.Disk != nil && l.Source != resultcache.Memory {
+		span(&s.metrics.spanStoreLookup, l.DiskProbe)
 	}
-	// Second tier: the persistent store. A hit is CRC-verified bytes an
-	// earlier process paid for; promote it into the LRU tier (with its
-	// cost metadata) and serve it — indistinguishable from a fresh run.
-	if s.store != nil {
-		storeStart := time.Now()
-		diskBody, costNs, ok := s.store.Get(key)
-		span(&s.metrics.spanStoreLookup, time.Since(storeStart))
-		if ok {
-			s.cache.PutCost(key, diskBody, costNs)
-			writeBody(w, diskBody, "disk", key)
-			return
-		}
+	if l.Source != resultcache.Miss {
+		writeBody(w, l.Body, cacheLabel[l.Source], key)
+		return
 	}
 
 	admitStart := time.Now()
@@ -784,10 +767,7 @@ func (s *Server) worker() {
 			// memory tier's Stats and the disk tier's bytes-per-simulated-
 			// second eviction weigh the body by what it took to build. The
 			// store Put is write-behind and never blocks this worker.
-			s.cache.PutCost(j.key, body, uint64(elapsed))
-			if s.store != nil {
-				s.store.Put(j.key, body, uint64(elapsed))
-			}
+			s.bodies.Put(j.key, body, uint64(elapsed))
 			s.metrics.observe(j.kind, elapsed)
 			s.metrics.foldSim(j.stats)
 			s.finish(j, statusDone, body, "")
@@ -1187,10 +1167,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // syncStore flushes the persistent tier's write-behind queue, bounded by
 // ctx. A nil store (persistence disabled) is a no-op.
 func (s *Server) syncStore(ctx context.Context) error {
-	if s.store == nil {
+	if s.cells.Disk == nil {
 		return nil
 	}
-	return s.store.Sync(ctx)
+	return s.cells.Disk.Sync(ctx)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -1200,6 +1180,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
 }
+
+// cacheLabel is the X-Cache value, and the cell event's cache field, of
+// each lookup source: "hit" (memory tier), "disk", or "miss".
+var cacheLabel = [...]string{resultcache.Miss: "miss", resultcache.Memory: "hit", resultcache.Disk: "disk", resultcache.Filled: "miss", resultcache.Executed: "miss"}
 
 // writeBody serves a campaign result body. source labels how it was
 // obtained: "hit" (result cache), "disk" (persistent store, promoted on

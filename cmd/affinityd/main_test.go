@@ -608,6 +608,10 @@ func TestCellSmoke(t *testing.T) {
 //  3. The final body must be byte-identical to a cold single-process
 //     run, with the coordinator's misses == executions invariant intact
 //     (duplicates from hedging never double-fold).
+//  4. The coordinator and the first worker run with a -store-dir, so
+//     their disk tiers sit in every lookup: the coordinator files every
+//     cell and the body on disk, the worker every cell it executed or
+//     peer-filled. Both must drain and exit cleanly on SIGTERM.
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary build and campaign runs in -short mode")
@@ -705,12 +709,17 @@ func TestFleetSmoke(t *testing.T) {
 	// hedge delay makes any straggler (including the one we orphan by
 	// SIGKILL) re-dispatch quickly.
 	const token = "fleet-smoke-secret"
-	coord, coordBase := boot("-coordinator", "-fleet-token", token, "-hedge-ms", "250", "-jobs", "1", "-queue", "4")
+	coord, coordBase := boot("-coordinator", "-fleet-token", token, "-hedge-ms", "250", "-jobs", "1", "-queue", "4",
+		"-store-dir", t.TempDir())
 	defer coord.Process.Kill()
 	var workers []*exec.Cmd
 	var workerBases []string
 	for i := 0; i < 3; i++ {
-		w, base := boot("-join", coordBase, "-fleet-token", token)
+		args := []string{"-join", coordBase, "-fleet-token", token}
+		if i == 0 {
+			args = append(args, "-store-dir", t.TempDir())
+		}
+		w, base := boot(args...)
 		defer w.Process.Kill()
 		workers = append(workers, w)
 		workerBases = append(workerBases, base)
@@ -928,6 +937,29 @@ func TestFleetSmoke(t *testing.T) {
 		t.Errorf("job view missing worker attribution: %+v", attributed)
 	}
 
-	coord.Process.Signal(syscall.SIGTERM)
-	coord.Wait()
+	// The disk legs ran: the coordinator filed every cell and the body;
+	// the store-backed worker, unless it was the one killed, filed every
+	// cell it executed or peer-filled. Its store Put precedes the counter
+	// increment, so a straggler still finishing can only add puts.
+	if puts := metric(coordBase, "affinityd_store_puts_total"); puts < totalCells+1 {
+		t.Errorf("coordinator store puts = %d, want >= %d (every cell and the body)", puts, totalCells+1)
+	}
+	if metric(coordBase, "affinityd_store_misses_total") < totalCells+1 {
+		t.Errorf("coordinator lookups did not probe its disk tier")
+	}
+	stopped := []*exec.Cmd{coord}
+	if victim != 0 {
+		base := workerBases[0]
+		filled := metric(base, "affinityd_fleet_worker_executions_total") + metric(base, "affinityd_fleet_worker_peer_fills_total")
+		if puts := metric(base, "affinityd_store_puts_total"); puts < filled {
+			t.Errorf("store-backed worker: store puts = %d, want >= %d (executions + peer fills)", puts, filled)
+		}
+		stopped = append(stopped, workers[0])
+	}
+	for _, p := range stopped {
+		p.Process.Signal(syscall.SIGTERM)
+		if err := p.Wait(); err != nil {
+			t.Errorf("%s did not exit cleanly on SIGTERM: %v", strings.Join(p.Args, " "), err)
+		}
+	}
 }

@@ -37,7 +37,8 @@ type Lookup struct {
 	MemoryProbe, DiskProbe, MissPath time.Duration
 }
 
-// Get looks key up in memory, then on disk.
+// Get looks key up in memory, then on disk; a disk hit is promoted
+// into memory with its cost.
 func (t Tiers) Get(key string) (l Lookup) {
 	var ok bool
 	if t.Memory != nil {

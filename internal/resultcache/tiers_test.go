@@ -155,6 +155,23 @@ func TestTiersZeroFillCostBecomesWallTime(t *testing.T) {
 	}
 }
 
+// TestTiersRunCostExcludesFill: bytes run after a missed fill are filed
+// under the run's own time, while MissPath covers both steps.
+func TestTiersRunCostExcludesFill(t *testing.T) {
+	const pause = 50 * time.Millisecond
+	var runs int
+	l, err := Tiers{Memory: New(1 << 20)}.Resolve(context.Background(), "k", func(context.Context) ([]byte, uint64, bool) {
+		time.Sleep(pause)
+		return nil, 0, false
+	}, fixed([]byte(`{"v":6}`), &runs))
+	if err != nil || l.Source != Executed || runs != 1 {
+		t.Fatalf("Resolve = %+v err=%v runs=%d, want an execution", l, err, runs)
+	}
+	if l.CostNs >= uint64(pause) || l.MissPath < pause {
+		t.Errorf("cost %dns, miss path %v: want a cost under the fill's %v and a miss path over it", l.CostNs, l.MissPath, pause)
+	}
+}
+
 // TestTiersConcurrentResolve runs many Resolves of one key at once; run
 // under -race it checks the chain shares its tiers safely. Every caller
 // gets the same bytes and the key is filed once.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -322,5 +323,99 @@ func TestWorkersPaginationAndDetail(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("non-coordinator detail: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestPeerFillServesFailedDispatch pins the one peer read the fleet
+// keeps: when every dispatch attempt fails, runCells asks the workers'
+// tiers before executing locally. A worker that refuses to execute but
+// holds the cell serves it; the event names that worker with placement
+// "peer_fill", and the coordinator files the bytes under the worker's
+// cost.
+func TestPeerFillServesFailedDispatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign runs in -short mode")
+	}
+	const seededCost = 4242
+	params := experiments.CampaignParams{Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition"}}
+	plan, err := experiments.Cells("compare", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Cells) != 1 {
+		t.Fatalf("plan has %d cells, want 1", len(plan.Cells))
+	}
+	key := resultcache.Key(plan.Cells[0].KeyKind, plan.Cells[0].KeyParams, version.Engine)
+	partial, err := plan.RunBody(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST "+fleet.PathExecute, func(w http.ResponseWriter, r *http.Request) {
+		api.WriteError(w, http.StatusInternalServerError, "internal", "", "refusing to execute")
+	})
+	mux.HandleFunc("GET "+fleet.PathCells+"{key}", func(w http.ResponseWriter, r *http.Request) {
+		if r.PathValue("key") != key {
+			api.WriteError(w, http.StatusNotFound, "not_found", "", "no such cell")
+			return
+		}
+		w.Header().Set("X-Exec-Cost-Ns", fmt.Sprint(seededCost))
+		w.Write(partial)
+	})
+	fake := httptest.NewServer(mux)
+	t.Cleanup(fake.Close)
+
+	coordCache := resultcache.New(1 << 20)
+	e := newEnv(t, Config{
+		Fleet:     fleet.NewCoordinator(fleet.Config{Cache: coordCache, Backoff: time.Millisecond, HedgeDelay: time.Minute}),
+		CellCache: coordCache,
+	})
+	registerFleetWorker(t, e, fake.URL, 4)
+
+	campaign := `{"kind":"compare","params":{"fast":true,"reps":1,"mix":5,"policies":["Equipartition"]}`
+	resp := e.submit(campaign + `,"async":true}`)
+	raw := readAll(t, resp)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit: %d %s", resp.StatusCode, raw)
+	}
+	var v jobView
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	er, err := http.Get(e.url + v.EventsURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []jobEvent
+	dec := json.NewDecoder(er.Body)
+	for {
+		var ev jobEvent
+		if err := dec.Decode(&ev); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	er.Body.Close()
+	if len(events) != 2 || events[1].Type != "done" {
+		t.Fatalf("events = %+v, want one cell event and done", events)
+	}
+	if ev := events[0]; ev.Worker != fake.URL || ev.Placement != "peer_fill" {
+		t.Errorf("cell event worker=%q placement=%q, want %q peer_fill", ev.Worker, ev.Placement, fake.URL)
+	}
+
+	rr, err := http.Get(e.url + events[1].ResultURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, rr)
+	ref := newEnv(t, Config{}).submit(campaign + `}`)
+	if refBody := readAll(t, ref); !bytes.Equal(body, refBody) {
+		t.Errorf("peer-filled body differs from fleet-less run:\n%.200s\n%.200s", body, refBody)
+	}
+	if b, cost, ok := coordCache.GetCost(key); !ok || !bytes.Equal(b, partial) || cost != seededCost {
+		t.Errorf("coordinator cell cache: %.60q cost %d ok=%v, want the worker's bytes at cost %d", b, cost, ok, seededCost)
 	}
 }

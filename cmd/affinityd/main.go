@@ -171,18 +171,15 @@ func run() (err error) {
 			*storeDir, st.Entries, st.Segments, st.DiskBytes)
 		cfg.Store = store
 	}
-	// The cell cache is built here so the fleet side and the service
-	// share one instance: the coordinator's peer cache fill must serve
-	// exactly the tiers the service reads, and a worker's execute path
-	// must reuse what its own /v1 traffic cached.
+	// The cell cache is built here so a worker's execute path and its
+	// service share one instance: a dispatched cell reuses what the
+	// worker's own /v1 traffic cached.
 	cfg.CellCache = resultcache.New(cfg.CacheBytes)
 	var fleetWorker *fleet.Worker
 	switch {
 	case *coordinator:
 		cfg.HedgeBudget = *hedgeBudget
 		cfg.Fleet = fleet.NewCoordinator(fleet.Config{
-			Cache:      cfg.CellCache,
-			Store:      cfg.Store,
 			Token:      *fleetToken,
 			HedgeDelay: time.Duration(*hedgeMS) * time.Millisecond,
 		})

@@ -939,7 +939,7 @@ func TestFleetSmoke(t *testing.T) {
 
 	// The disk legs ran: the coordinator filed every cell and the body;
 	// the store-backed worker, unless it was the one killed, filed every
-	// cell it executed or peer-filled. Its store Put precedes the counter
+	// cell it executed. Its store Put precedes the counter
 	// increment, so a straggler still finishing can only add puts.
 	if puts := metric(coordBase, "affinityd_store_puts_total"); puts < totalCells+1 {
 		t.Errorf("coordinator store puts = %d, want >= %d (every cell and the body)", puts, totalCells+1)
@@ -950,9 +950,9 @@ func TestFleetSmoke(t *testing.T) {
 	stopped := []*exec.Cmd{coord}
 	if victim != 0 {
 		base := workerBases[0]
-		filled := metric(base, "affinityd_fleet_worker_executions_total") + metric(base, "affinityd_fleet_worker_peer_fills_total")
-		if puts := metric(base, "affinityd_store_puts_total"); puts < filled {
-			t.Errorf("store-backed worker: store puts = %d, want >= %d (executions + peer fills)", puts, filled)
+		executed := metric(base, "affinityd_fleet_worker_executions_total")
+		if puts := metric(base, "affinityd_store_puts_total"); puts < executed {
+			t.Errorf("store-backed worker: store puts = %d, want >= %d (executions)", puts, executed)
 		}
 		stopped = append(stopped, workers[0])
 	}

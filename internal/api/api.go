@@ -26,8 +26,8 @@ import (
 const Version = "v1"
 
 // RequestIDHeader carries the request id minted at the submitting edge.
-// The coordinator forwards it on every dispatch and peer fill, and the
-// serving side echoes it back, so one campaign's cells correlate across
+// The coordinator forwards it on every dispatch, and the serving side
+// echoes it back, so one campaign's cells correlate across
 // the whole fleet.
 const RequestIDHeader = "X-Request-Id"
 

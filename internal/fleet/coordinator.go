@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/diskstore"
 	"repro/internal/obs"
 	"repro/internal/resultcache"
 	"repro/internal/version"
@@ -35,12 +34,12 @@ var ErrBudgetExhausted = errors.New("fleet: re-dispatch budget exhausted")
 // Config parameterizes a Coordinator. Zero values select the defaults
 // noted per field.
 type Config struct {
-	// Cache and Store are the coordinator's cell cache and persistent
-	// tier — the same instances the service reads — so peer cache fill
-	// serves exactly what the coordinator would have served itself.
-	// Either may be nil.
+	// Cache is not read: the coordinator serves no cell reads, and the
+	// service that dispatches through it owns the cell tiers. It stays
+	// so callers that set it keep compiling.
+	//
+	// Deprecated: set service.Config.CellCache instead.
 	Cache *resultcache.Cache
-	Store *diskstore.Store
 	// Token is the fleet's shared secret (-fleet-token). Non-empty
 	// enables HMAC authentication on every fleet request, inbound and
 	// outbound (auth.go); empty keeps the open trusted-network mode.
@@ -90,7 +89,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// peerFillFanout caps how many workers one relayed cell read probes.
+// peerFillFanout caps how many workers one PeerFill probes.
 const peerFillFanout = 3
 
 // Metrics are the coordinator's fleet counters, written lock-free on
@@ -127,12 +126,9 @@ type Metrics struct {
 	// Expirations counts workers dropped — heartbeat TTL expiry or a
 	// connection-level dispatch failure (they re-register if alive).
 	Expirations obs.Counter
-	// PeerHits/PeerMisses count peer cache-fill lookups served/missed
-	// from the coordinator's own cache tiers.
-	PeerHits   obs.Counter
-	PeerMisses obs.Counter
-	// WorkerFills counts cell reads the coordinator resolved by
-	// relaying to another worker's tiers after missing its own.
+	// WorkerFills counts PeerFill calls a worker's tiers answered: cells
+	// the coordinator took from a worker after a dispatch returned
+	// nothing.
 	WorkerFills obs.Counter
 	// PlacementDecisions counts scored placement decisions (one per
 	// launched attempt).
@@ -183,7 +179,6 @@ func WorkerID(url string) string {
 // Coordinator owns the fleet's worker registry and cell dispatch.
 type Coordinator struct {
 	cfg    Config
-	tiers  resultcache.Tiers
 	client *http.Client
 	auth   *authenticator
 
@@ -203,7 +198,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	return &Coordinator{
 		cfg:     cfg,
-		tiers:   resultcache.Tiers{Memory: cfg.Cache, Disk: cfg.Store},
 		client:  client,
 		auth:    newAuthenticator(cfg.Token),
 		workers: make(map[string]*workerState),
@@ -213,10 +207,11 @@ func NewCoordinator(cfg Config) *Coordinator {
 // AuthEnabled reports whether the fleet transport requires signatures.
 func (c *Coordinator) AuthEnabled() bool { return c.auth.enabled() }
 
-// RegisterHandlers mounts the coordinator's fleet endpoints.
+// RegisterHandlers mounts the coordinator's one fleet endpoint,
+// registration. Fleet traffic is otherwise one-way: the coordinator
+// calls its workers, and a worker never calls back.
 func (c *Coordinator) RegisterHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathRegister, c.handleRegister)
-	mux.HandleFunc("GET "+PathCells+"{key}", c.handleCell)
 }
 
 // readVerified reads and authenticates a fleet request's body. On
@@ -286,49 +281,12 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCell is peer cache fill: a fleet member asks for a cell body
-// the fleet may already have paid for. The coordinator checks its own
-// tiers, then relays the read to the other workers' tiers — excluding
-// the requester (X-Fleet-Peer), which just reported the miss.
-func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) {
-	api.EchoRequestID(w, r)
-	if err := c.auth.verify(r, nil); err != nil {
-		c.Stats.AuthRejections.Inc()
-		writeAuthError(w, err)
-		return
-	}
-	key := r.PathValue("key")
-	// With no run step Resolve cannot fail.
-	l, _ := c.tiers.Resolve(r.Context(), key, func(ctx context.Context) ([]byte, uint64, bool) {
-		body, costNs, _, ok := c.PeerFill(ctx, key, r.Header.Get(peerHeader))
-		return body, costNs, ok
-	}, nil)
-	switch l.Source {
-	case resultcache.Memory, resultcache.Disk:
-		c.Stats.PeerHits.Inc()
-	case resultcache.Filled:
-		c.Stats.WorkerFills.Inc()
-	default:
-		c.Stats.PeerMisses.Inc()
-		writeFleetError(w, http.StatusNotFound, "not_found", "", "cell not cached anywhere in the fleet")
-		return
-	}
-	serveCell(w, l.Body, l.CostNs)
-}
-
-// serveCell writes a raw cell body with its exec-cost metadata.
-func serveCell(w http.ResponseWriter, body []byte, costNs uint64) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(execCostHeader, strconv.FormatUint(costNs, 10))
-	w.Write(body)
-}
-
-// PeerFill asks the live workers' tiers, except exclude's, for a cell
-// body the coordinator itself is missing — the reverse direction of
-// peer cache fill, for the relay and for a service whose dispatch could
-// not run the cell. Each probe is bounded by PeerFillTimeout. Returns
-// the serving worker's URL alongside the body.
-func (c *Coordinator) PeerFill(ctx context.Context, key, exclude string) (body []byte, costNs uint64, worker string, ok bool) {
+// PeerFill asks the live workers' tiers for a cell body, for a service
+// whose dispatch returned nothing: a worker may still hold bytes the
+// coordinator lost to a restart or an eviction. It is the only read of
+// another member's tiers in the fleet. Each probe is bounded by
+// PeerFillTimeout. Returns the serving worker's URL alongside the body.
+func (c *Coordinator) PeerFill(ctx context.Context, key string) (body []byte, costNs uint64, worker string, ok bool) {
 	now := time.Now()
 	c.mu.Lock()
 	c.expireLocked(now)
@@ -339,17 +297,11 @@ func (c *Coordinator) PeerFill(ctx context.Context, key, exclude string) (body [
 	cands := make([]cand, 0, len(c.workers))
 	minRTT := 0.0
 	for _, ws := range c.workers {
-		if ws.url == exclude {
-			continue
-		}
 		if ws.rttEWMANs > 0 && (minRTT == 0 || ws.rttEWMANs < minRTT) {
 			minRTT = ws.rttEWMANs
 		}
 	}
 	for _, ws := range c.workers {
-		if ws.url == exclude {
-			continue
-		}
 		cands = append(cands, cand{url: ws.url, score: ws.score(now, minRTT)})
 	}
 	c.mu.Unlock()
@@ -369,28 +321,25 @@ func (c *Coordinator) PeerFill(ctx context.Context, key, exclude string) (body [
 			return nil, 0, "", false
 		}
 		fctx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
-		body, costNs, ok := fetchCell(fctx, c.client, c.auth, cd.url, key, nil)
+		body, costNs, ok := c.fetchCell(fctx, cd.url, key)
 		cancel()
 		if ok {
+			c.Stats.WorkerFills.Inc()
 			return body, costNs, cd.url, true
 		}
 	}
 	return nil, 0, "", false
 }
 
-// fetchCell GETs the cell-read endpoint at base, signed, with header's
-// fields added. Any failure — transport, non-200, an empty or malformed
-// body — is a miss.
-func fetchCell(ctx context.Context, client *http.Client, auth *authenticator, base, key string, header http.Header) ([]byte, uint64, bool) {
+// fetchCell GETs a worker's cell-read endpoint, signed. Any failure —
+// transport, non-200, an empty or malformed body — is a miss.
+func (c *Coordinator) fetchCell(ctx context.Context, base, key string) ([]byte, uint64, bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+PathCells+url.PathEscape(key), nil)
 	if err != nil {
 		return nil, 0, false
 	}
-	for k, v := range header {
-		req.Header[k] = v
-	}
-	auth.sign(req, nil)
-	resp, err := client.Do(req)
+	c.auth.sign(req, nil)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, 0, false
 	}

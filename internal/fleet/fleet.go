@@ -23,14 +23,14 @@
 //     their recomputed cell id and cache key match the request, and
 //     registration rejects engine-version skew, so a mixed-version
 //     fleet can never silently serve wrong bytes.
-//   - Results flow back into the coordinator's caches, so the fleet
-//     shares one logical cache. Peer cache fill closes the loop in both
-//     directions: a worker asks the coordinator's store
-//     (GET /v1/fleet/cells/{key}) before executing, and the coordinator
-//     relays its own misses to the other workers' memory+disk tiers —
-//     so work any fleet member ever finished is never repeated
-//     anywhere, with exec-cost metadata riding along so eviction
-//     currency stays uniform fleet-wide.
+//   - Traffic is one-way. The coordinator dispatches only cells its own
+//     tiers missed, and results flow back into those tiers; a worker
+//     answers from its own tiers or executes, and apart from
+//     registration never calls the coordinator. The coordinator is the
+//     only member that reads another member's tiers
+//     (GET /v1/fleet/cells/{key} on a worker), and only after a
+//     dispatch returned nothing. Exec-cost metadata rides along, so
+//     eviction currency stays uniform fleet-wide.
 //
 // The wire protocol is part of the /v1 API contract (DESIGN.md §7):
 // every response body carries "api_version", every non-2xx response is
@@ -58,7 +58,7 @@ import (
 	"repro/internal/experiments"
 )
 
-// Wire paths, mounted on both daemons' ServeMux by RegisterHandlers.
+// Wire paths, mounted on the daemons' ServeMux by RegisterHandlers.
 // The fleet surface lives in the same versioned namespace as the rest
 // of the /v1 API.
 const (
@@ -67,12 +67,9 @@ const (
 	PathRegister = "/v1/fleet/register"
 	// PathExecute is the cell execution endpoint (worker side).
 	PathExecute = "/v1/fleet/execute"
-	// PathCells is the cell-read prefix, mounted on BOTH sides:
-	// GET PathCells + key returns the cached cell body or a 404
-	// envelope. On the coordinator it serves its two tiers (relaying a
-	// miss to the other workers); on a worker it serves the worker's
-	// own memory+disk tiers, which is what makes peer fill
-	// bidirectional.
+	// PathCells is the cell-read prefix (worker side): GET PathCells +
+	// key returns the cell body from the worker's memory+disk tiers, or
+	// a 404 envelope. The coordinator's PeerFill reads it.
 	PathCells = "/v1/fleet/cells/"
 )
 
@@ -139,8 +136,7 @@ type ExecuteResponse struct {
 	// Engine is the cell's resolved execution tier ("sim"/"analytic").
 	Engine string `json:"engine,omitempty"`
 	// Source tells where the worker got the bytes: "executed",
-	// "cache" (worker memory), "disk" (worker store), or "peer"
-	// (coordinator store via cache fill).
+	// "cache" (worker memory), or "disk" (worker store).
 	Source string `json:"source"`
 	// ExecNs is the execution wall time when Source == "executed", else
 	// the cost metadata that rode along with the cached bytes (0 if
@@ -155,14 +151,9 @@ type ExecuteResponse struct {
 	Placement string `json:"placement,omitempty"`
 }
 
-// execCostHeader carries the exec-cost metadata on peer cache-fill
+// execCostHeader carries the exec-cost metadata on cell-read
 // responses, which return the raw body (not an envelope).
 const execCostHeader = "X-Exec-Cost-Ns"
-
-// peerHeader names the requesting fleet member on a cell-read, so the
-// coordinator's relay never asks the requester for the bytes it just
-// reported missing.
-const peerHeader = "X-Fleet-Peer"
 
 // Budget is a per-campaign cap on dispatch overshoot: every retry and
 // hedge beyond a cell's first attempt spends one unit. When the budget

@@ -321,15 +321,13 @@ func TestHedgeDeterminismProperty(t *testing.T) {
 
 // TestWorkerEndToEnd runs the real Worker against a real cell plan: the
 // worker registers itself, verifies the dispatched plan coordinate,
-// executes the cell, and returns bytes identical to a local run; a cell
-// already in the coordinator's cache is served by peer fill without
-// executing.
+// executes the cell, and returns bytes identical to a local run; a
+// dispatch whose key does not match the plan is refused.
 func TestWorkerEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation cell in -short mode")
 	}
-	cache := resultcache.New(1 << 20)
-	c := NewCoordinator(Config{Cache: cache, HedgeDelay: time.Minute})
+	c := NewCoordinator(Config{HedgeDelay: time.Minute})
 	coord := coordServer(t, c)
 
 	w := NewWorker(WorkerConfig{Coordinator: coord.URL, Capacity: 4, Heartbeat: 50 * time.Millisecond})
@@ -383,52 +381,73 @@ func TestWorkerEndToEnd(t *testing.T) {
 		t.Errorf("worker Executions = %d, want 1", got)
 	}
 
-	// Peer fill: a different key already in the coordinator's cache is
-	// served without the worker executing anything.
-	peerBody := []byte(`{"peer":"filled"}`)
-	cache.PutCost("peer-key", peerBody, 77)
-	peerReq := ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key}
-	peerReq.Key = "peer-key"
-	// The worker verifies plan identity before its tier lookups, so the
+	// The worker verifies plan identity before its tier lookups, so a
 	// mismatched key must be refused, not served.
-	if _, err := c.DispatchBudget(context.Background(), peerReq, nil); err == nil {
+	bad := req
+	bad.Key = "other-key"
+	if _, err := c.DispatchBudget(context.Background(), bad, nil); err == nil {
 		t.Fatal("dispatch with mismatched key succeeded; worker must refuse")
 	}
+}
 
-	// A legitimate peer fill: seed the coordinator cache under the true
-	// key for a worker with empty tiers.
-	w2 := NewWorker(WorkerConfig{Coordinator: coord.URL, Capacity: 4, Heartbeat: 50 * time.Millisecond})
-	w2mux := http.NewServeMux()
-	w2.RegisterHandlers(w2mux)
-	w2ts := httptest.NewServer(w2mux)
-	t.Cleanup(w2ts.Close)
-	w2.Start(w2ts.URL)
-	t.Cleanup(w2.Stop)
-	cache.PutCost(key, want, 123)
-
-	// Force the dispatch onto w2 by filling w1's capacity… simpler: ask
-	// w2 directly over HTTP, which is exactly what a dispatch does.
-	payload, _ := json.Marshal(req)
-	hr, err := http.Post(w2ts.URL+PathExecute, "application/json", bytes.NewReader(payload))
+// TestWorkerNeverCallsCoordinator: fleet traffic is one-way. A worker
+// with empty tiers executes a dispatched cell even though the
+// coordinator holds its bytes, and the coordinator sees no request but
+// registrations.
+func TestWorkerNeverCallsCoordinator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation cell in -short mode")
+	}
+	params := experiments.CampaignParams{Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition"}, Workers: 1}
+	plan, err := experiments.Cells("compare", params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var peerResp ExecuteResponse
-	if err := json.NewDecoder(hr.Body).Decode(&peerResp); err != nil {
+	cell := &plan.Cells[0]
+	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
+	want, err := plan.RunBody(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache := resultcache.New(1 << 20)
+	cache.PutCost(key, want, 123)
+	c := NewCoordinator(Config{Cache: cache, HedgeDelay: time.Minute})
+	mux := http.NewServeMux()
+	c.RegisterHandlers(mux)
+	var mu sync.Mutex
+	var seen []string
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(coord.Close)
+	w, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Capacity: 4})
+
+	payload, _ := json.Marshal(ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key})
+	hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp ExecuteResponse
+	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if peerResp.Source != "peer" || !bytes.Equal(peerResp.Body, want) || peerResp.ExecNs != 123 {
-		t.Fatalf("peer fill source=%q execNs=%d, want peer/123 with the cached body", peerResp.Source, peerResp.ExecNs)
+	if resp.Source != "executed" || !bytes.Equal(resp.Body, want) {
+		t.Fatalf("source %q, body %.80s: want the cell executed on the worker", resp.Source, resp.Body)
 	}
-	if got := w2.Stats.PeerFills.Load(); got != 1 {
-		t.Errorf("worker PeerFills = %d, want 1", got)
+	if got := w.Stats.Executions.Load(); got != 1 {
+		t.Errorf("worker Executions = %d, want 1", got)
 	}
-	if got := w2.Stats.Executions.Load(); got != 0 {
-		t.Errorf("peer-filled worker executed %d cells, want 0", got)
-	}
-	if got := c.Stats.PeerHits.Load(); got != 1 {
-		t.Errorf("coordinator PeerHits = %d, want 1", got)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, req := range seen {
+		if req != "POST "+PathRegister {
+			t.Errorf("coordinator received %s; a worker may only register", req)
+		}
 	}
 }
 
@@ -477,39 +496,6 @@ func getCell(t *testing.T, base, key string) (int, []byte, string) {
 	return resp.StatusCode, body, resp.Header.Get(execCostHeader)
 }
 
-// TestCoordinatorCellRelayFilesBothTiers: a cell read that misses both
-// coordinator tiers is relayed to a worker's cell-read endpoint, served
-// with the worker's cost, and filed in both coordinator tiers under
-// that cost.
-func TestCoordinatorCellRelayFilesBothTiers(t *testing.T) {
-	const key, cost = "relay-key", 4321
-	body := []byte(`{"relayed":true}`)
-	cache, store := resultcache.New(1<<20), openStore(t)
-	c := NewCoordinator(Config{Cache: cache, Store: store, HedgeDelay: time.Minute})
-	coord := coordServer(t, c)
-
-	wcache := resultcache.New(1 << 20)
-	wcache.PutCost(key, body, cost)
-	startWorker(t, WorkerConfig{Coordinator: coord.URL, Cache: wcache})
-
-	code, got, costHdr := getCell(t, coord.URL, key)
-	if code != http.StatusOK || !bytes.Equal(got, body) || costHdr != "4321" {
-		t.Fatalf("relayed read: %d %q cost %q, want 200 %q cost 4321", code, got, costHdr, body)
-	}
-	if n := c.Stats.WorkerFills.Load(); n != 1 {
-		t.Errorf("WorkerFills = %d, want 1", n)
-	}
-	if b, cs, ok := cache.GetCost(key); !ok || !bytes.Equal(b, body) || cs != cost {
-		t.Errorf("coordinator memory tier: %q cost %d ok=%v, want the worker's bytes at cost %d", b, cs, ok, cost)
-	}
-	if err := store.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if b, cs, ok := store.Get(key); !ok || !bytes.Equal(b, body) || cs != cost {
-		t.Errorf("coordinator disk tier: %q cost %d ok=%v, want the worker's bytes at cost %d", b, cs, ok, cost)
-	}
-}
-
 // TestWorkerCellReadServesDisk: a worker's cell-read endpoint serves a
 // cell held only in its disk store, with the stored exec cost.
 func TestWorkerCellReadServesDisk(t *testing.T) {
@@ -533,48 +519,5 @@ func TestWorkerCellReadServesDisk(t *testing.T) {
 	}
 	if code, _, _ := getCell(t, wts.URL, "absent"); code != http.StatusNotFound {
 		t.Errorf("absent key: status %d, want 404", code)
-	}
-}
-
-// TestWorkerPeerFillIsDurable: a cell a worker peer-fills from the
-// coordinator is written to the worker's disk store as well as its
-// memory tier, so the worker still has it after a restart.
-func TestWorkerPeerFillIsDurable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("plans a simulation cell in -short mode")
-	}
-	params := experiments.CampaignParams{Fast: true, Replications: 1, Mix: 5, Policies: []string{"Equipartition"}, Workers: 1}
-	plan, err := experiments.Cells("compare", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := &plan.Cells[0]
-	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
-	body := []byte(`{"peer":"filled"}`)
-
-	cache := resultcache.New(1 << 20)
-	cache.PutCost(key, body, 321)
-	coord := coordServer(t, NewCoordinator(Config{Cache: cache, HedgeDelay: time.Minute}))
-	store := openStore(t)
-	w, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Cache: resultcache.New(1 << 20), Store: store})
-
-	payload, _ := json.Marshal(ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key})
-	hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp ExecuteResponse
-	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if resp.Source != "peer" || w.Stats.PeerFills.Load() != 1 {
-		t.Fatalf("source %q, PeerFills %d: want a peer fill", resp.Source, w.Stats.PeerFills.Load())
-	}
-	if err := store.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !store.Contains(key) {
-		t.Error("peer-filled cell not written to the worker's store")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,14 +35,13 @@ type WorkerConfig struct {
 	// pile work past what was advertised.
 	Capacity int
 	// Cache and Store are the worker's local tiers, consulted before
-	// peer fill and execution, and served back to the fleet via the
-	// cell-read endpoint; either may be nil.
+	// execution and read by the coordinator via the cell-read endpoint;
+	// either may be nil.
 	Cache *resultcache.Cache
 	Store *diskstore.Store
 	// Heartbeat is the registration re-POST interval (default 2s).
 	Heartbeat time.Duration
-	// Client overrides the HTTP client used for heartbeats and peer
-	// fill.
+	// Client overrides the HTTP client used for heartbeats.
 	Client *http.Client
 	// Logf, when non-nil, receives registration failures (a worker keeps
 	// retrying — the coordinator may simply not be up yet).
@@ -59,11 +59,8 @@ type WorkerMetrics struct {
 	// worker's local memory cache / disk store.
 	CacheHits obs.Counter
 	DiskHits  obs.Counter
-	// PeerFills counts cells served by asking the coordinator's store
-	// instead of executing.
-	PeerFills obs.Counter
 	// CellServes counts cell-read requests this worker answered from its
-	// own tiers — the worker's half of bidirectional peer fill.
+	// own tiers (the coordinator's peer fill).
 	CellServes obs.Counter
 	// AuthRejections counts fleet requests this worker refused with 401.
 	AuthRejections obs.Counter
@@ -121,7 +118,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 
 // RegisterHandlers mounts the worker's fleet endpoints: cell execution,
 // and the cell-read endpoint that exposes the worker's own memory+disk
-// tiers to the rest of the fleet (the coordinator relays misses here).
+// tiers to the coordinator.
 func (w *Worker) RegisterHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("POST "+PathExecute, w.handleExecute)
 	mux.HandleFunc("GET "+PathCells+"{key}", w.handleCell)
@@ -214,10 +211,11 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// handleExecute runs one dispatched cell. Lookup order mirrors the
-// coordinator's own tiers, extended by peer cache fill: local memory →
-// local disk → coordinator store → execute. Whatever the source, the
-// response carries the cell's canonical bytes and their provenance.
+// handleExecute runs one dispatched cell: local memory → local disk →
+// execute. The worker never calls back to the coordinator — the
+// coordinator dispatches only cells its own tiers missed. Whatever the
+// source, the response carries the cell's canonical bytes and their
+// provenance.
 func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.Stats.Requests.Inc()
 	api.EchoRequestID(rw, r)
@@ -282,11 +280,9 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Unlock()
 	resp := ExecuteResponse{APIVersion: api.Version, CellID: cell.ID, Key: key, Worker: advertise, Engine: cell.Engine}
 
-	// Peer-filled and executed bytes land in both local tiers, so the
-	// store keeps them across a restart.
-	l, err := w.tiers.Resolve(r.Context(), key, func(ctx context.Context) ([]byte, uint64, bool) {
-		return w.peerFetch(ctx, key, r.Header.Get(api.RequestIDHeader))
-	}, func(ctx context.Context) ([]byte, error) {
+	// Executed bytes land in both local tiers, so the store keeps them
+	// across a restart.
+	l, err := w.tiers.Resolve(r.Context(), key, nil, func(ctx context.Context) ([]byte, error) {
 		return plan.RunBody(ctx, req.Index)
 	})
 	if err != nil {
@@ -301,9 +297,6 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	case resultcache.Disk:
 		w.Stats.DiskHits.Inc()
 		resp.Source = "disk"
-	case resultcache.Filled:
-		w.Stats.PeerFills.Inc()
-		resp.Source = "peer"
 	default:
 		w.Stats.Executions.Inc()
 		w.Stats.ExecNs.Observe(l.CostNs)
@@ -313,10 +306,9 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	writeFleetJSON(rw, http.StatusOK, resp)
 }
 
-// handleCell serves the worker's own tiers to the fleet: the read half
-// of bidirectional peer fill. The coordinator relays its own cell-read
-// misses here, so bytes only this worker ever computed are reachable
-// from every other fleet member.
+// handleCell serves the worker's own tiers to the coordinator, which
+// reads here only after a dispatch returned nothing (Coordinator.PeerFill),
+// so bytes this worker already computed are not computed again.
 func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 	api.EchoRequestID(rw, r)
 	if err := w.auth.verify(r, nil); err != nil {
@@ -332,21 +324,9 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 	writeFleetError(rw, http.StatusNotFound, "not_found", "", "cell not in this worker's tiers")
 }
 
-// peerFetch asks the coordinator's cache tiers for a cell body before
-// paying to execute it — the fleet-wide read path that makes N daemons
-// one logical cache. The X-Fleet-Peer header names this worker so the
-// coordinator's relay skips it, and the request id rides along so the
-// whole fan-out correlates.
-func (w *Worker) peerFetch(ctx context.Context, key, requestID string) ([]byte, uint64, bool) {
-	if w.cfg.Coordinator == "" {
-		return nil, 0, false
-	}
-	header := http.Header{}
-	w.mu.Lock()
-	header.Set(peerHeader, w.advertise)
-	w.mu.Unlock()
-	if requestID != "" {
-		header.Set(api.RequestIDHeader, requestID)
-	}
-	return fetchCell(ctx, w.client, w.auth, w.cfg.Coordinator, key, header)
+// serveCell writes a raw cell body with its exec-cost metadata.
+func serveCell(w http.ResponseWriter, body []byte, costNs uint64) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(execCostHeader, strconv.FormatUint(costNs, 10))
+	w.Write(body)
 }

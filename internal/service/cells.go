@@ -205,9 +205,9 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		// so exactly one result ever comes back per miss — the Misses ==
 		// Executions invariant is placement-independent. When dispatch
 		// cannot produce a result (no live workers, budget exhausted,
-		// every attempt failed), bidirectional peer fill gets one shot —
-		// a worker's cache tier may still hold bytes the fleet already
-		// paid for — and then the cell falls back to local execution:
+		// every attempt failed), peer fill gets one shot — a worker's
+		// tiers may still hold bytes the fleet already paid for — and
+		// then the cell falls back to local execution:
 		// the fleet accelerates campaigns, never gates them.
 		var workerURL, placement string
 		var fill func(context.Context) ([]byte, uint64, bool)
@@ -224,7 +224,7 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 					workerURL, placement = resp.Worker, resp.Placement
 					return resp.Body, resp.ExecNs, true
 				}
-				body, costNs, worker, ok := s.fleet.PeerFill(ctx, key, "")
+				body, costNs, worker, ok := s.fleet.PeerFill(ctx, key)
 				if ok {
 					workerURL, placement = worker, "peer_fill"
 				}

@@ -139,7 +139,7 @@ func TestWorkerMemoryHitKeepsCost(t *testing.T) {
 
 	coordCache := resultcache.New(1 << 20)
 	e := newEnv(t, Config{
-		Fleet:     fleet.NewCoordinator(fleet.Config{Cache: coordCache, HedgeDelay: time.Minute}),
+		Fleet:     fleet.NewCoordinator(fleet.Config{HedgeDelay: time.Minute}),
 		CellCache: coordCache,
 	})
 	workerCache := resultcache.New(1 << 20)
@@ -368,7 +368,7 @@ func TestPeerFillServesFailedDispatch(t *testing.T) {
 
 	coordCache := resultcache.New(1 << 20)
 	e := newEnv(t, Config{
-		Fleet:     fleet.NewCoordinator(fleet.Config{Cache: coordCache, Backoff: time.Millisecond, HedgeDelay: time.Minute}),
+		Fleet:     fleet.NewCoordinator(fleet.Config{Backoff: time.Millisecond, HedgeDelay: time.Minute}),
 		CellCache: coordCache,
 	})
 	registerFleetWorker(t, e, fake.URL, 4)
@@ -417,5 +417,12 @@ func TestPeerFillServesFailedDispatch(t *testing.T) {
 	}
 	if b, cost, ok := coordCache.GetCost(key); !ok || !bytes.Equal(b, partial) || cost != seededCost {
 		t.Errorf("coordinator cell cache: %.60q cost %d ok=%v, want the worker's bytes at cost %d", b, cost, ok, seededCost)
+	}
+	mr, err := http.Get(e.url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics := string(readAll(t, mr)); !strings.Contains(metrics, "\naffinityd_fleet_worker_fills_total 1\n") {
+		t.Errorf("metrics missing affinityd_fleet_worker_fills_total 1:\n%s", metrics)
 	}
 }

@@ -200,9 +200,7 @@ func (m *metrics) serve(w http.ResponseWriter, r *http.Request) {
 		counter("affinityd_fleet_registrations_total", "New workers registered.", fc.Stats.Registrations.Load())
 		counter("affinityd_fleet_auth_rejections_total", "Fleet requests refused with 401 (missing, garbled, or stale signature).", fc.Stats.AuthRejections.Load())
 		counter("affinityd_fleet_expirations_total", "Workers dropped by heartbeat expiry or connection failure.", fc.Stats.Expirations.Load())
-		counter("affinityd_fleet_peer_hits_total", "Peer cache-fill lookups served from the coordinator's tiers.", fc.Stats.PeerHits.Load())
-		counter("affinityd_fleet_peer_misses_total", "Peer cache-fill lookups that missed every fleet tier.", fc.Stats.PeerMisses.Load())
-		counter("affinityd_fleet_worker_fills_total", "Cell reads resolved by relaying to another worker's tiers.", fc.Stats.WorkerFills.Load())
+		counter("affinityd_fleet_worker_fills_total", "Cells taken from a worker's tiers after a dispatch returned nothing.", fc.Stats.WorkerFills.Load())
 		counter("affinityd_fleet_placement_decisions_total", "Scored placement decisions (one per launched attempt).", fc.Stats.PlacementDecisions.Load())
 		counter("affinityd_fleet_placement_capacity_skips_total", "Candidate workers passed over because all capacity slots were occupied.", fc.Stats.PlacementCapacitySkips.Load())
 		counter("affinityd_fleet_placement_penalized_total", "Placement decisions made while a candidate carried a failure penalty.", fc.Stats.PlacementPenalized.Load())
@@ -214,7 +212,6 @@ func (m *metrics) serve(w http.ResponseWriter, r *http.Request) {
 		counter("affinityd_fleet_worker_executions_total", "Cells this worker simulated to completion.", fw.Stats.Executions.Load())
 		counter("affinityd_fleet_worker_cache_hits_total", "Execute requests served from the worker's memory cache.", fw.Stats.CacheHits.Load())
 		counter("affinityd_fleet_worker_disk_hits_total", "Execute requests served from the worker's disk store.", fw.Stats.DiskHits.Load())
-		counter("affinityd_fleet_worker_peer_fills_total", "Cells served by fetching from the coordinator's store.", fw.Stats.PeerFills.Load())
 		counter("affinityd_fleet_worker_cell_serves_total", "Cell reads this worker answered from its own tiers.", fw.Stats.CellServes.Load())
 		counter("affinityd_fleet_worker_auth_rejections_total", "Fleet requests this worker refused with 401.", fw.Stats.AuthRejections.Load())
 		counter("affinityd_fleet_worker_rejections_total", "Execute requests refused with 429 at advertised capacity.", fw.Stats.Rejections.Load())

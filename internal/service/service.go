@@ -135,10 +135,9 @@ type Config struct {
 	// (internal/fleet): campaign cells that miss both cache tiers are
 	// dispatched over HTTP to registered workers — with bounded retry,
 	// hedged re-dispatch of stragglers, and local-execution fallback —
-	// and the coordinator's fleet endpoints (worker registration, peer
-	// cache fill) are mounted alongside /v1. The Coordinator should
-	// share this server's CellCache and Store so peer fill serves the
-	// same tiers the server reads.
+	// and the coordinator's fleet endpoint (worker registration) is
+	// mounted alongside /v1. A dispatch that returns nothing asks the
+	// workers' tiers (Coordinator.PeerFill) before executing locally.
 	Fleet *fleet.Coordinator
 	// FleetWorker, when non-nil, mounts the worker-side cell execution
 	// endpoint and renders its counters at /metrics; set by cmd/affinityd

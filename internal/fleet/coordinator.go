@@ -366,7 +366,8 @@ type WorkerView struct {
 	LastSeen      string `json:"last_seen"`
 	InFlight      int    `json:"inflight"`
 	// Dispatched counts attempts sent to this worker; Succeeded the
-	// attempts that returned a valid result; Failures the rest.
+	// attempts that returned a valid result; Failures the attempts that
+	// failed. An attempt cancelled by its dispatch counts in neither.
 	Dispatched uint64 `json:"dispatched"`
 	Succeeded  uint64 `json:"succeeded"`
 	Failures   uint64 `json:"failures"`
@@ -527,14 +528,29 @@ func (c *Coordinator) pick(tried map[string]bool) (string, string) {
 	return best.url, placement
 }
 
+// attemptEnd is how an attempt left its worker, for release.
+type attemptEnd int
+
+const (
+	// served: a valid result. Counts as a heartbeat and an RTT sample.
+	served attemptEnd = iota
+	// refused: a bad status, body or identity. Adds to the worker's
+	// decaying placement penalty, deprioritizing without dropping.
+	refused
+	// unreachable: a connection-level failure. Drops the worker — it
+	// re-registers on its next heartbeat if it is actually alive — so a
+	// killed worker stops receiving dispatches after one failed attempt
+	// instead of lingering until TTL expiry.
+	unreachable
+	// cancelled: the dispatch's context ended mid-attempt (a hedge still
+	// in flight when its campaign finished). The worker did nothing
+	// wrong, so only its capacity unit is returned.
+	cancelled
+)
+
 // release returns a worker's capacity unit after an attempt, recording
-// the outcome. A connection-level failure drops the worker entirely —
-// it re-registers on its next heartbeat if it is actually alive — so a
-// killed worker stops receiving dispatches after one failed attempt
-// instead of lingering until TTL expiry. Soft failures (bad status,
-// identity mismatch) instead add to the worker's decaying placement
-// penalty, deprioritizing without dropping.
-func (c *Coordinator) release(url string, rtt time.Duration, failed, drop bool) {
+// how it ended.
+func (c *Coordinator) release(url string, rtt time.Duration, end attemptEnd) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -543,17 +559,19 @@ func (c *Coordinator) release(url string, rtt time.Duration, failed, drop bool) 
 		return
 	}
 	ws.inflight--
-	if failed {
-		ws.failures++
-		ws.addFailure(now)
-	} else {
+	switch end {
+	case served:
 		ws.succeeded++
 		ws.lastSeen = now // a served cell is as good as a heartbeat
 		if rtt > 0 {
 			ws.observeRTT(rtt)
 		}
-	}
-	if drop {
+	case refused:
+		ws.failures++
+		ws.addFailure(now)
+	case unreachable:
+		ws.failures++
+		ws.addFailure(now)
 		delete(c.workers, url)
 		c.Stats.Expirations.Inc()
 	}
@@ -692,21 +710,34 @@ func (c *Coordinator) drainLate(ch chan attemptOutcome, n int) {
 	}
 }
 
-// execute runs one HTTP attempt against one worker and validates the
-// response's identity: the returned key and cell id must echo the
-// request, and the body must be non-empty JSON. Anything else is an
-// attempt failure, never a result.
+// execute runs one HTTP attempt against one worker and releases the
+// worker's capacity unit with the attempt's outcome. Any error, a
+// cancelled attempt's included, is an attempt failure, never a result.
 func (c *Coordinator) execute(ctx context.Context, workerURL string, req ExecuteRequest) (*ExecuteResponse, error) {
+	start := time.Now()
+	resp, end, err := c.post(ctx, workerURL, req)
+	if err != nil && ctx.Err() != nil {
+		end = cancelled
+	}
+	rtt := time.Since(start)
+	c.release(workerURL, rtt, end)
+	if end == served {
+		c.Stats.RTTNs.Observe(uint64(rtt))
+	}
+	return resp, err
+}
+
+// post sends the execute request and validates the response's
+// identity: the returned key and cell id must echo the request, and the
+// body must be non-empty JSON.
+func (c *Coordinator) post(ctx context.Context, workerURL string, req ExecuteRequest) (*ExecuteResponse, attemptEnd, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		c.release(workerURL, 0, true, false)
-		return nil, err
+		return nil, refused, err
 	}
-	start := time.Now()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+PathExecute, bytes.NewReader(payload))
 	if err != nil {
-		c.release(workerURL, 0, true, false)
-		return nil, err
+		return nil, refused, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if req.RequestID != "" {
@@ -718,30 +749,22 @@ func (c *Coordinator) execute(ctx context.Context, workerURL string, req Execute
 		// Connection-level failure: the worker is unreachable (killed,
 		// crashed, partitioned). Drop it now rather than redispatching
 		// into the hole until TTL expiry.
-		c.release(workerURL, 0, true, true)
-		return nil, fmt.Errorf("fleet: worker %s: %w", workerURL, err)
+		return nil, unreachable, fmt.Errorf("fleet: worker %s: %w", workerURL, err)
 	}
 	defer hresp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(hresp.Body, 64<<20))
 	if err != nil {
-		c.release(workerURL, 0, true, true)
-		return nil, fmt.Errorf("fleet: worker %s: read: %w", workerURL, err)
+		return nil, unreachable, fmt.Errorf("fleet: worker %s: read: %w", workerURL, err)
 	}
 	if hresp.StatusCode != http.StatusOK {
-		c.release(workerURL, 0, true, false)
-		return nil, fmt.Errorf("fleet: worker %s: status %d: %.200s", workerURL, hresp.StatusCode, body)
+		return nil, refused, fmt.Errorf("fleet: worker %s: status %d: %.200s", workerURL, hresp.StatusCode, body)
 	}
 	var resp ExecuteResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
-		c.release(workerURL, 0, true, false)
-		return nil, fmt.Errorf("fleet: worker %s: bad response: %w", workerURL, err)
+		return nil, refused, fmt.Errorf("fleet: worker %s: bad response: %w", workerURL, err)
 	}
 	if resp.Key != req.Key || resp.CellID != req.CellID || len(resp.Body) == 0 || !json.Valid(resp.Body) {
-		c.release(workerURL, 0, true, false)
-		return nil, fmt.Errorf("fleet: worker %s: identity mismatch (cell %q key %.16q)", workerURL, resp.CellID, resp.Key)
+		return nil, refused, fmt.Errorf("fleet: worker %s: identity mismatch (cell %q key %.16q)", workerURL, resp.CellID, resp.Key)
 	}
-	rtt := time.Since(start)
-	c.release(workerURL, rtt, false, false)
-	c.Stats.RTTNs.Observe(uint64(rtt))
-	return &resp, nil
+	return &resp, served, nil
 }

@@ -196,6 +196,59 @@ func TestDispatchRetriesDeadWorker(t *testing.T) {
 	}
 }
 
+// TestCancelledAttemptKeepsWorker: an attempt cut off by its dispatch's
+// context — a hedge still in flight when its campaign ends — frees the
+// worker's capacity unit and changes nothing else about the worker: no
+// drop, no failure, no penalty. The attempt still counts as a failed
+// dispatch attempt, so the accounting dispatches == wins + duplicates +
+// failures holds.
+func TestCancelledAttemptKeepsWorker(t *testing.T) {
+	c := NewCoordinator(Config{HedgeDelay: time.Minute})
+	ts := coordServer(t, c)
+	blocked := newStubWorker(t, func(int) time.Duration { return time.Minute })
+	id := WorkerID(blocked.ts.URL)
+	registerWorker(t, ts.URL, blocked.ts.URL, 1, version.Engine)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.DispatchBudget(ctx, execReq("c0"), nil)
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for blocked.servedCount() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the attempt never reached the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("cancelled dispatch returned %v, want context.Canceled", err)
+	}
+	for c.Stats.Failures.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the cancelled attempt was never counted as a failed attempt")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if got := c.LiveWorkers(); got != 1 {
+		t.Errorf("LiveWorkers = %d, want 1: a cancelled attempt must not drop its worker", got)
+	}
+	if got := c.Stats.Expirations.Load(); got != 0 {
+		t.Errorf("Expirations = %d, want 0", got)
+	}
+	d, ok := c.WorkerByID(id)
+	if !ok {
+		t.Fatal("worker missing from the registry")
+	}
+	if d.FailurePenalty != 0 || d.Failures != 0 || d.Succeeded != 0 || d.InFlight != 0 {
+		t.Errorf("worker after a cancelled attempt: penalty=%v failures=%d succeeded=%d inflight=%d, want all 0",
+			d.FailurePenalty, d.Failures, d.Succeeded, d.InFlight)
+	}
+}
+
 // TestHedgedDispatchFirstValidWins: a straggling first attempt is hedged
 // to a second worker; the fast hedge's result is delivered, and the
 // straggler's late result is discarded as a duplicate — never a second

@@ -94,7 +94,7 @@ func TestPlacementHysteresisConverges(t *testing.T) {
 	if url != "http://flaky" {
 		t.Fatalf("baseline pick = %s, want the higher-capacity worker", url)
 	}
-	c.release("http://flaky", 0, true, false) // soft failure: penalize, keep
+	c.release("http://flaky", 0, refused) // soft failure: penalize, keep
 
 	// Immediately after the failure the penalty (1.0) dwarfs the load
 	// advantage, so the steady worker wins.
@@ -102,7 +102,7 @@ func TestPlacementHysteresisConverges(t *testing.T) {
 	if url != "http://steady" {
 		t.Fatalf("post-failure pick = %s, want the steady worker", url)
 	}
-	c.release("http://steady", 0, false, false)
+	c.release("http://steady", 0, served)
 
 	// The worker is still registered — deprioritized is not dropped.
 	if got := c.LiveWorkers(); got != 2 {

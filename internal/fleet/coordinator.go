@@ -50,19 +50,9 @@ type Config struct {
 	// re-issuing the cell to another worker (default 1s). The first
 	// valid result wins; the straggler's is discarded.
 	HedgeDelay time.Duration
-	// MaxAttempts bounds attempts per cell across retries and hedges
-	// (default 3). Each attempt targets a distinct worker.
-	MaxAttempts int
 	// Backoff is the pause before relaunching after a failed attempt
 	// (default 50ms).
 	Backoff time.Duration
-	// DefaultCapacity is assumed for workers that register without one
-	// (default 4).
-	DefaultCapacity int
-	// PeerFillTimeout bounds each worker probed while relaying a cell
-	// read (default 500ms): the relay is an optimization, so a slow
-	// tier must not stall the requester past what executing would cost.
-	PeerFillTimeout time.Duration
 	// Client overrides the HTTP client used for dispatch.
 	Client *http.Client
 }
@@ -74,23 +64,26 @@ func (c Config) withDefaults() Config {
 	if c.HedgeDelay <= 0 {
 		c.HedgeDelay = time.Second
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
-	}
-	if c.DefaultCapacity <= 0 {
-		c.DefaultCapacity = 4
-	}
-	if c.PeerFillTimeout <= 0 {
-		c.PeerFillTimeout = 500 * time.Millisecond
 	}
 	return c
 }
 
-// peerFillFanout caps how many workers one PeerFill probes.
-const peerFillFanout = 3
+const (
+	// maxAttempts bounds attempts per cell across retries and hedges.
+	// Each attempt targets a distinct worker.
+	maxAttempts = 3
+	// defaultCapacity is assumed for workers that register without one,
+	// and enforced by a worker started without one.
+	defaultCapacity = 4
+	// peerFillFanout caps how many workers one PeerFill probes.
+	peerFillFanout = 3
+	// peerFillTimeout bounds each worker PeerFill probes: the read is an
+	// optimization, so a slow tier must not stall the cell past what
+	// executing it would cost.
+	peerFillTimeout = 500 * time.Millisecond
+)
 
 // Metrics are the coordinator's fleet counters, written lock-free on
 // the dispatch path and rendered as affinityd_fleet_* at /metrics.
@@ -258,7 +251,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	capacity := req.Capacity
 	if capacity <= 0 {
-		capacity = c.cfg.DefaultCapacity
+		capacity = defaultCapacity
 	}
 	now := time.Now()
 	c.mu.Lock()
@@ -285,7 +278,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 // whose dispatch returned nothing: a worker may still hold bytes the
 // coordinator lost to a restart or an eviction. It is the only read of
 // another member's tiers in the fleet. Each probe is bounded by
-// PeerFillTimeout. Returns the serving worker's URL alongside the body.
+// peerFillTimeout. Returns the serving worker's URL alongside the body.
 func (c *Coordinator) PeerFill(ctx context.Context, key string) (body []byte, costNs uint64, worker string, ok bool) {
 	now := time.Now()
 	c.mu.Lock()
@@ -320,7 +313,7 @@ func (c *Coordinator) PeerFill(ctx context.Context, key string) (body []byte, co
 		if ctx.Err() != nil {
 			return nil, 0, "", false
 		}
-		fctx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
+		fctx, cancel := context.WithTimeout(ctx, peerFillTimeout)
 		body, costNs, ok := c.fetchCell(fctx, cd.url, key)
 		cancel()
 		if ok {
@@ -597,11 +590,11 @@ type attemptOutcome struct {
 // attempt failed, or ctx cancelled) means the caller should execute the
 // cell locally.
 func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, budget *Budget) (*ExecuteResponse, error) {
-	tried := make(map[string]bool, c.cfg.MaxAttempts)
-	ch := make(chan attemptOutcome, c.cfg.MaxAttempts)
+	tried := make(map[string]bool, maxAttempts)
+	ch := make(chan attemptOutcome, maxAttempts)
 	launched := 0
 	launch := func() bool {
-		if launched >= c.cfg.MaxAttempts {
+		if launched >= maxAttempts {
 			return false
 		}
 		url, placement := c.pick(tried)
@@ -643,7 +636,7 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 			}
 			c.Stats.Failures.Inc()
 			lastErr = out.err
-			if launched < c.cfg.MaxAttempts {
+			if launched < maxAttempts {
 				// Brief pause so a flapping fleet doesn't spin; the
 				// context still cancels promptly.
 				select {

@@ -129,7 +129,7 @@ func (w *Worker) capacity() int64 {
 	if w.cfg.Capacity > 0 {
 		return int64(w.cfg.Capacity)
 	}
-	return 4 // mirrors the coordinator's DefaultCapacity
+	return defaultCapacity
 }
 
 // Start begins registering (and re-registering every heartbeat) with

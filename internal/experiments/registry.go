@@ -168,9 +168,11 @@ func (c Campaign) Normalize(p CampaignParams) (CampaignParams, error) {
 	switch c.Kind {
 	case "table1":
 		n.BudgetSec = o.MeasureBudget.SecondsF()
+		n.Procs = 0        // the protocol measures on one processor
 		n.Replications = 0 // table1 has no replication axis
 		n.AppScale = 0     // measurement patterns are not app-scaled
 	case "characterize":
+		n.Replications = 0 // each application is characterized once
 	case "relatedwork":
 	case "compare":
 		if p.Mix != 0 {

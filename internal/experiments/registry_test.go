@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/report"
@@ -76,6 +77,29 @@ func TestCampaignNormalizeZeroesIrrelevantFields(t *testing.T) {
 	}
 	if n.BudgetSec != 20 {
 		t.Errorf("table1 budget default: got %v, want 20", n.BudgetSec)
+	}
+	// A parameter the kind never reads must not fork its body cache key:
+	// table1 measures on one processor, and characterize runs each
+	// application once.
+	for _, tc := range []struct {
+		kind string
+		p    CampaignParams
+	}{
+		{"table1", CampaignParams{Procs: 4}},
+		{"characterize", CampaignParams{Replications: 3}},
+	} {
+		c, _ := CampaignByKind(tc.kind)
+		got, err := c.Normalize(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Normalize(CampaignParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %+v normalized to %+v, want %+v", tc.kind, tc.p, got, want)
+		}
 	}
 }
 

@@ -45,13 +45,17 @@ func (c Campaign) ParamSchema() []ParamSpec {
 	specs := []ParamSpec{
 		{Name: "fast", Type: "bool", Default: false,
 			Description: "select the scaled-down fast preset (reps=2, budget_sec=4, app_scale=4); folded into the other fields by normalization"},
-		{Name: "procs", Type: "int", Default: 16, Min: limit(1),
-			Description: "simulated machine processor count"},
+	}
+	if c.Kind != "table1" { // table1 measures on one processor
+		specs = append(specs, ParamSpec{Name: "procs", Type: "int", Default: 16, Min: limit(1),
+			Description: "simulated machine processor count"})
+	}
+	specs = append(specs, []ParamSpec{
 		{Name: "seed", Type: "uint", Default: 1, Min: limit(1),
 			Description: "campaign root seed (0 selects the default)"},
 		{Name: "workers", Type: "int", Default: 0, Min: limit(0),
 			Description: "concurrent simulation cells (0 = all CPUs); results are bitwise identical at every worker count, so workers is never part of the cache identity"},
-	}
+	}...)
 	reps := ParamSpec{Name: "reps", Type: "int", Default: 5, Min: limit(1),
 		Description: "replications per simulation cell"}
 	appScale := ParamSpec{Name: "app_scale", Type: "int", Default: 1, Min: limit(1),
@@ -68,7 +72,9 @@ func (c Campaign) ParamSchema() []ParamSpec {
 			"analytic the fast fluid estimator everywhere, auto promotes to analytic only inside " +
 			"the differentially validated envelope; part of the cache identity"}
 	switch c.Kind {
-	case "characterize", "relatedwork":
+	case "characterize":
+		specs = append(specs, appScale)
+	case "relatedwork":
 		specs = append(specs, reps, appScale)
 	case "table1":
 		specs = append(specs, budget)

@@ -610,8 +610,12 @@ func TestCellSmoke(t *testing.T) {
 //     (duplicates from hedging never double-fold).
 //  4. The coordinator and the first worker run with a -store-dir, so
 //     their disk tiers sit in every lookup: the coordinator files every
-//     cell and the body on disk, the worker every cell it executed or
-//     peer-filled. Both must drain and exit cleanly on SIGTERM.
+//     cell and the body on disk, the worker every cell it executed.
+//     Both must drain and exit cleanly on SIGTERM.
+//
+// Under go test -race the daemon is race-built too, so its dispatch,
+// hedge and store legs are race-checked: a detected race makes the
+// coordinator or the first worker exit nonzero.
 func TestFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary build and campaign runs in -short mode")
@@ -619,7 +623,11 @@ func TestFleetSmoke(t *testing.T) {
 	const totalCells = 9 // table1: 3 Qs x 3 measured applications
 	req := `{"kind":"table1","params":{"fast":true,"budget_sec":0.5,"reps":1,"workers":3}}`
 	bin := filepath.Join(t.TempDir(), "affinityd")
-	build := exec.Command("go", "build", "-o", bin, ".")
+	args := []string{"build", "-o", bin}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	build := exec.Command("go", append(args, ".")...)
 	build.Env = os.Environ()
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)

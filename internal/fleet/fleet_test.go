@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -223,7 +224,7 @@ func TestCancelledAttemptKeepsWorker(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
-	if err := <-done; err != context.Canceled {
+	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled dispatch returned %v, want context.Canceled", err)
 	}
 	for c.Stats.Failures.Load() != 1 {

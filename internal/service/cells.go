@@ -207,8 +207,8 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		// cannot produce a result (no live workers, budget exhausted,
 		// every attempt failed), peer fill gets one shot — a worker's
 		// tiers may still hold bytes the fleet already paid for — and
-		// then the cell falls back to local execution:
-		// the fleet accelerates campaigns, never gates them.
+		// then the cell falls back to local execution: the fleet
+		// accelerates campaigns, never gates them.
 		var workerURL, placement string
 		var fill func(context.Context) ([]byte, uint64, bool)
 		if s.fleet != nil {

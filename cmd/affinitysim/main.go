@@ -365,6 +365,10 @@ func (c *cli) emitTable1(res experiments.Table1CampaignResult) error {
 // once, and Table 1 is rendered from the same runs through
 // experiments.Table1Result — the table1 campaign's result for them.
 func (c *cli) measureDetail() error {
+	// Refuse what the table1 campaign refuses, e.g. a budget over its bound.
+	if _, err := experiments.Cells("table1", c.params); err != nil {
+		return err
+	}
 	mc := c.opts.Machine
 	mc.Processors = 1 // the paper's measurement uses a single processor
 	t1, err := measure.BuildTable1Ctx(c.ctx, mc, memtrace.Patterns(), measure.DefaultQs(),

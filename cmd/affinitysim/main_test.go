@@ -58,9 +58,11 @@ func TestMeasureRejectsBadOptions(t *testing.T) {
 	for _, args := range [][]string{
 		{"measure", "-budget", "0"},
 		{"measure", "-budget", "0", "-detail"},
+		{"measure", "-budget", "1000"},
+		{"measure", "-budget", "1000", "-detail"},
 	} {
 		if err := run(args); err == nil {
-			t.Errorf("%v: zero budget accepted", args)
+			t.Errorf("%v: budget accepted", args)
 		}
 	}
 }

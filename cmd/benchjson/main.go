@@ -54,9 +54,11 @@ const (
 	absSlackAll = 16
 )
 
-// benchLine matches `BenchmarkName-N  iters  12.3 ns/op  45 B/op  6 allocs/op`.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.]+ MB/s)?(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
+// benchLine matches `BenchmarkName-N  iters  <value unit>...`; the
+// measurements follow as whitespace-separated value–unit pairs, in an
+// order that depends on the benchmark: b.ReportMetric's custom units sort
+// between ns/op and the -benchmem columns.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	out := flag.String("o", "", "output path (default stdout)")
@@ -87,15 +89,11 @@ func parseBench(r io.Reader) (map[string]Result, string, error) {
 		if m == nil {
 			continue
 		}
-		r := Result{}
+		r, ok := parseMeasurements(m[4])
+		if !ok {
+			continue
+		}
 		r.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
-		r.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
-		if m[5] != "" {
-			r.BPerOp, _ = strconv.ParseFloat(m[5], 64)
-		}
-		if m[6] != "" {
-			r.AllocsPerOp, _ = strconv.ParseFloat(m[6], 64)
-		}
 		if m[2] != "" {
 			procs = m[2]
 		}
@@ -108,6 +106,30 @@ func parseBench(r io.Reader) (map[string]Result, string, error) {
 		return nil, "", fmt.Errorf("no benchmark lines found on stdin")
 	}
 	return results, procs, nil
+}
+
+// parseMeasurements reads the value–unit pairs of one benchmark line into
+// a Result, wherever ns/op, B/op and allocs/op sit among them. A line
+// without an ns/op pair is not a result line.
+func parseMeasurements(s string) (Result, bool) {
+	var r Result
+	hasNs := false
+	f := strings.Fields(s)
+	for i := 0; i+1 < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return Result{}, false
+		}
+		switch f[i+1] {
+		case "ns/op":
+			r.NsPerOp, hasNs = v, true
+		case "B/op":
+			r.BPerOp = v
+		case "allocs/op":
+			r.AllocsPerOp = v
+		}
+	}
+	return r, hasNs
 }
 
 func runWrite(out string, allowDirty bool) error {

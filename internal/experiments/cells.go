@@ -310,13 +310,19 @@ func mergeTable1(qs []simtime.Duration, names []string, parts []table1CellPartia
 }
 
 func table1CellPlan(np CampaignParams) (*CellPlan, error) {
-	if _, err := np.options(); err != nil {
+	opts, err := np.options()
+	if err != nil {
 		return nil, err
 	}
 	// DefaultQs is ascending, so cell order (q-major, pattern-minor, the
 	// BuildTable1Ctx layout) is already the wire result's Q order.
 	qs := measure.DefaultQs()
 	names := patternNames()
+	// The plan's cells (and a future plan's table1 cells) share one stream
+	// set, so each reference stream is built once per campaign, by the
+	// first executed cell that replays it; cells served from a cache tier
+	// build nothing, and the streams go when the plan does.
+	streams := measure.NewStreamSet(memtrace.Patterns(), opts.MeasureBudget, opts.Seed)
 	plan := &CellPlan{Kind: "table1", Params: np}
 	for qi := range qs {
 		for pi := range names {
@@ -341,8 +347,7 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 					}
 					mc := o.Machine
 					mc.Processors = 1 // the paper's measurement uses a single processor
-					pats := memtrace.Patterns()
-					pen, err := measure.MeasureCell(mc, pats, pi, qs[qi], o.MeasureBudget, o.Seed)
+					pen, err := streams.MeasureCell(mc, pi, qs[qi])
 					if err != nil {
 						return nil, err
 					}

@@ -3,8 +3,11 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/measure"
+	"repro/internal/memtrace"
 	"repro/internal/parallel"
 	"repro/internal/report"
 )
@@ -150,5 +153,48 @@ func TestCellsRejectsBadInput(t *testing.T) {
 	}
 	if _, err := plan.Merge(context.Background(), make([][]byte, len(plan.Cells))); err == nil {
 		t.Error("empty partial accepted")
+	}
+}
+
+// TestTable1RunAllocBound bounds the bytes one fast table1 campaign
+// allocates, a count that depends on the code and not on the host. The
+// campaign's nine cells share one stream set, so its six reference
+// streams (a measured and an intervening one per application, 4 bytes a
+// reference) are built once. The allowance on top is per single-processor
+// run — each of the 45 runs (9 cells × 5 regimes) allocates a 64 KB cache:
+// 4,096 32-byte line records and a 4,096-entry undo journal, 256 KiB —
+// plus a fixed part for the generators, cell partials and the merge. A
+// grid whose cells rebuilt their streams, or streams of 8-byte addresses,
+// would overshoot the bound by more than the stream bytes again.
+func TestTable1RunAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign runs in -short mode")
+	}
+	const (
+		perRunAllowance = 320 << 10
+		fixedAllowance  = 1 << 20
+	)
+	p := CampaignParams{Fast: true, Workers: 1}
+	o, err := p.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := memtrace.Patterns()
+	var refs int64
+	for _, pat := range pats {
+		refs += 2 * int64(memtrace.NewGenerator(pat, 0, o.Seed).RefsFor(o.MeasureBudget))
+	}
+	runs := int64(len(measure.DefaultQs()) * len(pats) * (2 + len(pats)))
+	bound := uint64(refs*4 + runs*perRunAllowance + fixedAllowance)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(context.Background(), "table1", p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("one fast table1 run allocated %d B, over the bound of %d B (%d B of streams, %d runs)",
+			got, bound, refs*4, runs)
 	}
 }

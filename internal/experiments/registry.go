@@ -34,7 +34,8 @@ type CampaignParams struct {
 	// Replications per (mix, policy) cell (default 5; 2 under Fast).
 	Replications int `json:"reps,omitempty"`
 	// BudgetSec is the Table-1 per-run compute budget in seconds
-	// (default 20; 4 under Fast). Used by table1 and future.
+	// (default 20; 4 under Fast; at most maxBudgetSec). Used by table1 and
+	// future.
 	BudgetSec float64 `json:"budget_sec,omitempty"`
 	// AppScale shrinks applications for quick runs (default 1; 4 under
 	// Fast).
@@ -64,6 +65,13 @@ type CampaignParams struct {
 	Workers int `json:"workers,omitempty"`
 }
 
+// maxBudgetSec bounds budget_sec at five times the paper's 20 s. A Table-1
+// campaign holds six reference streams of budget/5µs 4-byte references
+// each (480 MB at the bound), so the bound keeps one request from
+// exhausting the daemon's memory; it also keeps every stream's line
+// indices within 32 bits.
+const maxBudgetSec = 100
+
 // options folds the params into an Options value. Zero means default;
 // negative values are rejected rather than silently defaulted, each named
 // by its wire field path.
@@ -75,6 +83,8 @@ func (p CampaignParams) options() (Options, error) {
 		return Options{}, &ParamError{Field: "params.reps", Msg: "must be >= 0"}
 	case p.BudgetSec < 0:
 		return Options{}, &ParamError{Field: "params.budget_sec", Msg: "must be >= 0"}
+	case p.BudgetSec > maxBudgetSec:
+		return Options{}, &ParamError{Field: "params.budget_sec", Msg: fmt.Sprintf("must be <= %g", float64(maxBudgetSec))}
 	case p.AppScale < 0:
 		return Options{}, &ParamError{Field: "params.app_scale", Msg: "must be >= 0"}
 	case p.Workers < 0:

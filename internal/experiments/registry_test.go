@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -119,6 +120,18 @@ func TestCampaignNormalizeRejectsBadParams(t *testing.T) {
 		if _, err := Run(context.Background(), tc.kind, tc.p); err == nil {
 			t.Errorf("%s %+v: expected an error", tc.kind, tc.p)
 		}
+	}
+	// Over the bound, the budget is refused up front, before a stream of
+	// its size is allocated.
+	for _, kind := range []string{"table1", "future"} {
+		_, err := Run(context.Background(), kind, CampaignParams{BudgetSec: 1e6})
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != "params.budget_sec" {
+			t.Errorf("%s with budget_sec 1e6: err = %v, want a params.budget_sec ParamError", kind, err)
+		}
+	}
+	if _, err := Cells("table1", CampaignParams{BudgetSec: maxBudgetSec}); err != nil {
+		t.Errorf("budget_sec at the bound refused: %v", err)
 	}
 }
 

@@ -30,6 +30,9 @@ package measure
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -106,8 +109,12 @@ const (
 // from the measured program's (separate processes share nothing).
 const interveningBase = 1 << 40
 
-// Stream is a precomputed prefix of one program's reference stream, plus a
+// Stream is a precomputed prefix of one program's reference stream, stored
+// as 32-bit line indices relative to the stream's address base, plus a
 // generator parked at the prefix end for the (rare) references beyond it.
+// Reference i is the byte address base + lines[i]*memtrace.LineBytes:
+// generators emit one line-aligned address per touch, so the index loses
+// nothing and takes half the memory of the address.
 //
 // The reference streams of this experiment are fixed by (pattern, address
 // base, seed) alone: think time is one gap per reference, and nothing the
@@ -115,39 +122,56 @@ const interveningBase = 1 << 40
 // of a Table 1 cell therefore replays the same measured stream, and every
 // multiprogrammed run against the same intervening application consumes a
 // prefix of the same intervening stream. Precomputing each stream once and
-// sharing it read-only across runs (and across campaign workers) removes
-// the dominant generator cost from the hot loop while staying trivially
-// bitwise identical to per-reference generation.
+// sharing it read-only across runs (and across the cells of a StreamSet)
+// removes the dominant generator cost from the hot loop while staying
+// trivially bitwise identical to per-reference generation.
 type Stream struct {
-	addrs []uint64
+	base  uint64
+	lines []uint32
 	gap   simtime.Duration
-	tail  *memtrace.Generator // positioned after addrs; cloned, never mutated
+	tail  *memtrace.Generator // positioned after lines; cloned, never mutated
 }
 
-// NewStream precomputes n references of the pattern's stream. A Stream is
-// immutable after construction and safe for concurrent use.
-func NewStream(pat memtrace.Pattern, base, seed uint64, n int) *Stream {
+// streamBlock is the address-batch size of stream construction.
+const streamBlock = 4096
+
+// newStream precomputes a budget's worth of compute of the pattern's
+// stream: exactly the references that much execution performs. It fails,
+// rather than wrapping, if a line index does not fit in 32 bits. A Stream
+// is immutable after construction and safe for concurrent use.
+func newStream(pat memtrace.Pattern, base, seed uint64, budget simtime.Duration) (*Stream, error) {
 	g := memtrace.NewGenerator(pat, base, seed)
-	s := &Stream{addrs: make([]uint64, n), gap: g.Gap()}
-	g.FillBlock(s.addrs)
+	s := &Stream{base: base, lines: make([]uint32, g.RefsFor(budget)), gap: g.Gap()}
+	var buf [streamBlock]uint64
+	for done := 0; done < len(s.lines); {
+		blk := buf[:min(len(buf), len(s.lines)-done)]
+		g.FillBlock(blk)
+		for i, addr := range blk {
+			line := (addr - base) / memtrace.LineBytes
+			if line > math.MaxUint32 {
+				return nil, fmt.Errorf("measure: %s: reference %d at line %d overflows a 32-bit line index",
+					pat.Name, done+i, line)
+			}
+			s.lines[done+i] = uint32(line)
+		}
+		done += len(blk)
+	}
 	s.tail = g
-	return s
+	return s, nil
 }
 
 // measuredStream precomputes the measured program's stream for one run:
 // exactly the references a budget's worth of compute performs.
-func measuredStream(measured memtrace.Pattern, opts Options) *Stream {
-	g := memtrace.NewGenerator(measured, 0, opts.Seed)
-	return NewStream(measured, 0, opts.Seed, g.RefsFor(opts.Budget))
+func measuredStream(measured memtrace.Pattern, budget simtime.Duration, seed uint64) (*Stream, error) {
+	return newStream(measured, 0, seed, budget)
 }
 
 // interveningStream precomputes the intervening program's stream for one
 // run. The amount consumed depends on cache behaviour, so the length is a
 // heuristic (one budget's worth of its references); consumption beyond it
 // falls back to the stream's tail generator.
-func interveningStream(intervening memtrace.Pattern, opts Options) *Stream {
-	g := memtrace.NewGenerator(intervening, interveningBase, opts.Seed^0x5bd1e995)
-	return NewStream(intervening, interveningBase, opts.Seed^0x5bd1e995, g.RefsFor(opts.Budget))
+func interveningStream(intervening memtrace.Pattern, budget simtime.Duration, seed uint64) (*Stream, error) {
+	return newStream(intervening, interveningBase, seed^0x5bd1e995, budget)
 }
 
 // cursor is one run's private read position over a shared Stream.
@@ -167,15 +191,21 @@ func Run(mc machine.Config, measured memtrace.Pattern, intervening memtrace.Patt
 	if err := opts.Validate(); err != nil {
 		return RunResult{}, err
 	}
+	ms, err := measuredStream(measured, opts.Budget, opts.Seed)
+	if err != nil {
+		return RunResult{}, err
+	}
 	var istream *Stream
 	if regime == Multiprog {
-		istream = interveningStream(intervening, opts)
+		if istream, err = interveningStream(intervening, opts.Budget, opts.Seed); err != nil {
+			return RunResult{}, err
+		}
 	}
-	return runStreams(mc, measuredStream(measured, opts), istream, regime, opts)
+	return runStreams(mc, ms, istream, regime, opts)
 }
 
 // runStreams is Run over precomputed streams (see MeasurePenalties and
-// BuildTable1Ctx, which share streams across runs).
+// StreamSet, which share streams across runs).
 func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime Regime, opts Options) (RunResult, error) {
 	if err := mc.Validate(); err != nil {
 		return RunResult{}, err
@@ -200,9 +230,10 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 		misses     uint64
 	)
 	step := mc.Compute(measured.gap)
-	for _, addr := range measured.addrs {
+	base := measured.base
+	for _, line := range measured.lines {
 		own += step
-		if !c.Access(ownerMeasured, addr) {
+		if !c.Access(ownerMeasured, base+uint64(line)*memtrace.LineBytes) {
 			misses++
 			own += mc.LineFill
 		}
@@ -225,7 +256,7 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 		ResponseTime: own,
 		Switches:     switches,
 		Misses:       misses,
-		Accesses:     uint64(len(measured.addrs)),
+		Accesses:     uint64(len(measured.lines)),
 	}, nil
 }
 
@@ -238,11 +269,11 @@ const interBlock = 256
 func runIntervening(mc machine.Config, c *cache.Cache, cur *cursor, q simtime.Duration) {
 	step := mc.Compute(cur.s.gap)
 	var t simtime.Duration
-	addrs := cur.s.addrs
+	base, lines := cur.s.base, cur.s.lines
 	i := cur.pos
-	for t < q && i < len(addrs) {
+	for t < q && i < len(lines) {
 		t += step
-		if !c.Access(ownerIntervening, addrs[i]) {
+		if !c.Access(ownerIntervening, base+uint64(lines[i])*memtrace.LineBytes) {
 			t += mc.LineFill
 		}
 		i++
@@ -318,18 +349,20 @@ func MeasurePenalties(mc machine.Config, measured memtrace.Pattern, intervening 
 	if err := opts.Validate(); err != nil {
 		return Penalties{}, err
 	}
-	ms := measuredStream(measured, opts)
-	ivs := make([]*Stream, len(intervening))
-	for i, iv := range intervening {
-		ivs[i] = interveningStream(iv, opts)
+	ms, err := measuredStream(measured, opts.Budget, opts.Seed)
+	if err != nil {
+		return Penalties{}, err
 	}
-	return measurePenalties(mc, measured.Name, ms, intervening, ivs, opts)
+	return measurePenalties(mc, measured.Name, ms, intervening, func(i int) (*Stream, error) {
+		return interveningStream(intervening[i], opts.Budget, opts.Seed)
+	}, opts)
 }
 
-// measurePenalties is MeasurePenalties over precomputed streams: the
-// measured stream is replayed by all len(intervening)+2 runs rather than
-// regenerated per run.
-func measurePenalties(mc machine.Config, name string, measured *Stream, intervening []memtrace.Pattern, ivStreams []*Stream, opts Options) (Penalties, error) {
+// measurePenalties is MeasurePenalties over a precomputed measured stream,
+// replayed by all len(intervening)+2 runs rather than regenerated per run.
+// ivStream supplies intervening[i]'s stream just before the run against
+// it, so a stream still being built does not hold up the runs before.
+func measurePenalties(mc machine.Config, name string, measured *Stream, intervening []memtrace.Pattern, ivStream func(i int) (*Stream, error), opts Options) (Penalties, error) {
 	stat, err := runStreams(mc, measured, nil, Stationary, opts)
 	if err != nil {
 		return Penalties{}, err
@@ -348,7 +381,11 @@ func measurePenalties(mc machine.Config, name string, measured *Stream, interven
 		Multi:      make(map[string]RunResult, len(intervening)),
 	}
 	for i, iv := range intervening {
-		multi, err := runStreams(mc, measured, ivStreams[i], Multiprog, opts)
+		is, err := ivStream(i)
+		if err != nil {
+			return Penalties{}, err
+		}
+		multi, err := runStreams(mc, measured, is, Multiprog, opts)
 		if err != nil {
 			return Penalties{}, err
 		}
@@ -371,31 +408,76 @@ func perSwitch(delta simtime.Duration, switches int) simtime.Duration {
 	return d
 }
 
-// MeasureCell runs the Section-4 protocol for a single (Q, measured
-// application) cell of Table 1 in isolation. It reproduces the matching
-// BuildTable1Ctx cell bitwise: the measured and intervening streams
-// depend only on (pattern, budget, seed) — Q never enters stream
-// construction — so rebuilding them here replays exactly the references
-// the shared-stream table build replays. The cell caches of the sharded
-// campaign path rely on this identity.
-func MeasureCell(mc machine.Config, patterns []memtrace.Pattern, measured int, q, budget simtime.Duration, seed uint64) (Penalties, error) {
-	if measured < 0 || measured >= len(patterns) {
-		return Penalties{}, fmt.Errorf("measure: measured index %d out of range [0,%d)", measured, len(patterns))
+// StreamSet is the lazily built set of reference streams one Table-1 grid
+// replays: a measured and an intervening stream per pattern. The streams
+// depend only on (pattern, budget, seed) — Q and the regime never enter
+// stream construction — so every cell of the grid replays the same ones.
+// The cells that share a set build each stream at most once, on first use,
+// and a cell that never runs builds nothing. A set keeps its streams for
+// its own lifetime only: whoever holds it (a campaign's cell plan, one
+// BuildTable1Ctx call) decides how long that is. Safe for concurrent use.
+type StreamSet struct {
+	patterns    []memtrace.Pattern
+	budget      simtime.Duration
+	seed        uint64
+	measured    []lazyStream
+	intervening []lazyStream
+	built       atomic.Int32 // streams constructed so far
+}
+
+// lazyStream is one stream of a StreamSet, built on first use.
+type lazyStream struct {
+	once sync.Once
+	s    *Stream
+	err  error
+}
+
+// NewStreamSet returns an empty set for the given patterns (the grid's
+// measured and intervening applications), per-run compute budget and seed.
+func NewStreamSet(patterns []memtrace.Pattern, budget simtime.Duration, seed uint64) *StreamSet {
+	return &StreamSet{
+		patterns:    patterns,
+		budget:      budget,
+		seed:        seed,
+		measured:    make([]lazyStream, len(patterns)),
+		intervening: make([]lazyStream, len(patterns)),
+	}
+}
+
+// stream returns the slot's stream, building it on the first call.
+func (ss *StreamSet) stream(l *lazyStream, build func(memtrace.Pattern, simtime.Duration, uint64) (*Stream, error), pat memtrace.Pattern) (*Stream, error) {
+	l.once.Do(func() {
+		l.s, l.err = build(pat, ss.budget, ss.seed)
+		ss.built.Add(1)
+	})
+	return l.s, l.err
+}
+
+// MeasureCell runs the Section-4 protocol for the (q, patterns[measured])
+// cell of Table 1, against every pattern of the set as the intervening
+// application. Its result depends only on the cell's coordinates and the
+// set's (patterns, budget, seed), never on which cells ran before on the
+// same set: a cell run against a fresh set equals the same cell of a
+// shared-set grid bitwise. The cell caches of the sharded campaign path
+// rely on this identity.
+func (ss *StreamSet) MeasureCell(mc machine.Config, measured int, q simtime.Duration) (Penalties, error) {
+	if measured < 0 || measured >= len(ss.patterns) {
+		return Penalties{}, fmt.Errorf("measure: measured index %d out of range [0,%d)", measured, len(ss.patterns))
 	}
 	if err := mc.Validate(); err != nil {
 		return Penalties{}, err
 	}
-	opts := Options{Q: q, Budget: budget, Seed: seed}
+	opts := Options{Q: q, Budget: ss.budget, Seed: ss.seed}
 	if err := opts.Validate(); err != nil {
 		return Penalties{}, err
 	}
-	streamOpts := Options{Q: budget, Budget: budget, Seed: seed}
-	ms := measuredStream(patterns[measured], streamOpts)
-	ivs := make([]*Stream, len(patterns))
-	for i, p := range patterns {
-		ivs[i] = interveningStream(p, streamOpts)
+	ms, err := ss.stream(&ss.measured[measured], measuredStream, ss.patterns[measured])
+	if err != nil {
+		return Penalties{}, err
 	}
-	return measurePenalties(mc, patterns[measured].Name, ms, patterns, ivs, opts)
+	return measurePenalties(mc, ss.patterns[measured].Name, ms, ss.patterns, func(i int) (*Stream, error) {
+		return ss.stream(&ss.intervening[i], interveningStream, ss.patterns[i])
+	}, opts)
 }
 
 // Table1 reproduces the paper's Table 1: for every measured application,
@@ -425,10 +507,10 @@ func BuildTable1(mc machine.Config, patterns []memtrace.Pattern, qs []simtime.Du
 
 // BuildTable1Ctx is BuildTable1 with cancellation and a worker bound,
 // fanning the (Q, measured application) cells out over workers goroutines
-// (zero means runtime.GOMAXPROCS(0), one is sequential). Every cell is an
-// independent set of single-processor runs with its own caches and
-// generators seeded only by (seed, Q, pattern), so the table is identical
-// for every worker count.
+// (zero means runtime.GOMAXPROCS(0), one is sequential). The cells share
+// one StreamSet and are otherwise independent sets of single-processor
+// runs with their own caches, so the table is identical for every worker
+// count.
 func BuildTable1Ctx(ctx context.Context, mc machine.Config, patterns []memtrace.Pattern, qs []simtime.Duration, budget simtime.Duration, seed uint64, workers int) (Table1, error) {
 	t := Table1{
 		Qs:    qs,
@@ -437,35 +519,13 @@ func BuildTable1Ctx(ctx context.Context, mc machine.Config, patterns []memtrace.
 	for _, p := range patterns {
 		t.Apps = append(t.Apps, p.Name)
 	}
-	// The streams depend only on (pattern, budget, seed), not on Q or the
-	// regime, so each pattern's measured and intervening streams are built
-	// once here and shared read-only by every cell.
-	streamOpts := Options{Q: budget, Budget: budget, Seed: seed}
-	measStreams := make([]*Stream, len(patterns))
-	ivStreams := make([]*Stream, len(patterns))
-	err := parallel.ForEach(ctx, workers, 2*len(patterns), func(ctx context.Context, idx int) error {
-		if idx < len(patterns) {
-			measStreams[idx] = measuredStream(patterns[idx], streamOpts)
-		} else {
-			ivStreams[idx-len(patterns)] = interveningStream(patterns[idx-len(patterns)], streamOpts)
-		}
-		return nil
-	})
-	if err != nil {
-		return Table1{}, err
-	}
+	set := NewStreamSet(patterns, budget, seed)
 	// One slot per (q, measured) cell; idx = qi*len(patterns) + pi.
 	cells := make([]Penalties, len(qs)*len(patterns))
-	err = parallel.ForEach(ctx, workers, len(cells), func(ctx context.Context, idx int) error {
-		q := qs[idx/len(patterns)]
-		p := patterns[idx%len(patterns)]
-		pen, err := measurePenalties(mc, p.Name, measStreams[idx%len(patterns)], patterns, ivStreams,
-			Options{Q: q, Budget: budget, Seed: seed})
-		if err != nil {
-			return err
-		}
-		cells[idx] = pen
-		return nil
+	err := parallel.ForEach(ctx, workers, len(cells), func(ctx context.Context, idx int) error {
+		var err error
+		cells[idx], err = set.MeasureCell(mc, idx%len(patterns), qs[idx/len(patterns)])
+		return err
 	})
 	if err != nil {
 		return Table1{}, err

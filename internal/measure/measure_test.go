@@ -1,11 +1,13 @@
 package measure
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/memtrace"
+	"repro/internal/parallel"
 	"repro/internal/simtime"
 )
 
@@ -205,9 +207,10 @@ func TestBuildTable1Shape(t *testing.T) {
 	}
 }
 
-// TestMeasureCellMatchesBuildTable1 checks the single-cell entry point
-// reproduces the corresponding BuildTable1 cell exactly — the contract
-// the experiments layer's cell decomposition relies on.
+// TestMeasureCellMatchesBuildTable1 checks that a cell run alone, against
+// a fresh stream set, reproduces the corresponding cell of a BuildTable1
+// grid, whose cells share one set, exactly — the contract the experiments
+// layer's cell decomposition relies on.
 func TestMeasureCellMatchesBuildTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement runs in -short mode")
@@ -222,20 +225,98 @@ func TestMeasureCellMatchesBuildTable1(t *testing.T) {
 	}
 	for _, q := range qs {
 		for pi, p := range pats {
-			pen, err := MeasureCell(mc, pats, pi, q, budget, 7)
+			pen, err := NewStreamSet(pats, budget, 7).MeasureCell(mc, pi, q)
 			if err != nil {
 				t.Fatalf("%s at Q=%v: %v", p.Name, q, err)
 			}
 			if !reflect.DeepEqual(pen, tbl.Cells[q][p.Name]) {
-				t.Errorf("%s at Q=%v: MeasureCell differs from BuildTable1 cell\ncell:  %+v\ntable: %+v",
+				t.Errorf("%s at Q=%v: fresh-set cell differs from BuildTable1 cell\ncell:  %+v\ntable: %+v",
 					p.Name, q, pen, tbl.Cells[q][p.Name])
 			}
 		}
 	}
-	if _, err := MeasureCell(mc, pats, -1, qs[0], budget, 7); err == nil {
+	set := NewStreamSet(pats, budget, 7)
+	if _, err := set.MeasureCell(mc, -1, qs[0]); err == nil {
 		t.Error("negative measured index accepted")
 	}
-	if _, err := MeasureCell(mc, pats, len(pats), qs[0], budget, 7); err == nil {
+	if _, err := set.MeasureCell(mc, len(pats), qs[0]); err == nil {
 		t.Error("out-of-range measured index accepted")
+	}
+	if _, err := set.MeasureCell(mc, 0, 2*budget); err == nil {
+		t.Error("Q longer than the budget accepted")
+	}
+	if n := set.built.Load(); n != 0 {
+		t.Errorf("rejected cells built %d streams, want 0", n)
+	}
+}
+
+// TestStreamSetBuildsEachStreamOnce runs a full grid on one set and checks
+// that each of its 2×len(patterns) streams was built exactly once, at one
+// worker and at several.
+func TestStreamSetBuildsEachStreamOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measurement runs in -short mode")
+	}
+	mc := machine.Symmetry()
+	pats := memtrace.Patterns()
+	qs := DefaultQs()
+	for _, workers := range []int{1, 4} {
+		set := NewStreamSet(pats, 500*simtime.Millisecond, 3)
+		err := parallel.ForEach(context.Background(), workers, len(qs)*len(pats), func(_ context.Context, idx int) error {
+			_, err := set.MeasureCell(mc, idx%len(pats), qs[idx/len(pats)])
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int(set.built.Load()), 2*len(pats); got != want {
+			t.Errorf("workers %d: %d streams built, want %d", workers, got, want)
+		}
+	}
+}
+
+// TestStreamReplaysGenerator checks that a stream's 32-bit line indices
+// decode to exactly the byte addresses its generator emits, at both
+// address bases the protocol uses.
+func TestStreamReplaysGenerator(t *testing.T) {
+	budget := 200 * simtime.Millisecond
+	for _, p := range memtrace.Patterns() {
+		for _, base := range []uint64{0, interveningBase} {
+			s, err := newStream(p, base, 5, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := memtrace.NewGenerator(p, base, 5)
+			want := make([]uint64, g.RefsFor(budget))
+			g.FillBlock(want)
+			if len(s.lines) != len(want) {
+				t.Fatalf("%s: %d references, want %d", p.Name, len(s.lines), len(want))
+			}
+			for i, line := range s.lines {
+				if got := s.base + uint64(line)*memtrace.LineBytes; got != want[i] {
+					t.Fatalf("%s base %#x: reference %d = %#x, want %#x", p.Name, base, i, got, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestStreamLineIndexOverflow checks that a stream whose line indices
+// outgrow 32 bits is refused with an error, not wrapped or panicked on. A
+// huge region relocated every reference crosses 2^32 lines within about
+// a thousand references.
+func TestStreamLineIndexOverflow(t *testing.T) {
+	const lines = 1 << 22
+	pat := memtrace.Pattern{
+		Name:       "SPRAWL",
+		Gap:        1,
+		Components: []memtrace.Component{{Lines: lines, Period: lines}},
+		PhaseEvery: 1,
+	}
+	if _, err := newStream(pat, 0, 1, 4096); err == nil {
+		t.Fatal("a stream past 2^32 lines was built")
+	}
+	if _, err := NewStreamSet([]memtrace.Pattern{pat}, 4096, 1).MeasureCell(machine.Symmetry(), 0, 1024); err == nil {
+		t.Fatal("a cell over an overflowing stream succeeded")
 	}
 }

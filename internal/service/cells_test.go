@@ -181,6 +181,18 @@ func TestErrorEnvelope(t *testing.T) {
 	if env.Error.Code != "invalid_param" || env.Error.Field != "params.mix" {
 		t.Errorf("bad mix envelope: %+v", env.Error)
 	}
+	// A budget this large once passed validation and then killed the
+	// daemon with an unrecoverable out-of-memory while allocating its
+	// reference streams.
+	for _, kind := range []string{"table1", "future"} {
+		resp := e.submit(fmt.Sprintf(`{"kind":%q,"params":{"budget_sec":1e6}}`, kind))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: huge budget: status %d, want 400", kind, resp.StatusCode)
+		}
+		if env = decode(resp); env.Error.Code != "invalid_param" || env.Error.Field != "params.budget_sec" {
+			t.Errorf("%s: huge budget envelope: %+v", kind, env.Error)
+		}
+	}
 	env = decode(e.submit(`{"kind":"compare","params":{"policies":["Equipartition","NoSuch"]}}`))
 	if env.Error.Code != "invalid_param" || env.Error.Field != "params.policies[1]" {
 		t.Errorf("bad policy envelope: %+v", env.Error)
@@ -367,6 +379,11 @@ func TestCampaignSchemas(t *testing.T) {
 		}
 		if !names["seed"] || !names["workers"] {
 			t.Errorf("%s: schema missing common params: %v", c.Kind, names)
+		}
+		for _, p := range c.Params {
+			if p.Name == "budget_sec" && (p.Max == nil || *p.Max != 100) {
+				t.Errorf("%s: budget_sec max = %v, want 100", c.Kind, p.Max)
+			}
 		}
 		if c.Kind == "compare" {
 			found := false

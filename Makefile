@@ -36,7 +36,7 @@ bench-smoke:
 # bench-smoke also sweeps these packages.
 bench-cache:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
-		./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/
+		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/
 
 # The worker-pool scaling benchmark (EXPERIMENTS.md "Campaign runner"):
 # the same campaign at 1, 4 and 8 workers; outputs are bitwise identical,

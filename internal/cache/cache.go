@@ -184,9 +184,6 @@ func New(cfg Config) (*Cache, error) {
 		epoch:     1,
 		slotOf:    make(map[int]uint64),
 		lastOwner: NoOwner,
-		// Sized so steady-state journaling never regrows the undo log
-		// (worst case touches every line once).
-		jlog: make([]jentry, 0, cfg.Lines()),
 	}
 	return c, nil
 }
@@ -470,6 +467,13 @@ func (c *Cache) Owners() []int {
 func (c *Cache) BeginJournal() {
 	if c.journaling {
 		panic("cache: nested BeginJournal")
+	}
+	if c.jlog == nil {
+		// Allocated on first use, since a cache that never journals (the
+		// Section-4 measurement's) needs none. Sized so steady-state
+		// journaling never regrows the undo log (worst case touches every
+		// line once).
+		c.jlog = make([]jentry, 0, len(c.lines))
 	}
 	c.journaling = true
 	c.jgen++

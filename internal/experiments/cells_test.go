@@ -159,20 +159,24 @@ func TestCellsRejectsBadInput(t *testing.T) {
 // TestTable1RunAllocBound bounds the bytes one fast table1 campaign
 // allocates, a count that depends on the code and not on the host. The
 // campaign's nine cells share one stream set, so its six reference
-// streams (a measured and an intervening one per application, 4 bytes a
-// reference) are built once. The allowance on top is per single-processor
-// run — each of the 45 runs (9 cells × 5 regimes) allocates a 64 KB cache:
-// 4,096 32-byte line records and a 4,096-entry undo journal, 256 KiB —
-// plus a fixed part for the generators, cell partials and the merge. A
-// grid whose cells rebuilt their streams, or streams of 8-byte addresses,
-// would overshoot the bound by more than the stream bytes again.
+// streams (a measured and an intervening one per application) are built
+// once. A stream holds one 4-byte word per run of identical references,
+// and runs are at most 62% of the built-in patterns' references, so the
+// streams get 3 bytes a reference. The allowance on top is per
+// single-processor run — each of the 45 runs (9 cells × 5 regimes)
+// allocates a 64 KB cache: 4,096 32-byte line records, 128 KiB, and no
+// undo journal, which the measurement never opens — plus a fixed part for
+// the generators, cell partials and the merge. A grid whose cells rebuilt
+// their streams, streams of one word a reference, or caches that allocate
+// their journal up front would overshoot the bound.
 func TestTable1RunAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")
 	}
 	const (
-		perRunAllowance = 320 << 10
-		fixedAllowance  = 1 << 20
+		streamBytesPerRef = 3
+		perRunAllowance   = 144 << 10
+		fixedAllowance    = 1 << 20
 	)
 	p := CampaignParams{Fast: true, Workers: 1}
 	o, err := p.options()
@@ -185,7 +189,7 @@ func TestTable1RunAllocBound(t *testing.T) {
 		refs += 2 * int64(memtrace.NewGenerator(pat, 0, o.Seed).RefsFor(o.MeasureBudget))
 	}
 	runs := int64(len(measure.DefaultQs()) * len(pats) * (2 + len(pats)))
-	bound := uint64(refs*4 + runs*perRunAllowance + fixedAllowance)
+	bound := uint64(refs*streamBytesPerRef + runs*perRunAllowance + fixedAllowance)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -194,7 +198,7 @@ func TestTable1RunAllocBound(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-		t.Errorf("one fast table1 run allocated %d B, over the bound of %d B (%d B of streams, %d runs)",
-			got, bound, refs*4, runs)
+		t.Errorf("one fast table1 run allocated %d B, over the bound of %d B (%d references, %d runs)",
+			got, bound, refs, runs)
 	}
 }

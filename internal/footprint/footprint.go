@@ -50,14 +50,15 @@ type Profile interface {
 // Cache models one processor's cache occupancy, in (fractional) lines,
 // keyed by task identifier.
 //
-// Occupancy entries are stored in a slice (with a map only as an index) so
-// that the proportional-eviction arithmetic iterates tasks in a
-// deterministic order: identical simulation runs must produce bitwise
-// identical results, and map iteration order would perturb floating-point
-// accumulation.
+// Occupancy entries are stored in a slice so that the proportional-eviction
+// arithmetic iterates tasks in a deterministic order: identical simulation
+// runs must produce bitwise identical results, and map iteration order would
+// perturb floating-point accumulation. A task is found by scanning the
+// slice: a processor's cache holds the lines of only a few tasks at a
+// time, so the scan is cheaper than a hash lookup and there is no index to
+// keep in step with swap-removal.
 type Cache struct {
 	capacity float64
-	idx      map[int]int // task -> position in entries
 	entries  []entry
 	occupied float64
 }
@@ -73,10 +74,7 @@ func New(capacityLines int) (*Cache, error) {
 	if capacityLines <= 0 {
 		return nil, fmt.Errorf("footprint: capacity must be positive, got %d", capacityLines)
 	}
-	return &Cache{
-		capacity: float64(capacityLines),
-		idx:      make(map[int]int),
-	}, nil
+	return &Cache{capacity: float64(capacityLines)}, nil
 }
 
 // MustNew is New for known-good capacities.
@@ -91,10 +89,20 @@ func MustNew(capacityLines int) *Cache {
 // Capacity returns the modelled capacity in lines.
 func (c *Cache) Capacity() float64 { return c.capacity }
 
+// find returns task's position in entries, or -1 when it has no lines.
+func (c *Cache) find(task int) int {
+	for i := range c.entries {
+		if c.entries[i].task == task {
+			return i
+		}
+	}
+	return -1
+}
+
 // Resident returns the expected number of lines task currently has
 // resident.
 func (c *Cache) Resident(task int) float64 {
-	if i, ok := c.idx[task]; ok {
+	if i := c.find(task); i >= 0 {
 		return c.entries[i].lines
 	}
 	return 0
@@ -105,31 +113,26 @@ func (c *Cache) Occupied() float64 { return c.occupied }
 
 // Flush empties the cache.
 func (c *Cache) Flush() {
-	clear(c.idx)
 	c.entries = c.entries[:0]
 	c.occupied = 0
 }
 
 // Reset prepares the cache for a fresh simulation run: occupancy is
-// emptied while the entry slice and index map keep their allocated
-// capacity, so a cache reused across the replications of an experiment
-// cell stops re-growing its internals after the first run.
+// emptied while the entry slice keeps its allocated capacity, so a cache
+// reused across the replications of an experiment cell stops re-growing
+// its internals after the first run.
 func (c *Cache) Reset() { c.Flush() }
 
 // remove drops the entry at position i by swapping with the last entry.
 func (c *Cache) remove(i int) {
 	last := len(c.entries) - 1
-	delete(c.idx, c.entries[i].task)
-	if i != last {
-		c.entries[i] = c.entries[last]
-		c.idx[c.entries[i].task] = i
-	}
+	c.entries[i] = c.entries[last]
 	c.entries = c.entries[:last]
 }
 
 // Evict removes all of task's lines (e.g. on task exit).
 func (c *Cache) Evict(task int) {
-	if i, ok := c.idx[task]; ok {
+	if i := c.find(task); i >= 0 {
 		c.occupied -= c.entries[i].lines
 		c.remove(i)
 	}
@@ -142,8 +145,8 @@ func (c *Cache) Invalidate(task int, lines float64) float64 {
 	if lines <= 0 {
 		return 0
 	}
-	i, ok := c.idx[task]
-	if !ok {
+	i := c.find(task)
+	if i < 0 {
 		return 0
 	}
 	if lines >= c.entries[i].lines {
@@ -201,10 +204,9 @@ func (c *Cache) Load(task int, lines float64) {
 			}
 		}
 	}
-	if i, ok := c.idx[task]; ok {
+	if i := c.find(task); i >= 0 {
 		c.entries[i].lines += grow
 	} else {
-		c.idx[task] = len(c.entries)
 		c.entries = append(c.entries, entry{task: task, lines: r + grow})
 	}
 	c.occupied += grow

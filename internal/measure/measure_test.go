@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/memtrace"
 	"repro/internal/parallel"
@@ -275,9 +276,10 @@ func TestStreamSetBuildsEachStreamOnce(t *testing.T) {
 	}
 }
 
-// TestStreamReplaysGenerator checks that a stream's 32-bit line indices
-// decode to exactly the byte addresses its generator emits, at both
-// address bases the protocol uses.
+// TestStreamReplaysGenerator checks that a stream's runs decode to exactly
+// the byte addresses its generator emits, at both address bases the
+// protocol uses, and that no run could have been merged into the one
+// before it.
 func TestStreamReplaysGenerator(t *testing.T) {
 	budget := 200 * simtime.Millisecond
 	for _, p := range memtrace.Patterns() {
@@ -289,22 +291,47 @@ func TestStreamReplaysGenerator(t *testing.T) {
 			g := memtrace.NewGenerator(p, base, 5)
 			want := make([]uint64, g.RefsFor(budget))
 			g.FillBlock(want)
-			if len(s.lines) != len(want) {
-				t.Fatalf("%s: %d references, want %d", p.Name, len(s.lines), len(want))
+			got := decode(s)
+			if len(got) != len(want) || s.refs != len(want) {
+				t.Fatalf("%s: %d references (refs %d), want %d", p.Name, len(got), s.refs, len(want))
 			}
-			for i, line := range s.lines {
-				if got := s.base + uint64(line)*memtrace.LineBytes; got != want[i] {
-					t.Fatalf("%s base %#x: reference %d = %#x, want %#x", p.Name, base, i, got, want[i])
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s base %#x: reference %d = %#x, want %#x", p.Name, base, i, got[i], want[i])
 				}
+			}
+			for i := 1; i < len(s.runs); i++ {
+				line, k := run(s.runs[i-1])
+				if next, _ := run(s.runs[i]); next == line && k < maxRun {
+					t.Fatalf("%s: run %d continues run %d of %d references", p.Name, i, i-1, k)
+				}
+			}
+			if ratio := float64(len(s.runs)) / float64(s.refs); ratio < 0.4 || ratio > 0.65 {
+				t.Errorf("%s: %d runs for %d references (%.2f), want 0.40-0.65", p.Name, len(s.runs), s.refs, ratio)
 			}
 		}
 	}
 }
 
+// decode expands a stream's prefix into byte addresses.
+func decode(s *Stream) []uint64 {
+	var out []uint64
+	for _, w := range s.runs {
+		line, k := run(w)
+		if k == 0 {
+			panic("measure: empty run")
+		}
+		for ; k > 0; k-- {
+			out = append(out, s.base+line*memtrace.LineBytes)
+		}
+	}
+	return out
+}
+
 // TestStreamLineIndexOverflow checks that a stream whose line indices
-// outgrow 32 bits is refused with an error, not wrapped or panicked on. A
-// huge region relocated every reference crosses 2^32 lines within about
-// a thousand references.
+// outgrow the 24 bits of a run word is refused with an error, not wrapped
+// or panicked on. A huge region relocated every reference crosses 2^24
+// lines within a handful of references.
 func TestStreamLineIndexOverflow(t *testing.T) {
 	const lines = 1 << 22
 	pat := memtrace.Pattern{
@@ -314,9 +341,145 @@ func TestStreamLineIndexOverflow(t *testing.T) {
 		PhaseEvery: 1,
 	}
 	if _, err := newStream(pat, 0, 1, 4096); err == nil {
-		t.Fatal("a stream past 2^32 lines was built")
+		t.Fatal("a stream past 2^24 lines was built")
 	}
 	if _, err := NewStreamSet([]memtrace.Pattern{pat}, 4096, 1).MeasureCell(machine.Symmetry(), 0, 1024); err == nil {
 		t.Fatal("a cell over an overflowing stream succeeded")
+	}
+	// The first two references, at the starts of phases 1 and 2, sit at
+	// lines 1*(lines+1024) and 2*(lines+1024), under 2^24.
+	if _, err := newStream(pat, 0, 1, 2); err != nil {
+		t.Fatalf("a stream below 2^24 lines was refused: %v", err)
+	}
+}
+
+// oracleRun is the per-reference protocol the run-length replay must match:
+// each reference drawn from a generator and sent through the cache, and
+// the intervening program drawn one reference at a time for q of its own
+// time. It also reports how many intervening references the run consumed.
+func oracleRun(t *testing.T, mc machine.Config, measured, intervening memtrace.Pattern, regime Regime, opts Options) (RunResult, int) {
+	t.Helper()
+	c := cache.MustNew(mc.Cache)
+	mg := memtrace.NewGenerator(measured, 0, opts.Seed)
+	var ig *memtrace.Generator
+	if regime == Multiprog {
+		ig = memtrace.NewGenerator(intervening, interveningBase, opts.Seed^0x5bd1e995)
+	}
+	n := mg.RefsFor(opts.Budget)
+	step := mc.Compute(measured.Gap)
+	var (
+		own        simtime.Duration
+		nextSwitch = opts.Q
+		res        = RunResult{Regime: regime, Accesses: uint64(n)}
+		consumed   int
+	)
+	for i := 0; i < n; i++ {
+		addr, _ := mg.Next()
+		own += step
+		if !c.Access(ownerMeasured, addr) {
+			res.Misses++
+			own += mc.LineFill
+		}
+		if own < nextSwitch {
+			continue
+		}
+		res.Switches++
+		own += mc.SwitchPath
+		switch regime {
+		case Migrating:
+			c.Flush()
+		case Multiprog:
+			istep := mc.Compute(intervening.Gap)
+			for it := simtime.Duration(0); it < opts.Q; consumed++ {
+				addr, _ := ig.Next()
+				it += istep
+				if !c.Access(ownerIntervening, addr) {
+					it += mc.LineFill
+				}
+			}
+		}
+		nextSwitch = own + opts.Q
+	}
+	res.ResponseTime = own
+	return res, consumed
+}
+
+// TestRunStreamsMatchesPerReferenceOracle replays every regime on
+// run-length streams and on the per-reference oracle. The cases include
+// a 7 µs quantum (a switch every second reference, splitting nearly every
+// run), budgets short enough that the intervening program runs past its
+// stream's prefix into the tail generator, and a pattern that re-touches
+// a line for thousands of references, so its runs reach maxRun.
+func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
+	lazy := memtrace.Pattern{
+		Name:       "LAZY",
+		Gap:        5 * simtime.Microsecond,
+		Components: []memtrace.Component{{Lines: 6000, Period: 60 * simtime.Second}},
+	}
+	slow := memtrace.Pattern{ // few, long references: a short prefix
+		Name:       "SLOW",
+		Gap:        40 * simtime.Microsecond,
+		Components: []memtrace.Component{{Lines: 300, Period: 24 * simtime.Millisecond}},
+	}
+	mc := machine.Symmetry()
+	pats := append(memtrace.Patterns(), lazy, slow)
+	cases := []struct {
+		q, budget simtime.Duration
+	}{
+		{7 * simtime.Microsecond, 3 * simtime.Millisecond},
+		{7 * simtime.Microsecond, 40 * simtime.Millisecond},
+		{simtime.Millisecond, 30 * simtime.Millisecond},
+		{25 * simtime.Millisecond, 200 * simtime.Millisecond},
+	}
+	var tails int
+	for _, tc := range cases {
+		for seed := uint64(1); seed <= 2; seed++ {
+			opts := Options{Q: tc.q, Budget: tc.budget, Seed: seed}
+			for _, m := range pats {
+				ms, err := measuredStream(m, tc.budget, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, iv := range pats {
+					is, err := interveningStream(iv, tc.budget, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, regime := range []Regime{Stationary, Migrating, Multiprog} {
+						if regime != Multiprog && iv.Name != m.Name {
+							continue // the intervening program plays no part
+						}
+						got, err := runStreams(mc, ms, is, regime, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, consumed := oracleRun(t, mc, m, iv, regime, opts)
+						if got != want {
+							t.Fatalf("%s vs %s, %v, Q %v, budget %v, seed %d:\nreplay %+v\noracle %+v",
+								m.Name, iv.Name, regime, tc.q, tc.budget, seed, got, want)
+						}
+						if consumed > is.refs {
+							tails++
+						}
+					}
+				}
+			}
+		}
+	}
+	if tails == 0 {
+		t.Error("no case ran the intervening program past its prefix")
+	}
+	ls, err := measuredStream(lazy, 30*simtime.Millisecond, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for _, w := range ls.runs {
+		if _, k := run(w); k == maxRun {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Errorf("%s: no run reached %d references", lazy.Name, maxRun)
 	}
 }

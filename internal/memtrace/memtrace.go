@@ -79,14 +79,12 @@ func (p Pattern) Validate() error {
 	if len(p.Components) == 0 {
 		return fmt.Errorf("memtrace: %s: no components", p.Name)
 	}
-	total := 0.0
 	for i, c := range p.Components {
 		if c.Lines <= 0 || c.Period <= 0 {
 			return fmt.Errorf("memtrace: %s: component %d has non-positive Lines/Period", p.Name, i)
 		}
-		total += c.weight(p.Gap)
 	}
-	if total > 1+1e-9 {
+	if total := p.RegionShare(); total > 1+1e-9 {
 		return fmt.Errorf("memtrace: %s: component weights sum to %.3f > 1", p.Name, total)
 	}
 	return nil
@@ -94,6 +92,17 @@ func (p Pattern) Validate() error {
 
 func (c Component) weight(gap simtime.Duration) float64 {
 	return float64(c.Lines) * float64(gap) / float64(c.Period)
+}
+
+// RegionShare returns the probability that a reference goes to one of the
+// pattern's regions, the sum of the component selection weights; the rest
+// re-touch the previous line.
+func (p Pattern) RegionShare() float64 {
+	total := 0.0
+	for _, c := range p.Components {
+		total += c.weight(p.Gap)
+	}
+	return total
 }
 
 // LiveFootprint returns the total region size in lines: the asymptotic

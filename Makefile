@@ -6,12 +6,17 @@
 
 GO ?= go
 
-.PHONY: all build vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke ci
+.PHONY: all build fmt-check vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fails listing every Go file of either module (the root and bench/, which
+# `.` covers) that gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -39,8 +44,8 @@ bench-cache:
 		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/
 
 # The worker-pool scaling benchmark (EXPERIMENTS.md "Campaign runner"):
-# the same campaign at 1, 4 and 8 workers; outputs are bitwise identical,
-# only the wall clock may differ.
+# the 24 cells of the fast compare plan through Cell.Run at 1, 4 and 8
+# workers; outputs are bitwise identical, only the wall clock may differ.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkComparePolicies$$' -cpu 1,4,8 -benchtime 2x .
 
@@ -129,4 +134,4 @@ analytic-smoke:
 	$(GO) run ./cmd/analyticcalib -check
 	$(GO) test -count=1 -run 'TestEngine|TestAnalytic|TestAuto|TestCalibration' ./internal/experiments/
 
-ci: vet build race bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke
+ci: fmt-check vet build race bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke

@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/parallel"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -64,34 +66,49 @@ func BenchmarkSchedRunnerSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkCompareCellAllocs measures one full ComparePolicies cell
-// (one mix, one policy, FastOptions replications), run sequentially.
+// BenchmarkCompareCellAllocs measures one compare cell as a campaign
+// runs it: mix #5 under Dyn-Aff, FastOptions replications, run
+// sequentially.
 func BenchmarkCompareCellAllocs(b *testing.B) {
-	opts := experiments.FastOptions()
-	opts.Workers = 1
-	mix5, _ := workload.MixByNumber(5)
+	plan, err := experiments.Cells("compare", experiments.CampaignParams{
+		Fast: true, Mix: 5, Policies: []string{"Dyn-Aff"}, Workers: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.ComparePolicies(opts, []workload.Mix{mix5}, []string{"Dyn-Aff"})
-		if err != nil {
+		if _, err := plan.Cells[0].Run(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkComparePolicies runs the full test-scale comparison campaign
-// (6 mixes x 4 policies x 2 replications = 48 simulation cells) with
-// Workers = GOMAXPROCS, so `go test -bench=ComparePolicies -cpu=1,4,8`
-// sweeps the worker-pool width. The campaign's output is bitwise identical
-// at every width; only the wall clock changes.
+// BenchmarkComparePolicies runs the cells of the full test-scale
+// comparison campaign (6 mixes x 4 policies = 24 cells of 2 replications,
+// 48 simulations) through Cell.Run on GOMAXPROCS workers, so
+// `go test -bench=ComparePolicies -cpu=1,4,8` sweeps the worker-pool
+// width. Each cell runs its replications sequentially (plan Workers 1):
+// nested fan-out would build more engines than the runner free list
+// keeps. The campaign's output is bitwise identical at every width; only
+// the wall clock changes.
 func BenchmarkComparePolicies(b *testing.B) {
-	opts := experiments.FastOptions()
-	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
+	plan, err := experiments.Cells("compare", experiments.CampaignParams{
+		Fast: true, Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}, Workers: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.ComparePolicies(opts, workload.Mixes(), policies)
+		err := parallel.ForEach(ctx, 0, len(plan.Cells), func(ctx context.Context, c int) error {
+			_, err := plan.Cells[c].Run(ctx)
+			return err
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,14 +76,32 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// compareAllMixes runs the Section-6 comparison across all six mixes.
-func compareAllMixes(b *testing.B, policies []string) *experiments.CompareResult {
+// compareCampaign runs the Section-6 comparison at the benchOptions scale,
+// over all six mixes (mix 0) or one.
+func compareCampaign(b *testing.B, mix int, policies []string) experiments.CompareCampaignResult {
 	b.Helper()
-	cr, err := experiments.ComparePolicies(benchOptions(), workload.Mixes(), policies)
+	res, err := experiments.Run(context.Background(), "compare",
+		experiments.CampaignParams{Replications: 2, Mix: mix, Policies: policies})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cr
+	return res.(experiments.CompareCampaignResult)
+}
+
+// jobRows returns a compare result's rows for one (mix, policy) cell, in
+// job order, failing if the result has none.
+func jobRows(tb testing.TB, res experiments.CompareCampaignResult, mix int, policy string) []experiments.CompareCampaignRow {
+	tb.Helper()
+	var rows []experiments.CompareCampaignRow
+	for _, row := range res.Rows {
+		if row.Mix == mix && row.Policy == policy {
+			rows = append(rows, row)
+		}
+	}
+	if len(rows) == 0 {
+		tb.Fatalf("no rows for mix #%d policy %s", mix, policy)
+	}
+	return rows
 }
 
 // BenchmarkFigure5 regenerates Figure 5: response times of Dynamic,
@@ -92,20 +110,16 @@ func compareAllMixes(b *testing.B, policies []string) *experiments.CompareResult
 // for every job).
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cr := compareAllMixes(b, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
+		res := compareCampaign(b, 0, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 		var sum float64
 		var n int
 		var worst float64
-		for _, mix := range workload.Mixes() {
-			rel, err := cr.Relative(mix.Number, "Dynamic", "Equipartition")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range rel {
-				sum += r
+		for _, mix := range res.Mixes {
+			for _, job := range jobRows(b, res, mix, "Dynamic") {
+				sum += job.RelRT
 				n++
-				if r > worst {
-					worst = r
+				if job.RelRT > worst {
+					worst = job.RelRT
 				}
 			}
 		}
@@ -120,16 +134,12 @@ func BenchmarkFigure5(b *testing.B) {
 // fair policies.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cr := compareAllMixes(b, []string{"Equipartition", "Dyn-Aff-NoPri"})
+		res := compareCampaign(b, 0, []string{"Equipartition", "Dyn-Aff-NoPri"})
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, mix := range workload.Mixes() {
-			rel, err := cr.Relative(mix.Number, "Dyn-Aff-NoPri", "Equipartition")
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range rel {
-				lo = math.Min(lo, r)
-				hi = math.Max(hi, r)
+		for _, mix := range res.Mixes {
+			for _, job := range jobRows(b, res, mix, "Dyn-Aff-NoPri") {
+				lo = math.Min(lo, job.RelRT)
+				hi = math.Max(hi, job.RelRT)
 			}
 		}
 		b.ReportMetric(hi-lo, "relRT-spread-NoPri")
@@ -141,46 +151,35 @@ func BenchmarkFigure6(b *testing.B) {
 // Dyn-Aff (paper: 21-31% vs 54-83%) and the reallocation reduction under
 // yield-delay (paper: about one third).
 func BenchmarkTable3(b *testing.B) {
-	mix5, _ := workload.MixByNumber(5)
 	for i := 0; i < b.N; i++ {
-		cr, err := experiments.ComparePolicies(benchOptions(), []workload.Mix{mix5},
-			[]string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sums := cr.Summaries[5]
-		b.ReportMetric(100*sums["Dynamic"][1].PctAffinity, "aff-pct-Dynamic-GRAV")
-		b.ReportMetric(100*sums["Dyn-Aff"][1].PctAffinity, "aff-pct-DynAff-GRAV")
-		b.ReportMetric(sums["Dyn-Aff"][1].Reallocations, "reallocs-DynAff-GRAV")
-		b.ReportMetric(sums["Dyn-Aff-Delay"][1].Reallocations, "reallocs-Delay-GRAV")
-		b.ReportMetric(sums["Dyn-Aff"][1].IntervalMs, "interval-DynAff-GRAV-ms")
+		res := compareCampaign(b, 5, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
+		grav := func(pol string) experiments.CompareCampaignRow { return jobRows(b, res, 5, pol)[1] }
+		b.ReportMetric(100*grav("Dynamic").PctAffinity, "aff-pct-Dynamic-GRAV")
+		b.ReportMetric(100*grav("Dyn-Aff").PctAffinity, "aff-pct-DynAff-GRAV")
+		b.ReportMetric(grav("Dyn-Aff").Reallocations, "reallocs-DynAff-GRAV")
+		b.ReportMetric(grav("Dyn-Aff-Delay").Reallocations, "reallocs-Delay-GRAV")
+		b.ReportMetric(grav("Dyn-Aff").IntervalMs, "interval-DynAff-GRAV-ms")
 	}
 }
 
 // BenchmarkTable4 regenerates Table 4: average job response times of the
 // homogeneous mixes under Dyn-Aff vs Dyn-Aff-NoPri.
 func BenchmarkTable4(b *testing.B) {
-	mix1, _ := workload.MixByNumber(1)
-	mix4, _ := workload.MixByNumber(4)
+	policies := []string{"Equipartition", "Dyn-Aff", "Dyn-Aff-NoPri"}
 	for i := 0; i < b.N; i++ {
-		cr, err := experiments.ComparePolicies(benchOptions(),
-			[]workload.Mix{mix1, mix4},
-			[]string{"Equipartition", "Dyn-Aff", "Dyn-Aff-NoPri"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean := func(mix int, pol string) float64 {
-			sums := cr.Summaries[mix][pol]
+		mean := func(res experiments.CompareCampaignResult, mix int, pol string) float64 {
+			rows := jobRows(b, res, mix, pol)
 			t := 0.0
-			for _, s := range sums {
-				t += s.MeanRT()
+			for _, row := range rows {
+				t += row.MeanRTSec
 			}
-			return t / float64(len(sums))
+			return t / float64(len(rows))
 		}
-		b.ReportMetric(mean(1, "Dyn-Aff"), "mix1-DynAff-RT-s")
-		b.ReportMetric(mean(1, "Dyn-Aff-NoPri"), "mix1-NoPri-RT-s")
-		b.ReportMetric(mean(4, "Dyn-Aff"), "mix4-DynAff-RT-s")
-		b.ReportMetric(mean(4, "Dyn-Aff-NoPri"), "mix4-NoPri-RT-s")
+		mix1, mix4 := compareCampaign(b, 1, policies), compareCampaign(b, 4, policies)
+		b.ReportMetric(mean(mix1, 1, "Dyn-Aff"), "mix1-DynAff-RT-s")
+		b.ReportMetric(mean(mix1, 1, "Dyn-Aff-NoPri"), "mix1-NoPri-RT-s")
+		b.ReportMetric(mean(mix4, 4, "Dyn-Aff"), "mix4-DynAff-RT-s")
+		b.ReportMetric(mean(mix4, 4, "Dyn-Aff-NoPri"), "mix4-NoPri-RT-s")
 	}
 }
 
@@ -189,9 +188,9 @@ func BenchmarkTable4(b *testing.B) {
 // for mix 5's GRAVITY at product 1 and 4096, and its crossover product.
 func BenchmarkFigure8to13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cr := compareAllMixes(b, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
+		res := compareCampaign(b, 0, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 		t1 := benchCampaign(b, "table1").(experiments.Table1CampaignResult)
-		scen, err := experiments.FutureScenarios(cr, t1.Table1())
+		scen, err := experiments.FutureScenarios(res, t1.Table1(), benchOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -473,19 +473,16 @@ func (c *cli) compare() error {
 // at hand for the crossover table and -simulate, then sweeps them exactly
 // as the future kind's merge does.
 func (c *cli) future() error {
-	v, err := c.campaign("compare", c.comparePolicies)
+	cmp, err := c.campaign("compare", c.comparePolicies)
 	if err != nil {
 		return err
 	}
-	cr, err := v.(experiments.CompareCampaignResult).CompareResult(c.opts)
+	t1, err := c.campaign("table1", simOnly)
 	if err != nil {
 		return err
 	}
-	v, err = c.campaign("table1", simOnly)
-	if err != nil {
-		return err
-	}
-	scen, err := experiments.FutureScenarios(cr, v.(experiments.Table1CampaignResult).Table1())
+	scen, err := experiments.FutureScenarios(cmp.(experiments.CompareCampaignResult),
+		t1.(experiments.Table1CampaignResult).Table1(), c.opts)
 	if err != nil {
 		return err
 	}

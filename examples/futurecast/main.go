@@ -46,11 +46,8 @@ func main() {
 	}
 
 	// Step 3: parameter extraction.
-	cr, err := cmp.(experiments.CompareCampaignResult).CompareResult(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	scen, err := experiments.FutureScenarios(cr, t1.(experiments.Table1CampaignResult).Table1())
+	scen, err := experiments.FutureScenarios(cmp.(experiments.CompareCampaignResult),
+		t1.(experiments.Table1CampaignResult).Table1(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/model"
-	"repro/internal/simtime"
-	"repro/internal/workload"
 )
 
 // TestModelReproducesMeasurementAtBaseline verifies the parameter-extraction
@@ -18,18 +16,18 @@ import (
 // speed = cache = 1 (work is backed out of equation (1), so this is a
 // round-trip check on the whole extraction pipeline).
 func TestModelReproducesMeasurementAtBaseline(t *testing.T) {
-	opts := experiments.FastOptions()
-	mix, _ := workload.MixByNumber(5)
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff"}
-	cr, err := experiments.ComparePolicies(opts, []workload.Mix{mix}, policies)
+	cmp, err := experiments.Run(context.Background(), "compare",
+		experiments.CampaignParams{Fast: true, Mix: 5, Policies: policies})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cmp.(experiments.CompareCampaignResult)
 	t1, err := experiments.Run(context.Background(), "table1", experiments.CampaignParams{Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := experiments.FutureScenarios(cr, t1.(experiments.Table1CampaignResult).Table1())
+	scen, err := experiments.FutureScenarios(res, t1.(experiments.Table1CampaignResult).Table1(), experiments.FastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +37,9 @@ func TestModelReproducesMeasurementAtBaseline(t *testing.T) {
 			// Recover the measured RT for this (mix, app, policy).
 			var measured float64
 			n := 0
-			for _, js := range cr.Summaries[key.Mix][pol] {
-				if js.App == key.App {
-					measured += js.MeanRT()
+			for _, job := range jobRows(t, res, key.Mix, pol) {
+				if job.App == key.App {
+					measured += job.MeanRTSec
 					n++
 				}
 			}
@@ -86,26 +84,21 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run is tens of seconds")
 	}
-	opts := experiments.DefaultOptions()
-	opts.Replications = 1
-	opts.MeasureBudget = 10 * simtime.Second
 	policies := []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
-	cr, err := experiments.ComparePolicies(opts, workload.Mixes(), policies)
+	cmp, err := experiments.Run(context.Background(), "compare",
+		experiments.CampaignParams{Replications: 1, Policies: policies})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cmp.(experiments.CompareCampaignResult)
 
 	// Conclusion 1 (Fig 5): dynamic policies beat or match Equipartition
 	// for every job of every mix.
-	for _, mix := range workload.Mixes() {
+	for _, mix := range res.Mixes {
 		for _, pol := range []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"} {
-			rel, err := cr.Relative(mix.Number, pol, "Equipartition")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range rel {
-				if r > 1.03 {
-					t.Errorf("mix #%d job %d: %s relative RT %.3f > 1", mix.Number, i, pol, r)
+			for i, job := range jobRows(t, res, mix, pol) {
+				if job.RelRT > 1.03 {
+					t.Errorf("mix #%d job %d: %s relative RT %.3f > 1", mix, i, pol, job.RelRT)
 				}
 			}
 		}
@@ -113,22 +106,22 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 
 	// Conclusion 2 (Table 3): the dynamic variants are nearly identical
 	// today, while their %affinity differs dramatically.
-	sums := cr.Summaries[5]
-	dynAffGap := math.Abs(sums["Dynamic"][1].MeanRT()-sums["Dyn-Aff"][1].MeanRT()) /
-		sums["Dynamic"][1].MeanRT()
+	grav := func(pol string) experiments.CompareCampaignRow { return jobRows(t, res, 5, pol)[1] }
+	dynAffGap := math.Abs(grav("Dynamic").MeanRTSec-grav("Dyn-Aff").MeanRTSec) /
+		grav("Dynamic").MeanRTSec
 	if dynAffGap > 0.05 {
 		t.Errorf("Dynamic vs Dyn-Aff RT gap %.3f, want < 5%%", dynAffGap)
 	}
-	if sums["Dyn-Aff"][1].PctAffinity < 3*sums["Dynamic"][1].PctAffinity {
+	if grav("Dyn-Aff").PctAffinity < 3*grav("Dynamic").PctAffinity {
 		t.Errorf("affinity contrast too weak: %v vs %v",
-			sums["Dyn-Aff"][1].PctAffinity, sums["Dynamic"][1].PctAffinity)
+			grav("Dyn-Aff").PctAffinity, grav("Dynamic").PctAffinity)
 	}
 
 	// Conclusion 3 (Table 3): yield-delay substantially reduces
 	// reallocations.
-	if sums["Dyn-Aff-Delay"][1].Reallocations > 0.8*sums["Dyn-Aff"][1].Reallocations {
+	if grav("Dyn-Aff-Delay").Reallocations > 0.8*grav("Dyn-Aff").Reallocations {
 		t.Errorf("yield delay barely reduced reallocations: %v vs %v",
-			sums["Dyn-Aff-Delay"][1].Reallocations, sums["Dyn-Aff"][1].Reallocations)
+			grav("Dyn-Aff-Delay").Reallocations, grav("Dyn-Aff").Reallocations)
 	}
 
 	// Conclusion 4 (Figs 8-13): Dynamic's relative RT rises with the
@@ -138,7 +131,7 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := experiments.FutureScenarios(cr, t1.(experiments.Table1CampaignResult).Table1())
+	scen, err := experiments.FutureScenarios(res, t1.(experiments.Table1CampaignResult).Table1(), experiments.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -82,28 +81,24 @@ func CalibrationGrid() []analytic.CalCell {
 }
 
 // calibrationConfigs rebuilds one calibration cell's per-replication
-// simulation configs from its structured fields, reproducing exactly the
-// configs the campaign drivers build for the same coordinate: compare
-// cells seed by (root, mix, rep), futuresim cells by (root, rep), and
-// futuresim cells run on the product-scaled machine.
+// simulation configs from its structured fields with the campaign cells'
+// config builder: compare cells seed by (root, mix, rep), futuresim cells
+// by (root, rep), and futuresim cells run on the product-scaled machine.
 func calibrationConfigs(cell analytic.CalCell) ([]sched.Config, error) {
 	opts := DefaultOptions()
 	opts.Machine.Processors = cell.Procs
-	opts.Replications = cell.Reps
 	opts.AppScale = cell.AppScale
-	opts.Seed = cell.Seed
 	mix, err := workload.MixByNumber(cell.Mix)
 	if err != nil {
 		return nil, err
 	}
-	mc := opts.Machine
 	if cell.Kind == "futuresim" {
-		if mc, err = futureSimMachine(opts.Machine, cell.Product); err != nil {
+		if opts.Machine, err = futureSimMachine(opts.Machine, cell.Product); err != nil {
 			return nil, err
 		}
 	}
 	cfgs := make([]sched.Config, cell.Reps)
-	for rep := 0; rep < cell.Reps; rep++ {
+	for rep := range cfgs {
 		var seed uint64
 		switch cell.Kind {
 		case "compare":
@@ -113,15 +108,8 @@ func calibrationConfigs(cell analytic.CalCell) ([]sched.Config, error) {
 		default:
 			return nil, fmt.Errorf("experiments: calibration cell kind %q unknown", cell.Kind)
 		}
-		pol, ok := core.ByName(cell.Policy)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown policy %q", cell.Policy)
-		}
-		cfgs[rep] = sched.Config{
-			Machine: mc,
-			Policy:  pol,
-			Apps:    opts.apps(mix, seed),
-			Seed:    seed,
+		if cfgs[rep], err = replicationConfig(opts, mix, cell.Policy, seed); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
 	return cfgs, nil

@@ -192,6 +192,45 @@ func decodeParts[T any](raws []json.RawMessage) ([]T, error) {
 
 func cellKey(v any) ([]byte, error) { return report.CanonicalJSON(v) }
 
+// replicate runs one cell's o.Replications replications of mix under
+// policy on o.Workers workers and the given engine tier; seed maps a
+// replication number to its seed. It returns the results in replication
+// order and folds their stats into o.Stats under policy once all have
+// run, in replication order, so the totals are identical at every worker
+// count. A failing replication's error is labelled with where and the
+// policy; on several failures the lowest-numbered one's is returned.
+func replicate(ctx context.Context, o Options, engine, where string, mix workload.Mix, policy string, seed func(rep int) uint64) ([]sched.Result, error) {
+	runs := make([]sched.Result, o.Replications)
+	err := parallel.ForEach(ctx, o.Workers, len(runs), func(ctx context.Context, rep int) error {
+		cfg, err := replicationConfig(o, mix, policy, seed(rep))
+		if err == nil {
+			runs[rep], err = runCell(engine, cfg)
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: %s policy %s: %w", where, policy, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range runs {
+		o.Stats.Add(policy, r.Stats)
+	}
+	return runs, nil
+}
+
+// replicationConfig builds one replication's simulation config: a fresh
+// instance of the policy (policies carry per-run state, so no two runs
+// share one), the mix's applications at o's scale, and the seed.
+func replicationConfig(o Options, mix workload.Mix, policy string, seed uint64) (sched.Config, error) {
+	pol, ok := core.ByName(policy)
+	if !ok {
+		return sched.Config{}, fmt.Errorf("unknown policy %q", policy)
+	}
+	return sched.Config{Machine: o.Machine, Policy: pol, Apps: o.apps(mix, seed), Seed: seed}, nil
+}
+
 // ---- characterize ------------------------------------------------------
 
 // characterizeCellKey is the cache identity of one isolated-application
@@ -417,6 +456,35 @@ type compareCellPartial struct {
 	Jobs []compareCellJob `json:"jobs"`
 }
 
+// comparePartial aggregates a compare cell's replications in replication
+// order. MeanRTSec sums the response times and divides once, as a sample
+// mean does; every other field adds up each replication's share.
+func comparePartial(runs []sched.Result) compareCellPartial {
+	n := float64(len(runs))
+	jobs := make([]compareCellJob, len(runs[0].Jobs))
+	for i, j := range runs[0].Jobs {
+		jobs[i].App = j.App
+	}
+	for _, res := range runs {
+		for i, j := range res.Jobs {
+			c := &jobs[i]
+			c.MeanRTSec += j.ResponseTime.SecondsF()
+			c.WorkSec += j.Work.SecondsF() / n
+			c.WasteSec += j.Waste.SecondsF() / n
+			c.MissSec += j.MissTime.SecondsF() / n
+			c.SwitchSec += j.SwitchTime.SecondsF() / n
+			c.AvgAlloc += j.AvgAlloc / n
+			c.Reallocations += float64(j.Reallocations) / n
+			c.PctAffinity += j.PctAffinity() / n
+			c.IntervalMs += j.ReallocInterval().Millis() / n
+		}
+	}
+	for i := range jobs {
+		jobs[i].MeanRTSec /= n
+	}
+	return compareCellPartial{Jobs: jobs}
+}
+
 // compareCellList builds the (mix, policy) cells for the given grid,
 // mix-major. Shared by the compare and future kinds, whose policy cells
 // are the same cache entries.
@@ -450,38 +518,21 @@ func compareCellList(np CampaignParams, mixNumbers []int, policies []string) ([]
 					if err != nil {
 						return nil, err
 					}
-					// Pin the resolved tier: the single-coordinate run below
-					// must use exactly the engine hashed into this cell's key,
-					// even though it re-derives the same resolution itself.
-					o.Engine = engine
 					mix, err := workload.MixByNumber(mixNum)
 					if err != nil {
 						return nil, err
 					}
-					// A single-coordinate ComparePoliciesCtx call: its seeds
-					// are position-independent, so the summaries equal the
-					// matching block of any larger grid.
-					cr, err := ComparePoliciesCtx(ctx, o, []workload.Mix{mix}, []string{pol})
+					// The seeds leave out the policy: replication r sees the
+					// same workload under every policy (common random
+					// numbers), which keeps relative response times
+					// low-variance.
+					runs, err := replicate(ctx, o, engine, fmt.Sprintf("mix #%d", mixNum), mix, pol, func(rep int) uint64 {
+						return parallel.CellSeed(np.Seed, uint64(mixNum), uint64(rep))
+					})
 					if err != nil {
 						return nil, err
 					}
-					sums := cr.Summaries[mixNum][pol]
-					part := compareCellPartial{Jobs: make([]compareCellJob, len(sums))}
-					for ji, js := range sums {
-						part.Jobs[ji] = compareCellJob{
-							App:           js.App,
-							MeanRTSec:     js.MeanRT(),
-							WorkSec:       js.WorkSec,
-							WasteSec:      js.WasteSec,
-							MissSec:       js.MissSec,
-							SwitchSec:     js.SwitchSec,
-							AvgAlloc:      js.AvgAlloc,
-							Reallocations: js.Reallocations,
-							PctAffinity:   js.PctAffinity,
-							IntervalMs:    js.IntervalMs,
-						}
-					}
-					return part, nil
+					return comparePartial(runs), nil
 				},
 			})
 		}
@@ -603,15 +654,11 @@ func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		cr, err := compareMergeRows(mixNumbers, cols, cparts).CompareResult(opts)
-		if err != nil {
-			return nil, err
-		}
 		t1, err := t1Plan.merge(ctx, raws[nc:])
 		if err != nil {
 			return nil, err
 		}
-		scen, err := FutureScenarios(cr, t1.(Table1CampaignResult).Table1())
+		scen, err := FutureScenarios(compareMergeRows(mixNumbers, cols, cparts), t1.(Table1CampaignResult).Table1(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -681,43 +728,20 @@ func futureSimCellPlan(np CampaignParams) (*CellPlan, error) {
 					if err != nil {
 						return nil, err
 					}
-					mc, err := futureSimMachine(o.Machine, prod)
-					if err != nil {
+					if o.Machine, err = futureSimMachine(o.Machine, prod); err != nil {
 						return nil, err
 					}
-					if _, ok := core.ByName(col); !ok {
-						return nil, fmt.Errorf("experiments: unknown policy %q", col)
-					}
-					R := o.Replications
-					rts := make([]float64, R)
-					simStats := make([]obs.SimStats, R)
-					err = parallel.ForEach(ctx, o.Workers, R, func(ctx context.Context, rep int) error {
-						seed := parallel.CellSeed(o.Seed, uint64(rep))
-						pol, _ := core.ByName(col)
-						r, err := runCell(engine, sched.Config{
-							Machine: mc,
-							Policy:  pol,
-							Apps:    o.apps(mix, seed),
-							Seed:    seed,
-						})
-						if err != nil {
-							return fmt.Errorf("experiments: product %v policy %s: %w", prod, col, err)
-						}
-						rts[rep] = r.MeanResponse()
-						simStats[rep] = r.Stats
-						return nil
+					// Replication seeds leave out the product and the policy,
+					// so every point of the sweep sees the same workloads.
+					runs, err := replicate(ctx, o, engine, fmt.Sprintf("product %v", prod), mix, col, func(rep int) uint64 {
+						return parallel.CellSeed(np.Seed, uint64(rep))
 					})
 					if err != nil {
 						return nil, err
 					}
-					if o.Stats != nil {
-						parallel.Fold(simStats, func(_ int, s obs.SimStats) {
-							o.Stats.Add(col, s)
-						})
-					}
 					var mean float64
-					for rep := 0; rep < R; rep++ {
-						mean += rts[rep] / float64(R)
+					for _, r := range runs {
+						mean += r.MeanResponse() / float64(len(runs))
 					}
 					return futureSimCellPartial{MeanRTSec: mean}, nil
 				},
@@ -792,33 +816,11 @@ func relatedWorkCellPlan(np CampaignParams) (*CellPlan, error) {
 				if err != nil {
 					return nil, err
 				}
-				if _, ok := core.ByName(polName); !ok {
-					return nil, fmt.Errorf("experiments: unknown policy %q", polName)
-				}
-				R := o.Replications
-				runs := make([]sched.Result, R)
-				err = parallel.ForEach(ctx, o.Workers, R, func(ctx context.Context, rep int) error {
-					seed := parallel.CellSeed(o.Seed, uint64(rep))
-					pol, _ := core.ByName(polName)
-					r, err := runSim(sched.Config{
-						Machine: o.Machine,
-						Policy:  pol,
-						Apps:    o.apps(mix, seed),
-						Seed:    seed,
-					})
-					if err != nil {
-						return err
-					}
-					runs[rep] = r
-					return nil
+				runs, err := replicate(ctx, o, EngineSim, "mix #5", mix, polName, func(rep int) uint64 {
+					return parallel.CellSeed(np.Seed, uint64(rep))
 				})
 				if err != nil {
 					return nil, err
-				}
-				if o.Stats != nil {
-					parallel.Fold(runs, func(_ int, r sched.Result) {
-						o.Stats.Add(polName, r.Stats)
-					})
 				}
 				row := relatedWorkRowFrom(polName, runs)
 				return relatedWorkCellPartial{

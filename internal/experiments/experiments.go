@@ -15,9 +15,7 @@
 //   - futuresim    → Section 7 validation (FutureSimTable)
 //   - relatedwork  → Section 8 (RelatedWorkTable)
 //
-// ComparePoliciesCtx is the scheduling-comparison kernel every compare
-// cell runs; MPLSweep and OpenArrivals are extension drivers with no
-// campaign kind.
+// MPLSweep and OpenArrivals are extension drivers with no campaign kind.
 package experiments
 
 import (
@@ -26,7 +24,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/simtime"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -158,24 +155,3 @@ func max(a, b int) int {
 	}
 	return b
 }
-
-// JobSummary aggregates one job's metrics across replications of one
-// (mix, policy) cell.
-type JobSummary struct {
-	// App names the application type.
-	App string
-	// RT collects per-replication response times in seconds.
-	RT *stats.Sample
-	// The remaining fields are replication means.
-	WorkSec       float64 // processor-seconds of compute
-	WasteSec      float64 // processor-seconds held idle
-	MissSec       float64 // processor-seconds stalled on misses
-	SwitchSec     float64 // processor-seconds of switch overhead
-	AvgAlloc      float64
-	Reallocations float64
-	PctAffinity   float64
-	IntervalMs    float64 // mean per-processor reallocation interval
-}
-
-// MeanRT returns the mean response time in seconds.
-func (s JobSummary) MeanRT() float64 { return s.RT.Mean() }

@@ -271,11 +271,7 @@ func TestPipelineQualitative(t *testing.T) {
 	}
 
 	// Future extrapolation end to end.
-	cr, err := res.CompareResult(FastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	scen, err := FutureScenarios(cr, fastTable1(t).Table1())
+	scen, err := FutureScenarios(res, fastTable1(t).Table1(), FastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,37 +309,36 @@ func TestPipelineQualitative(t *testing.T) {
 }
 
 func TestCompareErrors(t *testing.T) {
-	opts := FastOptions()
-	if _, err := ComparePolicies(opts, nil, []string{"Dynamic"}); err == nil {
-		t.Error("no mixes accepted")
+	// An empty policy list is not an error on the wire: it selects the
+	// kind's defaults.
+	if np, err := (Campaign{Kind: "compare"}).Normalize(CampaignParams{}); err != nil || len(np.Policies) == 0 {
+		t.Errorf("no policies: normalized to %v, %v; want the default list", np.Policies, err)
 	}
-	if _, err := ComparePolicies(opts, workload.Mixes()[:1], nil); err == nil {
-		t.Error("no policies accepted")
+	cases := []struct {
+		name string
+		p    CampaignParams
+	}{
+		{"bogus policy", CampaignParams{Fast: true, Mix: 1, Policies: []string{"bogus"}}},
+		{"unknown mix", CampaignParams{Fast: true, Mix: 9, Policies: []string{"Dynamic"}}},
+		{"negative mix", CampaignParams{Fast: true, Mix: -1, Policies: []string{"Dynamic"}}},
 	}
-	if _, err := ComparePolicies(opts, workload.Mixes()[:1], []string{"bogus"}); err == nil {
-		t.Error("bogus policy accepted")
+	for _, tc := range cases {
+		if _, err := Run(context.Background(), "compare", tc.p); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	mix := workload.Mix{Number: 9}
-	if _, err := ComparePolicies(opts, []workload.Mix{mix}, []string{"Dynamic"}); err == nil {
-		t.Error("empty mix accepted")
+	// A failing replication names its cell, and fails the campaign.
+	if _, err := replicate(context.Background(), FastOptions(), EngineSim, "mix #9", workload.Mix{Number: 9}, "Dynamic",
+		func(rep int) uint64 { return uint64(rep) }); err == nil || !strings.Contains(err.Error(), "mix #9 policy Dynamic") {
+		t.Errorf("empty mix: err = %v, want a labelled error", err)
+	}
+	if _, err := replicate(context.Background(), FastOptions(), EngineSim, "mix #1", workload.Mixes()[0], "bogus",
+		func(rep int) uint64 { return uint64(rep) }); err == nil {
+		t.Error("bogus policy replicated")
 	}
 }
 
 func TestRelativeErrors(t *testing.T) {
-	opts := FastOptions()
-	cr, err := ComparePolicies(opts, []workload.Mix{{Number: 1, MVA: 2}}, []string{"Equipartition", "Dynamic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cr.Relative(9, "Dynamic", "Equipartition"); err == nil {
-		t.Error("missing mix accepted")
-	}
-	if _, err := cr.Relative(1, "bogus", "Equipartition"); err == nil {
-		t.Error("missing policy accepted")
-	}
-	if _, err := cr.Relative(1, "Dynamic", "bogus"); err == nil {
-		t.Error("missing baseline accepted")
-	}
 	var empty CompareCampaignResult
 	if _, err := Table3Report(empty, 9, []string{"Dynamic"}); err == nil {
 		t.Error("Table3 for missing mix accepted")
@@ -354,13 +349,15 @@ func TestRelativeErrors(t *testing.T) {
 	if _, err := Table4Report(empty, []int{1}, "Dynamic", "Equipartition"); err == nil {
 		t.Error("Table4 for missing policy accepted")
 	}
-	if _, err := (CompareCampaignResult{Mixes: []int{1}, Rows: []CompareCampaignRow{{Mix: 2}}}).CompareResult(opts); err == nil {
-		t.Error("CompareResult accepted a row outside the result's mixes")
-	}
 	noBaseline := CompareCampaignResult{Mixes: []int{1}, Policies: []string{"Dynamic"},
 		Rows: []CompareCampaignRow{{Mix: 1, Policy: "Dynamic", App: "MVA"}}}
 	if _, err := Figure5Report(noBaseline, []string{"Dynamic"}); err == nil {
 		t.Error("Figure 5 without the Equipartition baseline accepted")
+	}
+	baselineOnly := CompareCampaignResult{Mixes: []int{1}, Policies: []string{"Equipartition"},
+		Rows: []CompareCampaignRow{{Mix: 1, Policy: "Equipartition", App: "MVA"}}}
+	if _, err := Figure5Report(baselineOnly, []string{"Dynamic"}); err == nil {
+		t.Error("Figure 5 for a missing policy accepted")
 	}
 }
 

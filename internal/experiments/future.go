@@ -22,51 +22,54 @@ type ScenarioKey struct {
 // ("wkload5 - GRAVITY").
 func (k ScenarioKey) String() string { return fmt.Sprintf("wkload%d - %s", k.Mix, k.App) }
 
-// FutureScenarios extracts model parameters from the scheduling experiments
+// FutureScenarios extracts model parameters from a compare result's rows
 // and the Table-1 penalty measurements, producing one model.Scenario per
 // (mix, application type) — the Section 7.3 procedure:
 //
 //   - #reallocations, %affinity, waste, and average allocation come
-//     directly from the measured job metrics;
-//   - P^A and P^NA come from the Table-1 cell at the Q nearest the job's
-//     observed reallocation interval, with P^A averaged over the other
-//     applications in the mix;
+//     directly from the measured job metrics, averaged over the jobs of
+//     the type; the response time is the type's first job's;
+//   - P^A and P^NA come from the Table-1 cell at opts.ExtractionQ (or, when
+//     that is zero, at the Q nearest the jobs' observed reallocation
+//     interval), with P^A averaged over the other applications in the mix;
 //   - work is backed out of equation (1) so that the model reproduces the
 //     measured response time exactly at speed = cache = 1.
-func FutureScenarios(cr *CompareResult, t1 measure.Table1) (map[ScenarioKey]model.Scenario, error) {
+//
+// opts supplies the machine (its switch path) and the extraction interval
+// the result was run with.
+func FutureScenarios(res CompareCampaignResult, t1 measure.Table1, opts Options) (map[ScenarioKey]model.Scenario, error) {
 	out := make(map[ScenarioKey]model.Scenario)
-	switchSec := cr.Opts.Machine.SwitchPath.SecondsF()
-	for _, mix := range cr.Mixes {
+	switchSec := opts.Machine.SwitchPath.SecondsF()
+	for _, mix := range res.Mixes {
 		// Application types present in this mix, for P^A averaging.
 		var present []string
-		for _, js := range cr.Summaries[mix.Number][cr.Policies[0]] {
-			present = append(present, js.App)
+		for _, job := range res.rows(mix, res.Policies[0]) {
+			present = append(present, job.App)
 		}
 		for _, app := range uniqueStrings(present) {
-			key := ScenarioKey{Mix: mix.Number, App: app}
+			key := ScenarioKey{Mix: mix, App: app}
 			sc := model.Scenario{
 				Name:     key.String(),
 				Baseline: "Equipartition",
 				Policies: make(map[string]model.Params),
 			}
-			for _, pol := range cr.Policies {
-				sums := cr.Summaries[mix.Number][pol]
+			for _, pol := range res.Policies {
 				// Average jobs of this application type.
-				var agg JobSummary
+				var agg CompareCampaignRow
 				n := 0
-				for _, js := range sums {
-					if js.App != app {
+				for _, job := range res.rows(mix, pol) {
+					if job.App != app {
 						continue
 					}
-					n++
-					agg.WasteSec += js.WasteSec
-					agg.AvgAlloc += js.AvgAlloc
-					agg.Reallocations += js.Reallocations
-					agg.PctAffinity += js.PctAffinity
-					agg.IntervalMs += js.IntervalMs
-					if agg.RT == nil {
-						agg.RT = js.RT
+					if n == 0 {
+						agg.MeanRTSec = job.MeanRTSec
 					}
+					n++
+					agg.WasteSec += job.WasteSec
+					agg.AvgAlloc += job.AvgAlloc
+					agg.Reallocations += job.Reallocations
+					agg.PctAffinity += job.PctAffinity
+					agg.IntervalMs += job.IntervalMs
 				}
 				if n == 0 {
 					continue
@@ -79,12 +82,12 @@ func FutureScenarios(cr *CompareResult, t1 measure.Table1) (map[ScenarioKey]mode
 				agg.IntervalMs /= fn
 
 				intervening := otherApps(present, app)
-				q := cr.Opts.ExtractionQ
+				q := opts.ExtractionQ
 				if q == 0 {
 					q = simtime.Duration(agg.IntervalMs * float64(simtime.Millisecond))
 				}
 				pa, pna := PenaltyFor(t1, app, intervening, q)
-				rt := agg.RT.Mean()
+				rt := agg.MeanRTSec
 				penalty := agg.PctAffinity*pa + (1-agg.PctAffinity)*pna
 				work := rt*agg.AvgAlloc - agg.WasteSec - agg.Reallocations*(switchSec+penalty)
 				if work <= 0 {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/simtime"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -31,7 +30,8 @@ type CampaignParams struct {
 	Fast bool `json:"fast,omitempty"`
 	// Procs is the simulated machine's processor count (default 16).
 	Procs int `json:"procs,omitempty"`
-	// Replications per (mix, policy) cell (default 5; 2 under Fast).
+	// Replications per (mix, policy) cell (default 5; 2 under Fast; at
+	// most maxReps).
 	Replications int `json:"reps,omitempty"`
 	// BudgetSec is the Table-1 per-run compute budget in seconds
 	// (default 20; 4 under Fast; at most maxBudgetSec). Used by table1 and
@@ -72,6 +72,11 @@ type CampaignParams struct {
 // indices within 32 bits.
 const maxBudgetSec = 100
 
+// maxReps bounds reps. Each cell holds one result per replication, so an
+// unbounded count lets one request exhaust the daemon's memory before a
+// single run starts; the paper's campaigns use 5.
+const maxReps = 100
+
 // options folds the params into an Options value. Zero means default;
 // negative values are rejected rather than silently defaulted, each named
 // by its wire field path.
@@ -81,6 +86,8 @@ func (p CampaignParams) options() (Options, error) {
 		return Options{}, &ParamError{Field: "params.procs", Msg: "must be >= 0"}
 	case p.Replications < 0:
 		return Options{}, &ParamError{Field: "params.reps", Msg: "must be >= 0"}
+	case p.Replications > maxReps:
+		return Options{}, &ParamError{Field: "params.reps", Msg: fmt.Sprintf("must be <= %d", maxReps)}
 	case p.BudgetSec < 0:
 		return Options{}, &ParamError{Field: "params.budget_sec", Msg: "must be >= 0"}
 	case p.BudgetSec > maxBudgetSec:
@@ -300,8 +307,8 @@ func CampaignByKind(kind string) (Campaign, bool) {
 // ---- JSON result shapes ------------------------------------------------
 //
 // Campaign results are explicit wire structs rather than the drivers'
-// internal types: internal types carry unexported state (stats.Sample),
-// simulation-unit fields, and map keys that are not strings. The wire
+// internal types: internal types carry simulation-unit fields and map
+// keys that are not strings. The wire
 // structs hold only strings, numbers, slices and string-keyed maps, so
 // report.CanonicalJSON over them is total and byte-stable.
 
@@ -380,50 +387,6 @@ type CompareCampaignResult struct {
 	Mixes    []int                `json:"mixes"`
 	Policies []string             `json:"policies"`
 	Rows     []CompareCampaignRow `json:"rows"`
-}
-
-// CompareResult rebuilds the CompareResult view of the rows that the
-// Section-7.3 parameter extraction (FutureScenarios) reads. Each job's
-// RT sample holds the one value the extraction takes the mean of — the
-// row's replication mean itself, whose single-value mean is exact. opts
-// supplies the machine and extraction interval the result was run with.
-func (r CompareCampaignResult) CompareResult(opts Options) (*CompareResult, error) {
-	cr := &CompareResult{
-		Opts:      opts,
-		Policies:  r.Policies,
-		Summaries: make(map[int]map[string][]JobSummary, len(r.Mixes)),
-	}
-	for _, n := range r.Mixes {
-		mix, err := workload.MixByNumber(n)
-		if err != nil {
-			return nil, err
-		}
-		cr.Mixes = append(cr.Mixes, mix)
-		cr.Summaries[n] = make(map[string][]JobSummary, len(r.Policies))
-	}
-	for i, row := range r.Rows {
-		byPolicy, ok := cr.Summaries[row.Mix]
-		if !ok || row.Job < 0 || row.Job > len(byPolicy[row.Policy]) {
-			return nil, fmt.Errorf("experiments: compare row %d (mix #%d, %s, job %d) is outside the result's grid", i, row.Mix, row.Policy, row.Job)
-		}
-		rt := &stats.Sample{}
-		rt.Add(row.MeanRTSec)
-		// Truncating to the job index makes a policy listed twice
-		// overwrite its first copy rather than double its jobs.
-		byPolicy[row.Policy] = append(byPolicy[row.Policy][:row.Job], JobSummary{
-			App:           row.App,
-			RT:            rt,
-			WorkSec:       row.WorkSec,
-			WasteSec:      row.WasteSec,
-			MissSec:       row.MissSec,
-			SwitchSec:     row.SwitchSec,
-			AvgAlloc:      row.AvgAlloc,
-			Reallocations: row.Reallocations,
-			PctAffinity:   row.PctAffinity,
-			IntervalMs:    row.IntervalMs,
-		})
-	}
-	return cr, nil
 }
 
 // rows returns the result's rows for one (mix, policy) cell, in job

@@ -133,6 +133,18 @@ func TestCampaignNormalizeRejectsBadParams(t *testing.T) {
 	if _, err := Cells("table1", CampaignParams{BudgetSec: maxBudgetSec}); err != nil {
 		t.Errorf("budget_sec at the bound refused: %v", err)
 	}
+	// Over the bound, reps is refused before a result slot is allocated
+	// for each replication; the bound itself is accepted.
+	for _, kind := range []string{"compare", "future", "futuresim", "relatedwork"} {
+		_, err := Run(context.Background(), kind, CampaignParams{Fast: true, Replications: 1 << 40})
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != "params.reps" {
+			t.Errorf("%s with reps 2^40: err = %v, want a params.reps ParamError", kind, err)
+		}
+		if _, err := Cells(kind, CampaignParams{Replications: maxReps}); err != nil {
+			t.Errorf("%s: reps at the bound refused: %v", kind, err)
+		}
+	}
 }
 
 // fastCampaignParams is a scaled-down parameterization cheap enough for

@@ -215,9 +215,10 @@ func MPLTable(points []MPLPoint, policies []string) report.Table {
 	return t
 }
 
-// OpenArrivals runs an open system: jobs of the given mix composition
-// arrive with exponential interarrival times (mean interarrival seconds),
-// cycling through the mix's application types, until njobs have arrived.
+// OpenArrivals runs an open system: njobs jobs, a third of each
+// application type, arrive with exponential interarrival times (mean
+// interarrival), grouped by type — all the MVA jobs, then the MATRIX
+// jobs, then the GRAVITY jobs.
 // It returns the mean job response time per policy — an extension beyond
 // the paper's closed mixes. It is OpenArrivalsCtx without cancellation.
 func OpenArrivals(opts Options, interarrival simtime.Duration, njobs int, policies []string) (map[string]float64, error) {
@@ -239,8 +240,8 @@ func OpenArrivalsCtx(ctx context.Context, opts Options, interarrival simtime.Dur
 		rep := idx % R
 		polName := policies[idx/R]
 		seed := parallel.CellSeed(opts.Seed, uint64(rep))
-		// Build the job list by cycling app types; arrivals are a seeded
-		// Poisson process.
+		// The job list is grouped by app type, in the mix's order;
+		// arrivals are a seeded Poisson process.
 		mix := workload.Mix{Number: 200, MVA: (njobs + 2) / 3, Matrix: (njobs + 1) / 3, Gravity: njobs / 3}
 		apps := opts.apps(mix, seed)[:njobs]
 		arrivals := poissonArrivals(njobs, interarrival, seed)

@@ -56,8 +56,8 @@ func (c Campaign) ParamSchema() []ParamSpec {
 		{Name: "workers", Type: "int", Default: 0, Min: limit(0),
 			Description: "concurrent simulation cells (0 = all CPUs); results are bitwise identical at every worker count, so workers is never part of the cache identity"},
 	}...)
-	reps := ParamSpec{Name: "reps", Type: "int", Default: 5, Min: limit(1),
-		Description: "replications per simulation cell"}
+	reps := ParamSpec{Name: "reps", Type: "int", Default: 5, Min: limit(1), Max: limit(maxReps),
+		Description: "replications per simulation cell (at most 100)"}
 	appScale := ParamSpec{Name: "app_scale", Type: "int", Default: 1, Min: limit(1),
 		Description: "application shrink factor for quick runs"}
 	budget := ParamSpec{Name: "budget_sec", Type: "float", Default: 20.0, Min: limit(0.4), Max: limit(maxBudgetSec),

@@ -193,6 +193,16 @@ func TestErrorEnvelope(t *testing.T) {
 			t.Errorf("%s: huge budget envelope: %+v", kind, env.Error)
 		}
 	}
+	// Replication counts this large once passed validation and then
+	// killed the daemon with an unrecoverable out-of-memory while
+	// allocating each cell's result slots.
+	resp := e.submit(`{"kind":"compare","params":{"fast":true,"mix":5,"reps":1099511627776}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("huge reps: status %d, want 400", resp.StatusCode)
+	}
+	if env = decode(resp); env.Error.Code != "invalid_param" || env.Error.Field != "params.reps" {
+		t.Errorf("huge reps envelope: %+v", env.Error)
+	}
 	env = decode(e.submit(`{"kind":"compare","params":{"policies":["Equipartition","NoSuch"]}}`))
 	if env.Error.Code != "invalid_param" || env.Error.Field != "params.policies[1]" {
 		t.Errorf("bad policy envelope: %+v", env.Error)
@@ -383,6 +393,9 @@ func TestCampaignSchemas(t *testing.T) {
 		for _, p := range c.Params {
 			if p.Name == "budget_sec" && (p.Max == nil || *p.Max != 100) {
 				t.Errorf("%s: budget_sec max = %v, want 100", c.Kind, p.Max)
+			}
+			if p.Name == "reps" && (p.Max == nil || *p.Max != 100) {
+				t.Errorf("%s: reps max = %v, want 100", c.Kind, p.Max)
 			}
 		}
 		if c.Kind == "compare" {

@@ -36,12 +36,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # One iteration of the exact-cache fast-path benchmarks (flat-array cache,
-# undo journal, single-replay plan/commit, block generation) — a dedicated
-# gate so a regression in the hot path fails ci by name even though
-# bench-smoke also sweeps these packages.
+# undo journal, single-replay plan/commit, block generation) and of the
+# workload graph build — a dedicated gate so a regression in the hot path
+# fails ci by name even though bench-smoke also sweeps these packages.
 bench-cache:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
-		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/
+		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/ ./internal/workload/
 
 # The worker-pool scaling benchmark (EXPERIMENTS.md "Campaign runner"):
 # the 24 cells of the fast compare plan through Cell.Run at 1, 4 and 8

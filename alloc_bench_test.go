@@ -114,3 +114,23 @@ func BenchmarkComparePolicies(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFreshAnalyticCampaign runs a never-seen fast analytic compare
+// campaign over all mixes and the default policies through experiments.Run
+// at Workers 1: each iteration takes a new seed, so its GRAVITY graphs miss
+// the graph cache and are built, as a fresh campaign's are in the service.
+func BenchmarkFreshAnalyticCampaign(b *testing.B) {
+	seed := uint64(1) << 40
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seed++
+		_, err := experiments.Run(ctx, "compare", experiments.CampaignParams{
+			Fast: true, Engine: experiments.EngineAnalytic, Seed: seed, Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/footprint"
 	"repro/internal/sched"
 	"repro/internal/simtime"
+	"repro/internal/workload"
 )
 
 // fixedPointIterations is the number of fluid-pass refinements. Each pass
@@ -67,7 +68,7 @@ func classify(p alloc.Policy) policyClass {
 // seconds: baseline compute for rem/workSec, wall time for everything else.
 type jobSim struct {
 	name     string
-	levels   []level
+	levels   []workload.Level
 	maxPar   int
 	nthreads int
 	workSec  float64 // total baseline compute
@@ -140,7 +141,7 @@ func Run(cfg sched.Config) (sched.Result, error) {
 		app := &cfg.Apps[i]
 		jobs[i] = &jobSim{
 			name:     app.Name,
-			levels:   levelProfile(app.Graph),
+			levels:   app.Graph.Levels(),
 			maxPar:   app.MaxParallelism(),
 			nthreads: app.Graph.NumThreads(),
 			workSec:  app.Graph.TotalWork().SecondsF(),
@@ -384,8 +385,8 @@ func (j *jobSim) enterLevel() {
 		return
 	}
 	lv := j.levels[j.li]
-	j.width = lv.width
-	j.rem = lv.work.SecondsF()
+	j.width = lv.Width
+	j.rem = lv.Work.SecondsF()
 	j.needsInflate = true
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/memtrace"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -144,7 +143,8 @@ func (p *CellPlan) RunBody(ctx context.Context, i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := report.CanonicalJSON(res)
+	// Partials are canonical by construction, like keys (see cellKey).
+	body, err := json.Marshal(res)
 	if err != nil {
 		return nil, fmt.Errorf("encode cell %s: %w", c.ID, err)
 	}
@@ -190,7 +190,12 @@ func decodeParts[T any](raws []json.RawMessage) ([]T, error) {
 	return out, nil
 }
 
-func cellKey(v any) ([]byte, error) { return report.CanonicalJSON(v) }
+// cellKey encodes a cell's key material. Every cell-key and cell-partial
+// type declares its fields in bytewise JSON-name order and holds no
+// untyped values, so plain json.Marshal already produces
+// report.CanonicalJSON's bytes (TestCellBytesCanonicalByConstruction checks
+// every kind) without its decode-and-re-encode round trip.
+func cellKey(v any) ([]byte, error) { return json.Marshal(v) }
 
 // replicate runs one cell's o.Replications replications of mix under
 // policy on o.Workers workers and the given engine tier; seed maps a
@@ -237,10 +242,10 @@ func replicationConfig(o Options, mix workload.Mix, policy string, seed uint64) 
 // characterization. AppScale changes the application itself, Procs the
 // machine it runs on, Seed every random draw.
 type characterizeCellKey struct {
-	Procs    int    `json:"procs"`
-	AppScale int    `json:"app_scale"`
-	Seed     uint64 `json:"seed"`
 	App      string `json:"app"`
+	AppScale int    `json:"app_scale"`
+	Procs    int    `json:"procs"`
+	Seed     uint64 `json:"seed"`
 }
 
 func characterizeCellPlan(np CampaignParams) (*CellPlan, error) {
@@ -297,18 +302,18 @@ func characterizeCellPlan(np CampaignParams) (*CellPlan, error) {
 // penalty measurement. Procs is absent: the protocol always measures on
 // a single processor.
 type table1CellKey struct {
-	BudgetSec float64 `json:"budget_sec"`
-	Seed      uint64  `json:"seed"`
-	QMs       float64 `json:"q_ms"`
 	App       string  `json:"app"`
+	BudgetSec float64 `json:"budget_sec"`
+	QMs       float64 `json:"q_ms"`
+	Seed      uint64  `json:"seed"`
 }
 
 // table1CellPartial carries one cell's penalties as raw simtime ticks,
 // not float microseconds: Duration -> Micros() is a lossy float
 // division, so the merge performs it exactly once.
 type table1CellPartial struct {
-	PNARaw int64            `json:"pna_raw"`
 	PARaw  map[string]int64 `json:"pa_raw"`
+	PNARaw int64            `json:"pna_raw"`
 }
 
 func newTable1Partial(pen measure.Penalties) table1CellPartial {
@@ -424,16 +429,16 @@ func patternNames() []string {
 // seeds are parallel.CellSeed(seed, mix, rep) — policy-independent — so
 // any campaign whose grid contains this coordinate produces these bytes.
 type compareCellKey struct {
-	Procs    int    `json:"procs"`
-	Reps     int    `json:"reps"`
-	AppScale int    `json:"app_scale"`
-	Seed     uint64 `json:"seed"`
-	Mix      int    `json:"mix"`
-	Policy   string `json:"policy"`
+	AppScale int `json:"app_scale"`
 	// Engine is the resolved tier ("sim" or "analytic"), spelled explicitly
 	// even for the default: analytic estimates and simulated results must
 	// never collide onto one cache entry.
 	Engine string `json:"engine"`
+	Mix    int    `json:"mix"`
+	Policy string `json:"policy"`
+	Procs  int    `json:"procs"`
+	Reps   int    `json:"reps"`
+	Seed   uint64 `json:"seed"`
 }
 
 // compareCellJob is one job's replication-averaged outcome within a
@@ -441,15 +446,15 @@ type compareCellKey struct {
 // RelRT, which the merge derives.
 type compareCellJob struct {
 	App           string  `json:"app"`
-	MeanRTSec     float64 `json:"mean_rt_sec"`
-	WorkSec       float64 `json:"work_sec"`
-	WasteSec      float64 `json:"waste_sec"`
-	MissSec       float64 `json:"miss_sec"`
-	SwitchSec     float64 `json:"switch_sec"`
 	AvgAlloc      float64 `json:"avg_alloc"`
-	Reallocations float64 `json:"reallocations"`
+	MeanRTSec     float64 `json:"mean_rt_sec"`
+	MissSec       float64 `json:"miss_sec"`
 	PctAffinity   float64 `json:"pct_affinity"`
 	IntervalMs    float64 `json:"realloc_interval_ms"`
+	Reallocations float64 `json:"reallocations"`
+	SwitchSec     float64 `json:"switch_sec"`
+	WasteSec      float64 `json:"waste_sec"`
+	WorkSec       float64 `json:"work_sec"`
 }
 
 type compareCellPartial struct {
@@ -674,15 +679,15 @@ func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 // whole grid (CellSeed of the replication alone), so the product and
 // policy lists are absent and supersets reuse points.
 type futureSimCellKey struct {
-	Procs    int     `json:"procs"`
-	Reps     int     `json:"reps"`
-	AppScale int     `json:"app_scale"`
-	Seed     uint64  `json:"seed"`
-	Mix      int     `json:"mix"`
-	Product  float64 `json:"product"`
-	Policy   string  `json:"policy"`
+	AppScale int `json:"app_scale"`
 	// Engine is the resolved tier ("sim" or "analytic"); see compareCellKey.
-	Engine string `json:"engine"`
+	Engine  string  `json:"engine"`
+	Mix     int     `json:"mix"`
+	Policy  string  `json:"policy"`
+	Procs   int     `json:"procs"`
+	Product float64 `json:"product"`
+	Reps    int     `json:"reps"`
+	Seed    uint64  `json:"seed"`
 }
 
 // futureSimCellPartial is one point's replication-mean response time;
@@ -772,11 +777,11 @@ func futureSimCellPlan(np CampaignParams) (*CellPlan, error) {
 // relatedWorkCellKey is the cache identity of one Section-8 policy row
 // (the kind's mix is fixed at #5).
 type relatedWorkCellKey struct {
+	AppScale int    `json:"app_scale"`
+	Policy   string `json:"policy"`
 	Procs    int    `json:"procs"`
 	Reps     int    `json:"reps"`
-	AppScale int    `json:"app_scale"`
 	Seed     uint64 `json:"seed"`
-	Policy   string `json:"policy"`
 }
 
 // relatedWorkCellPartial is one policy's aggregated row; the merge
@@ -784,8 +789,8 @@ type relatedWorkCellKey struct {
 type relatedWorkCellPartial struct {
 	MeanRTSec     float64 `json:"mean_rt_sec"`
 	MissSec       float64 `json:"miss_sec"`
-	Reallocations int     `json:"reallocations"`
 	PctAffinity   float64 `json:"pct_affinity"`
+	Reallocations int     `json:"reallocations"`
 }
 
 func relatedWorkCellPlan(np CampaignParams) (*CellPlan, error) {

@@ -9,22 +9,24 @@ import (
 )
 
 // AppCharacter reports one application's characteristics measured in
-// isolation on the experiment machine, as in the paper's Figures 2–4.
+// isolation on the experiment machine, as in the paper's Figures 2–4. It is
+// the characterize cell's partial, so its fields are declared in bytewise
+// JSON-name order (see cellKey).
 type AppCharacter struct {
-	Name string
-	// ElapsedSec is the isolated execution time.
-	ElapsedSec float64
-	// TotalWorkSec is the graph's total compute.
-	TotalWorkSec float64
 	// AvgDemand is the average number of processors executing threads.
 	AvgDemand float64
+	// ElapsedSec is the isolated execution time.
+	ElapsedSec float64
 	// MaxParallelism is the widest level of the dependence graph.
 	MaxParallelism int
-	// Threads is the thread count.
-	Threads int
+	Name           string
 	// ProfilePct[k] is the percentage of elapsed time spent at physical
 	// parallelism level k.
 	ProfilePct []float64
+	// Threads is the thread count.
+	Threads int
+	// TotalWorkSec is the graph's total compute.
+	TotalWorkSec float64
 }
 
 // characterizeApps returns the applications characterized in isolation:

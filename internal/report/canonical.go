@@ -20,6 +20,13 @@ import (
 // through verbatim, so float formatting is exactly encoding/json's
 // shortest-roundtrip form and cannot drift from the non-canonical
 // encoding of the same value.
+//
+// The decode-and-re-encode round trip costs several times the marshal, so
+// the hot per-cell path skips it: campaign cell keys and cell partials
+// are structs declaring their fields in key order, for which plain
+// json.Marshal already yields these bytes (internal/experiments tests
+// that). The round trip still runs for merged campaign bodies, normalized
+// campaign parameters, and other untyped input.
 func CanonicalJSON(v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {

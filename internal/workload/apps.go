@@ -75,6 +75,7 @@ func MVA() App {
 func MVASized(n int, work simtime.Duration) App {
 	g := cachedGraph(graphKey{kind: "mva", a: n, w1: int64(work)}, func() *Graph {
 		var b GraphBuilder
+		b.Grow(n*n, 2*n*(n-1))
 		ids := make([][]ThreadID, n)
 		for i := 0; i < n; i++ {
 			ids[i] = make([]ThreadID, n)
@@ -110,6 +111,7 @@ func Matrix() App {
 func MatrixSized(blocks int, work simtime.Duration) App {
 	g := cachedGraph(graphKey{kind: "matrix", a: blocks, w1: int64(work)}, func() *Graph {
 		var b GraphBuilder
+		b.Grow(blocks*blocks+1, blocks*blocks)
 		join := simtime.Duration(50 * simtime.Millisecond)
 		sink := b.AddThread(join)
 		for i := 0; i < blocks*blocks; i++ {
@@ -146,6 +148,7 @@ func GravitySized(steps, width int, seqWork, parWork simtime.Duration, seed uint
 	g := cachedGraph(key, func() *Graph {
 		rng := xrand.New(seed, 0xc0ffee)
 		var b GraphBuilder
+		b.Grow(steps*(1+gravityPhases*(width+1)), steps*2*gravityPhases*width+steps-1)
 		var prevBarrier ThreadID = -1
 		for s := 0; s < steps; s++ {
 			// Sequential phase (tree build).

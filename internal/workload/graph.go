@@ -6,6 +6,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -18,28 +20,53 @@ type ThreadID int
 type Thread struct {
 	// Work is the thread's pure compute demand on the baseline machine.
 	Work simtime.Duration
-	// Succs are the threads that depend on this one.
+	// Succs are the threads that depend on this one, in AddDep order.
 	Succs []ThreadID
 	// NPreds is the number of predecessor threads.
 	NPreds int
 }
 
-// Graph is an immutable thread dependence DAG. Build one with NewGraph and
-// share it across job instances.
+// Level is one rank of a graph under level-synchronous execution: Width
+// threads jointly holding Work of baseline compute. Level k contains the
+// threads whose predecessors all complete in levels < k, which is how the
+// paper's parallelism figures count runnable threads.
+type Level struct {
+	Width int
+	Work  simtime.Duration
+}
+
+// Graph is an immutable thread dependence DAG. Build one with a
+// GraphBuilder and share it across job instances.
+//
+// The graph is stored as pointer-free compressed sparse rows: thread i's
+// successors are succs[off[i]:off[i+1]], in AddDep order. Memoized graphs
+// are retained for the life of the process, so a layout the garbage
+// collector need not scan keeps them cheap to hold.
 type Graph struct {
-	threads []Thread
-	roots   []ThreadID
+	work   []simtime.Duration
+	npreds []int32
+	off    []int32
+	succs  []ThreadID
+	roots  []ThreadID
+	// levels is the level-synchronous execution profile, computed once by
+	// Build.
+	levels []Level
 	// totalWork is the sum of all thread work.
 	totalWork simtime.Duration
-	// maxWidth is the maximum number of simultaneously runnable threads
-	// under greedy unbounded-processor execution.
+	// maxWidth is the widest level.
 	maxWidth int
 }
 
 // GraphBuilder accumulates threads and edges for a Graph.
 type GraphBuilder struct {
-	threads []Thread
-	edges   [][2]ThreadID
+	work  []simtime.Duration
+	edges [][2]ThreadID
+}
+
+// Grow preallocates room for threads more threads and edges more edges.
+func (b *GraphBuilder) Grow(threads, edges int) {
+	b.work = slices.Grow(b.work, threads)
+	b.edges = slices.Grow(b.edges, edges)
 }
 
 // AddThread appends a thread with the given work and returns its ID.
@@ -47,8 +74,8 @@ func (b *GraphBuilder) AddThread(work simtime.Duration) ThreadID {
 	if work <= 0 {
 		panic(fmt.Sprintf("workload: thread work must be positive, got %v", work))
 	}
-	b.threads = append(b.threads, Thread{Work: work})
-	return ThreadID(len(b.threads) - 1)
+	b.work = append(b.work, work)
+	return ThreadID(len(b.work) - 1)
 }
 
 // AddDep records that 'to' cannot start before 'from' completes.
@@ -56,14 +83,27 @@ func (b *GraphBuilder) AddDep(from, to ThreadID) {
 	b.edges = append(b.edges, [2]ThreadID{from, to})
 }
 
-// Build validates the DAG and computes its static properties.
+// Build validates the DAG and computes its static properties. The graph
+// takes over the builder's thread work (later AddThread calls append past
+// it and cannot change it).
 func (b *GraphBuilder) Build() (*Graph, error) {
-	n := len(b.threads)
+	n := len(b.work)
 	if n == 0 {
 		return nil, fmt.Errorf("workload: graph has no threads")
 	}
-	g := &Graph{threads: make([]Thread, n)}
-	copy(g.threads, b.threads)
+	if n >= math.MaxInt32 || len(b.edges) >= math.MaxInt32 {
+		return nil, fmt.Errorf("workload: graph too large (%d threads, %d edges)", n, len(b.edges))
+	}
+	g := &Graph{
+		work:   b.work[:n:n],
+		npreds: make([]int32, n),
+		off:    make([]int32, n+1),
+		succs:  make([]ThreadID, len(b.edges)),
+	}
+	// Counting sort of the edges by source, stable so each thread's
+	// successors keep AddDep order: count out-degrees into off[from+1],
+	// prefix-sum into start offsets, place each edge while advancing
+	// off[from] to its end, then shift the ends back into starts.
 	for _, e := range b.edges {
 		from, to := e[0], e[1]
 		if from < 0 || int(from) >= n || to < 0 || int(to) >= n {
@@ -72,65 +112,85 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 		if from == to {
 			return nil, fmt.Errorf("workload: self-edge on thread %d", from)
 		}
-		g.threads[from].Succs = append(g.threads[from].Succs, to)
-		g.threads[to].NPreds++
+		g.off[from+1]++
+		g.npreds[to]++
 	}
-	for id := range g.threads {
-		if g.threads[id].NPreds == 0 {
-			g.roots = append(g.roots, ThreadID(id))
+	for i := 1; i <= n; i++ {
+		g.off[i] += g.off[i-1]
+	}
+	for _, e := range b.edges {
+		g.succs[g.off[e[0]]] = e[1]
+		g.off[e[0]]++
+	}
+	copy(g.off[1:], g.off[:n])
+	g.off[0] = 0
+	queue := make([]ThreadID, 0, n)
+	for id, w := range g.work {
+		if g.npreds[id] == 0 {
+			queue = append(queue, ThreadID(id))
 		}
-		g.totalWork += g.threads[id].Work
+		g.totalWork += w
 	}
-	if len(g.roots) == 0 {
+	if len(queue) == 0 {
 		return nil, fmt.Errorf("workload: graph has no roots (cyclic)")
 	}
-	width, acyclic := g.computeWidth()
-	if !acyclic {
+	g.roots = slices.Clone(queue)
+	if !g.computeLevels(queue) {
 		return nil, fmt.Errorf("workload: graph contains a cycle")
 	}
-	g.maxWidth = width
 	return g, nil
 }
 
-// computeWidth performs a level-by-level traversal (Kahn's algorithm),
-// returning the maximum level width and whether the graph is acyclic.
-// Level width is the runnable-set size assuming level-synchronous
-// execution, which matches how the paper's figures present parallelism.
-func (g *Graph) computeWidth() (int, bool) {
-	preds := make([]int, len(g.threads))
-	for id := range g.threads {
-		preds[id] = g.threads[id].NPreds
-	}
-	frontier := append([]ThreadID(nil), g.roots...)
-	visited := 0
-	maxWidth := 0
-	for len(frontier) > 0 {
-		if len(frontier) > maxWidth {
-			maxWidth = len(frontier)
-		}
-		var next []ThreadID
-		for _, id := range frontier {
-			visited++
-			for _, s := range g.threads[id].Succs {
+// computeLevels runs Kahn's algorithm level by level from queue, which
+// holds the roots and has room for every thread. It records each level's
+// width and work and the widest level, and reports whether every thread
+// was reached (the graph is acyclic). The queue holds the levels back to
+// back: level k+1 is what level k's completions appended.
+func (g *Graph) computeLevels(queue []ThreadID) bool {
+	preds := slices.Clone(g.npreds)
+	levels := make([]Level, 0, 64)
+	for lo := 0; lo < len(queue); {
+		hi := len(queue)
+		lv := Level{Width: hi - lo}
+		for _, id := range queue[lo:hi] {
+			lv.Work += g.work[id]
+			for _, s := range g.succsOf(id) {
 				preds[s]--
 				if preds[s] == 0 {
-					next = append(next, s)
+					queue = append(queue, s)
 				}
 			}
 		}
-		frontier = next
+		levels = append(levels, lv)
+		g.maxWidth = max(g.maxWidth, lv.Width)
+		lo = hi
 	}
-	return maxWidth, visited == len(g.threads)
+	g.levels = slices.Clip(levels)
+	return len(queue) == len(g.work)
+}
+
+// succsOf returns thread id's successors, capacity-capped so an append
+// cannot write into the next thread's row.
+func (g *Graph) succsOf(id ThreadID) []ThreadID {
+	lo, hi := g.off[id], g.off[id+1]
+	return g.succs[lo:hi:hi]
 }
 
 // NumThreads returns the thread count.
-func (g *Graph) NumThreads() int { return len(g.threads) }
+func (g *Graph) NumThreads() int { return len(g.work) }
 
-// Thread returns thread id's immutable description.
-func (g *Graph) Thread(id ThreadID) Thread { return g.threads[id] }
+// Thread returns thread id's immutable description. Its Succs share the
+// graph's storage and must not be modified.
+func (g *Graph) Thread(id ThreadID) Thread {
+	return Thread{Work: g.work[id], Succs: g.succsOf(id), NPreds: int(g.npreds[id])}
+}
 
 // Roots returns the initially runnable threads.
 func (g *Graph) Roots() []ThreadID { return append([]ThreadID(nil), g.roots...) }
+
+// Levels returns the graph's level-synchronous execution profile, first
+// level first. The slice is shared and must not be modified.
+func (g *Graph) Levels() []Level { return g.levels }
 
 // TotalWork returns the sum of thread compute demands.
 func (g *Graph) TotalWork() simtime.Duration { return g.totalWork }
@@ -142,20 +202,20 @@ func (g *Graph) MaxWidth() int { return g.maxWidth }
 // minimum possible elapsed time with unlimited processors.
 func (g *Graph) CriticalPath() simtime.Duration {
 	// Longest path via DFS with memoization; the graph is acyclic.
-	memo := make([]simtime.Duration, len(g.threads))
-	done := make([]bool, len(g.threads))
+	memo := make([]simtime.Duration, len(g.work))
+	done := make([]bool, len(g.work))
 	var longest func(id ThreadID) simtime.Duration
 	longest = func(id ThreadID) simtime.Duration {
 		if done[id] {
 			return memo[id]
 		}
 		var best simtime.Duration
-		for _, s := range g.threads[id].Succs {
+		for _, s := range g.succsOf(id) {
 			if d := longest(s); d > best {
 				best = d
 			}
 		}
-		memo[id] = best + g.threads[id].Work
+		memo[id] = best + g.work[id]
 		done[id] = true
 		return memo[id]
 	}

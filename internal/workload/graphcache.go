@@ -12,8 +12,10 @@ import "sync"
 //
 // The cache is bounded; filling it past graphCacheMax evicts everything
 // (simple, and harmless — eviction only costs a rebuild, never changes a
-// result). Sharing is concurrency-safe: campaign workers only read the
-// cached Graphs.
+// result). Each entry is built once: callers racing on a key that is not
+// yet built wait for the first one's build instead of building their own
+// copy. Sharing is concurrency-safe: campaign workers only read the cached
+// Graphs.
 
 // graphKey identifies one memoizable graph construction.
 type graphKey struct {
@@ -25,32 +27,38 @@ type graphKey struct {
 
 const graphCacheMax = 256
 
+// graphEntry is one key's graph, built at most once. A build that panics
+// stores its panic value, which every caller of the key re-raises.
+type graphEntry struct {
+	once     sync.Once
+	g        *Graph
+	panicked any
+}
+
 var graphCache = struct {
 	sync.Mutex
-	m map[graphKey]*Graph
-}{m: make(map[graphKey]*Graph)}
+	m map[graphKey]*graphEntry
+}{m: make(map[graphKey]*graphEntry)}
 
-// cachedGraph returns the memoized graph for key, building and caching it
+// cachedGraph returns the memoized graph for key, building it with build
 // on first use.
 func cachedGraph(key graphKey, build func() *Graph) *Graph {
 	graphCache.Lock()
-	g, ok := graphCache.m[key]
-	graphCache.Unlock()
-	if ok {
-		return g
-	}
-	// Build outside the lock: construction is deterministic, so two racing
-	// builders produce interchangeable graphs and last-write-wins is fine.
-	g = build()
-	graphCache.Lock()
-	if cached, ok := graphCache.m[key]; ok {
-		g = cached // keep the first stored instance for maximal sharing
-	} else {
+	e, ok := graphCache.m[key]
+	if !ok {
 		if len(graphCache.m) >= graphCacheMax {
 			clear(graphCache.m)
 		}
-		graphCache.m[key] = g
+		e = new(graphEntry)
+		graphCache.m[key] = e
 	}
 	graphCache.Unlock()
-	return g
+	e.once.Do(func() {
+		defer func() { e.panicked = recover() }()
+		e.g = build()
+	})
+	if e.panicked != nil {
+		panic(e.panicked)
+	}
+	return e.g
 }

@@ -71,12 +71,11 @@ func (j *Job) Reset(id int, app App) error {
 	j.ready = j.readyBuf[:0]
 	j.attached = 0
 	j.finished = 0
-	for t := 0; t < n; t++ {
-		th := app.Graph.Thread(ThreadID(t))
+	for t, np := range app.Graph.npreds {
 		j.state[t] = ThreadBlocked
-		j.preds[t] = th.NPreds
-		j.remaining[t] = th.Work
+		j.preds[t] = int(np)
 	}
+	copy(j.remaining, app.Graph.work)
 	for _, r := range app.Graph.roots {
 		j.state[r] = ThreadReady
 		j.ready = append(j.ready, r)
@@ -159,7 +158,7 @@ func (j *Job) Complete(id ThreadID) []ThreadID {
 	j.attached--
 	j.finished++
 	newly := j.newlyScratch[:0]
-	for _, s := range j.App.Graph.Thread(id).Succs {
+	for _, s := range j.App.Graph.succsOf(id) {
 		j.preds[s]--
 		if j.preds[s] == 0 {
 			j.state[s] = ThreadReady

@@ -41,7 +41,7 @@ bench-smoke:
 # fails ci by name even though bench-smoke also sweeps these packages.
 bench-cache:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
-		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/ ./internal/workload/
+		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/diskstore/ ./internal/memtrace/ ./internal/workload/
 
 # The worker-pool scaling benchmark (EXPERIMENTS.md "Campaign runner"):
 # the 24 cells of the fast compare plan through Cell.Run at 1, 4 and 8

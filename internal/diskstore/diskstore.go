@@ -217,8 +217,9 @@ func (s *Store) scanDir() error {
 		cands = append(cands, cand{id, path})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
+	var buf []byte // one scan window, reused across segments
 	for _, c := range cands {
-		if err := s.scanSegment(c.id, c.path); err != nil {
+		if err := s.scanSegment(c.id, c.path, &buf); err != nil {
 			return err
 		}
 		if c.id >= s.nextID {
@@ -228,32 +229,82 @@ func (s *Store) scanDir() error {
 	return nil
 }
 
+// scanWindow is the size of the buffer Open reads segments through. A
+// frame larger than the window grows the buffer to fit it, and only once
+// the file is known to hold the whole frame.
+const scanWindow = 1 << 20
+
+// window reads a file forward through one reused buffer, which holds the
+// file's bytes from offset start.
+type window struct {
+	f     *os.File
+	size  int64
+	buf   []byte
+	start int64
+}
+
+// at returns the file's bytes from off to the end of the buffer, first
+// reading from off when fewer than need bytes (or the rest of the file,
+// if shorter) are buffered there.
+func (w *window) at(off int64, need int) ([]byte, error) {
+	need = int(min(int64(need), w.size-off))
+	if off >= w.start && off+int64(need) <= w.start+int64(len(w.buf)) {
+		return w.buf[off-w.start:], nil
+	}
+	if cap(w.buf) < need {
+		w.buf = make([]byte, max(need, scanWindow))
+	}
+	w.buf = w.buf[:min(int64(cap(w.buf)), w.size-off)]
+	w.start = off
+	if _, err := w.f.ReadAt(w.buf, off); err != nil {
+		return nil, err
+	}
+	return w.buf, nil
+}
+
 // scanSegment recovers one segment file: every valid frame is indexed
 // (first occurrence of a key wins — duplicates are byte-identical by
 // content addressing), checksum-failed frames are skipped as dead bytes,
 // and the file is truncated at the first torn or unframeable offset.
-// Empty-after-truncation segments are deleted.
-func (s *Store) scanSegment(id uint64, path string) error {
-	data, err := os.ReadFile(path)
+// Empty-after-truncation segments are deleted. The file is read through
+// the window buffer *buf, which the scan may grow and leaves for the next
+// segment.
+func (s *Store) scanSegment(id uint64, path string, buf *[]byte) error {
+	file, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
-	seg := &segment{id: id, path: path}
-	type pending struct {
-		ref entryRef
-		key string
+	fi, err := file.Stat()
+	if err != nil {
+		file.Close()
+		return fmt.Errorf("diskstore: %w", err)
 	}
-	off := 0
+	w := window{f: file, size: fi.Size(), buf: (*buf)[:0]}
+	defer func() { *buf = w.buf }()
+	seg := &segment{id: id, path: path, size: w.size}
+	off := int64(0)
 scan:
-	for off < len(data) {
-		f, n, err := decodeFrame(data[off:])
+	for off < w.size {
+		data, err := w.at(off, headerLen)
+		if err == nil {
+			// A frame past the buffer's end is read whole, but only if
+			// the file holds all the bytes its header claims.
+			if n, herr := frameLen(data); herr == nil && n > len(data) && int64(n) <= w.size-off {
+				data, err = w.at(off, n)
+			}
+		}
+		if err != nil {
+			file.Close()
+			return fmt.Errorf("diskstore: reading %s: %w", path, err)
+		}
+		f, n, err := decodeFrame(data)
 		switch err {
 		case nil:
 			ref := entryRef{
 				seg:     seg,
-				off:     int64(off),
+				off:     off,
 				n:       int64(n),
-				bodyOff: int64(off + headerLen + len(f.key) + len(f.engine)),
+				bodyOff: off + int64(headerLen+len(f.key)+len(f.engine)),
 				bodyLen: len(f.body),
 				execNs:  f.execNs,
 			}
@@ -266,34 +317,31 @@ scan:
 				s.liveBytes += int64(n)
 				s.liveCost += f.execNs
 			}
-			off += n
+			off += int64(n)
 		case errChecksum:
 			// Framing plausible, payload rotten: step over the dead frame
 			// and keep recovering what follows.
 			s.corrupt.Add(1)
-			off += n
+			off += int64(n)
 		default: // errTorn, errCorrupt
 			if err == errCorrupt {
 				s.corrupt.Add(1)
 			}
-			s.truncatedBytes.Add(uint64(len(data) - off))
-			if terr := os.Truncate(path, int64(off)); terr != nil {
+			s.truncatedBytes.Add(uint64(w.size - off))
+			if terr := file.Truncate(off); terr != nil {
+				file.Close()
 				return fmt.Errorf("diskstore: truncating %s: %w", path, terr)
 			}
-			data = data[:off]
+			seg.size = off
 			break scan
 		}
 	}
-	seg.size = int64(len(data))
 	if seg.size == 0 {
+		file.Close()
 		os.Remove(path)
 		return nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	seg.f = f
+	seg.f = file
 	s.segs = append(s.segs, seg)
 	s.diskBytes += seg.size
 	return nil

@@ -80,6 +80,26 @@ func appendFrame(buf []byte, f *frame) []byte {
 	return append(buf, c[:]...)
 }
 
+// frameLen checks the plausibility of the frame header at data[0] and
+// returns the frame's full encoded length, which may exceed len(data). It
+// fails with errTorn when data is shorter than a header and errCorrupt
+// when the header cannot be a frame's.
+func frameLen(data []byte) (int, error) {
+	if len(data) < headerLen {
+		return 0, errTorn
+	}
+	if binary.LittleEndian.Uint32(data[0:]) != frameMagic {
+		return 0, errCorrupt
+	}
+	keyLen := int(binary.LittleEndian.Uint16(data[4:]))
+	engineLen := int(binary.LittleEndian.Uint16(data[6:]))
+	bodyLen := int(binary.LittleEndian.Uint32(data[8:]))
+	if keyLen == 0 || keyLen > maxKeyLen || engineLen > maxEngineLen || bodyLen > maxBodyLen {
+		return 0, errCorrupt
+	}
+	return int(frameSize(keyLen, engineLen, bodyLen)), nil
+}
+
 // decodeFrame parses the frame starting at data[0]. On success it returns
 // the frame and its encoded length. On errChecksum n is still the frame's
 // full length, so a scan can skip the dead frame and keep going; on
@@ -88,19 +108,10 @@ func appendFrame(buf []byte, f *frame) []byte {
 // The returned body aliases data; key and engine are copied (they outlive
 // the scan buffer as index state).
 func decodeFrame(data []byte) (f frame, n int, err error) {
-	if len(data) < headerLen {
-		return frame{}, 0, errTorn
+	total, err := frameLen(data)
+	if err != nil {
+		return frame{}, 0, err
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != frameMagic {
-		return frame{}, 0, errCorrupt
-	}
-	keyLen := int(binary.LittleEndian.Uint16(data[4:]))
-	engineLen := int(binary.LittleEndian.Uint16(data[6:]))
-	bodyLen := int(binary.LittleEndian.Uint32(data[8:]))
-	if keyLen == 0 || keyLen > maxKeyLen || engineLen > maxEngineLen || bodyLen > maxBodyLen {
-		return frame{}, 0, errCorrupt
-	}
-	total := int(frameSize(keyLen, engineLen, bodyLen))
 	if len(data) < total {
 		return frame{}, 0, errTorn
 	}
@@ -108,6 +119,9 @@ func decodeFrame(data []byte) (f frame, n int, err error) {
 	if crc32.Checksum(data[:total-crcLen], castagnoli) != want {
 		return frame{}, total, errChecksum
 	}
+	keyLen := int(binary.LittleEndian.Uint16(data[4:]))
+	engineLen := int(binary.LittleEndian.Uint16(data[6:]))
+	bodyLen := int(binary.LittleEndian.Uint32(data[8:]))
 	off := headerLen
 	f.key = string(data[off : off+keyLen])
 	off += keyLen

@@ -12,7 +12,7 @@ import (
 )
 
 // cellWireTypes are every cell-key and cell-partial type. cellKey and
-// CellPlan.RunBody encode them with plain json.Marshal, which is canonical
+// Cell.RunBody encode them with plain json.Marshal, which is canonical
 // only because each declares its fields in bytewise JSON-name order.
 var cellWireTypes = []any{
 	characterizeCellKey{}, AppCharacter{},
@@ -123,7 +123,7 @@ func TestCellBytesCanonicalByConstruction(t *testing.T) {
 				}
 				for i, cell := range plan.Cells {
 					requireCanonical(t, "key of "+cell.ID, cell.KeyParams)
-					body, err := plan.RunBody(context.Background(), i)
+					body, err := plan.Cells[i].RunBody(context.Background())
 					if err != nil {
 						t.Fatalf("cell %s: %v", cell.ID, err)
 					}

@@ -62,7 +62,7 @@ func Run(ctx context.Context, kind string, p CampaignParams) (any, error) {
 			ctx = obs.WithCollector(ctx, cellStats[i])
 		}
 		var err error
-		partials[i], err = plan.RunBody(ctx, i)
+		partials[i], err = plan.Cells[i].RunBody(ctx)
 		return err
 	})
 	if err != nil {
@@ -91,7 +91,9 @@ type Cell struct {
 	// kinds without an engine choice.
 	Engine string
 
-	run func(ctx context.Context) (any, error)
+	// kind is the campaign kind whose plan holds the cell.
+	kind string
+	run  func(ctx context.Context) (any, error)
 }
 
 // Run executes the cell. The result is JSON-marshalable, byte-stable
@@ -130,14 +132,13 @@ func (p *CellPlan) Merge(ctx context.Context, partials [][]byte) (any, error) {
 	return p.merge(ctx, raws)
 }
 
-// RunBody executes cell i and returns its canonical-JSON partial, the
+// RunBody executes the cell and returns its canonical-JSON partial, the
 // bytes Merge consumes and the result tiers file. CPU profile samples
 // carry the campaign kind and the cell as pprof labels.
-func (p *CellPlan) RunBody(ctx context.Context, i int) ([]byte, error) {
-	c := &p.Cells[i]
+func (c *Cell) RunBody(ctx context.Context) ([]byte, error) {
 	var res any
 	var err error
-	pprof.Do(ctx, pprof.Labels("campaign", p.Kind, "cell", c.ID), func(ctx context.Context) {
+	pprof.Do(ctx, pprof.Labels("campaign", c.kind, "cell", c.ID), func(ctx context.Context) {
 		res, err = c.Run(ctx)
 	})
 	if err != nil {
@@ -151,31 +152,87 @@ func (p *CellPlan) RunBody(ctx context.Context, i int) ([]byte, error) {
 	return body, nil
 }
 
-// Cells normalizes p and splits the campaign into its cell plan.
-func Cells(kind string, p CampaignParams) (*CellPlan, error) {
+// grid is a kind's cell plan addressed by index: n cells in grid order,
+// cell(i) building the i-th alone, and the merge over all n partials.
+// Every per-kind planner returns one, so a plan of every cell (Cells) and
+// a single cell (CellAt) come from the same code.
+type grid struct {
+	n     int
+	cell  func(i int) (Cell, error)
+	merge func(ctx context.Context, partials []json.RawMessage) (any, error)
+}
+
+// planGrid normalizes p and returns the kind's grid over the normalized
+// params.
+func planGrid(kind string, p CampaignParams) (CampaignParams, grid, error) {
 	c, ok := CampaignByKind(kind)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown campaign kind %q", kind)
+		return p, grid{}, fmt.Errorf("experiments: unknown campaign kind %q", kind)
 	}
 	np, err := c.Normalize(p)
 	if err != nil {
-		return nil, err
+		return p, grid{}, err
 	}
+	var g grid
 	switch kind {
 	case "characterize":
-		return characterizeCellPlan(np)
+		g, err = characterizeGrid(np)
 	case "table1":
-		return table1CellPlan(np)
+		g, err = table1Grid(np)
 	case "compare":
-		return compareCellPlan(np)
+		g, err = compareGrid(np)
 	case "future":
-		return futureCellPlan(np)
+		g, err = futureGrid(np)
 	case "futuresim":
-		return futureSimCellPlan(np)
+		g, err = futureSimGrid(np)
 	case "relatedwork":
-		return relatedWorkCellPlan(np)
+		g, err = relatedWorkGrid(np)
+	default:
+		err = fmt.Errorf("experiments: campaign kind %q has no cell decomposition", kind)
 	}
-	return nil, fmt.Errorf("experiments: campaign kind %q has no cell decomposition", kind)
+	return np, g, err
+}
+
+// at builds cell i of a kind's grid.
+func (g grid) at(kind string, i int) (Cell, error) {
+	c, err := g.cell(i)
+	c.kind = kind
+	return c, err
+}
+
+// Cells normalizes p and splits the campaign into its cell plan.
+func Cells(kind string, p CampaignParams) (*CellPlan, error) {
+	np, g, err := planGrid(kind, p)
+	if err != nil {
+		return nil, err
+	}
+	plan := &CellPlan{Kind: kind, Params: np, Cells: make([]Cell, g.n), merge: g.merge}
+	for i := range plan.Cells {
+		if plan.Cells[i], err = g.at(kind, i); err != nil {
+			return nil, err
+		}
+	}
+	return plan, nil
+}
+
+// CellAt normalizes p and builds only cell i of the campaign's plan: the
+// cell Cells(kind, p).Cells[i] holds, at the cost of that one cell. It
+// also returns the plan's cell count, which is valid whenever the params
+// are, so a caller can tell an index outside [0, n) — also an error —
+// from bad params.
+func CellAt(kind string, p CampaignParams, i int) (*Cell, int, error) {
+	_, g, err := planGrid(kind, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	if i < 0 || i >= g.n {
+		return nil, g.n, fmt.Errorf("experiments: %s: cell index %d outside plan (%d cells)", kind, i, g.n)
+	}
+	c, err := g.at(kind, i)
+	if err != nil {
+		return nil, g.n, err
+	}
+	return &c, g.n, nil
 }
 
 // decodeParts unmarshals one partial per cell into the kind's partial
@@ -248,22 +305,20 @@ type characterizeCellKey struct {
 	Seed     uint64 `json:"seed"`
 }
 
-func characterizeCellPlan(np CampaignParams) (*CellPlan, error) {
+func characterizeGrid(np CampaignParams) (grid, error) {
 	opts, err := np.options()
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	apps := characterizeApps(opts)
-	plan := &CellPlan{Kind: "characterize", Params: np}
-	for i := range apps {
-		i := i
+	cell := func(i int) (Cell, error) {
 		key, err := cellKey(characterizeCellKey{
 			Procs: np.Procs, AppScale: np.AppScale, Seed: np.Seed, App: apps[i].Name,
 		})
 		if err != nil {
-			return nil, err
+			return Cell{}, err
 		}
-		plan.Cells = append(plan.Cells, Cell{
+		return Cell{
 			ID:        "app=" + apps[i].Name,
 			KeyKind:   "cell/characterize",
 			KeyParams: key,
@@ -284,16 +339,16 @@ func characterizeCellPlan(np CampaignParams) (*CellPlan, error) {
 				}
 				return ch, nil
 			},
-		})
+		}, nil
 	}
-	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
+	merge := func(ctx context.Context, raws []json.RawMessage) (any, error) {
 		chars, err := decodeParts[AppCharacter](raws)
 		if err != nil {
 			return nil, err
 		}
 		return CharacterizeCampaignResult{Apps: chars}, nil
 	}
-	return plan, nil
+	return grid{n: len(apps), cell: cell, merge: merge}, nil
 }
 
 // ---- table1 ------------------------------------------------------------
@@ -353,10 +408,10 @@ func mergeTable1(qs []simtime.Duration, names []string, parts []table1CellPartia
 	return out
 }
 
-func table1CellPlan(np CampaignParams) (*CellPlan, error) {
+func table1Grid(np CampaignParams) (grid, error) {
 	opts, err := np.options()
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	// DefaultQs is ascending, so cell order (q-major, pattern-minor, the
 	// BuildTable1Ctx layout) is already the wire result's Q order.
@@ -367,50 +422,47 @@ func table1CellPlan(np CampaignParams) (*CellPlan, error) {
 	// first executed cell that replays it; cells served from a cache tier
 	// build nothing, and the streams go when the plan does.
 	streams := measure.NewStreamSet(memtrace.Patterns(), opts.MeasureBudget, opts.Seed)
-	plan := &CellPlan{Kind: "table1", Params: np}
-	for qi := range qs {
-		for pi := range names {
-			qi, pi := qi, pi
-			key, err := cellKey(table1CellKey{
-				BudgetSec: np.BudgetSec, Seed: np.Seed, QMs: qs[qi].Millis(), App: names[pi],
-			})
-			if err != nil {
-				return nil, err
-			}
-			plan.Cells = append(plan.Cells, Cell{
-				ID:        fmt.Sprintf("q=%gms/app=%s", qs[qi].Millis(), names[pi]),
-				KeyKind:   "cell/table1",
-				KeyParams: key,
-				run: func(ctx context.Context) (any, error) {
-					o, err := np.optionsCtx(ctx)
-					if err != nil {
-						return nil, err
-					}
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					mc := o.Machine
-					mc.Processors = 1 // the paper's measurement uses a single processor
-					pen, err := streams.MeasureCell(mc, pi, qs[qi])
-					if err != nil {
-						return nil, err
-					}
-					if o.Stats != nil {
-						o.Stats.Add("measure", table1CellStats(mc, pen, names, o.MeasureBudget))
-					}
-					return newTable1Partial(pen), nil
-				},
-			})
+	cell := func(i int) (Cell, error) {
+		qi, pi := i/len(names), i%len(names)
+		key, err := cellKey(table1CellKey{
+			BudgetSec: np.BudgetSec, Seed: np.Seed, QMs: qs[qi].Millis(), App: names[pi],
+		})
+		if err != nil {
+			return Cell{}, err
 		}
+		return Cell{
+			ID:        fmt.Sprintf("q=%gms/app=%s", qs[qi].Millis(), names[pi]),
+			KeyKind:   "cell/table1",
+			KeyParams: key,
+			run: func(ctx context.Context) (any, error) {
+				o, err := np.optionsCtx(ctx)
+				if err != nil {
+					return nil, err
+				}
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				mc := o.Machine
+				mc.Processors = 1 // the paper's measurement uses a single processor
+				pen, err := streams.MeasureCell(mc, pi, qs[qi])
+				if err != nil {
+					return nil, err
+				}
+				if o.Stats != nil {
+					o.Stats.Add("measure", table1CellStats(mc, pen, names, o.MeasureBudget))
+				}
+				return newTable1Partial(pen), nil
+			},
+		}, nil
 	}
-	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
+	merge := func(ctx context.Context, raws []json.RawMessage) (any, error) {
 		parts, err := decodeParts[table1CellPartial](raws)
 		if err != nil {
 			return nil, err
 		}
 		return mergeTable1(qs, names, parts), nil
 	}
-	return plan, nil
+	return grid{n: len(qs) * len(names), cell: cell, merge: merge}, nil
 }
 
 func patternNames() []string {
@@ -490,59 +542,58 @@ func comparePartial(runs []sched.Result) compareCellPartial {
 	return compareCellPartial{Jobs: jobs}
 }
 
-// compareCellList builds the (mix, policy) cells for the given grid,
-// mix-major. Shared by the compare and future kinds, whose policy cells
-// are the same cache entries.
-func compareCellList(np CampaignParams, mixNumbers []int, policies []string) ([]Cell, error) {
+// compareCells is the (mix, policy) grid over the given lists, mix-major,
+// without a merge. Shared by the compare and future kinds, whose policy
+// cells are the same cache entries.
+func compareCells(np CampaignParams, mixNumbers []int, policies []string) (grid, error) {
 	eng, err := normalizeEngine(np.Engine)
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
-	var cells []Cell
-	for _, mixNum := range mixNumbers {
-		for _, pol := range policies {
-			mixNum, pol := mixNum, pol
-			// Auto resolves here, at planning time, so the key below and the
-			// Cell.Engine surfaced to clients both carry a concrete tier.
-			engine := resolveCellEngine(eng, compareCellCoord(
-				np.Procs, np.Replications, np.AppScale, np.Seed, mixNum, pol))
-			key, err := cellKey(compareCellKey{
-				Procs: np.Procs, Reps: np.Replications, AppScale: np.AppScale,
-				Seed: np.Seed, Mix: mixNum, Policy: pol, Engine: engine,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, Cell{
-				ID:        fmt.Sprintf("mix=%d/policy=%s", mixNum, pol),
-				KeyKind:   "cell/compare",
-				KeyParams: key,
-				Engine:    engine,
-				run: func(ctx context.Context) (any, error) {
-					o, err := np.optionsCtx(ctx)
-					if err != nil {
-						return nil, err
-					}
-					mix, err := workload.MixByNumber(mixNum)
-					if err != nil {
-						return nil, err
-					}
-					// The seeds leave out the policy: replication r sees the
-					// same workload under every policy (common random
-					// numbers), which keeps relative response times
-					// low-variance.
-					runs, err := replicate(ctx, o, engine, fmt.Sprintf("mix #%d", mixNum), mix, pol, func(rep int) uint64 {
-						return parallel.CellSeed(np.Seed, uint64(mixNum), uint64(rep))
-					})
-					if err != nil {
-						return nil, err
-					}
-					return comparePartial(runs), nil
-				},
-			})
+	cell := func(i int) (Cell, error) {
+		mixNum, pol := mixNumbers[i/len(policies)], policies[i%len(policies)]
+		// Auto resolves here, at planning time, so the key below and the
+		// Cell.Engine surfaced to clients both carry a concrete tier.
+		engine := eng
+		if engine == EngineAuto {
+			engine = autoEngine(compareCellCoord(np.Procs, np.Replications, np.AppScale, np.Seed, mixNum, pol))
 		}
+		key, err := cellKey(compareCellKey{
+			Procs: np.Procs, Reps: np.Replications, AppScale: np.AppScale,
+			Seed: np.Seed, Mix: mixNum, Policy: pol, Engine: engine,
+		})
+		if err != nil {
+			return Cell{}, err
+		}
+		return Cell{
+			ID:        fmt.Sprintf("mix=%d/policy=%s", mixNum, pol),
+			KeyKind:   "cell/compare",
+			KeyParams: key,
+			Engine:    engine,
+			run: func(ctx context.Context) (any, error) {
+				o, err := np.optionsCtx(ctx)
+				if err != nil {
+					return nil, err
+				}
+				mix, err := workload.MixByNumber(mixNum)
+				if err != nil {
+					return nil, err
+				}
+				// The seeds leave out the policy: replication r sees the
+				// same workload under every policy (common random
+				// numbers), which keeps relative response times
+				// low-variance.
+				runs, err := replicate(ctx, o, engine, fmt.Sprintf("mix #%d", mixNum), mix, pol, func(rep int) uint64 {
+					return parallel.CellSeed(np.Seed, uint64(mixNum), uint64(rep))
+				})
+				if err != nil {
+					return nil, err
+				}
+				return comparePartial(runs), nil
+			},
+		}, nil
 	}
-	return cells, nil
+	return grid{n: len(mixNumbers) * len(policies), cell: cell}, nil
 }
 
 // compareMergeRows rebuilds the compare wire rows from per-cell partials
@@ -605,61 +656,65 @@ func allMixNumbers() []int {
 	return out
 }
 
-func compareCellPlan(np CampaignParams) (*CellPlan, error) {
+func compareGrid(np CampaignParams) (grid, error) {
 	if _, err := np.options(); err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	mixNumbers := allMixNumbers()
 	if np.Mix != 0 {
 		mixNumbers = []int{np.Mix}
 	}
-	cells, err := compareCellList(np, mixNumbers, np.Policies)
+	g, err := compareCells(np, mixNumbers, np.Policies)
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
-	plan := &CellPlan{Kind: "compare", Params: np, Cells: cells}
-	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
+	g.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
 		parts, err := decodeParts[compareCellPartial](raws)
 		if err != nil {
 			return nil, err
 		}
 		return compareMergeRows(mixNumbers, np.Policies, parts), nil
 	}
-	return plan, nil
+	return g, nil
 }
 
 // ---- future ------------------------------------------------------------
 
-// futureCellPlan reuses the compare and table1 cell shapes: the future
+// futureGrid reuses the compare and table1 cell shapes: the future
 // kind's simulation grid is workload.Mixes() x withBaseline(policies)
 // compare cells followed by the table1 measurement cells, so a prior
 // compare or table1 campaign (or another future run with an overlapping
 // policy list) seeds its cache entries. The merge is the compare merge
 // and the table1 merge followed by the Section-7.3 parameter extraction
 // and the analytic sweep — pure float math on the merged results.
-func futureCellPlan(np CampaignParams) (*CellPlan, error) {
+func futureGrid(np CampaignParams) (grid, error) {
 	opts, err := np.options()
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	cols := withBaseline(np.Policies)
 	mixNumbers := allMixNumbers()
-	compareCells, err := compareCellList(np, mixNumbers, cols)
+	cg, err := compareCells(np, mixNumbers, cols)
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
-	t1Plan, err := table1CellPlan(np)
+	tg, err := table1Grid(np)
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
-	plan := &CellPlan{Kind: "future", Params: np, Cells: append(compareCells, t1Plan.Cells...)}
-	nc := len(compareCells)
-	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
+	nc := cg.n
+	cell := func(i int) (Cell, error) {
+		if i < nc {
+			return cg.cell(i)
+		}
+		return tg.cell(i - nc)
+	}
+	merge := func(ctx context.Context, raws []json.RawMessage) (any, error) {
 		cparts, err := decodeParts[compareCellPartial](raws[:nc])
 		if err != nil {
 			return nil, err
 		}
-		t1, err := t1Plan.merge(ctx, raws[nc:])
+		t1, err := tg.merge(ctx, raws[nc:])
 		if err != nil {
 			return nil, err
 		}
@@ -669,7 +724,7 @@ func futureCellPlan(np CampaignParams) (*CellPlan, error) {
 		}
 		return FutureSweep(scen, np.Policies, np.MaxProduct)
 	}
-	return plan, nil
+	return grid{n: nc + tg.n, cell: cell, merge: merge}, nil
 }
 
 // ---- futuresim ---------------------------------------------------------
@@ -696,64 +751,63 @@ type futureSimCellPartial struct {
 	MeanRTSec float64 `json:"mean_rt_sec"`
 }
 
-func futureSimCellPlan(np CampaignParams) (*CellPlan, error) {
+func futureSimGrid(np CampaignParams) (grid, error) {
 	if _, err := np.options(); err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	eng, err := normalizeEngine(np.Engine)
 	if err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	// The baseline joins the policy axis as column zero, unconditionally.
 	cols := append([]string{"Equipartition"}, np.Policies...)
-	plan := &CellPlan{Kind: "futuresim", Params: np}
-	for _, prod := range np.Products {
-		for _, col := range cols {
-			prod, col := prod, col
-			engine := resolveCellEngine(eng, futureSimCellCoord(
-				np.Procs, np.Replications, np.AppScale, np.Seed, np.Mix, prod, col))
-			key, err := cellKey(futureSimCellKey{
-				Procs: np.Procs, Reps: np.Replications, AppScale: np.AppScale,
-				Seed: np.Seed, Mix: np.Mix, Product: prod, Policy: col, Engine: engine,
-			})
-			if err != nil {
-				return nil, err
-			}
-			plan.Cells = append(plan.Cells, Cell{
-				ID:        fmt.Sprintf("product=%g/policy=%s", prod, col),
-				KeyKind:   "cell/futuresim",
-				KeyParams: key,
-				Engine:    engine,
-				run: func(ctx context.Context) (any, error) {
-					o, err := np.optionsCtx(ctx)
-					if err != nil {
-						return nil, err
-					}
-					mix, err := workload.MixByNumber(np.Mix)
-					if err != nil {
-						return nil, err
-					}
-					if o.Machine, err = futureSimMachine(o.Machine, prod); err != nil {
-						return nil, err
-					}
-					// Replication seeds leave out the product and the policy,
-					// so every point of the sweep sees the same workloads.
-					runs, err := replicate(ctx, o, engine, fmt.Sprintf("product %v", prod), mix, col, func(rep int) uint64 {
-						return parallel.CellSeed(np.Seed, uint64(rep))
-					})
-					if err != nil {
-						return nil, err
-					}
-					var mean float64
-					for _, r := range runs {
-						mean += r.MeanResponse() / float64(len(runs))
-					}
-					return futureSimCellPartial{MeanRTSec: mean}, nil
-				},
-			})
+	cell := func(i int) (Cell, error) {
+		prod, col := np.Products[i/len(cols)], cols[i%len(cols)]
+		engine := eng
+		if engine == EngineAuto {
+			engine = autoEngine(futureSimCellCoord(np.Procs, np.Replications, np.AppScale, np.Seed, np.Mix, prod, col))
 		}
+		key, err := cellKey(futureSimCellKey{
+			Procs: np.Procs, Reps: np.Replications, AppScale: np.AppScale,
+			Seed: np.Seed, Mix: np.Mix, Product: prod, Policy: col, Engine: engine,
+		})
+		if err != nil {
+			return Cell{}, err
+		}
+		return Cell{
+			ID:        fmt.Sprintf("product=%g/policy=%s", prod, col),
+			KeyKind:   "cell/futuresim",
+			KeyParams: key,
+			Engine:    engine,
+			run: func(ctx context.Context) (any, error) {
+				o, err := np.optionsCtx(ctx)
+				if err != nil {
+					return nil, err
+				}
+				mix, err := workload.MixByNumber(np.Mix)
+				if err != nil {
+					return nil, err
+				}
+				if o.Machine, err = futureSimMachine(o.Machine, prod); err != nil {
+					return nil, err
+				}
+				// Replication seeds leave out the product and the policy,
+				// so every point of the sweep sees the same workloads.
+				runs, err := replicate(ctx, o, engine, fmt.Sprintf("product %v", prod), mix, col, func(rep int) uint64 {
+					return parallel.CellSeed(np.Seed, uint64(rep))
+				})
+				if err != nil {
+					return nil, err
+				}
+				var mean float64
+				for _, r := range runs {
+					mean += r.MeanResponse() / float64(len(runs))
+				}
+				return futureSimCellPartial{MeanRTSec: mean}, nil
+			},
+		}, nil
 	}
-	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
+	merge := func(ctx context.Context, raws []json.RawMessage) (any, error) {
 		parts, err := decodeParts[futureSimCellPartial](raws)
 		if err != nil {
 			return nil, err
@@ -769,7 +823,7 @@ func futureSimCellPlan(np CampaignParams) (*CellPlan, error) {
 		}
 		return out, nil
 	}
-	return plan, nil
+	return grid{n: len(np.Products) * len(cols), cell: cell, merge: merge}, nil
 }
 
 // ---- relatedwork -------------------------------------------------------
@@ -793,22 +847,21 @@ type relatedWorkCellPartial struct {
 	Reallocations int     `json:"reallocations"`
 }
 
-func relatedWorkCellPlan(np CampaignParams) (*CellPlan, error) {
+func relatedWorkGrid(np CampaignParams) (grid, error) {
 	if _, err := np.options(); err != nil {
-		return nil, err
+		return grid{}, err
 	}
 	policies := relatedWorkPolicies()
-	plan := &CellPlan{Kind: "relatedwork", Params: np}
-	for _, polName := range policies {
-		polName := polName
+	cell := func(i int) (Cell, error) {
+		polName := policies[i]
 		key, err := cellKey(relatedWorkCellKey{
 			Procs: np.Procs, Reps: np.Replications, AppScale: np.AppScale,
 			Seed: np.Seed, Policy: polName,
 		})
 		if err != nil {
-			return nil, err
+			return Cell{}, err
 		}
-		plan.Cells = append(plan.Cells, Cell{
+		return Cell{
 			ID:        "policy=" + polName,
 			KeyKind:   "cell/relatedwork",
 			KeyParams: key,
@@ -835,9 +888,9 @@ func relatedWorkCellPlan(np CampaignParams) (*CellPlan, error) {
 					PctAffinity:   row.PctAffinity,
 				}, nil
 			},
-		})
+		}, nil
 	}
-	plan.merge = func(ctx context.Context, raws []json.RawMessage) (any, error) {
+	merge := func(ctx context.Context, raws []json.RawMessage) (any, error) {
 		parts, err := decodeParts[relatedWorkCellPartial](raws)
 		if err != nil {
 			return nil, err
@@ -854,5 +907,5 @@ func relatedWorkCellPlan(np CampaignParams) (*CellPlan, error) {
 		}
 		return RelatedWorkCampaignResult{Result: relatedWorkDerive(rows)}, nil
 	}
-	return plan, nil
+	return grid{n: len(policies), cell: cell, merge: merge}, nil
 }

@@ -71,15 +71,12 @@ func futureSimCellCoord(procs, reps, appScale int, seed uint64, mix int, product
 		procs, reps, appScale, seed, mix, product, policy)
 }
 
-// resolveCellEngine maps the campaign-level engine choice to the engine one
-// cell actually runs on: auto promotes exactly the envelope, everything
-// else passes through. Resolution happens at planning time so cache keys
-// carry only "sim" or "analytic" — an auto cell shares its cache entry with
-// the same cell requested explicitly.
-func resolveCellEngine(engine, coord string) string {
-	if engine != EngineAuto {
-		return engine
-	}
+// autoEngine resolves EngineAuto for the cell at coord: auto promotes
+// exactly the envelope and simulates everywhere else. Resolution happens
+// at planning time so cache keys carry only "sim" or "analytic" — an auto
+// cell shares its cache entry with the same cell requested explicitly.
+// Planners build coord only under auto; the other tiers pass through.
+func autoEngine(coord string) string {
 	if analytic.DefaultEnvelope().Promoted(coord) {
 		return EngineAnalytic
 	}

@@ -19,8 +19,9 @@
 //     past the budget the cell falls back to local execution.
 //   - The wire format is a plan coordinate, not code: the coordinator
 //     sends (kind, normalized params, cell index, cell id, cache key)
-//     and the worker recomputes the plan locally. Workers verify that
-//     their recomputed cell id and cache key match the request, and
+//     and the worker builds the dispatched cell locally
+//     (experiments.CellAt), not the rest of the plan. Workers verify that
+//     the built cell's id and cache key match the request, and
 //     registration rejects engine-version skew, so a mixed-version
 //     fleet can never silently serve wrong bytes.
 //   - Traffic is one-way. The coordinator dispatches only cells its own
@@ -105,11 +106,12 @@ type RegisterResponse struct {
 
 // ExecuteRequest dispatches one cell: a coordinate into the plan that
 // experiments.Cells derives from (Kind, Params), plus the identity the
-// worker must reproduce.
+// worker must reproduce. The worker builds only that cell, with
+// experiments.CellAt.
 type ExecuteRequest struct {
 	Kind string `json:"kind"`
 	// Params are the job's normalized campaign params; the worker
-	// recomputes the cell plan from them, so the wire carries no code
+	// builds the dispatched cell from them, so the wire carries no code
 	// and no partial state.
 	Params experiments.CampaignParams `json:"params"`
 	// Index is the cell's position in the plan.

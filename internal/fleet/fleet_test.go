@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/diskstore"
 	"repro/internal/experiments"
 	"repro/internal/report"
@@ -459,7 +460,7 @@ func TestWorkerNeverCallsCoordinator(t *testing.T) {
 	}
 	cell := &plan.Cells[0]
 	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
-	want, err := plan.RunBody(context.Background(), 0)
+	want, err := plan.Cells[0].RunBody(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,5 +574,89 @@ func TestWorkerCellReadServesDisk(t *testing.T) {
 	}
 	if code, _, _ := getCell(t, wts.URL, "absent"); code != http.StatusNotFound {
 		t.Errorf("absent key: status %d, want 404", code)
+	}
+}
+
+// TestWorkerDispatchesAnyCellOfAPlan: the worker builds the dispatched
+// cell of a multi-cell plan, not cell 0. A future plan's table1 cells lie
+// past its compare cells; one of them must come back as the local run's
+// bytes, an index past the plan is a 400 on "index", and a cell ID that
+// is not the plan's is a 409.
+func TestWorkerDispatchesAnyCellOfAPlan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a measurement cell in -short mode")
+	}
+	campaign, _ := experiments.CampaignByKind("future")
+	params, err := campaign.Normalize(experiments.CampaignParams{
+		Fast: true, Replications: 1, BudgetSec: 0.5, Policies: []string{"Dynamic"}, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := experiments.Cells("future", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := -1
+	for i := range plan.Cells {
+		if plan.Cells[i].KeyKind == "cell/table1" {
+			idx = i + 1 // a table1 cell past the first
+			break
+		}
+	}
+	if idx <= 0 || plan.Cells[idx].KeyKind != "cell/table1" {
+		t.Fatalf("future plan has no second table1 cell")
+	}
+	cell := &plan.Cells[idx]
+	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
+	want, err := cell.RunBody(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := coordServer(t, NewCoordinator(Config{}))
+	_, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Capacity: 4})
+	post := func(req ExecuteRequest) (int, []byte) {
+		t.Helper()
+		payload, _ := json.Marshal(req)
+		hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		body, err := io.ReadAll(hr.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hr.StatusCode, body
+	}
+	req := ExecuteRequest{Kind: "future", Params: params, Index: idx, CellID: cell.ID, Key: key}
+
+	code, body := post(req)
+	var resp ExecuteResponse
+	if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil {
+		t.Fatalf("dispatch of cell %d: status %d: %s", idx, code, body)
+	}
+	if resp.CellID != cell.ID || resp.Source != "executed" || !bytes.Equal(resp.Body, want) {
+		t.Fatalf("cell %d: got %q source %q body %.80s, want %q executed with the local run's bytes",
+			idx, resp.CellID, resp.Source, resp.Body, cell.ID)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(*ExecuteRequest)
+		status int
+		code   string
+		field  string
+	}{
+		{"index past the plan", func(r *ExecuteRequest) { r.Index = len(plan.Cells) }, http.StatusBadRequest, "invalid_param", "index"},
+		{"wrong cell ID", func(r *ExecuteRequest) { r.CellID = plan.Cells[idx-1].ID }, http.StatusConflict, "plan_mismatch", ""},
+	} {
+		bad := req
+		tc.mutate(&bad)
+		status, body := post(bad)
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || status != tc.status || env.Error.Code != tc.code || env.Error.Field != tc.field {
+			t.Errorf("%s: status %d body %s; want %d %s on field %q", tc.name, status, body, tc.status, tc.code, tc.field)
+		}
 	}
 }

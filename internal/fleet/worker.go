@@ -212,7 +212,7 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // handleExecute runs one dispatched cell: local memory → local disk →
-// execute. The worker never calls back to the coordinator — the
+// execute. It builds that cell alone from the request's params. The worker never calls back to the coordinator — the
 // coordinator dispatches only cells its own tiers missed. Whatever the
 // source, the response carries the cell's canonical bytes and their
 // provenance.
@@ -252,19 +252,20 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer w.inflight.Add(-1)
-	plan, err := experiments.Cells(req.Kind, req.Params)
-	if err != nil {
+	// Build only the dispatched cell: the rest of the plan is the
+	// coordinator's business.
+	cell, n, err := experiments.CellAt(req.Kind, req.Params, req.Index)
+	switch {
+	case n > 0 && (req.Index < 0 || req.Index >= n):
+		w.Stats.Errors.Inc()
+		writeFleetError(rw, http.StatusBadRequest, "invalid_param", "index",
+			fmt.Sprintf("cell index %d outside plan (%d cells)", req.Index, n))
+		return
+	case err != nil:
 		w.Stats.Errors.Inc()
 		writeFleetError(rw, http.StatusBadRequest, "invalid_param", "params", fmt.Sprintf("cell plan: %v", err))
 		return
 	}
-	if req.Index < 0 || req.Index >= len(plan.Cells) {
-		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusBadRequest, "invalid_param", "index",
-			fmt.Sprintf("cell index %d outside plan (%d cells)", req.Index, len(plan.Cells)))
-		return
-	}
-	cell := &plan.Cells[req.Index]
 	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
 	if cell.ID != req.CellID || key != req.Key {
 		// The two sides derived different plans from the same params —
@@ -283,7 +284,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	// Executed bytes land in both local tiers, so the store keeps them
 	// across a restart.
 	l, err := w.tiers.Resolve(r.Context(), key, nil, func(ctx context.Context) ([]byte, error) {
-		return plan.RunBody(ctx, req.Index)
+		return cell.RunBody(ctx)
 	})
 	if err != nil {
 		w.Stats.Errors.Inc()

@@ -237,7 +237,7 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		// death. A remote cell keeps the worker's measured cost, so
 		// eviction still weighs simulation time rather than network time.
 		l, err := s.cells.Resolve(ctx, key, fill, func(ctx context.Context) ([]byte, error) {
-			return plan.RunBody(ctx, i)
+			return cell.RunBody(ctx)
 		})
 		switch l.Source {
 		case resultcache.Memory:

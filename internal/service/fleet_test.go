@@ -346,7 +346,7 @@ func TestPeerFillServesFailedDispatch(t *testing.T) {
 		t.Fatalf("plan has %d cells, want 1", len(plan.Cells))
 	}
 	key := resultcache.Key(plan.Cells[0].KeyKind, plan.Cells[0].KeyParams, version.Engine)
-	partial, err := plan.RunBody(context.Background(), 0)
+	partial, err := plan.Cells[0].RunBody(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

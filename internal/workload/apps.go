@@ -141,47 +141,68 @@ func Gravity(seed uint64) App {
 // GravitySized builds a GRAVITY instance with the given number of time
 // steps, per-phase parallel width, sequential-phase work, and mean parallel
 // thread work.
+//
+// The dependence structure depends only on (steps, width); the seed
+// changes only the parallel threads' work. So the structure is built once
+// per shape and cached under its own key, and each seed's graph shares
+// its rows, adding only its own work and level totals.
 func GravitySized(steps, width int, seqWork, parWork simtime.Duration, seed uint64) App {
 	// The jitter seed is part of the cache key: distinct seeds yield
 	// distinct thread-time distributions.
 	key := graphKey{kind: "gravity", a: steps, b: width, w1: int64(seqWork), w2: int64(parWork), seed: seed}
 	g := cachedGraph(key, func() *Graph {
-		rng := xrand.New(seed, 0xc0ffee)
+		shape := cachedGraph(graphKey{kind: "gravity-shape", a: steps, b: width}, func() *Graph {
+			var b GraphBuilder
+			gravityThreads(&b, steps, width, seqWork, parWork, seed, true)
+			g, err := b.Build()
+			if err != nil {
+				panic(err)
+			}
+			return g
+		})
 		var b GraphBuilder
-		b.Grow(steps*(1+gravityPhases*(width+1)), steps*2*gravityPhases*width+steps-1)
-		var prevBarrier ThreadID = -1
-		for s := 0; s < steps; s++ {
-			// Sequential phase (tree build).
-			seq := b.AddThread(seqWork)
-			if prevBarrier >= 0 {
-				b.AddDep(prevBarrier, seq)
-			}
-			join := seq
-			for ph := 0; ph < gravityPhases; ph++ {
-				// Parallel phase: 'width' threads; per-phase mean varies,
-				// and threads within a phase vary around it (synchronization
-				// delays in critical sections).
-				phaseScale := 0.6 + 0.2*float64(ph)
-				barrier := b.AddThread(10 * simtime.Millisecond)
-				for w := 0; w < width; w++ {
-					jitter := 0.75 + rng.Float64()/2 // uniform [0.75, 1.25)
-					work := parWork.Scale(phaseScale * jitter)
-					id := b.AddThread(work)
-					b.AddDep(join, id)
-					b.AddDep(id, barrier)
-				}
-				join = barrier
-			}
-			prevBarrier = join
-		}
-		g, err := b.Build()
-		if err != nil {
-			panic(err)
-		}
-		return g
+		gravityThreads(&b, steps, width, seqWork, parWork, seed, false)
+		return shape.withWork(b.work)
 	})
 	// Body updates and tree rebuilds write data every task reads.
 	return App{Name: "GRAVITY", Graph: g, Pattern: memtrace.GravityPattern(), SharedFrac: 0.08}
+}
+
+// gravityThreads adds a GRAVITY graph's threads to b in thread-ID order,
+// with their seeded work, and its dependence edges when edges is set. It
+// is the one place that order is written: each step is a sequential
+// thread (the tree build), then per phase a barrier and the phase's width
+// parallel threads. Each parallel phase's mean varies, and threads within
+// a phase vary around it (synchronization delays in critical sections).
+func gravityThreads(b *GraphBuilder, steps, width int, seqWork, parWork simtime.Duration, seed uint64, edges bool) {
+	rng := xrand.New(seed, 0xc0ffee)
+	nEdges := 0
+	if edges {
+		nEdges = steps*2*gravityPhases*width + steps - 1
+	}
+	b.Grow(steps*(1+gravityPhases*(width+1)), nEdges)
+	var prevBarrier ThreadID = -1
+	for s := 0; s < steps; s++ {
+		seq := b.AddThread(seqWork)
+		if edges && prevBarrier >= 0 {
+			b.AddDep(prevBarrier, seq)
+		}
+		join := seq
+		for ph := 0; ph < gravityPhases; ph++ {
+			phaseScale := 0.6 + 0.2*float64(ph)
+			barrier := b.AddThread(10 * simtime.Millisecond)
+			for w := 0; w < width; w++ {
+				jitter := 0.75 + rng.Float64()/2 // uniform [0.75, 1.25)
+				id := b.AddThread(parWork.Scale(phaseScale * jitter))
+				if edges {
+					b.AddDep(join, id)
+					b.AddDep(id, barrier)
+				}
+			}
+			join = barrier
+		}
+		prevBarrier = join
+	}
 }
 
 // AppByName builds a default-sized application by paper name. GRAVITY

@@ -48,6 +48,10 @@ type Graph struct {
 	off    []int32
 	succs  []ThreadID
 	roots  []ThreadID
+	// order lists every thread level by level, as Kahn's algorithm
+	// reached it: levels[k]'s threads follow levels[:k]'s. It depends only
+	// on the structure, so graphs that share rows share it too.
+	order []ThreadID
 	// levels is the level-synchronous execution profile, computed once by
 	// Build.
 	levels []Level
@@ -143,9 +147,10 @@ func (b *GraphBuilder) Build() (*Graph, error) {
 
 // computeLevels runs Kahn's algorithm level by level from queue, which
 // holds the roots and has room for every thread. It records each level's
-// width and work and the widest level, and reports whether every thread
-// was reached (the graph is acyclic). The queue holds the levels back to
-// back: level k+1 is what level k's completions appended.
+// width and work, the widest level and the level order, and reports
+// whether every thread was reached (the graph is acyclic). The queue holds
+// the levels back to back: level k+1 is what level k's completions
+// appended.
 func (g *Graph) computeLevels(queue []ThreadID) bool {
 	preds := slices.Clone(g.npreds)
 	levels := make([]Level, 0, 64)
@@ -166,7 +171,32 @@ func (g *Graph) computeLevels(queue []ThreadID) bool {
 		lo = hi
 	}
 	g.levels = slices.Clip(levels)
+	g.order = queue
 	return len(queue) == len(g.work)
+}
+
+// withWork returns a graph with g's dependence structure and the given
+// per-thread work, in thread-ID order. It shares g's rows and level order
+// and computes only what depends on the work: each level's work and the
+// total.
+func (g *Graph) withWork(work []simtime.Duration) *Graph {
+	if len(work) != len(g.work) {
+		panic(fmt.Sprintf("workload: %d thread works for a %d-thread graph", len(work), len(g.work)))
+	}
+	ng := *g
+	ng.work = work
+	ng.levels = make([]Level, len(g.levels))
+	ng.totalWork = 0
+	order := g.order
+	for i, lv := range g.levels {
+		ng.levels[i].Width = lv.Width
+		for _, id := range order[:lv.Width] {
+			ng.levels[i].Work += work[id]
+		}
+		order = order[lv.Width:]
+		ng.totalWork += ng.levels[i].Work
+	}
+	return &ng
 }
 
 // succsOf returns thread id's successors, capacity-capped so an append

@@ -36,9 +36,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # One iteration of the exact-cache fast-path benchmarks (flat-array cache,
-# undo journal, single-replay plan/commit, block generation) and of the
-# workload graph build — a dedicated gate so a regression in the hot path
-# fails ci by name even though bench-smoke also sweeps these packages.
+# undo journal, single-replay plan/commit, block generation), of the
+# workload graph build and of the disk store's boot scan — a dedicated
+# gate so a regression in the hot path fails ci by name even though
+# bench-smoke also sweeps these packages.
 bench-cache:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
 		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/diskstore/ ./internal/memtrace/ ./internal/workload/

@@ -212,7 +212,7 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // handleExecute runs one dispatched cell: local memory → local disk →
-// execute. It builds that cell alone from the request's params. The worker never calls back to the coordinator — the
+// execute. The worker never calls back to the coordinator — the
 // coordinator dispatches only cells its own tiers missed. Whatever the
 // source, the response carries the cell's canonical bytes and their
 // provenance.

@@ -180,9 +180,6 @@ func (g *Graph) computeLevels(queue []ThreadID) bool {
 // and computes only what depends on the work: each level's work and the
 // total.
 func (g *Graph) withWork(work []simtime.Duration) *Graph {
-	if len(work) != len(g.work) {
-		panic(fmt.Sprintf("workload: %d thread works for a %d-thread graph", len(work), len(g.work)))
-	}
 	ng := *g
 	ng.work = work
 	ng.levels = make([]Level, len(g.levels))

@@ -127,12 +127,13 @@ fleet-smoke:
 
 # The analytic-engine gate: re-runs the differential calibration grid on
 # both engines and fails if any golden-promoted cell drifted past the 10%
-# tolerance (analyticcalib check mode), then pins the engine-tier cache
-# contract — engine=analytic and engine=sim derive distinct cell cache
-# keys, the analytic body is byte-stable across runs, and engine=auto
-# never selects analytic outside the promotion envelope.
+# tolerance (`affinitysim calibrate`, check mode), then pins the
+# engine-tier cache contract — engine=analytic and engine=sim derive
+# distinct cell cache keys, the analytic body is byte-stable across runs,
+# and engine=auto never selects analytic outside the promotion envelope.
+# TestCalibrationCheck covers the check itself on hand-built tables.
 analytic-smoke:
-	$(GO) run ./cmd/analyticcalib -check
+	$(GO) run ./cmd/affinitysim calibrate
 	$(GO) test -count=1 -run 'TestEngine|TestAnalytic|TestAuto|TestCalibration' ./internal/experiments/
 
 ci: fmt-check vet build race bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke

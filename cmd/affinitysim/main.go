@@ -14,6 +14,8 @@
 //	affinitysim extras       [flags]   # beyond-the-paper exhibits (Section 8 contrast,
 //	                                   # MPL sweep, two-level-cache analysis)
 //	affinitysim all          [flags]   # everything, in paper order
+//	affinitysim calibrate    [flags]   # analytic-engine calibration: run the grid on both
+//	                                   # engines, check the promotion golden (-write: rewrite it)
 //
 // Common flags:
 //
@@ -32,6 +34,8 @@
 //	              and print simulated vs model relative response times
 //	-policy NAME  policy for the trace subcommand (default Dyn-Aff)
 //	-window SEC   trace window length in seconds (default 5, from t=0)
+//	-write        calibrate: rewrite internal/analytic/promotion.json from this
+//	              pass instead of checking it (run from the repository root)
 //	-workers N    simulation cells run concurrently (0 = all CPUs, 1 = sequential);
 //	              results are identical for every worker count
 //	-stats        print the response-time decomposition table (engine
@@ -41,14 +45,26 @@
 // Every exhibit runs as a registered campaign through experiments.Run —
 // the cell plans the affinityd service executes — so a subcommand's
 // numbers are the ones the service serves for the same parameters.
+//
+// calibrate maintains the analytic engine's promotion golden, the
+// differential record of which campaign cells the auto engine tier may
+// serve from the analytic estimator. It runs the pinned calibration grid
+// (experiments.CalibrationGrid) through both engines and prints the
+// per-cell error table and the measured wall-clock speedup. By default it
+// then checks that every cell the checked-in golden promotes is still
+// within the golden's 10% tolerance; `make analytic-smoke` runs this check.
+// With -write it instead rewrites the golden, promoting the cells whose
+// analytic mean response time is within the stricter 8% threshold.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
+	"repro/internal/analytic"
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -84,6 +100,7 @@ type cli struct {
 	window     float64
 	detail     bool
 	simulate   bool
+	write      bool
 	common     *cliflags.Common
 }
 
@@ -92,7 +109,7 @@ var dynamicPolicies = []string{"Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"}
 
 func parse(args []string) (string, *cli, error) {
 	if len(args) == 0 {
-		return "", nil, fmt.Errorf("missing subcommand (characterize|measure|compare|future|all)")
+		return "", nil, fmt.Errorf("missing subcommand (characterize|measure|compare|future|trace|extras|all|calibrate)")
 	}
 	cmd := args[0]
 	fs := flag.NewFlagSet("affinitysim "+cmd, flag.ContinueOnError)
@@ -111,6 +128,7 @@ func parse(args []string) (string, *cli, error) {
 	fs.Float64Var(&c.window, "window", 5, "trace window length (seconds)")
 	fs.BoolVar(&c.detail, "detail", false, "measure: print per-regime run details")
 	fs.BoolVar(&c.simulate, "simulate", false, "future: also simulate the scaled machines directly")
+	fs.BoolVar(&c.write, "write", false, "calibrate: rewrite the promotion golden instead of checking it")
 	if err := fs.Parse(args[1:]); err != nil {
 		return "", nil, err
 	}
@@ -201,6 +219,8 @@ func (c *cli) dispatch(cmd string) error {
 		return c.trace()
 	case "extras":
 		return c.extras()
+	case "calibrate":
+		return c.calibrate()
 	case "all":
 		if err := c.characterize(); err != nil {
 			return err
@@ -288,7 +308,7 @@ func (c *cli) extras() error {
 		return err
 	}
 	mplPolicies := []string{"Equipartition", "Dynamic", "Dyn-Aff"}
-	pts, err := experiments.MPLSweep(c.opts, 4, mplPolicies)
+	pts, err := experiments.MPLSweep(c.ctx, c.opts, 4, mplPolicies)
 	if err != nil {
 		return err
 	}
@@ -371,7 +391,7 @@ func (c *cli) measureDetail() error {
 	}
 	mc := c.opts.Machine
 	mc.Processors = 1 // the paper's measurement uses a single processor
-	t1, err := measure.BuildTable1Ctx(c.ctx, mc, memtrace.Patterns(), measure.DefaultQs(),
+	t1, err := measure.BuildTable1(c.ctx, mc, memtrace.Patterns(), measure.DefaultQs(),
 		c.opts.MeasureBudget, c.opts.Seed, c.opts.Workers)
 	if err != nil {
 		return err
@@ -578,4 +598,72 @@ func (c *cli) simulateFuture(scen map[experiments.ScenarioKey]model.Scenario) er
 	tab := experiments.FutureSimTable(v.(experiments.FutureSimCampaignResult), modelRel, dynamicPolicies)
 	tab.Title = "Mix #5 — simulated scaled machines vs analytic model (model column: GRAVITY job)"
 	return tab.Write(os.Stdout)
+}
+
+// promotionPath is the promotion golden calibrate -write rewrites,
+// relative to the repository root.
+const promotionPath = "internal/analytic/promotion.json"
+
+// calibrate runs the differential calibration grid, prints its per-cell
+// error table, and then checks the checked-in promotion golden against it
+// or, with -write, rewrites the golden from it.
+func (c *cli) calibrate() error {
+	cal, err := experiments.Calibrate(c.ctx, c.opts.Workers)
+	if err != nil {
+		return err
+	}
+	if err := writeCalibration(cal); err != nil {
+		return err
+	}
+	if !c.write {
+		golden := analytic.DefaultTable()
+		promoted, err := cal.Check(golden)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("\nall %d golden-promoted cells within tolerance %.0f%%\n", promoted, 100*golden.TolRelErr)
+		return nil
+	}
+	data, err := json.MarshalIndent(cal.Table, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(promotionPath, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s: %d cells, %d promoted (threshold %.0f%%)\n", promotionPath,
+		len(cal.Table.Cells), cal.Table.Envelope().Size(), 100*cal.Table.PromoteRelErr)
+	return nil
+}
+
+// writeCalibration prints the per-cell error table and the wall-clock
+// totals of a calibration pass.
+func writeCalibration(cal *experiments.Calibration) error {
+	t := report.Table{
+		Title:   "Differential calibration — analytic vs exact simulation",
+		Headers: []string{"cell", "sim RT (s)", "analytic RT (s)", "rel err", "promoted"},
+	}
+	for _, cell := range cal.Table.Cells {
+		label := fmt.Sprintf("compare mix=%d %s", cell.Mix, cell.Policy)
+		if cell.Kind == "futuresim" {
+			label = fmt.Sprintf("futuresim mix=%d p=%g %s", cell.Mix, cell.Product, cell.Policy)
+		}
+		m := cell.Metrics[analytic.PromotionMetric]
+		promoted := ""
+		if cell.Promoted {
+			promoted = "yes"
+		}
+		t.AddRow(label, report.F(m.Sim, 3), report.F(m.Analytic, 3),
+			fmt.Sprintf("%.1f%%", 100*m.RelErr), promoted)
+	}
+	if err := t.Write(os.Stdout); err != nil {
+		return err
+	}
+	speedup := 0.0
+	if cal.AnalyticSeconds > 0 {
+		speedup = cal.SimSeconds / cal.AnalyticSeconds
+	}
+	fmt.Printf("\nwall clock: sim %.2fs, analytic %.3fs (%.0fx)\n",
+		cal.SimSeconds, cal.AnalyticSeconds, speedup)
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -16,6 +17,17 @@ func TestParse(t *testing.T) {
 	}
 	if _, _, err := parse(nil); err == nil {
 		t.Error("missing subcommand accepted")
+	} else {
+		for _, sub := range []string{"characterize", "measure", "compare", "future", "trace", "extras", "all", "calibrate"} {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("missing-subcommand error %q does not list %s", err, sub)
+			}
+		}
+	}
+	if _, c, err := parse([]string{"calibrate", "-write", "-workers", "2"}); err != nil {
+		t.Fatal(err)
+	} else if !c.write || c.opts.Workers != 2 {
+		t.Errorf("calibrate -write -workers 2: write=%v workers=%d", c.write, c.opts.Workers)
 	}
 	if _, _, err := parse([]string{"compare", "-badflag"}); err == nil {
 		t.Error("bad flag accepted")

@@ -10,7 +10,7 @@
 // (over each graph's precomputed workload.Graph.Levels), a processor
 // water-fill standing in for the allocation policy (engine.go), and the
 // footprint segment model supplying the cache-reload penalty term. A differential calibration harness
-// (internal/experiments.Calibrate + cmd/analyticcalib) validates the
+// (internal/experiments.Calibrate, run by `affinitysim calibrate`) validates the
 // estimator against the exact simulator cell by cell and promotes only the
 // coordinates whose error stays within tolerance (envelope.go); the `auto`
 // engine trusts exactly that envelope.

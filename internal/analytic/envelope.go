@@ -8,7 +8,7 @@ import (
 )
 
 // promotionJSON is the checked-in calibration golden produced by
-// `analyticcalib -write`: per-coordinate analytic-vs-sim errors and the
+// `affinitysim calibrate -write`: per-coordinate analytic-vs-sim errors and the
 // promotion verdicts defining the envelope the `auto` engine trusts.
 //
 //go:embed promotion.json
@@ -43,7 +43,7 @@ type CalCell struct {
 // PromotionTable is the calibration golden: the error tolerance pair and
 // the calibrated cells. PromoteRelErr is the stricter bound a cell's mean
 // response-time error must meet at -write time for promotion; TolRelErr is
-// the looser bound -check (and the golden-based tests) re-enforce, leaving
+// the looser bound the check (and the golden-based tests) re-enforce, leaving
 // hysteresis so cross-platform float drift cannot flip a borderline cell.
 type PromotionTable struct {
 	PromoteRelErr float64   `json:"promote_rel_err"`

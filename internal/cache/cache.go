@@ -544,14 +544,6 @@ func (c *Cache) Stats() Stats {
 	return Stats{Accesses: c.accesses, Misses: c.misses, Evicted: c.evicted}
 }
 
-// MissRatio returns misses/accesses, or 0 before any access.
-func (s Stats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Clone returns an independent deep copy of the cache. The single-replay
 // plan/commit protocol no longer clones on the hot path; Clone remains for
 // the clone-based oracle model and tests. It panics while a journal is

@@ -203,17 +203,6 @@ func TestWorkingSetSmallerThanCacheAllHitsAfterWarmup(t *testing.T) {
 	}
 }
 
-func TestMissRatio(t *testing.T) {
-	var s Stats
-	if s.MissRatio() != 0 {
-		t.Error("MissRatio of zero stats should be 0")
-	}
-	s = Stats{Accesses: 4, Misses: 1}
-	if s.MissRatio() != 0.25 {
-		t.Errorf("MissRatio = %v", s.MissRatio())
-	}
-}
-
 // Property: occupancy never exceeds capacity, residency sums to occupancy,
 // and per-owner residency is never negative — under arbitrary access,
 // flush, and invalidate sequences.

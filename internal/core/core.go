@@ -444,18 +444,6 @@ func (t *TimeShare) Rebalance(s *alloc.State, trig alloc.Trigger, arg int) []all
 	return t.decs
 }
 
-// All returns one fresh instance of every policy the paper evaluates, in
-// presentation order.
-func All() []alloc.Policy {
-	return []alloc.Policy{
-		NewEquipartition(),
-		NewDynamic(),
-		NewDynAff(),
-		NewDynAffDelay(),
-		NewDynAffNoPri(),
-	}
-}
-
 // PolicyNames lists the canonical names ByName accepts (lowercase
 // aliases excluded), in presentation order — the space-sharing policies
 // of Sections 5-6 followed by the Section-8 time-sharing pair.

@@ -257,26 +257,6 @@ func (q *Queue) Step() bool {
 	return true
 }
 
-// Peek returns the firing time of the earliest pending event, or
-// simtime.Never when the queue is empty.
-func (q *Queue) Peek() simtime.Time {
-	if len(q.h) == 0 {
-		return simtime.Never
-	}
-	return q.h[0].At
-}
-
-// RunUntil fires events in order until the queue is empty or the next event
-// would fire strictly after limit. It returns the number of events fired.
-func (q *Queue) RunUntil(limit simtime.Time) int {
-	n := 0
-	for len(q.h) > 0 && q.h[0].At <= limit {
-		q.Step()
-		n++
-	}
-	return n
-}
-
 // Run fires events until the queue is empty, with a hard cap on the number
 // of events as a runaway-simulation backstop. It returns the number of
 // events fired and an error if the cap was hit.

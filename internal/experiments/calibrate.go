@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/analytic"
@@ -16,11 +17,11 @@ import (
 // engine tier: it runs a pinned grid of campaign cells through both the
 // discrete-event simulator and the analytic estimator, records per-metric
 // relative errors, and promotes the cells whose mean response-time error
-// meets the strict threshold. `analyticcalib -write` persists the result
-// as internal/analytic/promotion.json — the envelope `auto` trusts —
-// and `analyticcalib -check` (wired into `make analytic-smoke`) re-runs
-// the grid and fails if any promoted cell has drifted past the looser
-// tolerance bound.
+// meets the strict threshold. `affinitysim calibrate -write` persists the
+// result as internal/analytic/promotion.json — the envelope `auto` trusts —
+// and `affinitysim calibrate` (wired into `make analytic-smoke`) re-runs
+// the grid and fails, through Calibration.Check, if any promoted cell has
+// drifted past the looser tolerance bound.
 
 // Calibration pin: the fast test scale every calibrated coordinate uses.
 // Changing any of these invalidates the checked-in golden — every Coord
@@ -224,4 +225,41 @@ func Calibrate(ctx context.Context, workers int) (*Calibration, error) {
 		cal.AnalyticSeconds += float64(anaNs[i]) / 1e9
 	}
 	return cal, nil
+}
+
+// Check enforces golden's tolerance on every cell golden promotes: the
+// cell must be in this pass's grid with its analytic.PromotionMetric
+// relative error within golden.TolRelErr. The tolerance is looser than the
+// threshold promotion itself needs, so float drift across platforms cannot
+// flip a borderline cell. Check returns the number of promoted cells, and
+// an error naming each violating coordinate.
+func (c *Calibration) Check(golden *analytic.PromotionTable) (int, error) {
+	fresh := make(map[string]analytic.CalCell, len(c.Table.Cells))
+	for _, cell := range c.Table.Cells {
+		fresh[cell.Coord] = cell
+	}
+	var bad []string
+	promoted := 0
+	for _, g := range golden.Cells {
+		if !g.Promoted {
+			continue
+		}
+		promoted++
+		f, ok := fresh[g.Coord]
+		if !ok {
+			bad = append(bad, fmt.Sprintf("%s: golden-promoted cell absent from the calibration grid", g.Coord))
+			continue
+		}
+		if re := f.Metrics[analytic.PromotionMetric].RelErr; re > golden.TolRelErr {
+			bad = append(bad, fmt.Sprintf("%s: %s rel err %.1f%% exceeds tolerance %.0f%%",
+				g.Coord, analytic.PromotionMetric, 100*re, 100*golden.TolRelErr))
+		}
+	}
+	if promoted == 0 {
+		return 0, fmt.Errorf("golden promotes no cells; regenerate with affinitysim calibrate -write")
+	}
+	if len(bad) > 0 {
+		return promoted, fmt.Errorf("%d envelope violations:\n  %s", len(bad), strings.Join(bad, "\n  "))
+	}
+	return promoted, nil
 }

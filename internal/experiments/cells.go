@@ -414,7 +414,7 @@ func table1Grid(np CampaignParams) (grid, error) {
 		return grid{}, err
 	}
 	// DefaultQs is ascending, so cell order (q-major, pattern-minor, the
-	// BuildTable1Ctx layout) is already the wire result's Q order.
+	// BuildTable1 layout) is already the wire result's Q order.
 	qs := measure.DefaultQs()
 	names := patternNames()
 	// The plan's cells (and a future plan's table1 cells) share one stream

@@ -194,7 +194,7 @@ func TestAnalyticCellBytesStable(t *testing.T) {
 
 // Every golden-promoted cell's analytic mean response time must still be
 // within the golden's tolerance of the sim value recorded at -write time.
-// This is the cheap half of `analyticcalib -check`: it re-runs only the
+// This is the cheap half of `affinitysim calibrate`: it re-runs only the
 // analytic side, trusting the golden's sim numbers.
 func TestAnalyticAccuracyWithinGoldenTolerance(t *testing.T) {
 	golden := analytic.DefaultTable()
@@ -233,7 +233,7 @@ func TestCalibrationGridMatchesGolden(t *testing.T) {
 	}
 	golden := analytic.DefaultTable()
 	if len(golden.Cells) != len(grid) {
-		t.Errorf("golden has %d cells, grid has %d; regenerate with analyticcalib -write",
+		t.Errorf("golden has %d cells, grid has %d; regenerate with affinitysim calibrate -write",
 			len(golden.Cells), len(grid))
 	}
 	for _, g := range golden.Cells {

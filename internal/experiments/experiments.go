@@ -15,7 +15,8 @@
 //   - futuresim    → Section 7 validation (FutureSimTable)
 //   - relatedwork  → Section 8 (RelatedWorkTable)
 //
-// MPLSweep and OpenArrivals are extension drivers with no campaign kind.
+// MPLSweep is the one extension driver with no campaign kind; affinitysim
+// extras runs it.
 package experiments
 
 import (
@@ -65,8 +66,8 @@ type Options struct {
 	Stats *obs.CampaignStats
 	// Engine selects the per-cell execution tier for the grid-shaped
 	// campaigns (EngineSim, EngineAnalytic, or EngineAuto; empty means
-	// EngineSim). Non-grid experiments (Table1, Characterize, RelatedWork,
-	// MPLSweep) always simulate and ignore it.
+	// EngineSim). The non-grid kinds (table1, characterize, relatedwork)
+	// and MPLSweep always simulate and ignore it.
 	Engine string
 }
 
@@ -147,11 +148,4 @@ func (o Options) apps(m workload.Mix, seed uint64) []workload.App {
 			20*simtime.Millisecond, seed+uint64(i)*0x9e3779b9))
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -133,7 +133,7 @@ func TestTable1SmallBudget(t *testing.T) {
 }
 
 // TestTable1ResultMatchesCampaign pins that a Table 1 built directly with
-// measure.BuildTable1Ctx converts to the table1 campaign's result byte for
+// measure.BuildTable1 converts to the table1 campaign's result byte for
 // byte and records the same stats — affinitysim measure -detail relies on
 // it to run the protocol once.
 func TestTable1ResultMatchesCampaign(t *testing.T) {
@@ -146,7 +146,7 @@ func TestTable1ResultMatchesCampaign(t *testing.T) {
 	}
 	mc := o.Machine
 	mc.Processors = 1
-	t1, err := measure.BuildTable1Ctx(context.Background(), mc, memtrace.Patterns(), measure.DefaultQs(),
+	t1, err := measure.BuildTable1(context.Background(), mc, memtrace.Patterns(), measure.DefaultQs(),
 		o.MeasureBudget, o.Seed, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,8 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/simtime"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
-
-// newArrivalRNG builds the arrival-process random stream.
-func newArrivalRNG(seed uint64) *xrand.Source { return xrand.New(seed, 0xa77) }
 
 // RelatedWorkResult quantifies Section 8's space-vs-time-sharing contrast:
 // how much affinity matters under quantum-driven time sharing (the domain
@@ -133,14 +128,8 @@ type MPLPoint struct {
 // MPLSweep runs k identical GRAVITY jobs for k = 1..maxJobs under the given
 // policies — an extension exhibit showing how the dynamic policies' edge
 // over Equipartition varies with multiprogramming level (barrier dips
-// matter most when a partner job can absorb them). It is MPLSweepCtx
-// without cancellation.
-func MPLSweep(opts Options, maxJobs int, policies []string) ([]MPLPoint, error) {
-	return MPLSweepCtx(context.Background(), opts, maxJobs, policies)
-}
-
-// MPLSweepCtx is MPLSweep with cancellation.
-func MPLSweepCtx(ctx context.Context, opts Options, maxJobs int, policies []string) ([]MPLPoint, error) {
+// matter most when a partner job can absorb them).
+func MPLSweep(ctx context.Context, opts Options, maxJobs int, policies []string) ([]MPLPoint, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -213,77 +202,4 @@ func MPLTable(points []MPLPoint, policies []string) report.Table {
 		t.AddRow(row...)
 	}
 	return t
-}
-
-// OpenArrivals runs an open system: njobs jobs, a third of each
-// application type, arrive with exponential interarrival times (mean
-// interarrival), grouped by type — all the MVA jobs, then the MATRIX
-// jobs, then the GRAVITY jobs.
-// It returns the mean job response time per policy — an extension beyond
-// the paper's closed mixes. It is OpenArrivalsCtx without cancellation.
-func OpenArrivals(opts Options, interarrival simtime.Duration, njobs int, policies []string) (map[string]float64, error) {
-	return OpenArrivalsCtx(context.Background(), opts, interarrival, njobs, policies)
-}
-
-// OpenArrivalsCtx is OpenArrivals with cancellation.
-func OpenArrivalsCtx(ctx context.Context, opts Options, interarrival simtime.Duration, njobs int, policies []string) (map[string]float64, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if njobs < 1 || interarrival <= 0 {
-		return nil, fmt.Errorf("experiments: need njobs >= 1 and positive interarrival")
-	}
-	// Fan the (policy, replication) cells out; idx = pi*R + rep.
-	R := opts.Replications
-	rts := make([]float64, len(policies)*R)
-	err := parallel.ForEach(ctx, opts.Workers, len(rts), func(ctx context.Context, idx int) error {
-		rep := idx % R
-		polName := policies[idx/R]
-		seed := parallel.CellSeed(opts.Seed, uint64(rep))
-		// The job list is grouped by app type, in the mix's order;
-		// arrivals are a seeded Poisson process.
-		mix := workload.Mix{Number: 200, MVA: (njobs + 2) / 3, Matrix: (njobs + 1) / 3, Gravity: njobs / 3}
-		apps := opts.apps(mix, seed)[:njobs]
-		arrivals := poissonArrivals(njobs, interarrival, seed)
-		pol, ok := core.ByName(polName)
-		if !ok {
-			return fmt.Errorf("experiments: unknown policy %q", polName)
-		}
-		r, err := runSim(sched.Config{
-			Machine:  opts.Machine,
-			Policy:   pol,
-			Apps:     apps,
-			Arrivals: arrivals,
-			Seed:     seed,
-		})
-		if err != nil {
-			return err
-		}
-		rts[idx] = r.MeanResponse()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(policies))
-	for pi, polName := range policies {
-		var mean float64
-		for rep := 0; rep < R; rep++ {
-			mean += rts[pi*R+rep] / float64(R)
-		}
-		out[polName] = mean
-	}
-	return out, nil
-}
-
-// poissonArrivals generates cumulative exponential interarrival instants.
-func poissonArrivals(n int, mean simtime.Duration, seed uint64) []simtime.Time {
-	rng := newArrivalRNG(seed)
-	out := make([]simtime.Time, n)
-	var t simtime.Time
-	for i := 0; i < n; i++ {
-		out[i] = t
-		t = t.Add(simtime.Duration(float64(mean) * rng.ExpFloat64()))
-	}
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/simtime"
 )
 
 func TestRelatedWorkShape(t *testing.T) {
@@ -52,7 +50,7 @@ func TestMPLSweep(t *testing.T) {
 	opts := FastOptions()
 	opts.Replications = 1
 	policies := []string{"Equipartition", "Dyn-Aff"}
-	pts, err := MPLSweep(opts, 3, policies)
+	pts, err := MPLSweep(context.Background(), opts, 3, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,56 +80,7 @@ func TestMPLSweep(t *testing.T) {
 	if err := mt.Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MPLSweep(opts, 0, policies); err == nil {
+	if _, err := MPLSweep(context.Background(), opts, 0, policies); err == nil {
 		t.Error("maxJobs 0 accepted")
-	}
-}
-
-func TestOpenArrivals(t *testing.T) {
-	opts := FastOptions()
-	opts.Replications = 1
-	rts, err := OpenArrivals(opts, 2*simtime.Second, 4, []string{"Equipartition", "Dyn-Aff"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pol, rt := range rts {
-		if rt <= 0 {
-			t.Errorf("%s: non-positive RT", pol)
-		}
-	}
-	if _, err := OpenArrivals(opts, 0, 4, []string{"Dyn-Aff"}); err == nil {
-		t.Error("zero interarrival accepted")
-	}
-	if _, err := OpenArrivals(opts, simtime.Second, 0, []string{"Dyn-Aff"}); err == nil {
-		t.Error("zero jobs accepted")
-	}
-	if _, err := OpenArrivals(opts, simtime.Second, 2, []string{"bogus"}); err == nil {
-		t.Error("bogus policy accepted")
-	}
-}
-
-func TestPoissonArrivals(t *testing.T) {
-	a := poissonArrivals(10, simtime.Second, 3)
-	b := poissonArrivals(10, simtime.Second, 3)
-	if len(a) != 10 || a[0] != 0 {
-		t.Fatalf("arrivals = %v", a)
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
-			t.Fatal("arrivals not monotone")
-		}
-		if a[i] != b[i] {
-			t.Fatal("arrivals not deterministic")
-		}
-	}
-	c := poissonArrivals(10, simtime.Second, 4)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds gave identical arrivals")
 	}
 }

@@ -52,7 +52,7 @@ func table1CellStats(mc machine.Config, pen measure.Penalties, apps []string, bu
 }
 
 // Table1Result is the table1 kind's result for a Table 1 measured
-// directly with measure.BuildTable1Ctx on the single-processor machine mc
+// directly with measure.BuildTable1 on the single-processor machine mc
 // at budget: its cells go through the table1 cells' partials and merge, so
 // the result equals the campaign's for the same budget and seed. A non-nil
 // stats records each cell's counters in grid order, as the cells do.

@@ -197,9 +197,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 }
 
-// AuthEnabled reports whether the fleet transport requires signatures.
-func (c *Coordinator) AuthEnabled() bool { return c.auth.enabled() }
-
 // RegisterHandlers mounts the coordinator's one fleet endpoint,
 // registration. Fleet traffic is otherwise one-way: the coordinator
 // calls its workers, and a worker never calls back.

@@ -130,14 +130,6 @@ func (c *Cache) remove(i int) {
 	c.entries = c.entries[:last]
 }
 
-// Evict removes all of task's lines (e.g. on task exit).
-func (c *Cache) Evict(task int) {
-	if i := c.find(task); i >= 0 {
-		c.occupied -= c.entries[i].lines
-		c.remove(i)
-	}
-}
-
 // Invalidate removes up to lines of task's residency, modelling coherency
 // invalidations when another processor writes lines this task has cached.
 // It returns the number of lines actually invalidated.
@@ -248,19 +240,4 @@ func (c *Cache) RunSegment(task int, p Profile, t0, t1 simtime.Duration, r0 floa
 	misses := Segment(p, t0, t1, r0)
 	c.Load(task, misses)
 	return misses
-}
-
-// ReloadEstimate returns the expected misses a task must take to rebuild
-// its steady-state footprint from r0 resident lines: the gap between its
-// live footprint (capped at capacity) and what survives.
-func (c *Cache) ReloadEstimate(p Profile, r0 float64) float64 {
-	live := float64(p.LiveFootprint())
-	if live > c.capacity {
-		live = c.capacity
-	}
-	gap := live - r0
-	if gap < 0 {
-		return 0
-	}
-	return gap
 }

@@ -91,17 +91,12 @@ func TestOwnLinesNotSelfEvicted(t *testing.T) {
 	}
 }
 
-func TestFlushAndEvict(t *testing.T) {
+func TestFlush(t *testing.T) {
 	c := MustNew(100)
 	c.Load(1, 30)
 	c.Load(2, 30)
-	c.Evict(1)
-	if c.Resident(1) != 0 || c.Occupied() != 30 {
-		t.Error("Evict wrong")
-	}
-	c.Evict(99) // absent: no-op
 	c.Flush()
-	if c.Occupied() != 0 || c.Resident(2) != 0 {
+	if c.Occupied() != 0 || c.Resident(1) != 0 || c.Resident(2) != 0 {
 		t.Error("Flush wrong")
 	}
 }
@@ -139,25 +134,6 @@ func TestRunSegmentUpdatesOccupancy(t *testing.T) {
 	}
 	if got := c.Resident(1); math.Abs(got-misses) > 1e-9 {
 		t.Errorf("Resident = %v, want %v", got, misses)
-	}
-}
-
-func TestReloadEstimate(t *testing.T) {
-	p := memtrace.GravityPattern()
-	c := MustNew(4096)
-	full := c.ReloadEstimate(p, 0)
-	live := float64(p.LiveFootprint())
-	if live > 4096 {
-		live = 4096
-	}
-	if full != live {
-		t.Errorf("cold ReloadEstimate = %v, want %v", full, live)
-	}
-	if got := c.ReloadEstimate(p, live); got != 0 {
-		t.Errorf("warm ReloadEstimate = %v, want 0", got)
-	}
-	if got := c.ReloadEstimate(p, live+100); got != 0 {
-		t.Errorf("over-warm ReloadEstimate = %v", got)
 	}
 }
 
@@ -219,7 +195,7 @@ func TestModelAgreesWithExactCache(t *testing.T) {
 }
 
 // Property: occupancy never exceeds capacity and residents stay
-// non-negative under arbitrary Load/Evict/Flush sequences.
+// non-negative under arbitrary Load/Invalidate/Flush sequences.
 func TestQuickInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed, 2)
@@ -229,7 +205,7 @@ func TestQuickInvariants(t *testing.T) {
 			case 0:
 				c.Flush()
 			case 1:
-				c.Evict(rng.Intn(5))
+				c.Invalidate(rng.Intn(5), float64(rng.Intn(400)))
 			default:
 				c.Load(rng.Intn(5), float64(rng.Intn(400)))
 			}

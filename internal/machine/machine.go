@@ -104,12 +104,6 @@ func (c Config) Scaled(speed float64, cacheScale int) (Config, error) {
 	return out, nil
 }
 
-// FullCacheFill returns the uncontended time to fill the entire cache, the
-// paper's 3.072 ms yardstick for the Symmetry.
-func (c Config) FullCacheFill() simtime.Duration {
-	return simtime.Duration(int64(c.LineFill) * int64(c.Cache.Lines()))
-}
-
 // Compute returns the wall time to execute d of baseline-machine
 // computation on this machine (d divided by Speed).
 func (c Config) Compute(d simtime.Duration) simtime.Duration {

@@ -26,8 +26,8 @@ func TestSymmetryMatchesPaper(t *testing.T) {
 		t.Errorf("SwitchPath = %v, want 750µs", c.SwitchPath)
 	}
 	// The paper's yardstick: at least 3.072 ms to fill the whole cache.
-	if got := c.FullCacheFill(); got != simtime.Microseconds(3072) {
-		t.Errorf("FullCacheFill = %v, want 3.072ms", got)
+	if got := c.LineFill * simtime.Duration(c.Cache.Lines()); got != simtime.Microseconds(3072) {
+		t.Errorf("full cache fill = %v, want 3.072ms", got)
 	}
 }
 

@@ -509,7 +509,7 @@ func perSwitch(delta simtime.Duration, switches int) simtime.Duration {
 // The cells that share a set build each stream at most once, on first use,
 // and a cell that never runs builds nothing. A set keeps its streams for
 // its own lifetime only: whoever holds it (a campaign's cell plan, one
-// BuildTable1Ctx call) decides how long that is. Safe for concurrent use.
+// BuildTable1 call) decides how long that is. Safe for concurrent use.
 type StreamSet struct {
 	patterns    []memtrace.Pattern
 	budget      simtime.Duration
@@ -595,17 +595,12 @@ func DefaultQs() []simtime.Duration {
 
 // BuildTable1 runs the complete protocol over all application pairs and Qs.
 // budget is the per-run compute budget; seed fixes the random streams.
-func BuildTable1(mc machine.Config, patterns []memtrace.Pattern, qs []simtime.Duration, budget simtime.Duration, seed uint64) (Table1, error) {
-	return BuildTable1Ctx(context.Background(), mc, patterns, qs, budget, seed, 0)
-}
-
-// BuildTable1Ctx is BuildTable1 with cancellation and a worker bound,
-// fanning the (Q, measured application) cells out over workers goroutines
+// It fans the (Q, measured application) cells out over workers goroutines
 // (zero means runtime.GOMAXPROCS(0), one is sequential). The cells share
 // one StreamSet and are otherwise independent sets of single-processor
 // runs with their own caches, so the table is identical for every worker
 // count.
-func BuildTable1Ctx(ctx context.Context, mc machine.Config, patterns []memtrace.Pattern, qs []simtime.Duration, budget simtime.Duration, seed uint64, workers int) (Table1, error) {
+func BuildTable1(ctx context.Context, mc machine.Config, patterns []memtrace.Pattern, qs []simtime.Duration, budget simtime.Duration, seed uint64, workers int) (Table1, error) {
 	t := Table1{
 		Qs:    qs,
 		Cells: make(map[simtime.Duration]map[string]Penalties),

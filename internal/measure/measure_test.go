@@ -177,7 +177,7 @@ func TestBuildTable1Shape(t *testing.T) {
 	}
 	mc := machine.Symmetry()
 	qs := []simtime.Duration{25 * simtime.Millisecond, 100 * simtime.Millisecond}
-	tbl, err := BuildTable1(mc, memtrace.Patterns(), qs, 4*simtime.Second, 1)
+	tbl, err := BuildTable1(context.Background(), mc, memtrace.Patterns(), qs, 4*simtime.Second, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestMeasureCellMatchesBuildTable1(t *testing.T) {
 	pats := memtrace.Patterns()
 	qs := []simtime.Duration{25 * simtime.Millisecond, 100 * simtime.Millisecond}
 	budget := 500 * simtime.Millisecond
-	tbl, err := BuildTable1(mc, pats, qs, budget, 7)
+	tbl, err := BuildTable1(context.Background(), mc, pats, qs, budget, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -372,20 +372,6 @@ func GravityPattern() Pattern {
 	}
 }
 
-// PatternByName returns the calibrated pattern for an application name
-// (MATRIX, MVA, or GRAVITY).
-func PatternByName(name string) (Pattern, error) {
-	switch name {
-	case "MATRIX", "MAT":
-		return MatrixPattern(), nil
-	case "MVA":
-		return MVAPattern(), nil
-	case "GRAVITY", "GRAV":
-		return GravityPattern(), nil
-	}
-	return Pattern{}, fmt.Errorf("memtrace: unknown application %q", name)
-}
-
 // Patterns returns the three calibrated application patterns in the order
 // the paper lists them (MVA, MATRIX, GRAVITY).
 func Patterns() []Pattern {

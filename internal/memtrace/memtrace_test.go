@@ -41,17 +41,6 @@ func TestNewGeneratorPanicsOnInvalid(t *testing.T) {
 	NewGenerator(Pattern{Name: "bad"}, 0, 1)
 }
 
-func TestPatternByName(t *testing.T) {
-	for _, name := range []string{"MVA", "MATRIX", "MAT", "GRAVITY", "GRAV"} {
-		if _, err := PatternByName(name); err != nil {
-			t.Errorf("PatternByName(%q): %v", name, err)
-		}
-	}
-	if _, err := PatternByName("NOPE"); err == nil {
-		t.Error("unknown name accepted")
-	}
-}
-
 func TestLiveFootprint(t *testing.T) {
 	p := MatrixPattern()
 	if got := p.LiveFootprint(); got != 64+1150+1150 {

@@ -79,21 +79,6 @@ func (h Hierarchy) RequiredH1(speed float64) (float64, bool) {
 	return h1, h1 <= PracticalH1Ceiling && needMissRate >= 0
 }
 
-// RequiredMemorySpeedup computes how much faster memory (miss resolution)
-// must become, with hit rates held fixed, for the effective access time in
-// seconds to keep pace with a 'speed'-times-faster processor. The paper
-// adopts √speed as the achievable compromise; this function quantifies the
-// full requirement (≈ speed for hit rates near today's).
-func (h Hierarchy) RequiredMemorySpeedup(speed float64) float64 {
-	if speed <= 1 {
-		return 1
-	}
-	// Keeping effective cycles constant while the clock shrinks 1/speed
-	// requires TMem (and T2, but memory dominates) to stay constant in
-	// cycles, i.e. shrink 'speed'× in seconds.
-	return speed
-}
-
 // HierarchyAnalysis is one row of the Section-7.2 feasibility table.
 type HierarchyAnalysis struct {
 	Speed      float64

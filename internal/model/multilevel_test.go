@@ -134,16 +134,6 @@ func TestHitRatesCannotSaveYou(t *testing.T) {
 	}
 }
 
-func TestRequiredMemorySpeedup(t *testing.T) {
-	h := SymmetryHierarchy()
-	if got := h.RequiredMemorySpeedup(0.5); got != 1 {
-		t.Errorf("sub-unit speed should need no memory speedup, got %v", got)
-	}
-	if got := h.RequiredMemorySpeedup(16); got != 16 {
-		t.Errorf("full requirement = %v, want 16 (memory must keep pace)", got)
-	}
-}
-
 func TestAnalyzeHierarchy(t *testing.T) {
 	h := SymmetryHierarchy()
 	rows, err := AnalyzeHierarchy(h, []float64{1, 4, 16, 64})

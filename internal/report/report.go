@@ -258,39 +258,3 @@ func F(v float64, decimals int) string {
 
 // Pct formats a fraction as a percentage.
 func Pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// WriteMarkdown renders the table as GitHub-flavored Markdown, the format
-// used by EXPERIMENTS.md.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteByte('|')
-		for _, c := range cells {
-			b.WriteByte(' ')
-			b.WriteString(strings.ReplaceAll(c, "|", "\\|"))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	writeRow(sep)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

@@ -130,18 +130,3 @@ func TestFormatters(t *testing.T) {
 		t.Errorf("Pct = %q", Pct(0.25))
 	}
 }
-
-func TestTableMarkdown(t *testing.T) {
-	tbl := Table{Title: "MD", Headers: []string{"a", "b"}}
-	tbl.AddRow("x|y", "2")
-	var b strings.Builder
-	if err := tbl.WriteMarkdown(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"**MD**", "| a | b |", "| --- | --- |", `x\|y`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -10,10 +10,7 @@
 // accumulation anywhere on the simulated clock.
 package simtime
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is an instant on the simulated clock, in nanoseconds from the start
 // of the run. The zero value is the beginning of simulated time.
@@ -84,15 +81,3 @@ func (d Duration) Scale(f float64) Duration {
 
 // String formats d with the standard library's duration formatting.
 func (d Duration) String() string { return time.Duration(d).String() }
-
-// FromStd converts a host time.Duration into a simulated Duration.
-func FromStd(d time.Duration) Duration { return Duration(d) }
-
-// CheckNonNegative returns an error when d is negative. It is used to
-// validate user-supplied configuration durations.
-func CheckNonNegative(name string, d Duration) error {
-	if d < 0 {
-		return fmt.Errorf("simtime: %s must be non-negative, got %v", name, d)
-	}
-	return nil
-}

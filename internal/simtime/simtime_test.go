@@ -3,7 +3,6 @@ package simtime
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestUnitRatios(t *testing.T) {
@@ -90,21 +89,6 @@ func TestString(t *testing.T) {
 	}
 	if got := Time(25 * Millisecond).String(); got != "25ms" {
 		t.Errorf("Time.String = %q", got)
-	}
-}
-
-func TestFromStd(t *testing.T) {
-	if got := FromStd(3 * time.Millisecond); got != Milliseconds(3) {
-		t.Errorf("FromStd = %v", got)
-	}
-}
-
-func TestCheckNonNegative(t *testing.T) {
-	if err := CheckNonNegative("q", Milliseconds(1)); err != nil {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if err := CheckNonNegative("q", Duration(-1)); err == nil {
-		t.Error("want error for negative duration")
 	}
 }
 

@@ -2,14 +2,13 @@
 // harness: sample means, variances, and Student-t confidence intervals.
 //
 // The paper reports point estimates whose 95% confidence intervals are
-// within 1% of the mean, obtained by replication; Sample and the replication
-// helpers in this package reproduce that methodology.
+// within 1% of the mean, obtained by replication; Sample summarises one
+// cell's replications.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates observations and yields summary statistics. The zero
@@ -20,9 +19,6 @@ type Sample struct {
 
 // Add appends an observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
-
-// AddAll appends a batch of observations.
-func (s *Sample) AddAll(xs ...float64) { s.xs = append(s.xs, xs...) }
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
@@ -86,29 +82,6 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between order statistics. It returns NaN for an empty
-// sample.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.xs)
-	if n == 0 || p < 0 || p > 100 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), s.xs...)
-	sort.Float64s(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // CI95 returns the half-width of the 95% confidence interval for the mean,
 // using the Student t distribution. It returns NaN for fewer than two
 // observations.
@@ -118,17 +91,6 @@ func (s *Sample) CI95() float64 {
 		return math.NaN()
 	}
 	return tCritical95(n-1) * s.StdDev() / math.Sqrt(float64(n))
-}
-
-// CI95RelOK reports whether the 95% confidence interval half-width is within
-// frac of the mean — the paper's replication stopping rule with frac = 0.01.
-func (s *Sample) CI95RelOK(frac float64) bool {
-	m := s.Mean()
-	if m == 0 {
-		return false
-	}
-	ci := s.CI95()
-	return !math.IsNaN(ci) && ci/math.Abs(m) <= frac
 }
 
 // String summarizes the sample for logs.
@@ -154,30 +116,6 @@ func tCritical95(df int) float64 {
 		return table[df]
 	}
 	return 1.960
-}
-
-// Replicate runs body with replication indices 0..n-1, collecting one
-// observation per replication, and returns the resulting sample.
-func Replicate(n int, body func(rep int) float64) *Sample {
-	var s Sample
-	for rep := 0; rep < n; rep++ {
-		s.Add(body(rep))
-	}
-	return &s
-}
-
-// ReplicateToCI runs body with increasing replication counts until the 95%
-// confidence interval half-width is within frac of the mean, or maxReps is
-// reached. minReps replications are always performed. It returns the sample.
-func ReplicateToCI(minReps, maxReps int, frac float64, body func(rep int) float64) *Sample {
-	var s Sample
-	for rep := 0; rep < maxReps; rep++ {
-		s.Add(body(rep))
-		if rep+1 >= minReps && s.CI95RelOK(frac) {
-			break
-		}
-	}
-	return &s
 }
 
 // Ratio returns a/b, or NaN when b is zero. It exists because nearly every

@@ -10,11 +10,20 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// sampleOf returns a sample holding xs.
+func sampleOf(xs ...float64) *Sample {
+	s := &Sample{}
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
+
 func TestEmptySample(t *testing.T) {
 	var s Sample
 	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Variance()) ||
 		!math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) ||
-		!math.IsNaN(s.CI95()) || !math.IsNaN(s.Percentile(50)) {
+		!math.IsNaN(s.CI95()) {
 		t.Error("empty sample statistics must be NaN")
 	}
 	if s.N() != 0 {
@@ -23,8 +32,7 @@ func TestEmptySample(t *testing.T) {
 }
 
 func TestKnownValues(t *testing.T) {
-	var s Sample
-	s.AddAll(2, 4, 4, 4, 5, 5, 7, 9)
+	s := sampleOf(2, 4, 4, 4, 5, 5, 7, 9)
 	if got := s.Mean(); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
@@ -48,31 +56,11 @@ func TestSingleObservation(t *testing.T) {
 	if !math.IsNaN(s.Variance()) || !math.IsNaN(s.CI95()) {
 		t.Error("variance/CI of single observation must be NaN")
 	}
-	if s.Percentile(50) != 3 {
-		t.Errorf("Percentile(50) = %v", s.Percentile(50))
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	var s Sample
-	s.AddAll(10, 20, 30, 40, 50)
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {25, 20}, {50, 30}, {75, 40}, {100, 50}, {12.5, 15},
-	}
-	for _, c := range cases {
-		if got := s.Percentile(c.p); !almost(got, c.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsNaN(s.Percentile(-1)) || !math.IsNaN(s.Percentile(101)) {
-		t.Error("out-of-range percentile must be NaN")
-	}
 }
 
 func TestCI95KnownCase(t *testing.T) {
 	// n=5, sd known: CI = t(4) * sd / sqrt(5) with t(4)=2.776.
-	var s Sample
-	s.AddAll(1, 2, 3, 4, 5)
+	s := sampleOf(1, 2, 3, 4, 5)
 	sd := s.StdDev()
 	want := 2.776 * sd / math.Sqrt(5)
 	if got := s.CI95(); !almost(got, want, 1e-9) {
@@ -95,55 +83,6 @@ func TestTCritical(t *testing.T) {
 	}
 }
 
-func TestCI95RelOK(t *testing.T) {
-	var tight Sample
-	for i := 0; i < 100; i++ {
-		tight.Add(100 + float64(i%2)) // values 100,101
-	}
-	if !tight.CI95RelOK(0.01) {
-		t.Error("tight sample should satisfy 1% CI")
-	}
-	var loose Sample
-	loose.AddAll(1, 200)
-	if loose.CI95RelOK(0.01) {
-		t.Error("loose sample should not satisfy 1% CI")
-	}
-	var zero Sample
-	zero.AddAll(0, 0, 0)
-	if zero.CI95RelOK(0.01) {
-		t.Error("zero-mean sample cannot satisfy relative CI")
-	}
-}
-
-func TestReplicate(t *testing.T) {
-	s := Replicate(10, func(rep int) float64 { return float64(rep) })
-	if s.N() != 10 || s.Mean() != 4.5 {
-		t.Errorf("Replicate: n=%d mean=%v", s.N(), s.Mean())
-	}
-}
-
-func TestReplicateToCIStopsEarly(t *testing.T) {
-	// Constant observations: CI is zero from rep 2 on; should stop at minReps.
-	calls := 0
-	s := ReplicateToCI(5, 100, 0.01, func(rep int) float64 {
-		calls++
-		return 42
-	})
-	if calls != 5 || s.N() != 5 {
-		t.Errorf("calls=%d n=%d, want 5", calls, s.N())
-	}
-}
-
-func TestReplicateToCIHitsMax(t *testing.T) {
-	rng := xrand.New(1, 1)
-	s := ReplicateToCI(2, 20, 1e-9, func(rep int) float64 {
-		return rng.Float64() * 1000
-	})
-	if s.N() != 20 {
-		t.Errorf("n=%d, want max 20 for unreachable CI", s.N())
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if got := Ratio(4, 2); got != 2 {
 		t.Errorf("Ratio = %v", got)
@@ -154,9 +93,7 @@ func TestRatio(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	var s Sample
-	s.AddAll(1, 2, 3)
-	if got := s.String(); got == "" {
+	if got := sampleOf(1, 2, 3).String(); got == "" {
 		t.Error("empty String")
 	}
 }

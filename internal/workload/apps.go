@@ -204,17 +204,3 @@ func gravityThreads(b *GraphBuilder, steps, width int, seqWork, parWork simtime.
 		prevBarrier = join
 	}
 }
-
-// AppByName builds a default-sized application by paper name. GRAVITY
-// instances use the provided seed for thread-time jitter.
-func AppByName(name string, seed uint64) (App, error) {
-	switch name {
-	case "MVA":
-		return MVA(), nil
-	case "MATRIX", "MAT":
-		return Matrix(), nil
-	case "GRAVITY", "GRAV":
-		return Gravity(seed), nil
-	}
-	return App{}, fmt.Errorf("workload: unknown application %q", name)
-}

@@ -34,27 +34,16 @@ type Job struct {
 
 	// readyBuf backs the ready window; Attach advances the window's head
 	// while Complete appends at its tail, and since each thread becomes
-	// ready exactly once a buffer of NumThreads entries covers a whole run
-	// (Detach re-pushes are off the simulator's hot path and simply grow
-	// the slice).
+	// ready exactly once a buffer of NumThreads entries covers a whole run.
 	readyBuf []ThreadID
 	// newlyScratch backs Complete's return value.
 	newlyScratch []ThreadID
 }
 
-// NewJob instantiates app as job id.
-func NewJob(id int, app App) (*Job, error) {
-	j := &Job{}
-	if err := j.Reset(id, app); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-// Reset reinitialises j in place as a fresh instance of app with the given
-// id, reusing j's internal slices. A reset job is indistinguishable from
-// NewJob(id, app), which lets long-lived runners recycle Job structures
-// across simulation runs without allocating.
+// Reset initialises j in place as a fresh instance of app with the given
+// id, reusing j's internal slices: a zero Job is ready for Reset, and
+// long-lived runners recycle Job structures across simulation runs
+// without allocating.
 func (j *Job) Reset(id int, app App) error {
 	if err := app.Validate(); err != nil {
 		return err
@@ -89,15 +78,6 @@ func sized[T any](s []T, n int) []T {
 		return s[:n]
 	}
 	return make([]T, n)
-}
-
-// MustNewJob is NewJob for known-good apps.
-func MustNewJob(id int, app App) *Job {
-	j, err := NewJob(id, app)
-	if err != nil {
-		panic(err)
-	}
-	return j
 }
 
 // ReadyCount returns the number of runnable, unattached threads.
@@ -168,16 +148,4 @@ func (j *Job) Complete(id ThreadID) []ThreadID {
 	}
 	j.newlyScratch = newly
 	return newly
-}
-
-// Detach returns an attached (but not completed) thread to the ready set,
-// used when a task abandons a thread permanently (not for preemption —
-// preempted tasks keep their thread, which is why affinity exists).
-func (j *Job) Detach(id ThreadID) {
-	if j.state[id] != ThreadRunning {
-		panic(fmt.Sprintf("workload: Detach on thread %d in state %v", id, j.state[id]))
-	}
-	j.state[id] = ThreadReady
-	j.attached--
-	j.ready = append(j.ready, id)
 }

@@ -8,24 +8,26 @@ import (
 	"repro/internal/xrand"
 )
 
-func TestNewJobValidates(t *testing.T) {
-	if _, err := NewJob(0, App{}); err == nil {
+func TestResetValidates(t *testing.T) {
+	var j Job
+	if err := j.Reset(0, App{}); err == nil {
 		t.Error("invalid app accepted")
 	}
 }
 
-func TestMustNewJobPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MustNewJob(0, App{})
+// newJob instantiates app, which the test knows to be valid, as job id.
+func newJob(t testing.TB, id int, app App) *Job {
+	t.Helper()
+	j := &Job{}
+	if err := j.Reset(id, app); err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
 func TestJobLifecycleChain(t *testing.T) {
 	app := App{Name: "chain", Graph: chain(3, simtime.Second), Pattern: MVA().Pattern}
-	j := MustNewJob(1, app)
+	j := newJob(t, 1, app)
 	if j.ReadyCount() != 1 || j.Demand() != 1 {
 		t.Fatalf("initial ready=%d demand=%d", j.ReadyCount(), j.Demand())
 	}
@@ -59,7 +61,7 @@ func TestJobLifecycleChain(t *testing.T) {
 
 func TestDemandTracksAttachAndReady(t *testing.T) {
 	app := Matrix()
-	j := MustNewJob(0, app)
+	j := newJob(t, 0, app)
 	d0 := j.Demand()
 	if d0 != app.Graph.NumThreads()-1 { // all blocks ready, sink blocked
 		t.Fatalf("initial demand = %d", d0)
@@ -78,28 +80,14 @@ func TestDemandTracksAttachAndReady(t *testing.T) {
 	}
 }
 
-func TestDetachReturnsThreadToReady(t *testing.T) {
-	j := MustNewJob(0, Matrix())
-	id, _ := j.Attach()
-	r0 := j.ReadyCount()
-	j.Detach(id)
-	if j.ReadyCount() != r0+1 {
-		t.Fatal("Detach did not return thread to ready set")
-	}
-	if j.ThreadStateOf(id) != ThreadReady {
-		t.Fatal("detached thread not ready")
-	}
-}
-
 func TestLifecyclePanicsOnMisuse(t *testing.T) {
-	j := MustNewJob(0, Matrix())
+	j := newJob(t, 0, Matrix())
 	id, _ := j.Attach()
 	j.Progress(id, j.Remaining(id))
 	j.Complete(id)
 	for name, fn := range map[string]func(){
 		"Progress on done thread": func() { j.Progress(id, 1) },
 		"Complete on done thread": func() { j.Complete(id) },
-		"Detach on done thread":   func() { j.Detach(id) },
 	} {
 		func() {
 			defer func() {
@@ -113,7 +101,7 @@ func TestLifecyclePanicsOnMisuse(t *testing.T) {
 }
 
 func TestProgressClampsAtZero(t *testing.T) {
-	j := MustNewJob(0, Matrix())
+	j := newJob(t, 0, Matrix())
 	id, _ := j.Attach()
 	if rem := j.Progress(id, 100*simtime.Second*100); rem != 0 {
 		t.Fatalf("over-progress left %v", rem)
@@ -205,7 +193,7 @@ func TestMixString(t *testing.T) {
 func TestQuickJobConservation(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed, 4)
-		j := MustNewJob(0, MVASized(6, simtime.Second))
+		j := newJob(t, 0, MVASized(6, simtime.Second))
 		var executed simtime.Duration
 		type slot struct {
 			id ThreadID

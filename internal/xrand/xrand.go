@@ -110,31 +110,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// ExpFloat64 returns an exponentially distributed value with mean 1, by
-// inversion. Inversion (rather than ziggurat) keeps the draw count per
-// variate fixed, preserving stream alignment across code changes.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// NormFloat64 returns a standard normal value using the Box-Muller
-// transform (again chosen for its fixed draw count).
-func (s *Source) NormFloat64() float64 {
-	for {
-		u1 := s.Float64()
-		if u1 == 0 {
-			continue
-		}
-		u2 := s.Float64()
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-}
-
 // Perm returns a uniform random permutation of [0, n) using Fisher-Yates.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

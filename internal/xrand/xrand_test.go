@@ -138,41 +138,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(5, 1)
-	var sum float64
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 = %v negative", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.02 {
-		t.Errorf("ExpFloat64 mean = %v, want ~1", mean)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(6, 1)
-	var sum, sumSq float64
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("NormFloat64 mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("NormFloat64 variance = %v, want ~1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(7, 1)
 	for trial := 0; trial < 50; trial++ {

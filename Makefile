@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke ci
+.PHONY: all build fmt-check vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke examples-smoke ci
 
 all: build
 
@@ -136,4 +136,13 @@ analytic-smoke:
 	$(GO) run ./cmd/affinitysim calibrate
 	$(GO) test -count=1 -run 'TestEngine|TestAnalytic|TestAuto|TestCalibration' ./internal/experiments/
 
-ci: fmt-check vet build race bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke
+# The examples gate: runs the four example programs (futurecast and
+# multiprog at their -fast scale) and fails on a nonzero exit, so an API
+# change the examples depend on breaks ci, not a reader's first run.
+examples-smoke:
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/customapp > /dev/null
+	$(GO) run ./examples/futurecast -fast > /dev/null
+	$(GO) run ./examples/multiprog -fast > /dev/null
+
+ci: fmt-check vet build race bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke examples-smoke

@@ -15,18 +15,18 @@ import (
 // scheduling run (mix #5 at test scale) — the unit of work every campaign
 // cell repeats Replications times.
 func BenchmarkSchedRunAllocs(b *testing.B) {
-	opts := experiments.FastOptions()
+	mc := benchMachine()
 	mix5, _ := workload.MixByNumber(5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pol, _ := core.ByName("Dyn-Aff")
-		apps := mix5.Apps(opts.Seed)
+		apps := mix5.Apps(benchSeed)
 		_, err := sched.Run(sched.Config{
-			Machine: opts.Machine,
+			Machine: mc,
 			Policy:  pol,
 			Apps:    apps,
-			Seed:    opts.Seed,
+			Seed:    benchSeed,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -40,13 +40,13 @@ func BenchmarkSchedRunAllocs(b *testing.B) {
 // a campaign worker actually pays, and the number the bench-check gate holds
 // near zero.
 func BenchmarkSchedRunnerSteadyState(b *testing.B) {
-	opts := experiments.FastOptions()
+	mc := benchMachine()
 	mix5, _ := workload.MixByNumber(5)
-	apps := mix5.Apps(opts.Seed)
+	apps := mix5.Apps(benchSeed)
 	cfg := sched.Config{
-		Machine: opts.Machine,
+		Machine: mc,
 		Apps:    apps,
-		Seed:    opts.Seed,
+		Seed:    benchSeed,
 	}
 	r := sched.NewRunner()
 	run := func() {
@@ -67,7 +67,7 @@ func BenchmarkSchedRunnerSteadyState(b *testing.B) {
 }
 
 // BenchmarkCompareCellAllocs measures one compare cell as a campaign
-// runs it: mix #5 under Dyn-Aff, FastOptions replications, run
+// runs it: mix #5 under Dyn-Aff, the fast preset's replications, run
 // sequentially.
 func BenchmarkCompareCellAllocs(b *testing.B) {
 	plan, err := experiments.Cells("compare", experiments.CampaignParams{

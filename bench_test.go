@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/footprint"
+	"repro/internal/machine"
 	"repro/internal/memtrace"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -27,15 +28,19 @@ import (
 	"repro/internal/workload"
 )
 
-// benchOptions returns paper-scale options trimmed for benchmarking.
-func benchOptions() experiments.Options {
-	o := experiments.DefaultOptions()
-	o.Replications = 2
-	o.MeasureBudget = 10 * simtime.Second
-	return o
+// benchMachine is the paper's machine, the Symmetry restricted to 16
+// processors, for the benchmarks that call the simulator directly.
+func benchMachine() machine.Config {
+	m := machine.Symmetry()
+	m.Processors = 16
+	return m
 }
 
-// benchCampaign runs one campaign kind at the benchOptions scale.
+// benchSeed is the campaigns' default root seed.
+const benchSeed = 1
+
+// benchCampaign runs one campaign kind at paper scale, trimmed for
+// benchmarking to 2 replications and a 10 s Table-1 budget.
 func benchCampaign(b *testing.B, kind string) any {
 	b.Helper()
 	res, err := experiments.Run(context.Background(), kind, experiments.CampaignParams{Replications: 2, BudgetSec: 10})
@@ -76,7 +81,7 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// compareCampaign runs the Section-6 comparison at the benchOptions scale,
+// compareCampaign runs the Section-6 comparison at the benchCampaign scale,
 // over all six mixes (mix 0) or one.
 func compareCampaign(b *testing.B, mix int, policies []string) experiments.CompareCampaignResult {
 	b.Helper()
@@ -190,7 +195,7 @@ func BenchmarkFigure8to13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := compareCampaign(b, 0, []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"})
 		t1 := benchCampaign(b, "table1").(experiments.Table1CampaignResult)
-		scen, err := experiments.FutureScenarios(res, t1.Table1(), benchOptions())
+		scen, err := experiments.FutureScenarios(res, t1.Table1())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,15 +270,15 @@ func BenchmarkAblationFootprint(b *testing.B) {
 // this paper's affinity conclusions differ from time-sharing studies.
 func BenchmarkTimeShareBaseline(b *testing.B) {
 	mix5, _ := workload.MixByNumber(5)
-	opts := benchOptions()
+	mc := benchMachine()
 	for i := 0; i < b.N; i++ {
 		run := func(pol string) *sched.Result {
 			p, _ := core.ByName(pol)
 			res, err := sched.Run(sched.Config{
-				Machine: opts.Machine,
+				Machine: mc,
 				Policy:  p,
-				Apps:    mix5.Apps(opts.Seed),
-				Seed:    opts.Seed,
+				Apps:    mix5.Apps(benchSeed),
+				Seed:    benchSeed,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -300,7 +305,7 @@ func BenchmarkAblationExactEngine(b *testing.B) {
 			workload.GravitySized(3, 24, 50*simtime.Millisecond, 20*simtime.Millisecond, 7),
 		}
 	}
-	mc := benchOptions().Machine
+	mc := benchMachine()
 	for i := 0; i < b.N; i++ {
 		run := func(kind cachemodel.Kind) sched.Result {
 			pol, _ := core.ByName("Dyn-Aff")
@@ -324,15 +329,15 @@ func BenchmarkAblationExactEngine(b *testing.B) {
 // ablation behind Dyn-Aff-Delay's default (DESIGN.md §5).
 func BenchmarkAblationYieldDelay(b *testing.B) {
 	mix5, _ := workload.MixByNumber(5)
-	opts := benchOptions()
+	mc := benchMachine()
 	for i := 0; i < b.N; i++ {
 		for _, delayMs := range []int64{0, 10, 20, 50} {
 			pol := core.NewDynAffDelayD(simtime.Milliseconds(delayMs))
 			res, err := sched.Run(sched.Config{
-				Machine: opts.Machine,
+				Machine: mc,
 				Policy:  pol,
-				Apps:    mix5.Apps(opts.Seed),
-				Seed:    opts.Seed,
+				Apps:    mix5.Apps(benchSeed),
+				Seed:    benchSeed,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -354,15 +359,15 @@ func BenchmarkAblationYieldDelay(b *testing.B) {
 // (without it, GRAVITY cannot exceed its equal share during bursts).
 func BenchmarkAblationCreditSpending(b *testing.B) {
 	mix5, _ := workload.MixByNumber(5)
-	opts := benchOptions()
+	mc := benchMachine()
 	for i := 0; i < b.N; i++ {
 		run := func(polName string) sched.Result {
 			pol, _ := core.ByName(polName)
 			res, err := sched.Run(sched.Config{
-				Machine: opts.Machine,
+				Machine: mc,
 				Policy:  pol,
-				Apps:    mix5.Apps(opts.Seed),
-				Seed:    opts.Seed,
+				Apps:    mix5.Apps(benchSeed),
+				Seed:    benchSeed,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -380,11 +385,11 @@ func BenchmarkAblationCreditSpending(b *testing.B) {
 // BenchmarkSharedInvalidation measures the coherency-traffic effect: mix #5
 // with GRAVITY's default shared fraction versus sharing disabled.
 func BenchmarkSharedInvalidation(b *testing.B) {
-	opts := benchOptions()
+	mc := benchMachine()
 	for i := 0; i < b.N; i++ {
 		run := func(shared bool) sched.Result {
 			mix5, _ := workload.MixByNumber(5)
-			apps := mix5.Apps(opts.Seed)
+			apps := mix5.Apps(benchSeed)
 			if !shared {
 				for k := range apps {
 					apps[k].SharedFrac = 0
@@ -392,10 +397,10 @@ func BenchmarkSharedInvalidation(b *testing.B) {
 			}
 			pol, _ := core.ByName("Dyn-Aff")
 			res, err := sched.Run(sched.Config{
-				Machine: opts.Machine,
+				Machine: mc,
 				Policy:  pol,
 				Apps:    apps,
-				Seed:    opts.Seed,
+				Seed:    benchSeed,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -40,7 +40,8 @@
 //	              results are identical for every worker count
 //	-stats        print the response-time decomposition table (engine
 //	              counters: reallocations, P^A/P^NA charges, penalty time)
-//	              after the exhibits; exhibit output is unchanged
+//	              after the exhibits; exhibit output is unchanged (not
+//	              accepted by calibrate, whose runs record no stats)
 //
 // Every exhibit runs as a registered campaign through experiments.Run —
 // the cell plans the affinityd service executes — so a subcommand's
@@ -68,6 +69,7 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/machine"
 	"repro/internal/measure"
 	"repro/internal/memtrace"
 	"repro/internal/model"
@@ -87,9 +89,9 @@ func main() {
 }
 
 type cli struct {
-	opts experiments.Options
-	// params carries opts onto the wire for experiments.Run; ctx carries
-	// the -stats collector.
+	// params is the campaign parameterization the flags select; every
+	// subcommand's campaigns start from it. ctx carries the -stats
+	// collector.
 	params     experiments.CampaignParams
 	ctx        context.Context
 	csv        bool
@@ -113,12 +115,19 @@ func parse(args []string) (string, *cli, error) {
 	}
 	cmd := args[0]
 	fs := flag.NewFlagSet("affinitysim "+cmd, flag.ContinueOnError)
-	c := &cli{opts: experiments.DefaultOptions()}
+	c := &cli{}
 	c.common = cliflags.Register(fs)
 	c.common.RegisterEngine(fs)
-	procs := fs.Int("procs", c.opts.Machine.Processors, "number of processors")
-	reps := fs.Int("reps", c.opts.Replications, "replications per cell")
-	budget := fs.Float64("budget", c.opts.MeasureBudget.SecondsF(), "Table-1 compute budget (seconds)")
+	// The flag defaults are the campaigns' own: a future campaign's params
+	// hold every field the flags set, so its normalized empty params carry
+	// every default.
+	def, err := experiments.Campaign{Kind: "future"}.Normalize(experiments.CampaignParams{})
+	if err != nil {
+		return "", nil, err
+	}
+	procs := fs.Int("procs", def.Procs, "number of processors")
+	reps := fs.Int("reps", def.Replications, "replications per cell")
+	budget := fs.Float64("budget", def.BudgetSec, "Table-1 compute budget (seconds)")
 	fast := fs.Bool("fast", false, "scaled-down quick mode")
 	fs.BoolVar(&c.csv, "csv", false, "emit CSV tables")
 	fs.IntVar(&c.mix, "mix", 0, "restrict to one workload mix (1-6, 0 = all)")
@@ -151,35 +160,47 @@ func parse(args []string) (string, *cli, error) {
 			return "", nil, err
 		}
 	}
-	if *fast {
-		c.opts = experiments.FastOptions()
+	if cmd == "calibrate" && c.common.Stats {
+		// The calibration grid runs outside the campaigns and records no
+		// simulation stats: the table would read zero in every row.
+		return "", nil, fmt.Errorf("-stats: calibrate records no simulation stats")
 	}
-	c.opts.Machine.Processors = *procs
-	c.opts.Replications = *reps
-	c.opts.MeasureBudget = simtime.Seconds(*budget)
-	c.common.Apply(&c.opts)
-	if c.opts.Seed == 0 {
-		// A campaign's seed 0 means the default seed; the runs outside the
-		// campaigns (trace, measure -detail, extras' sweeps) use the same.
-		c.opts.Seed = experiments.DefaultOptions().Seed
+	// On the wire 0 selects a field's default, so these flags reject it
+	// themselves.
+	switch {
+	case *procs < 1:
+		return "", nil, fmt.Errorf("-procs must be >= 1, got %d", *procs)
+	case *reps < 1:
+		return "", nil, fmt.Errorf("-reps must be >= 1, got %d", *reps)
+	case !(*budget > 0):
+		return "", nil, fmt.Errorf("-budget must be > 0, got %v", *budget)
 	}
-	if err := c.opts.Validate(); err != nil {
+	// -reps and -budget always carry a value (their flag defaults unless
+	// set), so -fast changes only the application scale here, whereas a
+	// request's fast:true also selects the preset's replications and
+	// budget.
+	c.params = experiments.CampaignParams{
+		Fast:         *fast,
+		Procs:        *procs,
+		Replications: *reps,
+		BudgetSec:    *budget,
+		Seed:         c.common.Seed,
+		Engine:       c.common.Engine,
+		Workers:      c.common.Workers,
+	}
+	// Normalizing as a future campaign checks every field before anything
+	// runs. Seed 0 selects the default seed; the runs outside the
+	// campaigns (trace, measure -detail) use the normalized one too.
+	np, err := experiments.Campaign{Kind: "future"}.Normalize(c.params)
+	if err != nil {
 		return "", nil, err
 	}
-	// The same options as wire params. Every field is explicit, so -fast
-	// changes only the application scale here: -reps and -budget always
-	// carry a value (their flag defaults unless set), whereas a request's
-	// fast:true also selects FastOptions' replications and budget.
-	c.params = experiments.CampaignParams{
-		Procs:        c.opts.Machine.Processors,
-		Replications: c.opts.Replications,
-		BudgetSec:    *budget,
-		AppScale:     c.opts.AppScale,
-		Seed:         c.opts.Seed,
-		Engine:       c.opts.Engine,
-		Workers:      c.opts.Workers,
+	c.params.Seed = np.Seed
+	var stats *obs.CampaignStats
+	if c.common.Stats {
+		stats = obs.NewCampaignStats()
 	}
-	c.ctx = obs.WithCollector(context.Background(), c.opts.Stats)
+	c.ctx = obs.WithCollector(context.Background(), stats)
 	return cmd, c, nil
 }
 
@@ -200,9 +221,13 @@ func run(args []string) (err error) {
 	if err := c.dispatch(cmd); err != nil {
 		return err
 	}
-	// With -stats, the decomposition table totals every campaign the
-	// subcommand ran.
-	return c.common.WriteStats(os.Stdout)
+	// With -stats, the decomposition table totals every run the
+	// subcommand made.
+	if stats := obs.CollectorFrom(c.ctx); stats != nil {
+		t := experiments.StatsReport(stats)
+		return t.Write(os.Stdout)
+	}
+	return nil
 }
 
 func (c *cli) dispatch(cmd string) error {
@@ -276,24 +301,27 @@ func (c *cli) trace() error {
 	if !ok {
 		return fmt.Errorf("unknown policy %q", c.policy)
 	}
+	mc := machine.Symmetry()
+	mc.Processors = c.params.Procs
 	log := &trace.Log{}
 	res, err := sched.Run(sched.Config{
-		Machine: c.opts.Machine,
+		Machine: mc,
 		Policy:  pol,
-		Apps:    mix.Apps(c.opts.Seed),
-		Seed:    c.opts.Seed,
+		Apps:    mix.Apps(c.params.Seed),
+		Seed:    c.params.Seed,
 		Trace:   log,
 	})
 	if err != nil {
 		return err
 	}
+	obs.CollectorFrom(c.ctx).Add(pol.Name(), res.Stats)
 	end := simtime.Time(0).Add(simtime.Seconds(c.window))
 	if end > res.Makespan {
 		end = res.Makespan
 	}
 	fmt.Printf("%s on %s, %d processors — makespan %v, %d trace events\n\n",
-		mix, pol.Name(), c.opts.Machine.Processors, res.Makespan, log.Len())
-	fmt.Print(trace.Gantt(log.Events(), c.opts.Machine.Processors, 0, end, 100, true))
+		mix, pol.Name(), mc.Processors, res.Makespan, log.Len())
+	fmt.Print(trace.Gantt(log.Events(), mc.Processors, 0, end, 100, true))
 	fmt.Println()
 	return trace.WriteSummary(os.Stdout, log)
 }
@@ -308,7 +336,7 @@ func (c *cli) extras() error {
 		return err
 	}
 	mplPolicies := []string{"Equipartition", "Dynamic", "Dyn-Aff"}
-	pts, err := experiments.MPLSweep(c.ctx, c.opts, 4, mplPolicies)
+	pts, err := experiments.MPLSweep(c.ctx, c.params, 4, mplPolicies)
 	if err != nil {
 		return err
 	}
@@ -385,18 +413,20 @@ func (c *cli) emitTable1(res experiments.Table1CampaignResult) error {
 // once, and Table 1 is rendered from the same runs through
 // experiments.Table1Result — the table1 campaign's result for them.
 func (c *cli) measureDetail() error {
-	// Refuse what the table1 campaign refuses, e.g. a budget over its bound.
-	if _, err := experiments.Cells("table1", c.params); err != nil {
-		return err
-	}
-	mc := c.opts.Machine
-	mc.Processors = 1 // the paper's measurement uses a single processor
-	t1, err := measure.BuildTable1(c.ctx, mc, memtrace.Patterns(), measure.DefaultQs(),
-		c.opts.MeasureBudget, c.opts.Seed, c.opts.Workers)
+	// The table1 campaign's params: its budget, seed and workers.
+	np, err := experiments.Campaign{Kind: "table1"}.Normalize(c.params)
 	if err != nil {
 		return err
 	}
-	if err := c.emitTable1(experiments.Table1Result(t1, mc, c.opts.MeasureBudget, c.opts.Stats)); err != nil {
+	mc := machine.Symmetry()
+	mc.Processors = 1 // the paper's measurement uses a single processor
+	budget := simtime.Seconds(np.BudgetSec)
+	t1, err := measure.BuildTable1(c.ctx, mc, memtrace.Patterns(), measure.DefaultQs(),
+		budget, np.Seed, np.Workers)
+	if err != nil {
+		return err
+	}
+	if err := c.emitTable1(experiments.Table1Result(c.ctx, t1, mc, budget)); err != nil {
 		return err
 	}
 	t := report.Table{
@@ -502,7 +532,7 @@ func (c *cli) future() error {
 		return err
 	}
 	scen, err := experiments.FutureScenarios(cmp.(experiments.CompareCampaignResult),
-		t1.(experiments.Table1CampaignResult).Table1(), c.opts)
+		t1.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		return err
 	}
@@ -608,7 +638,7 @@ const promotionPath = "internal/analytic/promotion.json"
 // error table, and then checks the checked-in promotion golden against it
 // or, with -write, rewrites the golden from it.
 func (c *cli) calibrate() error {
-	cal, err := experiments.Calibrate(c.ctx, c.opts.Workers)
+	cal, err := experiments.Calibrate(c.ctx, c.params.Workers)
 	if err != nil {
 		return err
 	}

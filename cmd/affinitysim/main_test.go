@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,8 +13,28 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd != "compare" || c.mix != 5 || c.opts.Replications != 1 {
-		t.Fatalf("parse wrong: cmd=%q mix=%d reps=%d", cmd, c.mix, c.opts.Replications)
+	if cmd != "compare" || c.mix != 5 || c.params.Replications != 1 {
+		t.Fatalf("parse wrong: cmd=%q mix=%d reps=%d", cmd, c.mix, c.params.Replications)
+	}
+	// -fast scales the applications only: -reps and -budget keep their
+	// flag defaults, which a request's fast:true would cut.
+	if _, c, err := parse([]string{"compare", "-fast"}); err != nil {
+		t.Fatal(err)
+	} else {
+		for _, kind := range []string{"compare", "future"} {
+			np, err := experiments.Campaign{Kind: kind}.Normalize(c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := experiments.CampaignParams{Procs: 16, Replications: 5, AppScale: 4, Seed: 1, Engine: experiments.EngineSim}
+			if kind == "future" {
+				want.BudgetSec = 20
+			}
+			np.Policies, np.MaxProduct = nil, 0
+			if !reflect.DeepEqual(np, want) {
+				t.Errorf("compare -fast as %s params: %+v, want %+v", kind, np, want)
+			}
+		}
 	}
 	if _, _, err := parse(nil); err == nil {
 		t.Error("missing subcommand accepted")
@@ -26,8 +47,13 @@ func TestParse(t *testing.T) {
 	}
 	if _, c, err := parse([]string{"calibrate", "-write", "-workers", "2"}); err != nil {
 		t.Fatal(err)
-	} else if !c.write || c.opts.Workers != 2 {
-		t.Errorf("calibrate -write -workers 2: write=%v workers=%d", c.write, c.opts.Workers)
+	} else if !c.write || c.params.Workers != 2 {
+		t.Errorf("calibrate -write -workers 2: write=%v workers=%d", c.write, c.params.Workers)
+	}
+	// calibrate's runs record no stats, so it refuses -stats rather than
+	// print an all-zero table.
+	if _, _, err := parse([]string{"calibrate", "-stats"}); err == nil {
+		t.Error("calibrate -stats accepted")
 	}
 	if _, _, err := parse([]string{"compare", "-badflag"}); err == nil {
 		t.Error("bad flag accepted")
@@ -35,13 +61,15 @@ func TestParse(t *testing.T) {
 	// Seed 0 means the default seed on every path, campaign or not.
 	if _, c, err := parse([]string{"measure", "-seed", "0"}); err != nil {
 		t.Fatal(err)
-	} else if def := experiments.DefaultOptions().Seed; c.opts.Seed != def || c.params.Seed != def {
-		t.Errorf("-seed 0: opts seed %d, params seed %d, want %d", c.opts.Seed, c.params.Seed, def)
+	} else if c.params.Seed != 1 {
+		t.Errorf("-seed 0: params seed %d, want 1", c.params.Seed)
 	}
 	for _, bad := range [][]string{
 		{"compare", "-procs", "0"},
 		{"future", "-reps", "0"},
 		{"measure", "-budget", "0"},
+		{"measure", "-budget", "NaN"},
+		{"trace", "-workers", "-1"},
 	} {
 		if _, _, err := parse(bad); err == nil {
 			t.Errorf("%v accepted", bad)
@@ -118,5 +146,35 @@ func TestCSVMode(t *testing.T) {
 	}
 	if err := run([]string{"characterize", "-fast", "-csv"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTraceStats pins that trace -stats totals the one run it makes,
+// under its policy, instead of printing an all-zero table.
+func TestTraceStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary in -short mode")
+	}
+	bin := buildCLIs(t, "affinitysim")["affinitysim"]
+	got := runCLI(t, bin, []string{"trace", "-fast", "-mix", "5", "-window", "1", "-stats"})
+	if got.code != 0 {
+		t.Fatalf("trace -stats: exit %d: %s", got.code, got.stderr)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(got.stdout, "\n") {
+		for _, name := range []string{"metric", "simulation runs", "reallocations"} {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				rows[name] = strings.Fields(rest)
+			}
+		}
+	}
+	if want := []string{"Dyn-Aff", "total"}; !reflect.DeepEqual(rows["metric"], want) {
+		t.Errorf("stats columns %v, want %v", rows["metric"], want)
+	}
+	if want := []string{"1", "1"}; !reflect.DeepEqual(rows["simulation runs"], want) {
+		t.Errorf("simulation runs row %v, want %v", rows["simulation runs"], want)
+	}
+	if r := rows["reallocations"]; len(r) != 2 || r[0] == "0" || r[0] != r[1] {
+		t.Errorf("reallocations row %v, want one nonzero count in both columns", r)
 	}
 }

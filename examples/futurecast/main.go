@@ -26,11 +26,6 @@ import (
 func main() {
 	fast := flag.Bool("fast", false, "scaled-down quick mode")
 	flag.Parse()
-
-	opts := experiments.DefaultOptions()
-	if *fast {
-		opts = experiments.FastOptions()
-	}
 	ctx := context.Background()
 
 	// Step 1-2: measurements, as two campaigns: the mix-5 policy
@@ -47,7 +42,7 @@ func main() {
 
 	// Step 3: parameter extraction.
 	scen, err := experiments.FutureScenarios(cmp.(experiments.CompareCampaignResult),
-		t1.(experiments.Table1CampaignResult).Table1(), opts)
+		t1.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		log.Fatal(err)
 	}

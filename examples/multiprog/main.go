@@ -22,7 +22,7 @@ func main() {
 	flag.Parse()
 
 	// The compare campaign: every mix under every policy, replicated. -fast
-	// selects the scaled-down FastOptions preset.
+	// selects the scaled-down preset (smaller applications, 2 replications).
 	v, err := experiments.Run(context.Background(), "compare", experiments.CampaignParams{
 		Fast:     *fast,
 		Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"},

@@ -27,7 +27,7 @@ func TestModelReproducesMeasurementAtBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := experiments.FutureScenarios(res, t1.(experiments.Table1CampaignResult).Table1(), experiments.FastOptions())
+	scen, err := experiments.FutureScenarios(res, t1.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPaperConclusionsAtPaperScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scen, err := experiments.FutureScenarios(res, t1.(experiments.Table1CampaignResult).Table1(), experiments.DefaultOptions())
+	scen, err := experiments.FutureScenarios(res, t1.(experiments.Table1CampaignResult).Table1())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,8 @@ package cliflags
 
 import (
 	"flag"
-	"io"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/profiling"
 )
 
@@ -27,16 +25,13 @@ type Common struct {
 	// Stats requests the response-time decomposition table after the
 	// campaign's own exhibits (engine counters: reallocations, P^A/P^NA
 	// charges, cache-reload transient). The exhibit output itself is
-	// unchanged — stats flow out of band.
+	// unchanged — stats flow out of band, on the campaign context's
+	// obs collector.
 	Stats bool
 	// Engine is the per-cell execution tier for grid-shaped campaigns;
-	// set only when the binary called RegisterEngine (empty otherwise,
-	// which Apply leaves alone so non-grid binaries are unaffected).
+	// set only when the binary called RegisterEngine (empty otherwise, the
+	// simulator everywhere).
 	Engine string
-
-	// collector accumulates SimStats across every campaign Apply is
-	// called for; created lazily on first Apply when Stats is set.
-	collector *obs.CampaignStats
 }
 
 // Register installs the shared flags on fs and returns the value struct
@@ -61,32 +56,6 @@ func (c *Common) RegisterEngine(fs *flag.FlagSet) {
 	fs.StringVar(&c.Engine, "engine", experiments.EngineSim,
 		"per-cell execution tier for grid-shaped campaigns: sim (discrete-event simulator), "+
 			"analytic (fast fluid estimator), or auto (analytic only inside the validated envelope)")
-}
-
-// Apply copies the shared values onto an experiment campaign's options,
-// creating the stats collector when -stats was given. The collector is
-// shared across every campaign the binary runs, so the printed table
-// totals the whole invocation.
-func (c *Common) Apply(opts *experiments.Options) {
-	opts.Seed = c.Seed
-	opts.Workers = c.Workers
-	if c.Engine != "" {
-		opts.Engine = c.Engine
-	}
-	if c.Stats && c.collector == nil {
-		c.collector = obs.NewCampaignStats()
-	}
-	opts.Stats = c.collector
-}
-
-// WriteStats renders the accumulated decomposition table to w if -stats
-// was given (and any campaign ran); otherwise it is a no-op.
-func (c *Common) WriteStats(w io.Writer) error {
-	if c.collector == nil {
-		return nil
-	}
-	t := experiments.StatsReport(c.collector)
-	return t.Write(w)
 }
 
 // StartProfiling begins any requested profiles. The returned stop

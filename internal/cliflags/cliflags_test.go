@@ -28,13 +28,13 @@ func TestRegisterParseAndApply(t *testing.T) {
 	if c.Workers != 4 || c.Seed != 99 || c.CPUProfile != "cpu.out" || c.MemProfile != "mem.out" {
 		t.Errorf("parsed: %+v", c)
 	}
-	opts := experiments.DefaultOptions()
-	c.Apply(&opts)
-	if opts.Seed != 99 || opts.Workers != 4 {
-		t.Errorf("applied options: seed=%d workers=%d", opts.Seed, opts.Workers)
+	p := experiments.CampaignParams{Seed: c.Seed, Workers: c.Workers}
+	np, err := experiments.Campaign{Kind: "compare"}.Normalize(p)
+	if err != nil {
+		t.Fatalf("params from the flags invalid: %v", err)
 	}
-	if err := opts.Validate(); err != nil {
-		t.Errorf("applied options invalid: %v", err)
+	if np.Seed != 99 || np.Workers != 4 {
+		t.Errorf("normalized params: seed=%d workers=%d", np.Seed, np.Workers)
 	}
 }
 

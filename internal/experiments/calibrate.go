@@ -86,15 +86,14 @@ func CalibrationGrid() []analytic.CalCell {
 // config builder: compare cells seed by (root, mix, rep), futuresim cells
 // by (root, rep), and futuresim cells run on the product-scaled machine.
 func calibrationConfigs(cell analytic.CalCell) ([]sched.Config, error) {
-	opts := DefaultOptions()
-	opts.Machine.Processors = cell.Procs
-	opts.AppScale = cell.AppScale
+	p := CampaignParams{Procs: cell.Procs, AppScale: cell.AppScale}
+	mc := symmetry(cell.Procs)
 	mix, err := workload.MixByNumber(cell.Mix)
 	if err != nil {
 		return nil, err
 	}
 	if cell.Kind == "futuresim" {
-		if opts.Machine, err = futureSimMachine(opts.Machine, cell.Product); err != nil {
+		if mc, err = futureSimMachine(mc, cell.Product); err != nil {
 			return nil, err
 		}
 	}
@@ -109,7 +108,7 @@ func calibrationConfigs(cell analytic.CalCell) ([]sched.Config, error) {
 		default:
 			return nil, fmt.Errorf("experiments: calibration cell kind %q unknown", cell.Kind)
 		}
-		if cfgs[rep], err = replicationConfig(opts, mix, cell.Policy, seed); err != nil {
+		if cfgs[rep], err = replicationConfig(p, mc, mix, cell.Policy, seed); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}

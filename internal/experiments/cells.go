@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/measure"
 	"repro/internal/memtrace"
 	"repro/internal/obs"
@@ -254,17 +255,18 @@ func decodeParts[T any](raws []json.RawMessage) ([]T, error) {
 // every kind) without its decode-and-re-encode round trip.
 func cellKey(v any) ([]byte, error) { return json.Marshal(v) }
 
-// replicate runs one cell's o.Replications replications of mix under
-// policy on o.Workers workers and the given engine tier; seed maps a
-// replication number to its seed. It returns the results in replication
-// order and folds their stats into o.Stats under policy once all have
-// run, in replication order, so the totals are identical at every worker
-// count. A failing replication's error is labelled with where and the
-// policy; on several failures the lowest-numbered one's is returned.
-func replicate(ctx context.Context, o Options, engine, where string, mix workload.Mix, policy string, seed func(rep int) uint64) ([]sched.Result, error) {
-	runs := make([]sched.Result, o.Replications)
-	err := parallel.ForEach(ctx, o.Workers, len(runs), func(ctx context.Context, rep int) error {
-		cfg, err := replicationConfig(o, mix, policy, seed(rep))
+// replicate runs one cell's np.Replications replications of mix under
+// policy on machine mc, np.Workers at a time, on the given engine tier;
+// seed maps a replication number to its seed. It returns the results in
+// replication order and folds their stats into ctx's collector under
+// policy once all have run, in replication order, so the totals are
+// identical at every worker count. A failing replication's error is
+// labelled with where and the policy; on several failures the
+// lowest-numbered one's is returned.
+func replicate(ctx context.Context, np CampaignParams, mc machine.Config, engine, where string, mix workload.Mix, policy string, seed func(rep int) uint64) ([]sched.Result, error) {
+	runs := make([]sched.Result, np.Replications)
+	err := parallel.ForEach(ctx, np.Workers, len(runs), func(ctx context.Context, rep int) error {
+		cfg, err := replicationConfig(np, mc, mix, policy, seed(rep))
 		if err == nil {
 			runs[rep], err = runCell(engine, cfg)
 		}
@@ -276,21 +278,22 @@ func replicate(ctx context.Context, o Options, engine, where string, mix workloa
 	if err != nil {
 		return nil, err
 	}
+	stats := obs.CollectorFrom(ctx)
 	for _, r := range runs {
-		o.Stats.Add(policy, r.Stats)
+		stats.Add(policy, r.Stats)
 	}
 	return runs, nil
 }
 
-// replicationConfig builds one replication's simulation config: a fresh
-// instance of the policy (policies carry per-run state, so no two runs
-// share one), the mix's applications at o's scale, and the seed.
-func replicationConfig(o Options, mix workload.Mix, policy string, seed uint64) (sched.Config, error) {
+// replicationConfig builds one replication's simulation config on machine
+// mc: a fresh instance of the policy (policies carry per-run state, so no
+// two runs share one), the mix's applications at p's scale, and the seed.
+func replicationConfig(p CampaignParams, mc machine.Config, mix workload.Mix, policy string, seed uint64) (sched.Config, error) {
 	pol, ok := core.ByName(policy)
 	if !ok {
 		return sched.Config{}, fmt.Errorf("unknown policy %q", policy)
 	}
-	return sched.Config{Machine: o.Machine, Policy: pol, Apps: o.apps(mix, seed), Seed: seed}, nil
+	return sched.Config{Machine: mc, Policy: pol, Apps: p.apps(mix, seed), Seed: seed}, nil
 }
 
 // ---- characterize ------------------------------------------------------
@@ -306,11 +309,7 @@ type characterizeCellKey struct {
 }
 
 func characterizeGrid(np CampaignParams) (grid, error) {
-	opts, err := np.options()
-	if err != nil {
-		return grid{}, err
-	}
-	apps := characterizeApps(opts)
+	apps := characterizeApps(np)
 	cell := func(i int) (Cell, error) {
 		key, err := cellKey(characterizeCellKey{
 			Procs: np.Procs, AppScale: np.AppScale, Seed: np.Seed, App: apps[i].Name,
@@ -323,20 +322,14 @@ func characterizeGrid(np CampaignParams) (grid, error) {
 			KeyKind:   "cell/characterize",
 			KeyParams: key,
 			run: func(ctx context.Context) (any, error) {
-				o, err := np.optionsCtx(ctx)
-				if err != nil {
-					return nil, err
-				}
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				ch, st, err := characterizeApp(o, characterizeApps(o)[i])
+				ch, st, err := characterizeApp(np, characterizeApps(np)[i])
 				if err != nil {
 					return nil, err
 				}
-				if o.Stats != nil {
-					o.Stats.Add("Equipartition", st)
-				}
+				obs.CollectorFrom(ctx).Add("Equipartition", st)
 				return ch, nil
 			},
 		}, nil
@@ -409,10 +402,7 @@ func mergeTable1(qs []simtime.Duration, names []string, parts []table1CellPartia
 }
 
 func table1Grid(np CampaignParams) (grid, error) {
-	opts, err := np.options()
-	if err != nil {
-		return grid{}, err
-	}
+	budget := simtime.Seconds(np.BudgetSec)
 	// DefaultQs is ascending, so cell order (q-major, pattern-minor, the
 	// BuildTable1 layout) is already the wire result's Q order.
 	qs := measure.DefaultQs()
@@ -421,7 +411,7 @@ func table1Grid(np CampaignParams) (grid, error) {
 	// set, so each reference stream is built once per campaign, by the
 	// first executed cell that replays it; cells served from a cache tier
 	// build nothing, and the streams go when the plan does.
-	streams := measure.NewStreamSet(memtrace.Patterns(), opts.MeasureBudget, opts.Seed)
+	streams := measure.NewStreamSet(memtrace.Patterns(), budget, np.Seed)
 	cell := func(i int) (Cell, error) {
 		qi, pi := i/len(names), i%len(names)
 		key, err := cellKey(table1CellKey{
@@ -435,21 +425,16 @@ func table1Grid(np CampaignParams) (grid, error) {
 			KeyKind:   "cell/table1",
 			KeyParams: key,
 			run: func(ctx context.Context) (any, error) {
-				o, err := np.optionsCtx(ctx)
-				if err != nil {
-					return nil, err
-				}
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				mc := o.Machine
-				mc.Processors = 1 // the paper's measurement uses a single processor
+				mc := symmetry(1) // the paper's measurement uses a single processor
 				pen, err := streams.MeasureCell(mc, pi, qs[qi])
 				if err != nil {
 					return nil, err
 				}
-				if o.Stats != nil {
-					o.Stats.Add("measure", table1CellStats(mc, pen, names, o.MeasureBudget))
+				if stats := obs.CollectorFrom(ctx); stats != nil {
+					stats.Add("measure", table1CellStats(mc, pen, names, budget))
 				}
 				return newTable1Partial(pen), nil
 			},
@@ -571,10 +556,6 @@ func compareCells(np CampaignParams, mixNumbers []int, policies []string) (grid,
 			KeyParams: key,
 			Engine:    engine,
 			run: func(ctx context.Context) (any, error) {
-				o, err := np.optionsCtx(ctx)
-				if err != nil {
-					return nil, err
-				}
 				mix, err := workload.MixByNumber(mixNum)
 				if err != nil {
 					return nil, err
@@ -583,7 +564,7 @@ func compareCells(np CampaignParams, mixNumbers []int, policies []string) (grid,
 				// same workload under every policy (common random
 				// numbers), which keeps relative response times
 				// low-variance.
-				runs, err := replicate(ctx, o, engine, fmt.Sprintf("mix #%d", mixNum), mix, pol, func(rep int) uint64 {
+				runs, err := replicate(ctx, np, symmetry(np.Procs), engine, fmt.Sprintf("mix #%d", mixNum), mix, pol, func(rep int) uint64 {
 					return parallel.CellSeed(np.Seed, uint64(mixNum), uint64(rep))
 				})
 				if err != nil {
@@ -657,9 +638,6 @@ func allMixNumbers() []int {
 }
 
 func compareGrid(np CampaignParams) (grid, error) {
-	if _, err := np.options(); err != nil {
-		return grid{}, err
-	}
 	mixNumbers := allMixNumbers()
 	if np.Mix != 0 {
 		mixNumbers = []int{np.Mix}
@@ -688,10 +666,6 @@ func compareGrid(np CampaignParams) (grid, error) {
 // and the table1 merge followed by the Section-7.3 parameter extraction
 // and the analytic sweep — pure float math on the merged results.
 func futureGrid(np CampaignParams) (grid, error) {
-	opts, err := np.options()
-	if err != nil {
-		return grid{}, err
-	}
 	cols := withBaseline(np.Policies)
 	mixNumbers := allMixNumbers()
 	cg, err := compareCells(np, mixNumbers, cols)
@@ -718,7 +692,7 @@ func futureGrid(np CampaignParams) (grid, error) {
 		if err != nil {
 			return nil, err
 		}
-		scen, err := FutureScenarios(compareMergeRows(mixNumbers, cols, cparts), t1.(Table1CampaignResult).Table1(), opts)
+		scen, err := FutureScenarios(compareMergeRows(mixNumbers, cols, cparts), t1.(Table1CampaignResult).Table1())
 		if err != nil {
 			return nil, err
 		}
@@ -752,9 +726,6 @@ type futureSimCellPartial struct {
 }
 
 func futureSimGrid(np CampaignParams) (grid, error) {
-	if _, err := np.options(); err != nil {
-		return grid{}, err
-	}
 	eng, err := normalizeEngine(np.Engine)
 	if err != nil {
 		return grid{}, err
@@ -780,20 +751,17 @@ func futureSimGrid(np CampaignParams) (grid, error) {
 			KeyParams: key,
 			Engine:    engine,
 			run: func(ctx context.Context) (any, error) {
-				o, err := np.optionsCtx(ctx)
-				if err != nil {
-					return nil, err
-				}
 				mix, err := workload.MixByNumber(np.Mix)
 				if err != nil {
 					return nil, err
 				}
-				if o.Machine, err = futureSimMachine(o.Machine, prod); err != nil {
+				mc, err := futureSimMachine(symmetry(np.Procs), prod)
+				if err != nil {
 					return nil, err
 				}
 				// Replication seeds leave out the product and the policy,
 				// so every point of the sweep sees the same workloads.
-				runs, err := replicate(ctx, o, engine, fmt.Sprintf("product %v", prod), mix, col, func(rep int) uint64 {
+				runs, err := replicate(ctx, np, mc, engine, fmt.Sprintf("product %v", prod), mix, col, func(rep int) uint64 {
 					return parallel.CellSeed(np.Seed, uint64(rep))
 				})
 				if err != nil {
@@ -848,9 +816,6 @@ type relatedWorkCellPartial struct {
 }
 
 func relatedWorkGrid(np CampaignParams) (grid, error) {
-	if _, err := np.options(); err != nil {
-		return grid{}, err
-	}
 	policies := relatedWorkPolicies()
 	cell := func(i int) (Cell, error) {
 		polName := policies[i]
@@ -866,15 +831,11 @@ func relatedWorkGrid(np CampaignParams) (grid, error) {
 			KeyKind:   "cell/relatedwork",
 			KeyParams: key,
 			run: func(ctx context.Context) (any, error) {
-				o, err := np.optionsCtx(ctx)
-				if err != nil {
-					return nil, err
-				}
 				mix, err := workload.MixByNumber(5)
 				if err != nil {
 					return nil, err
 				}
-				runs, err := replicate(ctx, o, EngineSim, "mix #5", mix, polName, func(rep int) uint64 {
+				runs, err := replicate(ctx, np, symmetry(np.Procs), EngineSim, "mix #5", mix, polName, func(rep int) uint64 {
 					return parallel.CellSeed(np.Seed, uint64(rep))
 				})
 				if err != nil {

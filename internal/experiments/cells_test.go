@@ -10,6 +10,7 @@ import (
 	"repro/internal/memtrace"
 	"repro/internal/parallel"
 	"repro/internal/report"
+	"repro/internal/simtime"
 )
 
 // TestCellMergeMatchesMonolithic is the sharding contract: for every
@@ -179,14 +180,11 @@ func TestTable1RunAllocBound(t *testing.T) {
 		fixedAllowance    = 1 << 20
 	)
 	p := CampaignParams{Fast: true, Workers: 1}
-	o, err := p.options()
-	if err != nil {
-		t.Fatal(err)
-	}
+	np := mustNormalize(t, "table1", p)
 	pats := memtrace.Patterns()
 	var refs int64
 	for _, pat := range pats {
-		refs += 2 * int64(memtrace.NewGenerator(pat, 0, o.Seed).RefsFor(o.MeasureBudget))
+		refs += 2 * int64(memtrace.NewGenerator(pat, 0, np.Seed).RefsFor(simtime.Seconds(np.BudgetSec)))
 	}
 	runs := int64(len(measure.DefaultQs()) * len(pats) * (2 + len(pats)))
 	bound := uint64(refs*streamBytesPerRef + runs*perRunAllowance + fixedAllowance)

@@ -30,24 +30,24 @@ type AppCharacter struct {
 }
 
 // characterizeApps returns the applications characterized in isolation:
-// the three single-application mixes instantiated at the configured
-// scale, in fixed order.
-func characterizeApps(opts Options) []workload.App {
+// the three single-application mixes instantiated at p's scale, in fixed
+// order.
+func characterizeApps(p CampaignParams) []workload.App {
 	mixApps := []workload.App{}
 	for _, m := range []workload.Mix{{Number: 0, MVA: 1}, {Number: 0, Matrix: 1}, {Number: 0, Gravity: 1}} {
-		mixApps = append(mixApps, opts.apps(m, opts.Seed)...)
+		mixApps = append(mixApps, p.apps(m, p.Seed)...)
 	}
 	return mixApps
 }
 
 // characterizeApp simulates one application alone under Equipartition and
 // derives its Figures 2-4 character: one characterize cell.
-func characterizeApp(opts Options, app workload.App) (AppCharacter, obs.SimStats, error) {
+func characterizeApp(p CampaignParams, app workload.App) (AppCharacter, obs.SimStats, error) {
 	res, err := runSim(sched.Config{
-		Machine: opts.Machine,
+		Machine: symmetry(p.Procs),
 		Policy:  core.NewEquipartition(),
 		Apps:    []workload.App{app},
-		Seed:    opts.Seed,
+		Seed:    p.Seed,
 	})
 	if err != nil {
 		return AppCharacter{}, obs.SimStats{}, err

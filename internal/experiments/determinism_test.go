@@ -53,7 +53,7 @@ func TestFutureScenariosDeterministicAcrossWorkers(t *testing.T) {
 		p.Policies = []string{"Equipartition", "Dyn-Aff"}
 		cmp := mustRun(t, context.Background(), "compare", p).(CompareCampaignResult)
 		t1 := mustRun(t, context.Background(), "table1", determinismParams(workers)).(Table1CampaignResult)
-		scen, err := FutureScenarios(cmp, t1.Table1(), FastOptions())
+		scen, err := FutureScenarios(cmp, t1.Table1())
 		if err != nil {
 			t.Fatalf("workers=%d: scenarios: %v", workers, err)
 		}
@@ -137,7 +137,7 @@ func TestSimStatsDeterministicAcrossWorkers(t *testing.T) {
 		if tc.cells == nil {
 			continue
 		}
-		reps := uint64(FastOptions().Replications)
+		reps := uint64(mustNormalize(t, tc.kind, determinismParams(1)).Replications)
 		if len(seq.PerPolicy) != len(tc.cells) {
 			t.Errorf("%s: stats under %v, want one label per policy %v", tc.kind, seq.PolicyOrder, tc.cells)
 		}
@@ -150,10 +150,10 @@ func TestSimStatsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestValidateRejectsNegativeWorkers(t *testing.T) {
-	o := FastOptions()
-	o.Workers = -1
-	if err := o.Validate(); err == nil {
-		t.Fatal("Workers=-1 accepted")
+	for _, c := range Campaigns() {
+		if _, err := c.Normalize(CampaignParams{Fast: true, Workers: -1}); err == nil {
+			t.Errorf("%s: Workers=-1 accepted", c.Kind)
+		}
 	}
 }
 

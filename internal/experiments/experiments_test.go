@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,48 +15,70 @@ import (
 	"repro/internal/workload"
 )
 
+// mustNormalize normalizes p as the given kind's params.
+func mustNormalize(t *testing.T, kind string, p CampaignParams) CampaignParams {
+	t.Helper()
+	np, err := Campaign{Kind: kind}.Normalize(p)
+	if err != nil {
+		t.Fatalf("%s %+v: %v", kind, p, err)
+	}
+	return np
+}
+
+// TestOptionsValidate pins Normalize as the one home of the shared
+// knobs' defaults and bounds: the paper's defaults, the fast preset and
+// explicit fields over it, and a ParamError naming the field for each
+// out-of-range value. Zero is not out of range: it selects the default.
 func TestOptionsValidate(t *testing.T) {
-	if err := DefaultOptions().Validate(); err != nil {
-		t.Fatal(err)
+	if n := mustNormalize(t, "future", CampaignParams{}); n.Procs != 16 || n.Replications != 5 ||
+		n.BudgetSec != 20 || n.AppScale != 1 || n.Seed != 1 {
+		t.Errorf("defaults: %+v", n)
 	}
-	if err := FastOptions().Validate(); err != nil {
-		t.Fatal(err)
+	if n := mustNormalize(t, "future", CampaignParams{Fast: true}); n.Fast || n.Replications != 2 ||
+		n.BudgetSec != 4 || n.AppScale != 4 {
+		t.Errorf("fast preset: %+v", n)
 	}
-	bad := DefaultOptions()
-	bad.Replications = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero replications accepted")
+	if n := mustNormalize(t, "future", CampaignParams{Fast: true, Replications: 5, BudgetSec: 20}); n.Replications != 5 ||
+		n.BudgetSec != 20 || n.AppScale != 4 {
+		t.Errorf("fast preset under explicit reps and budget: %+v", n)
 	}
-	bad = DefaultOptions()
-	bad.MeasureBudget = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero budget accepted")
-	}
-	bad = DefaultOptions()
-	bad.AppScale = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero scale accepted")
+	for _, tc := range []struct {
+		p     CampaignParams
+		field string
+	}{
+		{CampaignParams{Procs: -1}, "params.procs"},
+		{CampaignParams{Replications: -1}, "params.reps"},
+		{CampaignParams{BudgetSec: -1}, "params.budget_sec"},
+		{CampaignParams{BudgetSec: 1e-12}, "params.budget_sec"}, // rounds to 0 ns
+		{CampaignParams{AppScale: -1}, "params.app_scale"},
+		{CampaignParams{Workers: -1}, "params.workers"},
+		{CampaignParams{Engine: "bogus"}, "params.engine"},
+	} {
+		_, err := Campaign{Kind: "future"}.Normalize(tc.p)
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != tc.field {
+			t.Errorf("%+v: err = %v, want a %s ParamError", tc.p, err, tc.field)
+		}
 	}
 }
 
 func TestDefaultMachineIs16ProcSymmetry(t *testing.T) {
-	o := DefaultOptions()
-	if o.Machine.Processors != 16 {
-		t.Errorf("processors = %d, want 16 (paper's experiment size)", o.Machine.Processors)
+	m := symmetry(mustNormalize(t, "compare", CampaignParams{}).Procs)
+	if m.Processors != 16 {
+		t.Errorf("processors = %d, want 16 (paper's experiment size)", m.Processors)
 	}
-	if o.Machine.Cache.SizeBytes != 64*1024 {
-		t.Errorf("cache = %d, want Symmetry's 64KB", o.Machine.Cache.SizeBytes)
+	if m.Cache.SizeBytes != 64*1024 {
+		t.Errorf("cache = %d, want Symmetry's 64KB", m.Cache.SizeBytes)
 	}
 }
 
 func TestScaledApps(t *testing.T) {
-	o := FastOptions()
 	mix, _ := workload.MixByNumber(6)
-	apps := o.apps(mix, 1)
+	apps := mustNormalize(t, "compare", CampaignParams{Fast: true}).apps(mix, 1)
 	if len(apps) != 3 {
 		t.Fatalf("apps = %d", len(apps))
 	}
-	full := DefaultOptions().apps(mix, 1)
+	full := mustNormalize(t, "compare", CampaignParams{}).apps(mix, 1)
 	for i := range apps {
 		if apps[i].Graph.NumThreads() >= full[i].Graph.NumThreads() {
 			t.Errorf("%s: scaled app not smaller (%d vs %d threads)",
@@ -106,7 +129,7 @@ func TestCharacterize(t *testing.T) {
 	}
 }
 
-// fastTable1 runs the table1 campaign at the FastOptions budget.
+// fastTable1 runs the table1 campaign at the fast preset's budget.
 func fastTable1(t *testing.T) Table1CampaignResult {
 	t.Helper()
 	return mustRun(t, context.Background(), "table1", CampaignParams{Fast: true}).(Table1CampaignResult)
@@ -140,19 +163,16 @@ func TestTable1ResultMatchesCampaign(t *testing.T) {
 	p := CampaignParams{Fast: true, BudgetSec: 2}
 	campStats := obs.NewCampaignStats()
 	want := mustRun(t, obs.WithCollector(context.Background(), campStats), "table1", p)
-	o, err := p.options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := o.Machine
-	mc.Processors = 1
+	np := mustNormalize(t, "table1", p)
+	mc := symmetry(1)
+	budget := simtime.Seconds(np.BudgetSec)
 	t1, err := measure.BuildTable1(context.Background(), mc, memtrace.Patterns(), measure.DefaultQs(),
-		o.MeasureBudget, o.Seed, 0)
+		budget, np.Seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	directStats := obs.NewCampaignStats()
-	got := Table1Result(t1, mc, o.MeasureBudget, directStats)
+	got := Table1Result(obs.WithCollector(context.Background(), directStats), t1, mc, budget)
 	wb, err := report.CanonicalJSON(want)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +291,7 @@ func TestPipelineQualitative(t *testing.T) {
 	}
 
 	// Future extrapolation end to end.
-	scen, err := FutureScenarios(res, fastTable1(t).Table1(), FastOptions())
+	scen, err := FutureScenarios(res, fastTable1(t).Table1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +348,12 @@ func TestCompareErrors(t *testing.T) {
 		}
 	}
 	// A failing replication names its cell, and fails the campaign.
-	if _, err := replicate(context.Background(), FastOptions(), EngineSim, "mix #9", workload.Mix{Number: 9}, "Dynamic",
+	np := mustNormalize(t, "compare", CampaignParams{Fast: true})
+	if _, err := replicate(context.Background(), np, symmetry(np.Procs), EngineSim, "mix #9", workload.Mix{Number: 9}, "Dynamic",
 		func(rep int) uint64 { return uint64(rep) }); err == nil || !strings.Contains(err.Error(), "mix #9 policy Dynamic") {
 		t.Errorf("empty mix: err = %v, want a labelled error", err)
 	}
-	if _, err := replicate(context.Background(), FastOptions(), EngineSim, "mix #1", workload.Mixes()[0], "bogus",
+	if _, err := replicate(context.Background(), np, symmetry(np.Procs), EngineSim, "mix #1", workload.Mixes()[0], "bogus",
 		func(rep int) uint64 { return uint64(rep) }); err == nil {
 		t.Error("bogus policy replicated")
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/machine"
 	"repro/internal/measure"
 	"repro/internal/model"
 	"repro/internal/report"
@@ -22,6 +23,13 @@ type ScenarioKey struct {
 // ("wkload5 - GRAVITY").
 func (k ScenarioKey) String() string { return fmt.Sprintf("wkload%d - %s", k.Mix, k.App) }
 
+// extractionQ is the Table-1 rescheduling interval whose penalties
+// parameterize the future model (Section 7.3). It follows the paper, which
+// uses one fixed Q for every policy: 400 ms, the tabulated interval
+// closest to the dynamic policies' observed 240-780 ms reallocation
+// intervals.
+const extractionQ = 400 * simtime.Millisecond
+
 // FutureScenarios extracts model parameters from a compare result's rows
 // and the Table-1 penalty measurements, producing one model.Scenario per
 // (mix, application type) — the Section 7.3 procedure:
@@ -29,17 +37,16 @@ func (k ScenarioKey) String() string { return fmt.Sprintf("wkload%d - %s", k.Mix
 //   - #reallocations, %affinity, waste, and average allocation come
 //     directly from the measured job metrics, averaged over the jobs of
 //     the type; the response time is the type's first job's;
-//   - P^A and P^NA come from the Table-1 cell at opts.ExtractionQ (or, when
-//     that is zero, at the Q nearest the jobs' observed reallocation
-//     interval), with P^A averaged over the other applications in the mix;
+//   - P^A and P^NA come from the Table-1 cell at one fixed Q for every
+//     policy (extractionQ), with P^A averaged over the other applications
+//     in the mix;
+//   - the reallocation cost is the Symmetry's switch path, which every
+//     processor count shares;
 //   - work is backed out of equation (1) so that the model reproduces the
 //     measured response time exactly at speed = cache = 1.
-//
-// opts supplies the machine (its switch path) and the extraction interval
-// the result was run with.
-func FutureScenarios(res CompareCampaignResult, t1 measure.Table1, opts Options) (map[ScenarioKey]model.Scenario, error) {
+func FutureScenarios(res CompareCampaignResult, t1 measure.Table1) (map[ScenarioKey]model.Scenario, error) {
 	out := make(map[ScenarioKey]model.Scenario)
-	switchSec := opts.Machine.SwitchPath.SecondsF()
+	switchSec := machine.Symmetry().SwitchPath.SecondsF()
 	for _, mix := range res.Mixes {
 		// Application types present in this mix, for P^A averaging.
 		var present []string
@@ -69,7 +76,6 @@ func FutureScenarios(res CompareCampaignResult, t1 measure.Table1, opts Options)
 					agg.AvgAlloc += job.AvgAlloc
 					agg.Reallocations += job.Reallocations
 					agg.PctAffinity += job.PctAffinity
-					agg.IntervalMs += job.IntervalMs
 				}
 				if n == 0 {
 					continue
@@ -79,14 +85,9 @@ func FutureScenarios(res CompareCampaignResult, t1 measure.Table1, opts Options)
 				agg.AvgAlloc /= fn
 				agg.Reallocations /= fn
 				agg.PctAffinity /= fn
-				agg.IntervalMs /= fn
 
 				intervening := otherApps(present, app)
-				q := opts.ExtractionQ
-				if q == 0 {
-					q = simtime.Duration(agg.IntervalMs * float64(simtime.Millisecond))
-				}
-				pa, pna := PenaltyFor(t1, app, intervening, q)
+				pa, pna := PenaltyFor(t1, app, intervening, extractionQ)
 				rt := agg.MeanRTSec
 				penalty := agg.PctAffinity*pa + (1-agg.PctAffinity)*pna
 				work := rt*agg.AvgAlloc - agg.WasteSec - agg.Reallocations*(switchSec+penalty)

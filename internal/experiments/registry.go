@@ -1,22 +1,21 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/measure"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
 
-// CampaignParams is the wire-level parameterization of one campaign: the
-// subset of Options a service client may set, plus the per-kind knobs of
-// the individual drivers. The zero value of every field means "use the
-// kind's default", so a minimal request like {"kind":"table1"} is valid.
+// CampaignParams is the parameterization of one campaign — on the wire,
+// in the CLIs and in process alike: the shared knobs plus the per-kind
+// knobs of the individual drivers. The zero value of every field means
+// "use the kind's default", so a minimal request like {"kind":"table1"}
+// is valid.
 //
 // Params are normalized (all defaults made explicit, irrelevant fields
 // zeroed) before being hashed into a result-cache key, so two requests
@@ -25,8 +24,9 @@ import (
 // bitwise identical at every worker count (the internal/parallel
 // contract), so concurrency must not fork the cache.
 type CampaignParams struct {
-	// Fast selects the scaled-down FastOptions preset. Normalization folds
-	// its effects into Replications/BudgetSec/AppScale and clears it.
+	// Fast selects the scaled-down preset (reps 2, budget_sec 4,
+	// app_scale 4, each unless set). Normalization folds its effects into
+	// Replications/BudgetSec/AppScale and clears it.
 	Fast bool `json:"fast,omitempty"`
 	// Procs is the simulated machine's processor count (default 16).
 	Procs int `json:"procs,omitempty"`
@@ -77,70 +77,6 @@ const maxBudgetSec = 100
 // single run starts; the paper's campaigns use 5.
 const maxReps = 100
 
-// options folds the params into an Options value. Zero means default;
-// negative values are rejected rather than silently defaulted, each named
-// by its wire field path.
-func (p CampaignParams) options() (Options, error) {
-	switch {
-	case p.Procs < 0:
-		return Options{}, &ParamError{Field: "params.procs", Msg: "must be >= 0"}
-	case p.Replications < 0:
-		return Options{}, &ParamError{Field: "params.reps", Msg: "must be >= 0"}
-	case p.Replications > maxReps:
-		return Options{}, &ParamError{Field: "params.reps", Msg: fmt.Sprintf("must be <= %d", maxReps)}
-	case p.BudgetSec < 0:
-		return Options{}, &ParamError{Field: "params.budget_sec", Msg: "must be >= 0"}
-	case p.BudgetSec > maxBudgetSec:
-		return Options{}, &ParamError{Field: "params.budget_sec", Msg: fmt.Sprintf("must be <= %g", float64(maxBudgetSec))}
-	case p.AppScale < 0:
-		return Options{}, &ParamError{Field: "params.app_scale", Msg: "must be >= 0"}
-	case p.Workers < 0:
-		return Options{}, &ParamError{Field: "params.workers", Msg: "must be >= 0"}
-	}
-	if _, err := normalizeEngine(p.Engine); err != nil {
-		return Options{}, &ParamError{Field: "params.engine", Msg: err.Error()}
-	}
-	o := DefaultOptions()
-	if p.Fast {
-		o = FastOptions()
-	}
-	if p.Procs > 0 {
-		o.Machine.Processors = p.Procs
-	}
-	if p.Replications > 0 {
-		o.Replications = p.Replications
-	}
-	if p.BudgetSec > 0 {
-		o.MeasureBudget = simtime.Seconds(p.BudgetSec)
-	}
-	if p.AppScale > 0 {
-		o.AppScale = p.AppScale
-	}
-	if p.Seed != 0 {
-		o.Seed = p.Seed
-	}
-	o.Workers = p.Workers
-	o.Engine = p.Engine
-	if err := o.Validate(); err != nil {
-		return Options{}, err
-	}
-	return o, nil
-}
-
-// optionsCtx is options plus the context's stats collector (if any): a
-// caller that wrapped ctx with obs.WithCollector — the daemon does, per
-// job — gets per-run simulation stats folded into it as the campaign
-// executes. The collector rides out-of-band: it is not a params field,
-// so it can never reach a cache key or a result body.
-func (p CampaignParams) optionsCtx(ctx context.Context) (Options, error) {
-	o, err := p.options()
-	if err != nil {
-		return Options{}, err
-	}
-	o.Stats = obs.CollectorFrom(ctx)
-	return o, nil
-}
-
 // Campaign is one registered campaign kind: a wire name and a human
 // description. Every experiment the repo can run is reachable through
 // Run(ctx, kind, params); the service, the CLIs and any future batch or
@@ -153,27 +89,64 @@ type Campaign struct {
 }
 
 // Normalize returns p with every default made explicit and every field
-// the kind does not consume zeroed, validating the result. Normalized
-// params are the canonical identity of a campaign: hash them (minus
-// Workers, which Normalize preserves but cache keys must zero) and two
-// semantically identical requests collide onto one cache entry.
+// the kind does not consume zeroed, validating the result. It is the one
+// place campaign defaults and bounds live: a zero field takes the kind's
+// default (the fast preset's, under Fast), a negative or oversized one is
+// a *ParamError naming its wire field. Normalized params are the
+// canonical identity of a campaign: hash them (minus Workers, which
+// Normalize preserves but cache keys must zero) and two semantically
+// identical requests collide onto one cache entry.
 func (c Campaign) Normalize(p CampaignParams) (CampaignParams, error) {
-	o, err := p.options()
-	if err != nil {
-		return CampaignParams{}, err
+	switch {
+	case p.Procs < 0:
+		return CampaignParams{}, &ParamError{Field: "params.procs", Msg: "must be >= 0"}
+	case p.Replications < 0:
+		return CampaignParams{}, &ParamError{Field: "params.reps", Msg: "must be >= 0"}
+	case p.Replications > maxReps:
+		return CampaignParams{}, &ParamError{Field: "params.reps", Msg: fmt.Sprintf("must be <= %d", maxReps)}
+	case p.BudgetSec < 0:
+		return CampaignParams{}, &ParamError{Field: "params.budget_sec", Msg: "must be >= 0"}
+	case p.BudgetSec > maxBudgetSec:
+		return CampaignParams{}, &ParamError{Field: "params.budget_sec", Msg: fmt.Sprintf("must be <= %g", float64(maxBudgetSec))}
+	case p.AppScale < 0:
+		return CampaignParams{}, &ParamError{Field: "params.app_scale", Msg: "must be >= 0"}
+	case p.Workers < 0:
+		return CampaignParams{}, &ParamError{Field: "params.workers", Msg: "must be >= 0"}
 	}
-	n := CampaignParams{
-		Procs:        o.Machine.Processors,
-		Replications: o.Replications,
-		AppScale:     o.AppScale,
-		Seed:         o.Seed,
-		Workers:      p.Workers,
+	engine, err := normalizeEngine(p.Engine)
+	if err != nil {
+		return CampaignParams{}, &ParamError{Field: "params.engine", Msg: err.Error()}
+	}
+	// The paper's campaign: 16 processors, 5 replications, a 20 s Table-1
+	// budget, full-size applications. The fast preset shrinks the
+	// applications and cuts the replications and the budget.
+	n := CampaignParams{Procs: 16, Replications: 5, AppScale: 1, Seed: 1, Workers: p.Workers}
+	budget := 20.0
+	if p.Fast {
+		n.Replications, n.AppScale, budget = 2, 4, 4
+	}
+	if p.Procs > 0 {
+		n.Procs = p.Procs
+	}
+	if p.Replications > 0 {
+		n.Replications = p.Replications
+	}
+	if p.BudgetSec > 0 {
+		// The cells run simtime.Seconds(budget): whole nanoseconds.
+		if budget = simtime.Seconds(p.BudgetSec).SecondsF(); budget <= 0 {
+			return CampaignParams{}, &ParamError{Field: "params.budget_sec", Msg: "must be at least 1 ns"}
+		}
+	}
+	if p.AppScale > 0 {
+		n.AppScale = p.AppScale
+	}
+	if p.Seed != 0 {
+		n.Seed = p.Seed
 	}
 	// The engine tier only exists on the kinds with a simulation grid; the
 	// others always simulate and must not silently accept (and then ignore)
 	// a request for the analytic tier. ValidateEngine is the single gate —
 	// the CLIs call it too, so a flag and a request body fail identically.
-	engine := o.engine()
 	if err := ValidateEngine(c.Kind, engine); err != nil {
 		return CampaignParams{}, err
 	}
@@ -184,7 +157,7 @@ func (c Campaign) Normalize(p CampaignParams) (CampaignParams, error) {
 	// Per-kind knobs: only the fields the kind's driver reads survive.
 	switch c.Kind {
 	case "table1":
-		n.BudgetSec = o.MeasureBudget.SecondsF()
+		n.BudgetSec = budget
 		n.Procs = 0        // the protocol measures on one processor
 		n.Replications = 0 // table1 has no replication axis
 		n.AppScale = 0     // measurement patterns are not app-scaled
@@ -203,7 +176,7 @@ func (c Campaign) Normalize(p CampaignParams) (CampaignParams, error) {
 			n.Policies = defaultComparePolicies()
 		}
 	case "future":
-		n.BudgetSec = o.MeasureBudget.SecondsF()
+		n.BudgetSec = budget
 		n.Policies = p.Policies
 		if len(n.Policies) == 0 {
 			n.Policies = defaultDynamicPolicies()

@@ -128,9 +128,12 @@ type MPLPoint struct {
 // MPLSweep runs k identical GRAVITY jobs for k = 1..maxJobs under the given
 // policies — an extension exhibit showing how the dynamic policies' edge
 // over Equipartition varies with multiprogramming level (barrier dips
-// matter most when a partner job can absorb them).
-func MPLSweep(ctx context.Context, opts Options, maxJobs int, policies []string) ([]MPLPoint, error) {
-	if err := opts.Validate(); err != nil {
+// matter most when a partner job can absorb them). p is normalized as the
+// relatedwork kind's params, the exhibit the sweep extends; if ctx carries
+// an obs collector, the runs' stats fold into it under their policies.
+func MPLSweep(ctx context.Context, p CampaignParams, maxJobs int, policies []string) ([]MPLPoint, error) {
+	np, err := Campaign{Kind: "relatedwork"}.Normalize(p)
+	if err != nil {
 		return nil, err
 	}
 	if maxJobs < 1 {
@@ -138,23 +141,24 @@ func MPLSweep(ctx context.Context, opts Options, maxJobs int, policies []string)
 	}
 	// Fan the (level, policy, replication) cells out;
 	// idx = ((k-1)*len(policies) + pi)*R + rep.
-	R := opts.Replications
+	R := np.Replications
+	mc := symmetry(np.Procs)
 	rts := make([]float64, maxJobs*len(policies)*R)
 	simStats := make([]obs.SimStats, len(rts))
-	err := parallel.ForEach(ctx, opts.Workers, len(rts), func(ctx context.Context, idx int) error {
+	err = parallel.ForEach(ctx, np.Workers, len(rts), func(ctx context.Context, idx int) error {
 		rep := idx % R
 		polName := policies[idx/R%len(policies)]
 		k := idx/R/len(policies) + 1
-		seed := parallel.CellSeed(opts.Seed, uint64(rep))
+		seed := parallel.CellSeed(np.Seed, uint64(rep))
 		mix := workload.Mix{Number: 100 + k, Gravity: k}
 		pol, ok := core.ByName(polName)
 		if !ok {
 			return fmt.Errorf("experiments: unknown policy %q", polName)
 		}
 		r, err := runSim(sched.Config{
-			Machine: opts.Machine,
+			Machine: mc,
 			Policy:  pol,
-			Apps:    opts.apps(mix, seed),
+			Apps:    np.apps(mix, seed),
 			Seed:    seed,
 		})
 		if err != nil {
@@ -167,9 +171,9 @@ func MPLSweep(ctx context.Context, opts Options, maxJobs int, policies []string)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Stats != nil {
+	if stats := obs.CollectorFrom(ctx); stats != nil {
 		parallel.Fold(simStats, func(idx int, s obs.SimStats) {
-			opts.Stats.Add(policies[idx/R%len(policies)], s)
+			stats.Add(policies[idx/R%len(policies)], s)
 		})
 	}
 	var out []MPLPoint

@@ -47,10 +47,9 @@ func TestRelatedWorkShape(t *testing.T) {
 }
 
 func TestMPLSweep(t *testing.T) {
-	opts := FastOptions()
-	opts.Replications = 1
+	p := CampaignParams{Fast: true, Replications: 1}
 	policies := []string{"Equipartition", "Dyn-Aff"}
-	pts, err := MPLSweep(context.Background(), opts, 3, policies)
+	pts, err := MPLSweep(context.Background(), p, 3, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestMPLSweep(t *testing.T) {
 	if err := mt.Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MPLSweep(context.Background(), opts, 0, policies); err == nil {
+	if _, err := MPLSweep(context.Background(), p, 0, policies); err == nil {
 		t.Error("maxJobs 0 accepted")
 	}
 }

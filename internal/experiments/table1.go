@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -54,11 +55,12 @@ func table1CellStats(mc machine.Config, pen measure.Penalties, apps []string, bu
 // Table1Result is the table1 kind's result for a Table 1 measured
 // directly with measure.BuildTable1 on the single-processor machine mc
 // at budget: its cells go through the table1 cells' partials and merge, so
-// the result equals the campaign's for the same budget and seed. A non-nil
-// stats records each cell's counters in grid order, as the cells do.
-// affinitysim measure -detail renders Table 1 from it, so the protocol
-// behind the per-regime runs it prints runs once.
-func Table1Result(t1 measure.Table1, mc machine.Config, budget simtime.Duration, stats *obs.CampaignStats) Table1CampaignResult {
+// the result equals the campaign's for the same budget and seed. If ctx
+// carries an obs collector, each cell's counters fold into it in grid
+// order, as the cells do. affinitysim measure -detail renders Table 1
+// from it, so the protocol behind the per-regime runs it prints runs once.
+func Table1Result(ctx context.Context, t1 measure.Table1, mc machine.Config, budget simtime.Duration) Table1CampaignResult {
+	stats := obs.CollectorFrom(ctx)
 	parts := make([]table1CellPartial, 0, len(t1.Qs)*len(t1.Apps))
 	for _, q := range t1.Qs {
 		for _, app := range t1.Apps {

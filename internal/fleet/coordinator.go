@@ -209,7 +209,7 @@ func (c *Coordinator) RegisterHandlers(mux *http.ServeMux) {
 func (c *Coordinator) readVerified(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		writeFleetError(w, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("read body: %v", err))
+		api.WriteError(w, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("read body: %v", err))
 		return nil, false
 	}
 	if err := c.auth.verify(r, body); err != nil {
@@ -229,11 +229,11 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	var req RegisterRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeFleetError(w, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("bad register body: %v", err))
+		api.WriteError(w, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("bad register body: %v", err))
 		return
 	}
 	if req.URL == "" {
-		writeFleetError(w, http.StatusBadRequest, "invalid_param", "url", "register: url required")
+		api.WriteError(w, http.StatusBadRequest, "invalid_param", "url", "register: url required")
 		return
 	}
 	if req.EngineVersion != version.Engine {
@@ -242,7 +242,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// Retry-After invites re-registration: a redeploy is exactly what
 		// fixes the skew, and the worker keeps heartbeating meanwhile.
 		w.Header().Set("Retry-After", "30")
-		writeFleetError(w, http.StatusConflict, "engine_skew", "engine_version", fmt.Sprintf(
+		api.WriteError(w, http.StatusConflict, "engine_skew", "engine_version", fmt.Sprintf(
 			"engine version %q does not match coordinator %q", req.EngineVersion, version.Engine))
 		return
 	}

@@ -205,14 +205,9 @@ func writeFleetJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeFleetError writes the standard /v1 error envelope.
-func writeFleetError(w http.ResponseWriter, status int, code, field, msg string) {
-	api.WriteError(w, status, code, field, msg)
-}
-
 // writeAuthError maps an authenticator verdict to its 401 envelope.
 func writeAuthError(w http.ResponseWriter, err error) {
-	writeFleetError(w, http.StatusUnauthorized, "unauthenticated", "", err.Error())
+	api.WriteError(w, http.StatusUnauthorized, "unauthenticated", "", err.Error())
 }
 
 // defaultClient is the HTTP client both sides use when the caller does

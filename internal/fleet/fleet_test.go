@@ -64,7 +64,7 @@ func newStubWorker(t *testing.T, delay func(n int) time.Duration) *stubWorker {
 	mux.HandleFunc("POST "+PathExecute, func(w http.ResponseWriter, r *http.Request) {
 		var req ExecuteRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeFleetError(w, http.StatusBadRequest, "invalid_request", "", err.Error())
+			api.WriteError(w, http.StatusBadRequest, "invalid_request", "", err.Error())
 			return
 		}
 		s.mu.Lock()

@@ -222,7 +222,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("read body: %v", err))
+		api.WriteError(rw, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("read body: %v", err))
 		return
 	}
 	if err := w.auth.verify(r, raw); err != nil {
@@ -235,7 +235,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("bad execute body: %v", err))
+		api.WriteError(rw, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("bad execute body: %v", err))
 		return
 	}
 	// Enforce the advertised capacity locally: a worker is the authority
@@ -247,7 +247,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		w.inflight.Add(-1)
 		w.Stats.Rejections.Inc()
 		rw.Header().Set("Retry-After", "1")
-		writeFleetError(rw, http.StatusTooManyRequests, "over_capacity", "",
+		api.WriteError(rw, http.StatusTooManyRequests, "over_capacity", "",
 			fmt.Sprintf("worker at capacity (%d cells in flight)", w.capacity()))
 		return
 	}
@@ -258,12 +258,12 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	switch {
 	case n > 0 && (req.Index < 0 || req.Index >= n):
 		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusBadRequest, "invalid_param", "index",
+		api.WriteError(rw, http.StatusBadRequest, "invalid_param", "index",
 			fmt.Sprintf("cell index %d outside plan (%d cells)", req.Index, n))
 		return
 	case err != nil:
 		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusBadRequest, "invalid_param", "params", fmt.Sprintf("cell plan: %v", err))
+		api.WriteError(rw, http.StatusBadRequest, "invalid_param", "params", fmt.Sprintf("cell plan: %v", err))
 		return
 	}
 	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
@@ -272,7 +272,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		// engine-version skew or a protocol bug. Refusing is the only
 		// safe answer: these bytes would be filed under the wrong key.
 		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusConflict, "plan_mismatch", "", fmt.Sprintf(
+		api.WriteError(rw, http.StatusConflict, "plan_mismatch", "", fmt.Sprintf(
 			"plan mismatch: computed cell %q key %.16s, dispatched %q %.16s", cell.ID, key, req.CellID, req.Key))
 		return
 	}
@@ -288,7 +288,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		w.Stats.Errors.Inc()
-		writeFleetError(rw, http.StatusInternalServerError, "internal", "", fmt.Sprintf("cell %s: %v", cell.ID, err))
+		api.WriteError(rw, http.StatusInternalServerError, "internal", "", fmt.Sprintf("cell %s: %v", cell.ID, err))
 		return
 	}
 	switch l.Source {
@@ -322,7 +322,7 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 		serveCell(rw, l.Body, l.CostNs)
 		return
 	}
-	writeFleetError(rw, http.StatusNotFound, "not_found", "", "cell not in this worker's tiers")
+	api.WriteError(rw, http.StatusNotFound, "not_found", "", "cell not in this worker's tiers")
 }
 
 // serveCell writes a raw cell body with its exec-cost metadata.

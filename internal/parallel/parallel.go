@@ -34,7 +34,7 @@ import (
 
 // Workers resolves a worker-count option: n itself when positive, the
 // runtime's GOMAXPROCS when n is zero. Negative counts are invalid and
-// resolve to 1 (Options.Validate rejects them upstream).
+// resolve to 1 (CampaignParams normalization rejects them upstream).
 func Workers(n int) int {
 	if n > 0 {
 		return n

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/api"
 )
 
 // TestCellReuseAcrossCampaigns is the tentpole's service-level contract:
@@ -161,9 +163,9 @@ func TestJobEventsStream(t *testing.T) {
 // machine-readable envelope, with field paths on validation failures.
 func TestErrorEnvelope(t *testing.T) {
 	e := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
-	decode := func(resp *http.Response) errorEnvelope {
+	decode := func(resp *http.Response) api.ErrorEnvelope {
 		t.Helper()
-		var env errorEnvelope
+		var env api.ErrorEnvelope
 		if err := json.Unmarshal(readAll(t, resp), &env); err != nil {
 			t.Fatal(err)
 		}

@@ -14,23 +14,14 @@ import (
 // cannot drift.
 const apiVersion = api.Version
 
-// errorEnvelope aliases the shared wire form so in-package tests (and
-// older call sites) keep decoding against the service's own name.
-type errorEnvelope = api.ErrorEnvelope
-
-// writeAPIError writes the uniform error envelope.
-func writeAPIError(w http.ResponseWriter, status int, code, field, msg string) {
-	api.WriteError(w, status, code, field, msg)
-}
-
 // apiParamError maps a parameter-validation failure to the envelope,
 // surfacing the offending field path when the experiments layer names
 // one.
 func apiParamError(w http.ResponseWriter, err error) {
 	var pe *experiments.ParamError
 	if errors.As(err, &pe) {
-		writeAPIError(w, http.StatusBadRequest, "invalid_param", pe.Field, err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_param", pe.Field, err.Error())
 		return
 	}
-	writeAPIError(w, http.StatusBadRequest, "invalid_param", "", err.Error())
+	api.WriteError(w, http.StatusBadRequest, "invalid_param", "", err.Error())
 }

@@ -263,7 +263,7 @@ func TestWorkersPaginationAndDetail(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.query, resp.StatusCode)
 			continue
 		}
-		var env errorEnvelope
+		var env api.ErrorEnvelope
 		if err := json.Unmarshal(b, &env); err != nil {
 			t.Fatalf("%s: not an envelope: %s", tc.query, b)
 		}

@@ -68,6 +68,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/diskstore"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
@@ -443,19 +444,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if draining {
 		w.Header().Set("Connection", "close")
-		writeAPIError(w, http.StatusServiceUnavailable, "draining", "", "server is shutting down")
+		api.WriteError(w, http.StatusServiceUnavailable, "draining", "", "server is shutting down")
 		return
 	}
 	var req campaignRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeAPIError(w, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("bad request body: %v", err))
+		api.WriteError(w, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	camp, ok := experiments.CampaignByKind(req.Kind)
 	if !ok {
-		writeAPIError(w, http.StatusBadRequest, "unknown_kind", "kind", fmt.Sprintf("unknown campaign kind %q", req.Kind))
+		api.WriteError(w, http.StatusBadRequest, "unknown_kind", "kind", fmt.Sprintf("unknown campaign kind %q", req.Kind))
 		return
 	}
 	if req.Params.Seed == 0 && s.cfg.DefaultSeed != 0 {
@@ -471,7 +472,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := cacheKey(req.Kind, params)
 	if err != nil {
-		writeAPIError(w, http.StatusInternalServerError, "internal", "", err.Error())
+		api.WriteError(w, http.StatusInternalServerError, "internal", "", err.Error())
 		return
 	}
 	s.metrics.submitted.Add(1)
@@ -496,7 +497,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch err {
 		case errDraining:
 			w.Header().Set("Connection", "close")
-			writeAPIError(w, http.StatusServiceUnavailable, "draining", "", "server is shutting down")
+			api.WriteError(w, http.StatusServiceUnavailable, "draining", "", "server is shutting down")
 		case errQueueFull:
 			s.metrics.rejected.Add(1)
 			// Ceil to whole seconds, floor 1: a sub-second hint used to
@@ -507,9 +508,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				ra = 1
 			}
 			w.Header().Set("Retry-After", strconv.Itoa(ra))
-			writeAPIError(w, http.StatusTooManyRequests, "queue_full", "", "campaign queue is full; retry later")
+			api.WriteError(w, http.StatusTooManyRequests, "queue_full", "", "campaign queue is full; retry later")
 		default:
-			writeAPIError(w, http.StatusInternalServerError, "internal", "", err.Error())
+			api.WriteError(w, http.StatusInternalServerError, "internal", "", err.Error())
 		}
 		return
 	}
@@ -521,7 +522,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Async {
 		// A polling client's waiter is permanent: abandoning the poll
 		// URL must not cancel the job under other clients.
-		writeJSON(w, http.StatusAccepted, j.view())
+		api.WriteJSON(w, http.StatusAccepted, j.view())
 		return
 	}
 
@@ -552,9 +553,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case statusDone:
 		writeBody(w, body, "miss", key)
 	case statusCanceled:
-		writeAPIError(w, http.StatusConflict, "job_canceled", "", "job canceled: "+errMsg)
+		api.WriteError(w, http.StatusConflict, "job_canceled", "", "job canceled: "+errMsg)
 	default:
-		writeAPIError(w, http.StatusInternalServerError, "job_failed", "", errMsg)
+		api.WriteError(w, http.StatusInternalServerError, "job_failed", "", errMsg)
 	}
 }
 
@@ -789,7 +790,7 @@ func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 	for _, c := range experiments.Campaigns() {
 		out = append(out, kindView{Kind: c.Kind, Description: c.Description, Params: c.ParamSchema()})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"api_version":    apiVersion,
 		"campaigns":      out,
 		"engine_version": version.Engine,
@@ -839,14 +840,14 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	status := q.Get("status")
 	if status != "" && !validJobStatus(status) {
-		writeAPIError(w, http.StatusBadRequest, "invalid_param", "status",
+		api.WriteError(w, http.StatusBadRequest, "invalid_param", "status",
 			fmt.Sprintf("unknown status %q (want queued|running|done|failed|canceled)", status))
 		return
 	}
 	kind := q.Get("kind")
 	if kind != "" {
 		if _, ok := experiments.CampaignByKind(kind); !ok {
-			writeAPIError(w, http.StatusBadRequest, "invalid_param", "kind",
+			api.WriteError(w, http.StatusBadRequest, "invalid_param", "kind",
 				fmt.Sprintf("unknown campaign kind %q", kind))
 			return
 		}
@@ -855,7 +856,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	if ls := q.Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n < 1 || n > 1000 {
-			writeAPIError(w, http.StatusBadRequest, "invalid_param", "limit",
+			api.WriteError(w, http.StatusBadRequest, "invalid_param", "limit",
 				fmt.Sprintf("limit %q outside [1,1000]", ls))
 			return
 		}
@@ -865,7 +866,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	if token := q.Get("page_token"); token != "" {
 		seq, ok := parseJobSeq(token)
 		if !ok {
-			writeAPIError(w, http.StatusBadRequest, "invalid_param", "page_token",
+			api.WriteError(w, http.StatusBadRequest, "invalid_param", "page_token",
 				fmt.Sprintf("malformed page token %q (want a job id)", token))
 			return
 		}
@@ -906,7 +907,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	if next != "" {
 		resp["next_page_token"] = next
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) jobByID(w http.ResponseWriter, r *http.Request) *job {
@@ -914,14 +915,14 @@ func (s *Server) jobByID(w http.ResponseWriter, r *http.Request) *job {
 	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
-		writeAPIError(w, http.StatusNotFound, "not_found", "", "no such job")
+		api.WriteError(w, http.StatusNotFound, "not_found", "", "no such job")
 	}
 	return j
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.jobByID(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.view())
+		api.WriteJSON(w, http.StatusOK, j.view())
 	}
 }
 
@@ -937,11 +938,11 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case statusDone:
 		writeBody(w, body, "job", j.key)
 	case statusFailed:
-		writeAPIError(w, http.StatusInternalServerError, "job_failed", "", errMsg)
+		api.WriteError(w, http.StatusInternalServerError, "job_failed", "", errMsg)
 	case statusCanceled:
-		writeAPIError(w, http.StatusConflict, "job_canceled", "", "job canceled: "+errMsg)
+		api.WriteError(w, http.StatusConflict, "job_canceled", "", "job canceled: "+errMsg)
 	default:
-		writeAPIError(w, http.StatusConflict, "job_not_finished", "", "job not finished: "+string(st))
+		api.WriteError(w, http.StatusConflict, "job_not_finished", "", "job not finished: "+string(st))
 	}
 }
 
@@ -958,7 +959,7 @@ func (s *Server) handleJobStats(w http.ResponseWriter, r *http.Request) {
 	j.mu.Lock()
 	st := j.status
 	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"api_version": apiVersion,
 		"id":          j.id,
 		"kind":        j.kind,
@@ -981,7 +982,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if queued {
 		s.finish(j, statusCanceled, nil, "canceled by request")
 	}
-	writeJSON(w, http.StatusAccepted, j.view())
+	api.WriteJSON(w, http.StatusAccepted, j.view())
 }
 
 // validWorkerID reports whether id has the shape WorkerID mints: "w"
@@ -1013,7 +1014,7 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	status := q.Get("status")
 	if status != "" && status != "idle" && status != "busy" {
-		writeAPIError(w, http.StatusBadRequest, "invalid_param", "status",
+		api.WriteError(w, http.StatusBadRequest, "invalid_param", "status",
 			fmt.Sprintf("unknown status %q (want idle|busy)", status))
 		return
 	}
@@ -1021,7 +1022,7 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 	if ls := q.Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n < 1 || n > 1000 {
-			writeAPIError(w, http.StatusBadRequest, "invalid_param", "limit",
+			api.WriteError(w, http.StatusBadRequest, "invalid_param", "limit",
 				fmt.Sprintf("limit %q outside [1,1000]", ls))
 			return
 		}
@@ -1030,14 +1031,14 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 	after := ""
 	if token := q.Get("page_token"); token != "" {
 		if !validWorkerID(token) {
-			writeAPIError(w, http.StatusBadRequest, "invalid_param", "page_token",
+			api.WriteError(w, http.StatusBadRequest, "invalid_param", "page_token",
 				fmt.Sprintf("malformed page token %q (want a worker id)", token))
 			return
 		}
 		after = token
 	}
 	if s.fleet == nil {
-		writeJSON(w, http.StatusOK, map[string]any{
+		api.WriteJSON(w, http.StatusOK, map[string]any{
 			"api_version": apiVersion,
 			"coordinator": false,
 			"workers":     []fleet.WorkerView{},
@@ -1071,7 +1072,7 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 	if next != "" {
 		resp["next_page_token"] = next
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleWorkerDetail serves one worker's placement signals — the RTT
@@ -1080,15 +1081,15 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 // no workers) and for expired or unknown ids.
 func (s *Server) handleWorkerDetail(w http.ResponseWriter, r *http.Request) {
 	if s.fleet == nil {
-		writeAPIError(w, http.StatusNotFound, "not_found", "", "not a fleet coordinator")
+		api.WriteError(w, http.StatusNotFound, "not_found", "", "not a fleet coordinator")
 		return
 	}
 	d, ok := s.fleet.WorkerByID(r.PathValue("id"))
 	if !ok {
-		writeAPIError(w, http.StatusNotFound, "not_found", "", "no such worker (expired workers drop from the registry)")
+		api.WriteError(w, http.StatusNotFound, "not_found", "", "no such worker (expired workers drop from the registry)")
 		return
 	}
-	writeJSON(w, http.StatusOK, d)
+	api.WriteJSON(w, http.StatusOK, d)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1101,7 +1102,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{
+	api.WriteJSON(w, code, map[string]string{
 		"status":         status,
 		"engine_version": version.Engine,
 		"git_sha":        version.GitSHA(),
@@ -1170,14 +1171,6 @@ func (s *Server) syncStore(ctx context.Context) error {
 		return nil
 	}
 	return s.cells.Disk.Sync(ctx)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }
 
 // cacheLabel is the X-Cache value, and the cell event's cache field, of

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/experiments"
 )
 
@@ -887,7 +888,7 @@ func TestListJobsPaginationSurvivesReaping(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("token %q: status %d %s, want 400", tok, resp.StatusCode, body)
 		}
-		var env errorEnvelope
+		var env api.ErrorEnvelope
 		if err := json.Unmarshal(body, &env); err != nil {
 			t.Fatal(err)
 		}

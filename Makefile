@@ -37,12 +37,12 @@ bench-smoke:
 
 # One iteration of the exact-cache fast-path benchmarks (flat-array cache,
 # undo journal, single-replay plan/commit, block generation), of the
-# workload graph build and of the disk store's boot scan — a dedicated
-# gate so a regression in the hot path fails ci by name even though
-# bench-smoke also sweeps these packages.
+# Table-1 cell replay, of the workload graph build and of the disk
+# store's boot scan — a dedicated gate so a regression in the hot path
+# fails ci by name even though bench-smoke also sweeps these packages.
 bench-cache:
 	$(GO) test -run '^$$' -bench . -benchtime 1x \
-		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/diskstore/ ./internal/memtrace/ ./internal/workload/
+		./internal/bus/ ./internal/cache/ ./internal/cachemodel/ ./internal/diskstore/ ./internal/measure/ ./internal/memtrace/ ./internal/workload/
 
 # The worker-pool scaling benchmark (EXPERIMENTS.md "Campaign runner"):
 # the 24 cells of the fast compare plan through Cell.Run at 1, 4 and 8

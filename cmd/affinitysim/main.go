@@ -42,6 +42,9 @@
 //	              counters: reallocations, P^A/P^NA charges, penalty time)
 //	              after the exhibits; exhibit output is unchanged (not
 //	              accepted by calibrate, whose runs record no stats)
+//	-engine TIER  per-cell execution tier of compare and future (sim,
+//	              analytic or auto; default sim); calibrate, which runs both
+//	              engines, accepts only sim
 //
 // Every exhibit runs as a registered campaign through experiments.Run —
 // the cell plans the affinityd service executes — so a subcommand's
@@ -160,10 +163,16 @@ func parse(args []string) (string, *cli, error) {
 			return "", nil, err
 		}
 	}
-	if cmd == "calibrate" && c.common.Stats {
-		// The calibration grid runs outside the campaigns and records no
-		// simulation stats: the table would read zero in every row.
-		return "", nil, fmt.Errorf("-stats: calibrate records no simulation stats")
+	if cmd == "calibrate" {
+		// The calibration grid runs every cell on both engines, outside the
+		// campaigns: an -engine tier would be ignored, and the -stats table
+		// would read zero in every row.
+		if c.common.Engine != experiments.EngineSim {
+			return "", nil, fmt.Errorf("-engine: calibrate runs every cell on both engines")
+		}
+		if c.common.Stats {
+			return "", nil, fmt.Errorf("-stats: calibrate records no simulation stats")
+		}
 	}
 	// On the wire 0 selects a field's default, so these flags reject it
 	// themselves.

@@ -55,6 +55,19 @@ func TestParse(t *testing.T) {
 	if _, _, err := parse([]string{"calibrate", "-stats"}); err == nil {
 		t.Error("calibrate -stats accepted")
 	}
+	// calibrate always runs both engines, so it refuses a tier it would
+	// ignore.
+	for _, engine := range []string{experiments.EngineAnalytic, experiments.EngineAuto} {
+		if _, _, err := parse([]string{"calibrate", "-engine", engine}); err == nil {
+			t.Errorf("calibrate -engine %s accepted", engine)
+		}
+	}
+	// A Table-1 budget below the largest Q fails at parse, before any
+	// cell runs.
+	if _, _, err := parse([]string{"future", "-fast", "-reps", "1", "-budget", "0.3"}); err == nil ||
+		!strings.Contains(err.Error(), "params.budget_sec: must be >= 0.4") {
+		t.Errorf("future -budget 0.3: err = %v, want params.budget_sec: must be >= 0.4", err)
+	}
 	if _, _, err := parse([]string{"compare", "-badflag"}); err == nil {
 		t.Error("bad flag accepted")
 	}

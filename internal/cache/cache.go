@@ -469,10 +469,10 @@ func (c *Cache) BeginJournal() {
 		panic("cache: nested BeginJournal")
 	}
 	if c.jlog == nil {
-		// Allocated on first use, since a cache that never journals (the
-		// Section-4 measurement's) needs none. Sized so steady-state
-		// journaling never regrows the undo log (worst case touches every
-		// line once).
+		// Allocated on first use, since a cache that never journals (one
+		// only accessed and flushed, as the tests' oracles use it) needs
+		// none. Sized so steady-state journaling never regrows the undo
+		// log (worst case touches every line once).
 		c.jlog = make([]jentry, 0, len(c.lines))
 	}
 	c.journaling = true

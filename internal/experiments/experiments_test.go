@@ -60,6 +60,24 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%+v: err = %v, want a %s ParamError", tc.p, err, tc.field)
 		}
 	}
+	// The kinds that measure Table 1 need a budget of at least the largest
+	// Q, the bound their schema advertises; the other kinds ignore it.
+	for _, kind := range []string{"table1", "future"} {
+		_, err := Campaign{Kind: kind}.Normalize(CampaignParams{BudgetSec: 0.3})
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != "params.budget_sec" || pe.Msg != "must be >= 0.4" {
+			t.Errorf("%s with budget_sec 0.3: err = %v, want params.budget_sec: must be >= 0.4", kind, err)
+		}
+		if n := mustNormalize(t, kind, CampaignParams{BudgetSec: 0.4}); n.BudgetSec != 0.4 {
+			t.Errorf("%s with budget_sec 0.4: normalized to %v", kind, n.BudgetSec)
+		}
+		for _, spec := range (Campaign{Kind: kind}).ParamSchema() {
+			if spec.Name == "budget_sec" && (spec.Min == nil || *spec.Min != 0.4) {
+				t.Errorf("%s schema: budget_sec min %v, want 0.4", kind, spec.Min)
+			}
+		}
+	}
+	mustNormalize(t, "compare", CampaignParams{BudgetSec: 0.3})
 }
 
 func TestDefaultMachineIs16ProcSymmetry(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -71,6 +72,11 @@ type CampaignParams struct {
 // exhausting the daemon's memory; it also keeps every stream's line
 // indices within 32 bits.
 const maxBudgetSec = 100
+
+// minBudgetSec is the smallest budget_sec of the kinds that measure
+// Table 1 (table1 and future): every run must last at least the largest
+// of the paper's rescheduling intervals, 0.4 s.
+func minBudgetSec() float64 { return slices.Max(measure.DefaultQs()).SecondsF() }
 
 // maxReps bounds reps. Each cell holds one result per replication, so an
 // unbounded count lets one request exhaust the daemon's memory before a
@@ -153,6 +159,10 @@ func (c Campaign) Normalize(p CampaignParams) (CampaignParams, error) {
 	switch c.Kind {
 	case "compare", "future", "futuresim":
 		n.Engine = engine
+	}
+	// The kinds that measure Table 1 run every Q, the largest included.
+	if (c.Kind == "table1" || c.Kind == "future") && budget < minBudgetSec() {
+		return CampaignParams{}, &ParamError{Field: "params.budget_sec", Msg: fmt.Sprintf("must be >= %g", minBudgetSec())}
 	}
 	// Per-kind knobs: only the fields the kind's driver reads survive.
 	switch c.Kind {

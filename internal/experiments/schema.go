@@ -60,7 +60,7 @@ func (c Campaign) ParamSchema() []ParamSpec {
 		Description: "replications per simulation cell (at most 100)"}
 	appScale := ParamSpec{Name: "app_scale", Type: "int", Default: 1, Min: limit(1),
 		Description: "application shrink factor for quick runs"}
-	budget := ParamSpec{Name: "budget_sec", Type: "float", Default: 20.0, Min: limit(0.4), Max: limit(maxBudgetSec),
+	budget := ParamSpec{Name: "budget_sec", Type: "float", Default: 20.0, Min: limit(minBudgetSec()), Max: limit(maxBudgetSec),
 		Description: "Table-1 per-run compute budget in simulated seconds (must cover at least one 400 ms quantum; at most 100, five times the paper's 20)"}
 	policies := func(def []string) ParamSpec {
 		return ParamSpec{Name: "policies", Type: "[]string", Default: def, Allowed: core.PolicyNames(),

@@ -25,6 +25,13 @@
 // intervening program's execution does not pollute the numerator — the
 // deltas isolate pure cache effects, exactly the quantities tabulated in
 // the paper's Table 1.
+//
+// The runs replay precomputed reference streams (Stream) on a private LRU
+// replay cache (lruCache) that keeps only each set's lines in recency
+// order, 4 bytes a line: the protocol needs only hits, misses and flushes.
+// Its hits and misses equal those of the exact simulator cache.Cache,
+// which the tests hold it to; cache.Cache's owner accounting and undo
+// journal serve the scheduler's exact cache model (internal/cachemodel).
 package measure
 
 import (
@@ -34,7 +41,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/memtrace"
 	"repro/internal/parallel"
@@ -125,9 +131,10 @@ const interveningBase = 1 << 40
 // Only a run's first reference can miss: the rest touch the line it just
 // touched, on the same cache, so they are hits that leave the cache's LRU
 // order as it was. Replay therefore sends one reference per run through
-// the cache and charges the rest their compute time in one step, except
-// where a switch point splits the run: the reference after a switch goes
-// through the cache again, since the switch may have evicted the line.
+// the replay cache (lruCache), locating the run's set and key once, and
+// charges the rest their compute time in one step, except where a switch
+// point splits the run: the reference after a switch goes through the
+// cache again, since the switch may have evicted the line.
 //
 // The reference streams of this experiment are fixed by (pattern, address
 // base, seed) alone: think time is one gap per reference, and nothing the
@@ -281,7 +288,7 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 	if err := opts.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	c, err := cache.New(mc.Cache)
+	c, err := newLRUCache(mc.Cache)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -301,11 +308,11 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 	base := measured.base
 	for _, w := range measured.runs {
 		line, k := run(w)
-		addr := base + line*memtrace.LineBytes
+		set, key := c.locate(base, line*memtrace.LineBytes, ownerMeasured)
 		for k > 0 {
 			// The run's first reference, or the first after a switch.
 			own += step
-			if !c.Access(ownerMeasured, addr) {
+			if !c.access(set, key) {
 				misses++
 				own += mc.LineFill
 			}
@@ -325,9 +332,11 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 			case Stationary:
 				// Immediately replaced: no cache disturbance.
 			case Migrating:
-				c.Flush()
+				c.flush()
 			case Multiprog:
-				runIntervening(mc, c, &inter, opts.Q)
+				if err := runIntervening(mc, c, &inter, opts.Q); err != nil {
+					return RunResult{}, err
+				}
 			}
 			nextSwitch = own + opts.Q
 		}
@@ -347,7 +356,9 @@ const interBlock = 256
 
 // runIntervening executes the intervening program on the same cache for q
 // of its own time. Its time does not count against the measured program.
-func runIntervening(mc machine.Config, c *cache.Cache, cur *cursor, q simtime.Duration) {
+// It fails if a reference of the tail generator lies too far into the
+// program's address space for a replay-cache key.
+func runIntervening(mc machine.Config, c *lruCache, cur *cursor, q simtime.Duration) error {
 	step := mc.Compute(cur.s.gap)
 	var t simtime.Duration
 	base, runs := cur.s.base, cur.s.runs
@@ -357,7 +368,7 @@ func runIntervening(mc machine.Config, c *cache.Cache, cur *cursor, q simtime.Du
 		// The first reference of the quantum or of the run goes through
 		// the cache; the rest of the run hits until the quantum ends.
 		t += step
-		if !c.Access(ownerIntervening, base+line*memtrace.LineBytes) {
+		if !c.access(c.locate(base, line*memtrace.LineBytes, ownerIntervening)) {
 			t += mc.LineFill
 		}
 		used := 1
@@ -374,7 +385,7 @@ func runIntervening(mc machine.Config, c *cache.Cache, cur *cursor, q simtime.Du
 		}
 	}
 	if t >= q {
-		return
+		return nil
 	}
 	// Prefix exhausted mid-quantum: continue on the tail generator. How
 	// many more references fit depends on the misses along the way, so
@@ -400,8 +411,13 @@ func runIntervening(mc machine.Config, c *cache.Cache, cur *cursor, q simtime.Du
 		gen.FillBlock(blk)
 		used := 0
 		for _, addr := range blk {
+			off := addr - base
+			if off>>c.lineShift > maxKeyLine {
+				return fmt.Errorf("measure: intervening reference at %#x lies past line %d of its address space, the replay cache's key bound",
+					addr, uint64(maxKeyLine))
+			}
 			t += step
-			if !c.Access(ownerIntervening, addr) {
+			if !c.access(c.locate(base, off, ownerIntervening)) {
 				t += mc.LineFill
 			}
 			used++
@@ -414,6 +430,7 @@ func runIntervening(mc machine.Config, c *cache.Cache, cur *cursor, q simtime.Du
 			gen.FillBlock(blk[:used])
 		}
 	}
+	return nil
 }
 
 // Penalties holds the derived per-switch cache penalties for one measured

@@ -405,11 +405,14 @@ func oracleRun(t *testing.T, mc machine.Config, measured, intervening memtrace.P
 }
 
 // TestRunStreamsMatchesPerReferenceOracle replays every regime on
-// run-length streams and on the per-reference oracle. The cases include
-// a 7 µs quantum (a switch every second reference, splitting nearly every
-// run), budgets short enough that the intervening program runs past its
-// stream's prefix into the tail generator, and a pattern that re-touches
-// a line for thousands of references, so its runs reach maxRun.
+// run-length streams over the replay cache and on the per-reference
+// oracle over cache.Cache. The cases include a 7 µs quantum (a switch
+// every second reference, splitting nearly every run), budgets short
+// enough that the intervening program runs past its stream's prefix into
+// the tail generator, and a pattern that re-touches a line for thousands
+// of references, so its runs reach maxRun. Besides the Symmetry's cache
+// they run on a 4-way cache of 32-byte lines, where two memtrace lines
+// share a cache line, and on a direct-mapped cache of 8-byte lines.
 func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 	lazy := memtrace.Pattern{
 		Name:       "LAZY",
@@ -421,7 +424,16 @@ func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 		Gap:        40 * simtime.Microsecond,
 		Components: []memtrace.Component{{Lines: 300, Period: 24 * simtime.Millisecond}},
 	}
-	mc := machine.Symmetry()
+	var machines []machine.Config
+	for _, geom := range []cache.Config{
+		cache.SymmetryConfig(),
+		{SizeBytes: 32 << 10, LineBytes: 32, Ways: 4},
+		{SizeBytes: 8 << 10, LineBytes: 8, Ways: 1},
+	} {
+		mc := machine.Symmetry()
+		mc.Cache = geom
+		machines = append(machines, mc)
+	}
 	pats := append(memtrace.Patterns(), lazy, slow)
 	cases := []struct {
 		q, budget simtime.Duration
@@ -449,17 +461,19 @@ func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 						if regime != Multiprog && iv.Name != m.Name {
 							continue // the intervening program plays no part
 						}
-						got, err := runStreams(mc, ms, is, regime, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, consumed := oracleRun(t, mc, m, iv, regime, opts)
-						if got != want {
-							t.Fatalf("%s vs %s, %v, Q %v, budget %v, seed %d:\nreplay %+v\noracle %+v",
-								m.Name, iv.Name, regime, tc.q, tc.budget, seed, got, want)
-						}
-						if consumed > is.refs {
-							tails++
+						for _, mc := range machines {
+							got, err := runStreams(mc, ms, is, regime, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, consumed := oracleRun(t, mc, m, iv, regime, opts)
+							if got != want {
+								t.Fatalf("%+v: %s vs %s, %v, Q %v, budget %v, seed %d:\nreplay %+v\noracle %+v",
+									mc.Cache, m.Name, iv.Name, regime, tc.q, tc.budget, seed, got, want)
+							}
+							if consumed > is.refs {
+								tails++
+							}
 						}
 					}
 				}
@@ -481,5 +495,30 @@ func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 	}
 	if full == 0 {
 		t.Errorf("%s: no run reached %d references", lazy.Name, maxRun)
+	}
+}
+
+// measureCellSink keeps BenchmarkMeasureCell's result live.
+var measureCellSink Penalties
+
+// BenchmarkMeasureCell replays one cell of a fast Table-1 campaign (4 s
+// budget, Q = 25 ms, the first pattern measured against all three) over a
+// stream set whose streams were built before the timer starts, so it
+// times the five runs' cache replay alone.
+func BenchmarkMeasureCell(b *testing.B) {
+	mc := machine.Symmetry()
+	mc.Processors = 1
+	set := NewStreamSet(memtrace.Patterns(), 4*simtime.Second, 1)
+	q := 25 * simtime.Millisecond
+	if _, err := set.MeasureCell(mc, 0, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pen, err := set.MeasureCell(mc, 0, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		measureCellSink = pen
 	}
 }

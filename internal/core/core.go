@@ -444,9 +444,9 @@ func (t *TimeShare) Rebalance(s *alloc.State, trig alloc.Trigger, arg int) []all
 	return t.decs
 }
 
-// PolicyNames lists the canonical names ByName accepts (lowercase
-// aliases excluded), in presentation order — the space-sharing policies
-// of Sections 5-6 followed by the Section-8 time-sharing pair.
+// PolicyNames lists the names ByName accepts, in presentation order —
+// the space-sharing policies of Sections 5-6 followed by the Section-8
+// time-sharing pair.
 func PolicyNames() []string {
 	return []string{
 		"Equipartition",
@@ -459,22 +459,24 @@ func PolicyNames() []string {
 	}
 }
 
-// ByName constructs a policy by its paper name.
+// ByName constructs a policy by its paper name. Only the names
+// PolicyNames lists are accepted: a policy has one spelling, so a
+// campaign's policy list — part of its cache identity — has one too.
 func ByName(name string) (alloc.Policy, bool) {
 	switch name {
-	case "Equipartition", "equi":
+	case "Equipartition":
 		return NewEquipartition(), true
-	case "Dynamic", "dynamic":
+	case "Dynamic":
 		return NewDynamic(), true
-	case "Dyn-Aff", "dynaff":
+	case "Dyn-Aff":
 		return NewDynAff(), true
-	case "Dyn-Aff-NoPri", "dynaffnopri":
+	case "Dyn-Aff-NoPri":
 		return NewDynAffNoPri(), true
-	case "Dyn-Aff-Delay", "dynaffdelay":
+	case "Dyn-Aff-Delay":
 		return NewDynAffDelay(), true
-	case "TimeShare-RR", "timeshare":
+	case "TimeShare-RR":
 		return NewTimeShare(0), true
-	case "TimeShare-Aff", "timeshareaff":
+	case "TimeShare-Aff":
 		return NewTimeShareAff(0), true
 	}
 	return nil, false

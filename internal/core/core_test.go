@@ -68,15 +68,17 @@ func TestPolicyIdentities(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"Equipartition", "Dynamic", "Dyn-Aff",
-		"Dyn-Aff-NoPri", "Dyn-Aff-Delay", "TimeShare-RR",
-		"equi", "dynamic", "dynaff", "dynaffnopri", "dynaffdelay", "timeshare"} {
-		if _, ok := ByName(name); !ok {
-			t.Errorf("ByName(%q) failed", name)
+	for _, name := range PolicyNames() {
+		if p, ok := ByName(name); !ok || p.Name() != name {
+			t.Errorf("ByName(%q) = %v, %v", name, p, ok)
 		}
 	}
-	if _, ok := ByName("bogus"); ok {
-		t.Error("bogus name accepted")
+	// One spelling per policy: the lowercase names ByName once also
+	// took would give a campaign a second cache identity.
+	for _, name := range []string{"bogus", "equi", "dynamic", "dynaff", "dynaffnopri", "dynaffdelay", "timeshare", "timeshareaff"} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) accepted", name)
+		}
 	}
 }
 
@@ -330,8 +332,8 @@ func TestTimeShareAff(t *testing.T) {
 	if !pol.PrefersAffinity() {
 		t.Error("TimeShare-Aff must prefer affinity")
 	}
-	if p, ok := ByName("timeshareaff"); !ok || !p.PrefersAffinity() {
-		t.Error("ByName(timeshareaff) wrong")
+	if p, ok := ByName("TimeShare-Aff"); !ok || !p.PrefersAffinity() {
+		t.Error("ByName(TimeShare-Aff) wrong")
 	}
 	// It still rotates like the base policy.
 	s := state(4, [][3]int{{1, 10, 0}, {1, 10, 0}})

@@ -48,7 +48,7 @@ var calibrationMetrics = []string{"mean_rt_sec", "reallocations", "miss_sec", "s
 func CalibrationGrid() []analytic.CalCell {
 	var cells []analytic.CalCell
 	for mix := 1; mix <= 6; mix++ {
-		for _, pol := range defaultComparePolicies() {
+		for _, pol := range comparePoliciesParam.Default.([]string) {
 			cells = append(cells, analytic.CalCell{
 				Coord: compareCellCoord(calibrationProcs, calibrationReps,
 					calibrationAppScale, calibrationSeed, mix, pol),
@@ -62,8 +62,8 @@ func CalibrationGrid() []analytic.CalCell {
 			})
 		}
 	}
-	for _, prod := range []float64{1, 16, 64, 256, 1024} {
-		for _, pol := range append([]string{"Equipartition"}, defaultDynamicPolicies()...) {
+	for _, prod := range productsParam.Default.([]float64) {
+		for _, pol := range append([]string{"Equipartition"}, dynamicPoliciesParam.Default.([]string)...) {
 			cells = append(cells, analytic.CalCell{
 				Coord: futureSimCellCoord(calibrationProcs, calibrationReps,
 					calibrationAppScale, calibrationSeed, 5, prod, pol),

@@ -166,31 +166,11 @@ type grid struct {
 // planGrid normalizes p and returns the kind's grid over the normalized
 // params.
 func planGrid(kind string, p CampaignParams) (CampaignParams, grid, error) {
-	c, ok := CampaignByKind(kind)
-	if !ok {
-		return p, grid{}, fmt.Errorf("experiments: unknown campaign kind %q", kind)
-	}
-	np, err := c.Normalize(p)
+	np, err := Campaign{Kind: kind}.Normalize(p)
 	if err != nil {
 		return p, grid{}, err
 	}
-	var g grid
-	switch kind {
-	case "characterize":
-		g, err = characterizeGrid(np)
-	case "table1":
-		g, err = table1Grid(np)
-	case "compare":
-		g, err = compareGrid(np)
-	case "future":
-		g, err = futureGrid(np)
-	case "futuresim":
-		g, err = futureSimGrid(np)
-	case "relatedwork":
-		g, err = relatedWorkGrid(np)
-	default:
-		err = fmt.Errorf("experiments: campaign kind %q has no cell decomposition", kind)
-	}
+	g, err := kindByName(kind).grid(np)
 	return np, g, err
 }
 

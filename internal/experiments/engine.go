@@ -21,21 +21,17 @@ const (
 )
 
 // ValidateEngine reports whether engine names a tier the campaign kind
-// can run: any known tier on the grid-shaped kinds (compare, future,
-// futuresim), only "" or EngineSim elsewhere. The returned error is the
-// same *ParamError the service surfaces (field "params.engine"), so a
-// CLI flag and an HTTP request fail with identical diagnostics instead
-// of the flag being silently ignored.
+// can run: any known tier on the kinds that list the engine parameter,
+// only "" or EngineSim elsewhere (unknown kinds included). The returned
+// error is the same *ParamError the service surfaces (field
+// "params.engine"), so a CLI flag and an HTTP request fail with
+// identical diagnostics instead of the flag being silently ignored.
 func ValidateEngine(kind, engine string) error {
 	norm, err := normalizeEngine(engine)
 	if err != nil {
 		return &ParamError{Field: "params.engine", Msg: err.Error()}
 	}
-	switch kind {
-	case "compare", "future", "futuresim":
-		return nil
-	}
-	if norm != EngineSim {
+	if k := kindByName(kind); norm != EngineSim && (k == nil || k.param(engineParam.Name) == nil) {
 		return &ParamError{Field: "params.engine",
 			Msg: fmt.Sprintf("kind %q has no simulation grid; engine must be omitted or %q", kind, EngineSim)}
 	}

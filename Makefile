@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test quick race bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke examples-smoke ci
+.PHONY: all build fmt-check vet test quick race fuzz-smoke bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke examples-smoke ci
 
 all: build
 
@@ -29,6 +29,14 @@ quick: build test
 
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of the campaign-parameter fuzz (FuzzCampaignParams): random
+# params normalized as every kind must never panic, must normalize to
+# themselves again with the same cache key, must stay within the kind's
+# advertised schema, and must be refused only as a ParamError naming a
+# schema parameter. A plain `go test` runs its seed corpus only.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCampaignParams$$' -fuzztime 10s -parallel 2 ./internal/experiments/
 
 # One iteration of every benchmark — proves the exhibit drivers still run,
 # without the minutes-long full sweep.
@@ -145,4 +153,4 @@ examples-smoke:
 	$(GO) run ./examples/futurecast -fast > /dev/null
 	$(GO) run ./examples/multiprog -fast > /dev/null
 
-ci: fmt-check vet build race bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke examples-smoke
+ci: fmt-check vet build race fuzz-smoke bench-smoke bench-cache bench-check bench-api serve-smoke obs-smoke cell-smoke persist-smoke fleet-smoke analytic-smoke examples-smoke

@@ -70,7 +70,8 @@ type Model interface {
 	// InvalidateShared models coherency traffic: a task on fromProc wrote
 	// 'lines' job-shared lines, invalidating any copies the sibling tasks
 	// (by id) hold on OTHER processors. It returns the total lines
-	// invalidated.
+	// invalidated. The footprint model requires siblings in ascending
+	// order, as the scheduler lists them; the exact models take any order.
 	InvalidateShared(fromProc int, siblings []int, lines float64) float64
 	// Reset empties every per-processor cache (cold start) while retaining
 	// allocated capacity, so one model instance can serve many simulation
@@ -150,16 +151,18 @@ func (f *Footprint) Commit(proc, task int, pat *memtrace.Pattern, c0, w simtime.
 	return f.procs[proc].RunSegment(task, pat, c0, c0+w, r0)
 }
 
-// InvalidateShared implements Model.
+// InvalidateShared implements Model. Each processor scans only the
+// entries it holds, in place of a lookup per sibling; siblings must be
+// ascending. The lines removed and their sum, added processor by
+// processor and sibling by sibling, are those of invalidating every
+// sibling on every processor in turn.
 func (f *Footprint) InvalidateShared(fromProc int, siblings []int, lines float64) float64 {
 	total := 0.0
 	for p, fc := range f.procs {
 		if p == fromProc {
 			continue
 		}
-		for _, sib := range siblings {
-			total += fc.Invalidate(sib, lines)
-		}
+		total = fc.Invalidate(siblings, lines, total)
 	}
 	f.stats.Flushes++
 	f.stats.InvalLines += total

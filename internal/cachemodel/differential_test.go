@@ -1,6 +1,8 @@
 package cachemodel
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +237,75 @@ func BenchmarkExactSegmentPreempt(b *testing.B) {
 		c0 := simtime.Duration(i) * w
 		m.Plan(0, 1, &pat, c0, w, 0)
 		m.Commit(0, 1, &pat, c0, w/2, 0)
+	}
+}
+
+// TestFootprintInvalidateMatchesSiblingLoop drives random residency and
+// ascending sibling lists through Footprint.InvalidateShared, which scans
+// each processor's resident entries, and through the sibling-order loop it
+// replaced, which invalidates every sibling on every other processor in
+// turn and adds each amount to the total as it goes. The totals must be
+// bitwise equal and every processor's entries identical, order included:
+// a later Load's displacement sums over the entries in slice order.
+func TestFootprintInvalidateMatchesSiblingLoop(t *testing.T) {
+	const nprocs, ntasks = 6, 24
+	var partial, removed, absent int
+	for seed := uint64(1); seed <= 60; seed++ {
+		rng := xrand.New(seed, 0x1a7)
+		capacity := 200 + rng.Intn(4000)
+		got, err := NewFootprint(nprocs, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := NewFootprint(nprocs, capacity)
+		for step := 0; step < 300; step++ {
+			if rng.Intn(3) > 0 {
+				p, task, lines := rng.Intn(nprocs), rng.Intn(ntasks), float64(rng.Intn(capacity))*rng.Float64()
+				got.procs[p].Load(task, lines)
+				want.procs[p].Load(task, lines)
+				continue
+			}
+			var siblings []int
+			for task := 0; task < ntasks; task++ {
+				if rng.Intn(3) == 0 {
+					siblings = append(siblings, task)
+				}
+			}
+			from := rng.Intn(nprocs)
+			lines := float64(rng.Intn(400)) * rng.Float64()
+			if rng.Intn(10) == 0 {
+				lines = -lines
+			}
+			total := 0.0
+			for p, fc := range want.procs {
+				if p == from {
+					continue
+				}
+				for _, sib := range siblings {
+					r := fc.Resident(sib)
+					switch {
+					case r == 0:
+						absent++
+					case lines > 0 && lines < r:
+						partial++
+					case lines > 0:
+						removed++
+					}
+					total = fc.Invalidate([]int{sib}, lines, total)
+				}
+			}
+			if g := got.InvalidateShared(from, siblings, lines); math.Float64bits(g) != math.Float64bits(total) {
+				t.Fatalf("seed %d step %d: InvalidateShared = %v, sibling loop %v", seed, step, g, total)
+			}
+			for p := range got.procs {
+				if !reflect.DeepEqual(got.procs[p], want.procs[p]) {
+					t.Fatalf("seed %d step %d: processor %d diverged:\ngot  %+v\nwant %+v",
+						seed, step, p, *got.procs[p], *want.procs[p])
+				}
+			}
+		}
+	}
+	if partial == 0 || removed == 0 || absent == 0 {
+		t.Errorf("inputs missed a case: %d partial, %d removed, %d absent", partial, removed, absent)
 	}
 }

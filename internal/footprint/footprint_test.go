@@ -205,7 +205,7 @@ func TestQuickInvariants(t *testing.T) {
 			case 0:
 				c.Flush()
 			case 1:
-				c.Invalidate(rng.Intn(5), float64(rng.Intn(400)))
+				c.Invalidate([]int{rng.Intn(5)}, float64(rng.Intn(400)), 0)
 			default:
 				c.Load(rng.Intn(5), float64(rng.Intn(400)))
 			}
@@ -255,24 +255,24 @@ func TestQuickSegmentMonotone(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := MustNew(100)
 	c.Load(1, 50)
-	if got := c.Invalidate(1, 20); got != 20 {
+	if got := c.Invalidate([]int{1}, 20, 0); got != 20 {
 		t.Errorf("Invalidate = %v, want 20", got)
 	}
 	if c.Resident(1) != 30 || c.Occupied() != 30 {
 		t.Errorf("after partial invalidate: r=%v occ=%v", c.Resident(1), c.Occupied())
 	}
 	// Over-invalidation removes everything and reports the actual amount.
-	if got := c.Invalidate(1, 100); got != 30 {
+	if got := c.Invalidate([]int{1}, 100, 0); got != 30 {
 		t.Errorf("over-Invalidate = %v, want 30", got)
 	}
 	if c.Resident(1) != 0 || c.Occupied() != 0 {
 		t.Error("residue after full invalidate")
 	}
 	// Absent task and non-positive amounts are no-ops.
-	if got := c.Invalidate(9, 10); got != 0 {
+	if got := c.Invalidate([]int{9}, 10, 0); got != 0 {
 		t.Errorf("absent-task Invalidate = %v", got)
 	}
-	if got := c.Invalidate(1, -5); got != 0 {
+	if got := c.Invalidate([]int{1}, -5, 0); got != 0 {
 		t.Errorf("negative Invalidate = %v", got)
 	}
 }

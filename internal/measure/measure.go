@@ -118,23 +118,31 @@ const interveningBase = 1 << 40
 // Stream is a precomputed prefix of one program's reference stream, plus a
 // generator parked at the prefix end for the (rare) references beyond it.
 //
-// The prefix is run-length encoded: one uint32 per run of identical
-// consecutive references, line<<runBits | count, where line is the
-// reference's line index relative to the stream's address base and count
-// is 1..maxRun (a longer run continues in the next word). A reference's
-// byte address is base + line*memtrace.LineBytes: generators emit one
-// line-aligned address per touch, so the index loses nothing. Every
-// reference a pattern does not send to one of its regions re-touches the
-// previous line, so runs are 45-62% as many as references for the
-// built-in patterns, and a stream takes 1.8-2.5 bytes a reference.
+// The prefix is run-length encoded in 2-byte words, one per run of
+// identical consecutive references: a word holds the run's line as a
+// signed 13-bit difference from the previous run's line, and its count,
+// 1..maxRun, in the low runBits (see appendRun and nextRun for the exact
+// layout). A reference's byte address is base + line*memtrace.LineBytes,
+// where line is its line index relative to the stream's address base:
+// generators emit one line-aligned address per touch, so the index loses
+// nothing. A longer run continues in the next word, on the same line. A
+// difference that does not fit, as when a GRAVITY phase relocates its
+// regions, is carried by an escape: two words with the absolute line, then
+// the run's own word. Every reference a pattern does not send to one of its
+// regions re-touches the previous line, so runs are 45-62% as many as
+// references for the built-in patterns; splitting adds 0.1-1.5% words and
+// escapes a handful, so a stream takes about 2 bytes a run, under 1.3 a
+// reference.
 //
 // Only a run's first reference can miss: the rest touch the line it just
 // touched, on the same cache, so they are hits that leave the cache's LRU
-// order as it was. Replay therefore sends one reference per run through
+// order as it was. Replay therefore sends one reference per word through
 // the replay cache (lruCache), locating the run's set and key once, and
 // charges the rest their compute time in one step, except where a switch
 // point splits the run: the reference after a switch goes through the
-// cache again, since the switch may have evicted the line.
+// cache again, since the switch may have evicted the line. A split run's
+// next word sends its line through the cache once more: without a switch
+// between, that is a hit on the most recent line, which changes nothing.
 //
 // The reference streams of this experiment are fixed by (pattern, address
 // base, seed) alone: think time is one gap per reference, and nothing the
@@ -147,23 +155,57 @@ const interveningBase = 1 << 40
 // bitwise identical to per-reference generation.
 type Stream struct {
 	base uint64
-	runs []uint32 // line<<runBits | count
+	runs []uint16 // run words; see nextRun
 	refs int      // references in the prefix: the sum of the run counts
 	gap  simtime.Duration
 	tail *memtrace.Generator // positioned after the prefix; cloned, never mutated
 }
 
-// Run-length word layout: the low runBits hold a run's count, the high
-// 32-runBits its line index.
+// Run-word layout: the low runBits hold a run's count, the high 16-runBits
+// its line's signed difference from the previous run's line (the first
+// run's previous line is 0), in [minDelta, maxDelta]. A word with count 0
+// is an escape: its high bits are the line's bits from 16 up, the next
+// word its low 16 bits, and the word after that is the run's own, with a
+// difference of 0. A line index is at most maxLine.
 const (
-	runBits = 8
-	maxRun  = 1<<runBits - 1
-	maxLine = 1<<(32-runBits) - 1
+	runBits  = 3
+	maxRun   = 1<<runBits - 1
+	maxDelta = 1<<(15-runBits) - 1
+	minDelta = -1 << (15 - runBits)
+	lineBits = 24
+	maxLine  = 1<<lineBits - 1
 )
 
-// run decodes one run-length word.
-func run(w uint32) (line uint64, count int) {
-	return uint64(w >> runBits), int(w & maxRun)
+// run decodes one run word: its line's difference from the previous run's
+// line, and its count, 0 for an escape.
+func run(w uint16) (delta int64, count int) {
+	return int64(int16(w) >> runBits), int(w & maxRun)
+}
+
+// nextRun decodes the run whose first word is runs[i], the previous run
+// being on line prev: it returns the run's line and count and the index of
+// the next run's first word.
+func nextRun(runs []uint16, i int, prev uint64) (line uint64, count, next int) {
+	w := runs[i]
+	if w&maxRun == 0 {
+		prev = uint64(w>>runBits)<<16 | uint64(runs[i+1])
+		i += 2
+		w = runs[i]
+	}
+	d, k := run(w)
+	return prev + uint64(d), k, i + 1
+}
+
+// appendRun appends a run of count (1..maxRun) references to line, the
+// previous run being on line prev, escaping the line when the difference
+// does not fit a word.
+func appendRun(runs []uint16, prev, line uint64, count int) []uint16 {
+	d := int64(line - prev)
+	if d < minDelta || d > maxDelta {
+		runs = append(runs, uint16(line>>16)<<runBits, uint16(line))
+		d = 0
+	}
+	return append(runs, uint16(d)<<runBits|uint16(count))
 }
 
 // streamBlock is the address-batch size of stream construction.
@@ -171,17 +213,17 @@ const streamBlock = 4096
 
 // newStream precomputes a budget's worth of compute of the pattern's
 // stream: exactly the references that much execution performs. It fails,
-// rather than wrapping, if a line index does not fit in the 24 bits a run
-// word holds. A Stream is immutable after construction and safe for
-// concurrent use.
+// rather than wrapping, if a line index exceeds maxLine. A Stream is
+// immutable after construction and safe for concurrent use.
 func newStream(pat memtrace.Pattern, base, seed uint64, budget simtime.Duration) (*Stream, error) {
 	g := memtrace.NewGenerator(pat, base, seed)
 	n := g.RefsFor(budget)
-	runs := make([]uint32, 0, runsEstimate(pat, n))
+	runs := make([]uint16, 0, runsEstimate(pat, n))
 	var buf [streamBlock]uint64
-	// The open run: count references to line so far. No line matches the
-	// initial one, so the first reference opens a run.
-	line, count := uint64(math.MaxUint64), 0
+	// The open run: count references to line so far, after a run on line
+	// prev. No line matches the initial one, so the first reference opens
+	// a run.
+	line, count, prev := uint64(math.MaxUint64), 0, uint64(0)
 	for done := 0; done < n; {
 		blk := buf[:min(len(buf), n-done)]
 		g.FillBlock(blk)
@@ -193,30 +235,39 @@ func newStream(pat memtrace.Pattern, base, seed uint64, budget simtime.Duration)
 			}
 			if l > maxLine {
 				return nil, fmt.Errorf("measure: %s: reference %d at line %d overflows a %d-bit line index",
-					pat.Name, done+i, l, 32-runBits)
+					pat.Name, done+i, l, lineBits)
 			}
 			if count > 0 {
-				runs = append(runs, uint32(line<<runBits)|uint32(count))
+				runs = appendRun(runs, prev, line, count)
+				prev = line
 			}
 			line, count = l, 1
 		}
 		done += len(blk)
 	}
 	if count > 0 {
-		runs = append(runs, uint32(line<<runBits)|uint32(count))
+		runs = appendRun(runs, prev, line, count)
 	}
 	return &Stream{base: base, runs: runs, refs: n, gap: g.Gap(), tail: g}, nil
 }
 
-// runsEstimate sizes a stream's run slice: n references, of which a
-// pattern sends a RegionShare to its regions, each opening a new run (the
-// rest re-touch the previous line and extend the open one). Eight standard
-// deviations of headroom keep the binomial count inside the estimate, so
-// the slice is allocated once and nearly full; a stream with more runs
-// than the estimate only costs a regrowth. Growing the slice by append
-// instead allocates about six times the final slice over a stream's build.
+// runsEstimate sizes a stream's word slice: n references, of which a
+// pattern sends a RegionShare p to its regions, each opening a new run
+// (the rest re-touch the previous line and extend the open one). Runs are
+// then geometric in length, and a run takes one word per maxRun
+// references, 1/(1-(1-p)^maxRun) words on average. Eight standard
+// deviations of headroom, and 64 words for the escapes, keep the count
+// inside the estimate, so the slice is allocated once and nearly full; a
+// stream with more words than the estimate only costs a regrowth. Growing
+// the slice by append instead allocates about six times the final slice
+// over a stream's build.
 func runsEstimate(pat memtrace.Pattern, n int) int {
-	mean := float64(n) * pat.RegionShare()
+	p := min(pat.RegionShare(), 1)
+	perRef := 1.0 / maxRun
+	if p > 0 {
+		perRef = p / (1 - math.Pow(1-p, maxRun))
+	}
+	mean := float64(n) * perRef
 	return min(n, int(mean+8*math.Sqrt(mean))+64)
 }
 
@@ -235,12 +286,14 @@ func interveningStream(intervening memtrace.Pattern, budget simtime.Duration, se
 }
 
 // cursor is one run's private read position over a shared Stream: the
-// next reference is number off (from 0) of run runs[run].
+// next run's first word is runs[next], and left references remain of the
+// current run, on line line.
 type cursor struct {
 	s    *Stream
-	run  int
-	off  int
-	tail *memtrace.Generator // lazy clone of s.tail once run passes the prefix
+	next int
+	line uint64
+	left int
+	tail *memtrace.Generator // lazy clone of s.tail once the prefix is consumed
 }
 
 // Run performs one single-processor run of the measured pattern under the
@@ -305,9 +358,11 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 		misses     uint64
 	)
 	step := mc.Compute(measured.gap)
-	base := measured.base
-	for _, w := range measured.runs {
-		line, k := run(w)
+	base, runs := measured.base, measured.runs
+	var line uint64
+	for i := 0; i < len(runs); {
+		var k int
+		line, k, i = nextRun(runs, i, line)
 		set, key := c.locate(base, line*memtrace.LineBytes, ownerMeasured)
 		for k > 0 {
 			// The run's first reference, or the first after a switch.
@@ -362,27 +417,23 @@ func runIntervening(mc machine.Config, c *lruCache, cur *cursor, q simtime.Durat
 	step := mc.Compute(cur.s.gap)
 	var t simtime.Duration
 	base, runs := cur.s.base, cur.s.runs
-	for t < q && cur.run < len(runs) {
-		line, k := run(runs[cur.run])
-		k -= cur.off
+	for t < q && (cur.left > 0 || cur.next < len(runs)) {
+		if cur.left == 0 {
+			cur.line, cur.left, cur.next = nextRun(runs, cur.next, cur.line)
+		}
 		// The first reference of the quantum or of the run goes through
 		// the cache; the rest of the run hits until the quantum ends.
 		t += step
-		if !c.access(c.locate(base, line*memtrace.LineBytes, ownerIntervening)) {
+		if !c.access(c.locate(base, cur.line*memtrace.LineBytes, ownerIntervening)) {
 			t += mc.LineFill
 		}
 		used := 1
 		if t < q {
-			h := hitsUntil(t, step, q, k-1)
+			h := hitsUntil(t, step, q, cur.left-1)
 			t += simtime.Duration(h) * step
 			used += h
 		}
-		if used < k {
-			cur.off += used
-		} else {
-			cur.run++
-			cur.off = 0
-		}
+		cur.left -= used
 	}
 	if t >= q {
 		return nil

@@ -300,37 +300,93 @@ func TestStreamReplaysGenerator(t *testing.T) {
 					t.Fatalf("%s base %#x: reference %d = %#x, want %#x", p.Name, base, i, got[i], want[i])
 				}
 			}
-			for i := 1; i < len(s.runs); i++ {
-				line, k := run(s.runs[i-1])
-				if next, _ := run(s.runs[i]); next == line && k < maxRun {
-					t.Fatalf("%s: run %d continues run %d of %d references", p.Name, i, i-1, k)
+			rs := decodeRuns(s)
+			for i := 1; i < len(rs); i++ {
+				if rs[i].line == rs[i-1].line && rs[i-1].count < maxRun {
+					t.Fatalf("%s: run %d continues run %d of %d references", p.Name, i, i-1, rs[i-1].count)
 				}
 			}
 			if ratio := float64(len(s.runs)) / float64(s.refs); ratio < 0.4 || ratio > 0.65 {
-				t.Errorf("%s: %d runs for %d references (%.2f), want 0.40-0.65", p.Name, len(s.runs), s.refs, ratio)
+				t.Errorf("%s: %d run words for %d references (%.2f), want 0.40-0.65", p.Name, len(s.runs), s.refs, ratio)
 			}
 		}
 	}
+}
+
+// streamRun is one decoded run of a stream.
+type streamRun struct {
+	line  uint64
+	count int
+}
+
+// decodeRuns decodes a stream's run words, failing on an empty run.
+func decodeRuns(s *Stream) []streamRun {
+	var out []streamRun
+	var line uint64
+	for i := 0; i < len(s.runs); {
+		var k int
+		line, k, i = nextRun(s.runs, i, line)
+		if k == 0 {
+			panic("measure: empty run")
+		}
+		out = append(out, streamRun{line, k})
+	}
+	return out
 }
 
 // decode expands a stream's prefix into byte addresses.
 func decode(s *Stream) []uint64 {
 	var out []uint64
-	for _, w := range s.runs {
-		line, k := run(w)
-		if k == 0 {
-			panic("measure: empty run")
-		}
-		for ; k > 0; k-- {
-			out = append(out, s.base+line*memtrace.LineBytes)
+	for _, r := range decodeRuns(s) {
+		for k := r.count; k > 0; k-- {
+			out = append(out, s.base+r.line*memtrace.LineBytes)
 		}
 	}
 	return out
 }
 
+// TestStreamBytesPerRun holds each built-in pattern's stream, measured and
+// intervening, to at most 2.1 bytes per run of identical consecutive
+// references at the fast (4 s) and full (20 s) Table-1 budgets: splitting
+// long runs and escaping far jumps may add at most 5% words. It also
+// checks that runsEstimate sized the slice without a regrowth.
+func TestStreamBytesPerRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds full-budget streams")
+	}
+	for _, budget := range []simtime.Duration{4 * simtime.Second, 20 * simtime.Second} {
+		for _, p := range memtrace.Patterns() {
+			for _, s := range []func() (*Stream, error){
+				func() (*Stream, error) { return measuredStream(p, budget, 1) },
+				func() (*Stream, error) { return interveningStream(p, budget, 1) },
+			} {
+				st, err := s()
+				if err != nil {
+					t.Fatal(err)
+				}
+				runs := 0
+				prev := streamRun{count: -1}
+				for _, r := range decodeRuns(st) {
+					if r.line != prev.line || prev.count < 0 {
+						runs++
+					}
+					prev = r
+				}
+				if per := 2 * float64(len(st.runs)) / float64(runs); per > 2.1 {
+					t.Errorf("%s at %v (base %#x): %d words for %d runs, %.3f bytes a run, want <= 2.1",
+						p.Name, budget, st.base, len(st.runs), runs, per)
+				}
+				if est := runsEstimate(p, st.refs); cap(st.runs) != est {
+					t.Errorf("%s at %v: %d words outgrew the estimate %d", p.Name, budget, len(st.runs), est)
+				}
+			}
+		}
+	}
+}
+
 // TestStreamLineIndexOverflow checks that a stream whose line indices
-// outgrow the 24 bits of a run word is refused with an error, not wrapped
-// or panicked on. A huge region relocated every reference crosses 2^24
+// outgrow the 24-bit line index is refused with an error, not wrapped or
+// panicked on. A huge region relocated every reference crosses 2^24
 // lines within a handful of references.
 func TestStreamLineIndexOverflow(t *testing.T) {
 	const lines = 1 << 22

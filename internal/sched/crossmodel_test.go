@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cachemodel"
 	"repro/internal/core"
+	"repro/internal/eventq"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -202,5 +203,59 @@ func TestSharedDataInvalidation(t *testing.T) {
 	pol, _ := core.ByName("Dynamic")
 	if _, err := Run(Config{Machine: mc16(), Policy: pol, Apps: []workload.App{bad}}); err == nil {
 		t.Error("SharedFrac 1.5 accepted")
+	}
+}
+
+// siblingOrder is a cache model that counts the sibling lists the
+// scheduler passes InvalidateShared and those not strictly ascending.
+type siblingOrder struct {
+	cachemodel.Model
+	calls, unordered int
+}
+
+func (m *siblingOrder) InvalidateShared(fromProc int, siblings []int, lines float64) float64 {
+	m.calls++
+	for i := 1; i < len(siblings); i++ {
+		if siblings[i] <= siblings[i-1] {
+			m.unordered++
+			break
+		}
+	}
+	return m.Model.InvalidateShared(fromProc, siblings, lines)
+}
+
+// TestInvalidateSharedSiblingsAscending pins the contract the footprint
+// model's resident-only invalidation relies on: the scheduler lists a
+// job's other tasks by ascending task id. It runs a three-application mix
+// whose jobs write shared lines and checks every list.
+func TestInvalidateSharedSiblingsAscending(t *testing.T) {
+	pol, _ := core.ByName("Dyn-Aff")
+	cfg := Config{
+		Machine: mc16(),
+		Policy:  pol,
+		Apps:    []workload.App{smallMVA(), smallMatrix(), smallGravity()},
+		Seed:    3,
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.withDefaults()
+	fp, err := cachemodel.NewFootprint(cfg.Machine.Processors, cfg.Machine.Cache.Lines())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &siblingOrder{Model: fp}
+	e := &engine{q: &eventq.Queue{}}
+	if err := e.reset(cfg, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.calls == 0 {
+		t.Fatal("no coherency invalidation ran")
+	}
+	if m.unordered > 0 {
+		t.Errorf("%d of %d sibling lists not ascending", m.unordered, m.calls)
 	}
 }

@@ -934,6 +934,8 @@ func (e *engine) invalidateShared(p *procRT, j *jobRT, t *taskRT, w simtime.Dura
 	if writes < 0.5 {
 		return
 	}
+	// j.tasks is in creation order, and so by ascending gid: the sibling
+	// list is ascending, as the footprint model's InvalidateShared needs.
 	siblings := j.sibScratch[:0]
 	for _, sib := range j.tasks {
 		if sib != t {

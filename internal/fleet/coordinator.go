@@ -104,6 +104,10 @@ type Metrics struct {
 	// Duplicates counts valid results that arrived after a winner and
 	// were discarded by cell key — the at-least-once overshoot.
 	Duplicates obs.Counter
+	// DuplicateMismatches counts the duplicates whose cell body differs
+	// from the winner's. Cells are deterministic, so any mismatch is a
+	// worker computing a different answer for the same key.
+	DuplicateMismatches obs.Counter
 	// Failures counts attempts that returned an error (connection
 	// failure, non-200, or an identity mismatch).
 	Failures obs.Counter
@@ -626,7 +630,7 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 					c.Stats.HedgeWins.Inc()
 				}
 				if outstanding > 0 {
-					go c.drainLate(ch, outstanding)
+					go c.drainLate(ch, outstanding, out.resp.Body)
 				}
 				out.resp.Placement = out.placement
 				return out.resp, nil
@@ -681,19 +685,23 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 func (c *Coordinator) abandon(ch chan attemptOutcome, outstanding int) {
 	c.Stats.Fallbacks.Inc()
 	if outstanding > 0 {
-		go c.drainLate(ch, outstanding)
+		go c.drainLate(ch, outstanding, nil)
 	}
 }
 
 // drainLate consumes attempts that finished after a winner (or after
-// abandonment): valid duplicates are counted and discarded — never
-// folded into stats or a merge — and late failures are counted as
+// abandonment, when winner is nil): valid duplicates are counted and
+// discarded — never folded into stats or a merge — after their body is
+// checked against the winner's, and late failures are counted as
 // failures.
-func (c *Coordinator) drainLate(ch chan attemptOutcome, n int) {
+func (c *Coordinator) drainLate(ch chan attemptOutcome, n int, winner json.RawMessage) {
 	for i := 0; i < n; i++ {
 		out := <-ch
 		if out.err == nil {
 			c.Stats.Duplicates.Inc()
+			if winner != nil && !bytes.Equal(out.resp.Body, winner) {
+				c.Stats.DuplicateMismatches.Inc()
+			}
 		} else {
 			c.Stats.Failures.Inc()
 		}

@@ -52,6 +52,8 @@ type stubWorker struct {
 	ts *httptest.Server
 	// delay returns how long request number n should take.
 	delay func(n int) time.Duration
+	// body, when set, is answered in place of the cell's echoed body.
+	body string
 
 	mu     sync.Mutex
 	served int
@@ -78,13 +80,17 @@ func newStubWorker(t *testing.T, delay func(n int) time.Duration) *stubWorker {
 				return
 			}
 		}
+		body := json.RawMessage(fmt.Sprintf(`{"cell":%q}`, req.CellID))
+		if s.body != "" {
+			body = json.RawMessage(s.body)
+		}
 		writeFleetJSON(w, http.StatusOK, ExecuteResponse{
 			CellID: req.CellID,
 			Key:    req.Key,
 			Worker: s.ts.URL,
 			Source: "executed",
 			ExecNs: 1,
-			Body:   json.RawMessage(fmt.Sprintf(`{"cell":%q}`, req.CellID)),
+			Body:   body,
 		})
 	})
 	s.ts = httptest.NewServer(mux)
@@ -289,6 +295,41 @@ func TestHedgedDispatchFirstValidWins(t *testing.T) {
 				c.Stats.Duplicates.Load(), c.Stats.Failures.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if m := c.Stats.DuplicateMismatches.Load(); m != 0 {
+		t.Errorf("an identical duplicate counted as %d mismatches", m)
+	}
+}
+
+// TestLateDuplicateMismatchCounted: a straggler whose late result carries
+// different bytes from the hedge's winning result is still discarded as a
+// duplicate, and is counted as a mismatch.
+func TestLateDuplicateMismatchCounted(t *testing.T) {
+	c := NewCoordinator(Config{HedgeDelay: 10 * time.Millisecond, Backoff: time.Millisecond})
+	ts := coordServer(t, c)
+	slow := newStubWorker(t, func(int) time.Duration { return 300 * time.Millisecond })
+	slow.body = `{"cell":"diverged"}`
+	fast := newStubWorker(t, nil)
+	registerWorker(t, ts.URL, slow.ts.URL, 16, version.Engine)
+	registerWorker(t, ts.URL, fast.ts.URL, 1, version.Engine)
+
+	resp, err := c.DispatchBudget(context.Background(), execReq("c0"), nil)
+	if err != nil {
+		t.Fatalf("dispatch: %v", err)
+	}
+	if resp.Worker != fast.ts.URL || string(resp.Body) != `{"cell":"c0"}` {
+		t.Fatalf("dispatch won by %q with %s, want the fast worker's echo", resp.Worker, resp.Body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats.Duplicates.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("straggler result never drained (dup=%d fail=%d)",
+				c.Stats.Duplicates.Load(), c.Stats.Failures.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if m := c.Stats.DuplicateMismatches.Load(); m != 1 {
+		t.Errorf("DuplicateMismatches = %d, want 1", m)
 	}
 }
 

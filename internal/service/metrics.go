@@ -195,6 +195,7 @@ func (m *metrics) serve(w http.ResponseWriter, r *http.Request) {
 		counter("affinityd_fleet_hedges_total", "Hedged re-dispatches of straggling cells.", fc.Stats.Hedges.Load())
 		counter("affinityd_fleet_hedge_wins_total", "Dispatches won by a retry or hedge rather than the first attempt.", fc.Stats.HedgeWins.Load())
 		counter("affinityd_fleet_duplicates_discarded_total", "Valid duplicate results discarded after a winner (at-least-once overshoot).", fc.Stats.Duplicates.Load())
+		counter("affinityd_fleet_duplicate_mismatches_total", "Discarded duplicates whose cell body differed from the winner's (a determinism break).", fc.Stats.DuplicateMismatches.Load())
 		counter("affinityd_fleet_attempt_failures_total", "Dispatch attempts that returned an error.", fc.Stats.Failures.Load())
 		counter("affinityd_fleet_local_fallbacks_total", "Dispatches that returned no result, executing the cell locally.", fc.Stats.Fallbacks.Load())
 		counter("affinityd_fleet_registrations_total", "New workers registered.", fc.Stats.Registrations.Load())

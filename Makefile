@@ -34,9 +34,12 @@ race:
 # params normalized as every kind must never panic, must normalize to
 # themselves again with the same cache key, must stay within the kind's
 # advertised schema, and must be refused only as a ParamError naming a
-# schema parameter. A plain `go test` runs its seed corpus only.
+# schema parameter. Then ten seconds of FuzzServiceN, which holds the
+# bus's prefix-sum ServiceN to the per-transaction bus on random call
+# sequences. A plain `go test` runs their seed corpora only.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignParams$$' -fuzztime 10s -parallel 2 ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzServiceN$$' -fuzztime 10s -parallel 2 ./internal/bus/
 
 # One iteration of every benchmark — proves the exhibit drivers still run,
 # without the minutes-long full sweep.
@@ -59,8 +62,10 @@ bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkComparePolicies$$' -cpu 1,4,8 -benchtime 2x .
 
 # Machine-readable perf baseline (BENCH_cache.json): the cache/replay
-# microbenchmarks at full benchtime plus the campaign-level exhibits and
-# allocation-profile benchmarks at a few iterations, parsed into
+# microbenchmarks at full benchtime plus the campaign-level exhibits,
+# allocation-profile benchmarks and fresh-seed sim campaigns
+# (BenchmarkRunSim, recorded but not yet gated by bench-check) at a few
+# iterations, parsed into
 # benchmark -> {ns/op, B/op, allocs/op}. benchjson is built (not `go run`)
 # so the binary carries VCS build info and the baseline's _meta records the
 # git revision that produced it; benchjson refuses to write a baseline from
@@ -70,7 +75,7 @@ bench-json:
 	{ $(GO) test -run '^$$' -bench . -benchmem \
 		./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/ ; \
 	  $(GO) test -run '^$$' -benchmem -benchtime 2x \
-		-bench 'BenchmarkComparePolicies$$|BenchmarkTable1$$|BenchmarkAblationExactEngine$$|BenchmarkSchedRunAllocs$$|BenchmarkSchedRunnerSteadyState$$|BenchmarkCompareCellAllocs$$' . ; } \
+		-bench 'BenchmarkComparePolicies$$|BenchmarkTable1$$|BenchmarkAblationExactEngine$$|BenchmarkSchedRunAllocs$$|BenchmarkSchedRunnerSteadyState$$|BenchmarkCompareCellAllocs$$|BenchmarkRunSim$$' . ; } \
 	| ./benchjson.bin -o BENCH_cache.json
 	rm -f benchjson.bin
 

@@ -134,3 +134,36 @@ func BenchmarkFreshAnalyticCampaign(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunSim runs never-seen fast sim campaigns through
+// experiments.Run at Workers 1, the two kinds whose cells are the
+// simulator's hot path: a compare over one mix (mix 5, the four policies
+// the service benchmark's cold-sim workload asks for) and a futuresim
+// over two policies and five speed*cache products. Each iteration takes a
+// new seed, so no cell or graph is reused from an earlier one.
+func BenchmarkRunSim(b *testing.B) {
+	for _, bc := range []struct {
+		kind   string
+		params experiments.CampaignParams
+	}{
+		{"compare", experiments.CampaignParams{Fast: true, Mix: 5,
+			Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-NoPri"}}},
+		{"futuresim", experiments.CampaignParams{Fast: true,
+			Policies: []string{"Dynamic", "Dyn-Aff"}, Products: []float64{1, 16, 64, 256, 1024}}},
+	} {
+		b.Run(bc.kind, func(b *testing.B) {
+			seed := uint64(1) << 41
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seed++
+				p := bc.params
+				p.Seed, p.Workers = seed, 1
+				if _, err := experiments.Run(ctx, bc.kind, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

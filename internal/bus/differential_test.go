@@ -207,3 +207,49 @@ func BenchmarkServiceN(b *testing.B) {
 		now = now.Add(2 * d)
 	}
 }
+
+// TestResetBusMatchesPerTransactionBus reuses one bus across parameter
+// changes and repeats, as a scheduler runner does: each Reset either
+// keeps the prefix table (same fill and bucket width) or rebuilds it in
+// place, and every call must still match a fresh per-transaction bus.
+func TestResetBusMatchesPerTransactionBus(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b := MustNew(750, 10*simtime.Millisecond)
+	for _, p := range []struct{ fill, window simtime.Duration }{
+		{750, 10 * simtime.Millisecond}, {133, 10 * simtime.Millisecond}, {133, 10 * simtime.Millisecond},
+		{750, 10 * simtime.Millisecond}, {9, 4000}, {750, 10*simtime.Millisecond + 7},
+	} {
+		b.Reset(p.fill, p.window)
+		ref := newRefBus(p.fill, p.window)
+		var now simtime.Time
+		for k := 0; k < 300; k++ {
+			now = now.Add(simtime.Duration(rng.Int63n(int64(p.window / 8))))
+			n := rng.Intn(600)
+			if d, wd := b.ServiceN(now, n), ref.serviceN(now, n); d != wd {
+				t.Fatalf("%+v op %d: ServiceN = %v, want %v", p, k, d, wd)
+			}
+			if !sameState(t, b, ref) {
+				t.Fatalf("%+v op %d: state diverged", p, k)
+			}
+		}
+	}
+}
+
+// TestCostTableBounded fills a bus's prefix table completely, by piling
+// enough transactions on one instant to saturate its window, and checks
+// that it stays under 64 KiB: at the Symmetry's fill, at the 133 ns fill
+// of the largest speed*cache product, and at a 1 ns fill.
+func TestCostTableBounded(t *testing.T) {
+	for _, fill := range []simtime.Duration{750, 133, 1} {
+		b := MustNew(fill, 10*simtime.Millisecond)
+		for i := 0; i < 8; i++ {
+			b.ServiceN(0, int(10*simtime.Millisecond/fill/2))
+		}
+		if int64(len(b.costs)) != b.satBlocks+1 {
+			t.Errorf("fill %v: table has %d of its %d sums", fill, len(b.costs), b.satBlocks+1)
+		}
+		if size := cap(b.costs) * 8; size >= 64<<10 {
+			t.Errorf("fill %v: table takes %d bytes, want < 64 KiB", fill, size)
+		}
+	}
+}

@@ -36,10 +36,14 @@ race:
 # advertised schema, and must be refused only as a ParamError naming a
 # schema parameter. Then ten seconds of FuzzServiceN, which holds the
 # bus's prefix-sum ServiceN to the per-transaction bus on random call
-# sequences. A plain `go test` runs their seed corpora only.
+# sequences. Then ten seconds of FuzzFillBlock, which holds the trace
+# generator's FillBlock to a per-reference float-compare oracle on random
+# patterns split into random blocks, with saves, restores and clones
+# between them. A plain `go test` runs their seed corpora only.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignParams$$' -fuzztime 10s -parallel 2 ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceN$$' -fuzztime 10s -parallel 2 ./internal/bus/
+	$(GO) test -run '^$$' -fuzz '^FuzzFillBlock$$' -fuzztime 10s -parallel 2 ./internal/memtrace/
 
 # One iteration of every benchmark — proves the exhibit drivers still run,
 # without the minutes-long full sweep.
@@ -113,11 +117,12 @@ serve-smoke:
 obs-smoke:
 	$(GO) test -race -count=1 -run 'TestObsSmoke' ./cmd/affinityd/
 
-# The incremental-reuse gate: starts a table1 campaign, kills the daemon
-# core mid-grid, and re-submits on a second server sharing the same cell
-# cache — requiring that only the never-completed cells execute (per the
-# affinityd_cell_* metrics) and that the resumed body is byte-identical
-# to a cold, uninterrupted run.
+# The incremental-reuse gate: completes part of a compare campaign's grid,
+# hard-stops the daemon core with the campaign itself queued behind a
+# paper-scale one, and re-submits on a second server sharing the same cell
+# cache — requiring that exactly the never-completed cells execute (per
+# the affinityd_cell_* metrics) and that the resumed body is
+# byte-identical to a cold, uninterrupted run.
 cell-smoke:
 	$(GO) test -race -count=1 -run 'TestCellSmoke' ./cmd/affinityd/
 
@@ -132,9 +137,11 @@ persist-smoke:
 
 # The fleet gate: builds the real binary, boots one coordinator and
 # three workers (readiness by polling /v1/workers, never by sleeping),
-# kill -9s a worker mid-campaign, and requires the coordinator to absorb
-# the loss — at least one retried or hedged cell in affinityd_fleet_* —
-# with a final body byte-identical to a cold single-process run.
+# kill -9s the worker placement will pick first, while it is still
+# registered, submits a table1 campaign, and requires the coordinator to
+# absorb the loss — at least one retried or hedged cell in
+# affinityd_fleet_* — with a final body byte-identical to a cold
+# single-process run.
 fleet-smoke:
 	$(GO) test -race -count=1 -run 'TestFleetSmoke' ./cmd/affinityd/
 

@@ -136,11 +136,13 @@ func BenchmarkFreshAnalyticCampaign(b *testing.B) {
 }
 
 // BenchmarkRunSim runs never-seen fast sim campaigns through
-// experiments.Run at Workers 1, the two kinds whose cells are the
-// simulator's hot path: a compare over one mix (mix 5, the four policies
-// the service benchmark's cold-sim workload asks for) and a futuresim
-// over two policies and five speed*cache products. Each iteration takes a
-// new seed, so no cell or graph is reused from an earlier one.
+// experiments.Run at Workers 1, the kinds of the service benchmark's
+// cold-sim workload: a compare over one mix (mix 5, the four policies
+// that workload asks for) and a futuresim over two policies and five
+// speed*cache products, whose cells are the simulator's hot path, and a
+// fast table1, whose cells build six reference streams and replay them on
+// the Table-1 replay cache. Each iteration takes a new seed, so no cell,
+// graph or stream is reused from an earlier one.
 func BenchmarkRunSim(b *testing.B) {
 	for _, bc := range []struct {
 		kind   string
@@ -150,6 +152,7 @@ func BenchmarkRunSim(b *testing.B) {
 			Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-NoPri"}}},
 		{"futuresim", experiments.CampaignParams{Fast: true,
 			Policies: []string{"Dynamic", "Dyn-Aff"}, Products: []float64{1, 16, 64, 256, 1024}}},
+		{"table1", experiments.CampaignParams{Fast: true}},
 	} {
 		b.Run(bc.kind, func(b *testing.B) {
 			seed := uint64(1) << 41

@@ -465,18 +465,29 @@ func TestPersistSmoke(t *testing.T) {
 	procC.Wait()
 }
 
-// TestCellSmoke is the `make cell-smoke` gate: start a table1 campaign,
-// kill the daemon core mid-grid via an expired drain context, then
-// re-submit the identical campaign on a second server sharing the same
-// cell cache. The resumed run must execute only the cells the first one
-// never completed (visible in the affinityd_cell_* metrics) and produce
-// a body byte-identical to a cold, uninterrupted run.
+// TestCellSmoke is the `make cell-smoke` gate: complete part of a
+// campaign's grid on one server, stop that server hard while the
+// campaign itself is still queued, then re-submit the campaign on a
+// second server sharing the same cell cache. The resumed run must
+// execute only the cells the first server never completed (visible in
+// the affinityd_cell_* metrics) and produce a body byte-identical to a
+// cold, uninterrupted run.
+//
+// The stop lands mid-grid by construction rather than by a polling race,
+// as in TestPersistSmoke: a subset campaign computes the first cells of
+// the tested grid to completion before anything else is submitted, and
+// the tested campaign cannot start before the stop, being queued behind
+// a paper-scale campaign that keeps the one job worker busy for minutes.
 func TestCellSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")
 	}
-	const totalCells = 9 // table1: 3 Qs x 3 measured applications
-	req := `{"kind":"table1","params":{"fast":true,"budget_sec":0.5,"reps":1,"workers":1}}`
+	// The tested campaign's three cells are (mix 5, policy) pairs, the
+	// first two of which the subset campaign computes.
+	const totalCells, subsetCells = 3, 2
+	req := `{"kind":"compare","params":{"fast":true,"mix":5,"reps":1,"workers":1,"policies":["Equipartition","Dynamic","Dyn-Aff"]}}`
+	subset := `{"kind":"compare","params":{"fast":true,"mix":5,"reps":1,"workers":1,"policies":["Equipartition","Dynamic"]}}`
+	blocker := `{"kind":"compare","params":{"reps":100,"workers":1},"async":true}`
 
 	listen := func(srv *service.Server) (string, *http.Server) {
 		t.Helper()
@@ -488,7 +499,7 @@ func TestCellSmoke(t *testing.T) {
 		go hs.Serve(ln)
 		return "http://" + ln.Addr().String(), hs
 	}
-	post := func(base, body string) (*http.Response, []byte) {
+	post := func(base, body string, want int) []byte {
 		t.Helper()
 		resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -499,7 +510,10 @@ func TestCellSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp, b
+		if resp.StatusCode != want {
+			t.Fatalf("POST %.60s: %d %s", body, resp.StatusCode, b)
+		}
+		return b
 	}
 
 	// Cold, uninterrupted reference run on a private server.
@@ -511,52 +525,20 @@ func TestCellSmoke(t *testing.T) {
 		defer cancel()
 		coldSrv.Shutdown(ctx)
 	}()
-	cr, coldBody := post(coldBase, req)
-	if cr.StatusCode != http.StatusOK {
-		t.Fatalf("cold run: %d %s", cr.StatusCode, coldBody)
-	}
+	coldBody := post(coldBase, req, http.StatusOK)
 
-	// Server A shares `cells` with the resuming server B.
+	// Server A shares `cells` with the resuming server B. It completes the
+	// subset, then holds the tested campaign queued behind the blocker
+	// until the hard stop: an already-cancelled drain context turns
+	// Shutdown into a hard stop that cancels the queued campaign and the
+	// in-flight blocker between replications.
 	cells := resultcache.New(64 << 20)
 	srvA := service.New(service.Config{QueueDepth: 4, JobWorkers: 1, CellCache: cells})
 	baseA, hsA := listen(srvA)
 	defer hsA.Close()
-	ar, ab := post(baseA, strings.TrimSuffix(req, "}")+`,"async":true}`)
-	if ar.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit: %d %s", ar.StatusCode, ab)
-	}
-	var jv struct {
-		ID         string `json:"id"`
-		Status     string `json:"status"`
-		CellsDone  int    `json:"cells_done"`
-		CellsTotal int    `json:"cells_total"`
-	}
-	if err := json.Unmarshal(ab, &jv); err != nil {
-		t.Fatal(err)
-	}
-
-	// Let the campaign pass roughly half its grid, then pull the plug:
-	// an already-cancelled drain context turns Shutdown into a hard stop
-	// that cancels the in-flight job between cells.
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		resp, err := http.Get(baseA + "/v1/jobs/" + jv.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err := json.Unmarshal(b, &jv); err != nil {
-			t.Fatalf("job poll: %v (%s)", err, b)
-		}
-		if jv.CellsDone >= 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("campaign never reached 4 cells: %s", b)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	post(baseA, subset, http.StatusOK)
+	post(baseA, blocker, http.StatusAccepted)
+	post(baseA, strings.TrimSuffix(req, "}")+`,"async":true}`, http.StatusAccepted)
 	killed, cancelKilled := context.WithCancel(context.Background())
 	cancelKilled()
 	srvA.Shutdown(killed) // returns context.Canceled by design; the point is the hard stop
@@ -570,15 +552,12 @@ func TestCellSmoke(t *testing.T) {
 		defer cancel()
 		srvB.Shutdown(ctx)
 	}()
-	br, warmBody := post(baseB, req)
-	if br.StatusCode != http.StatusOK {
-		t.Fatalf("resumed run: %d %s", br.StatusCode, warmBody)
-	}
+	warmBody := post(baseB, req, http.StatusOK)
 	if !bytes.Equal(warmBody, coldBody) {
 		t.Errorf("resumed body differs from cold run:\n%.200s\n%.200s", warmBody, coldBody)
 	}
 
-	// The resumed run reused every cell the killed run completed and
+	// The resumed run reused every cell the stopped server completed and
 	// executed exactly the remainder.
 	mr, err := http.Get(baseB + "/metrics")
 	if err != nil {
@@ -603,12 +582,9 @@ func TestCellSmoke(t *testing.T) {
 	hits := metric("affinityd_cell_hits_total")
 	execs := metric("affinityd_cell_executions_total")
 	misses := metric("affinityd_cell_misses_total")
-	if hits < 4 {
-		t.Errorf("resumed run reused %d cells, want >= 4", hits)
-	}
-	if hits+execs != totalCells || misses != execs {
-		t.Errorf("cell accounting: hits=%d misses=%d executions=%d, want hits+executions=%d and misses=executions",
-			hits, misses, execs, totalCells)
+	if hits != subsetCells || execs != totalCells-subsetCells || misses != execs {
+		t.Errorf("cell accounting: hits=%d misses=%d executions=%d, want hits=%d and misses=executions=%d",
+			hits, misses, execs, subsetCells, totalCells-subsetCells)
 	}
 }
 
@@ -621,11 +597,12 @@ func TestCellSmoke(t *testing.T) {
 //     never slept for. A fourth worker with no token keeps knocking and
 //     never joins, and a hand-rolled unsigned registration gets the 401
 //     envelope: the authenticated transport is on for the whole run.
-//  2. Submit a table1 campaign and kill -9 the best-scored worker (the
-//     one placement loaded most) mid-grid. The coordinator must absorb
-//     the loss — retry or hedge the orphaned cells elsewhere (visible
-//     in affinityd_fleet_*), shift placement to the survivors — and
-//     finish; the dead worker drops from /v1/workers/{id}.
+//  2. Kill -9 the best-scored worker (the one placement will pick
+//     first) while it is still registered, and submit a table1
+//     campaign: its first dispatch goes to the dead worker. The
+//     coordinator must absorb the loss — retry the cell elsewhere
+//     (visible in affinityd_fleet_*), shift placement to the survivors
+//     — and finish; the dead worker drops from /v1/workers/{id}.
 //  3. The final body must be byte-identical to a cold single-process
 //     run, with the coordinator's misses == executions invariant intact
 //     (duplicates from hedging never double-fold).
@@ -823,7 +800,31 @@ func TestFleetSmoke(t *testing.T) {
 		t.Fatalf("unsigned register envelope = %s, want v1/unauthenticated", ub)
 	}
 
-	// Submit async, then kill -9 a worker as soon as the grid is moving.
+	// Kill -9 the worker placement will pick first, then submit. Before
+	// any dispatch every worker scores the same (idle, unmeasured, never
+	// failed), and the scorer breaks ties by URL, so the campaign's first
+	// dispatch goes to the lowest URL. The coordinator still lists the
+	// dead worker (its last heartbeat is under WorkerTTL old), so that
+	// dispatch fails and is retried on a survivor by construction, not by
+	// racing the grid's progress.
+	if err := json.Unmarshal(get(coordBase, "/v1/workers"), &wv); err != nil {
+		t.Fatal(err)
+	}
+	victim, deadID, victimURL := 0, "", ""
+	for _, w := range wv.Workers {
+		for i, base := range workerBases {
+			if w.URL == base && (deadID == "" || w.URL < victimURL) {
+				victim, deadID, victimURL = i, w.ID, w.URL
+			}
+		}
+	}
+	if deadID == "" {
+		t.Fatalf("no registered worker matches a booted base: %+v vs %v", wv, workerBases)
+	}
+	if err := workers[victim].Process.Kill(); err != nil { // SIGKILL: no goodbye
+		t.Fatal(err)
+	}
+	workers[victim].Wait()
 	ar, err := http.Post(coordBase+"/v1/campaigns", "application/json",
 		strings.NewReader(strings.TrimSuffix(req, "}")+`,"async":true}`))
 	if err != nil {
@@ -840,51 +841,20 @@ func TestFleetSmoke(t *testing.T) {
 	if err := json.Unmarshal(ab, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	jobView := func() (status string, done int) {
+	jobView := func() string {
 		t.Helper()
 		var v struct {
-			Status    string `json:"status"`
-			CellsDone int    `json:"cells_done"`
+			Status string `json:"status"`
 		}
 		if err := json.Unmarshal(get(coordBase, "/v1/jobs/"+accepted.ID), &v); err != nil {
 			t.Fatal(err)
 		}
-		return v.Status, v.CellsDone
+		return v.Status
 	}
-	for {
-		if _, done := jobView(); done >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no cell completed before deadline")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Kill the best-scored worker: the one placement has loaded the most
-	// so far. Losing the scorer's favourite forces a visible placement
-	// shift onto the survivors.
-	if err := json.Unmarshal(get(coordBase, "/v1/workers"), &wv); err != nil {
-		t.Fatal(err)
-	}
-	victim, deadID, maxDispatched := 0, "", -1
-	for _, w := range wv.Workers {
-		for i, base := range workerBases {
-			if w.URL == base && w.Dispatched > maxDispatched {
-				victim, deadID, maxDispatched = i, w.ID, w.Dispatched
-			}
-		}
-	}
-	if deadID == "" {
-		t.Fatalf("no registered worker matches a booted base: %+v vs %v", wv, workerBases)
-	}
-	if err := workers[victim].Process.Kill(); err != nil { // SIGKILL: no goodbye
-		t.Fatal(err)
-	}
-	workers[victim].Wait()
 
 	// The campaign must still finish.
 	for {
-		status, _ := jobView()
+		status := jobView()
 		if status == "done" {
 			break
 		}

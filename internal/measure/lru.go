@@ -24,7 +24,14 @@ import (
 // hit and miss equals cache.Cache's, which places lines by way order and
 // a touch clock instead (TestReplayCacheMatchesCache).
 type lruCache struct {
-	keys      []uint32 // sets × ways keys, set-major
+	keys []uint32 // sets × ways keys, set-major
+	lruGeom
+}
+
+// lruGeom is a replay cache's geometry. The replay loops copy it, and the
+// key slice, into locals: through the cache pointer, the compiler would
+// reload them after every store to a key.
+type lruGeom struct {
 	ways      int
 	lineShift uint
 	setMask   uint64
@@ -55,37 +62,49 @@ func newLRUCache(cfg cache.Config) (*lruCache, error) {
 			cfg.LineBytes, uint64(interveningBase))
 	}
 	return &lruCache{
-		keys:      make([]uint32, cfg.Lines()),
-		ways:      cfg.Ways,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
-		setMask:   uint64(cfg.Sets() - 1),
+		keys: make([]uint32, cfg.Lines()),
+		lruGeom: lruGeom{
+			ways:      cfg.Ways,
+			lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+			setMask:   uint64(cfg.Sets() - 1),
+		},
 	}, nil
 }
 
 // locate returns the first way's index and the key of the line holding
 // byte off of owner's address space, which starts at base. The line index
-// off >> lineShift must be at most maxKeyLine.
-func (c *lruCache) locate(base, off uint64, owner uint32) (set int, key uint32) {
-	set = int((base+off)>>c.lineShift&c.setMask) * c.ways
-	return set, uint32(off>>c.lineShift)<<1 + owner + 1
+// off >> lineShift must be at most maxKeyLine. The shift count is masked
+// so that the compiler drops its guard for counts past 63.
+func (g lruGeom) locate(base, off uint64, owner uint32) (set int, key uint32) {
+	shift := g.lineShift & 63
+	set = int((base+off)>>shift&g.setMask) * g.ways
+	return set, uint32(off>>shift)<<1 + owner + 1
 }
 
 // access references the line key in the set starting at way set, making
 // it the set's most recent line, and reports whether it hit. A miss
 // evicts the set's least recently used line, or fills an empty way.
-// access sits at the compiler's inlining budget, so that in the replay
-// loops a hit at way 0 costs one compare and a 2-way set one swap.
 func (c *lruCache) access(set int, key uint32) bool {
-	w := c.keys[set:]
-	if w[0] == key {
-		return true
+	return touch(c.keys[set:set+c.ways], key)
+}
+
+// touch is access on one set's ways, keys[set:set+ways] of a cache whose
+// keys and geometry the replay loops hold in locals (see lruGeom). touch
+// sits under the compiler's inlining budget, so that in those loops a
+// 2-way set costs two loads, two stores and a conditional move, with no
+// branch on the hit or on its way, and a hit at way 0 of any other set
+// one compare and one store.
+func touch(set []uint32, key uint32) bool {
+	if len(set) != 2 {
+		return moveToFront(set, key)
 	}
-	if c.ways == 2 {
-		hit := w[1] == key
-		w[1], w[0] = w[0], key
-		return hit
+	w0, w1 := set[0], set[1]
+	if w0 == key {
+		// A hit at way 0: keep way 1 second, and report the hit below.
+		w0, w1 = w1, key
 	}
-	return moveToFront(w[:c.ways], key)
+	set[0], set[1] = key, w0
+	return w1 == key
 }
 
 // moveToFront puts key first in w, shifting the keys before its old place

@@ -38,9 +38,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/memtrace"
 	"repro/internal/parallel"
@@ -159,6 +161,9 @@ type Stream struct {
 	refs int      // references in the prefix: the sum of the run counts
 	gap  simtime.Duration
 	tail *memtrace.Generator // positioned after the prefix; cloned, never mutated
+
+	mu     sync.Mutex
+	misses map[cache.Config][]int32 // miss lists by cache geometry; see missList
 }
 
 // Run-word layout: the low runBits hold a run's count, the high 16-runBits
@@ -333,7 +338,11 @@ func hitsUntil(t, step, limit simtime.Duration, k int) int {
 }
 
 // runStreams is Run over precomputed streams (see MeasurePenalties and
-// StreamSet, which share streams across runs).
+// StreamSet, which share streams across runs). Migrating and Multiprog
+// runs replay the measured stream (see replay). A Stationary run never
+// disturbs the cache, so which of its references miss does not depend on
+// Q: it is derived from the stream's miss list for the cache's geometry
+// (see missList and stationary), which equals a replay's result.
 func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime Regime, opts Options) (RunResult, error) {
 	if err := mc.Validate(); err != nil {
 		return RunResult{}, err
@@ -341,39 +350,79 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 	if err := opts.Validate(); err != nil {
 		return RunResult{}, err
 	}
+	step := mc.Compute(measured.gap)
+	if regime == Stationary && step > 0 && measured.refs <= math.MaxInt32 {
+		misses, err := measured.missList(mc)
+		if err != nil {
+			return RunResult{}, err
+		}
+		return stationary(mc, misses, measured.refs, step, opts.Q), nil
+	}
 	c, err := newLRUCache(mc.Cache)
 	if err != nil {
 		return RunResult{}, err
 	}
-
 	var inter cursor
 	if regime == Multiprog {
 		inter = cursor{s: intervening}
 	}
+	return replay(mc, c, measured, &inter, regime, opts.Q, nil)
+}
 
+// replay runs the measured stream on cache c under regime, switching
+// every q of the measured program's own time; a Multiprog run reads the
+// intervening program through inter. When misses is not nil, replay
+// appends to it the index of every measured reference that misses.
+//
+// A run word is charged whole: its first reference goes through the
+// cache, and the run's own time after its k references is t = own +
+// k*step, plus a line fill on a miss. Own time only grows within a run,
+// so when t falls short of the next switch point no switch splits the
+// run, and t is committed at once. Otherwise the run falls to the
+// reference-by-reference switch logic. The cache's keys and geometry sit
+// in locals (see lruGeom and touch).
+func replay(mc machine.Config, c *lruCache, measured *Stream, inter *cursor, regime Regime, q simtime.Duration, misses *[]int32) (RunResult, error) {
+	keys, geom := c.keys, c.lruGeom
 	var (
 		own        simtime.Duration // measured program's accumulated time
-		nextSwitch = simtime.Duration(opts.Q)
+		nextSwitch = q
 		switches   int
-		misses     uint64
+		nmiss      uint64
+		ref        int // index of the run's first reference
 	)
-	step := mc.Compute(measured.gap)
+	step, fill := mc.Compute(measured.gap), mc.LineFill
 	base, runs := measured.base, measured.runs
 	var line uint64
 	for i := 0; i < len(runs); {
 		var k int
 		line, k, i = nextRun(runs, i, line)
-		set, key := c.locate(base, line*memtrace.LineBytes, ownerMeasured)
-		for k > 0 {
-			// The run's first reference, or the first after a switch.
-			own += step
-			if !c.access(set, key) {
-				misses++
-				own += mc.LineFill
-			}
-			k--
+		set, key := geom.locate(base, line*memtrace.LineBytes, ownerMeasured)
+		hit := touch(keys[set:set+geom.ways], key)
+		// Charged without a branch on the hit, which no predictor learns.
+		var miss simtime.Duration
+		if !hit {
+			miss = 1
+		}
+		t := own + simtime.Duration(k)*step + miss*fill
+		nmiss += uint64(miss)
+		if misses != nil && !hit {
+			*misses = append(*misses, int32(ref))
+		}
+		ref += k
+		if t < nextSwitch {
+			own = t
+			continue
+		}
+		// A switch point falls within the run. The rest of it are hits up
+		// to the switch; the reference after a switch goes through the
+		// cache again, since the switch may have evicted the line.
+		own += step
+		if !hit {
+			own += fill
+		}
+		k--
+		for {
 			if own < nextSwitch {
-				// The rest are hits, up to the next switch point.
 				h := hitsUntil(own, step, nextSwitch, k)
 				own += simtime.Duration(h) * step
 				k -= h
@@ -387,22 +436,111 @@ func runStreams(mc machine.Config, measured *Stream, intervening *Stream, regime
 			case Stationary:
 				// Immediately replaced: no cache disturbance.
 			case Migrating:
-				c.flush()
+				clear(keys)
 			case Multiprog:
-				if err := runIntervening(mc, c, &inter, opts.Q); err != nil {
+				if err := runIntervening(mc, c, inter, q); err != nil {
 					return RunResult{}, err
 				}
 			}
-			nextSwitch = own + opts.Q
+			nextSwitch = own + q
+			if k == 0 {
+				break
+			}
+			own += step
+			if !touch(keys[set:set+geom.ways], key) {
+				own += fill
+				nmiss++
+				if misses != nil {
+					*misses = append(*misses, int32(ref-k))
+				}
+			}
+			k--
 		}
 	}
 	return RunResult{
 		Regime:       regime,
 		ResponseTime: own,
 		Switches:     switches,
-		Misses:       misses,
+		Misses:       nmiss,
 		Accesses:     uint64(measured.refs),
 	}, nil
+}
+
+// missList returns the ascending indices of the references of s that miss
+// when s is replayed alone, from an empty cache of mc's geometry and with
+// nothing run in between: the misses of every Stationary run of s on that
+// geometry, whatever its Q. The first call for a geometry replays the
+// stream once; later calls, from any goroutine, share the result.
+func (s *Stream) missList(mc machine.Config) ([]int32, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok := s.misses[mc.Cache]; ok {
+		return m, nil
+	}
+	c, err := newLRUCache(mc.Cache)
+	if err != nil {
+		return nil, err
+	}
+	var m []int32
+	if _, err := replay(mc, c, s, nil, Stationary, simtime.Duration(simtime.Never), &m); err != nil {
+		return nil, err
+	}
+	if s.misses == nil {
+		s.misses = make(map[cache.Config][]int32)
+	}
+	s.misses[mc.Cache] = m
+	return m, nil
+}
+
+// stationary derives a Stationary run of refs references at quantum q
+// from the run's ascending miss indices. Nothing disturbs the cache, so
+// after reference r the measured program's own time is
+//
+//	(r+1)*step + LineFill*(misses at or before r) + switches*SwitchPath,
+//
+// which grows with r. Each switch falls on the first reference whose own
+// time reaches the switch point. A binary search finds the first miss
+// whose own time does, miss js; the references between misses js-1 and
+// js have js misses at or before them, so one division finds the first
+// of them that does, and the switch falls there or, if none does, on
+// miss js. The per-reference compute time step must be positive.
+func stationary(mc machine.Config, misses []int32, refs int, step, q simtime.Duration) RunResult {
+	fill := mc.LineFill
+	var (
+		switches   int
+		paths      simtime.Duration // switches * SwitchPath
+		nextSwitch = q
+		j          int // the misses up to the last switch
+	)
+	for {
+		// The first miss from j on whose own time reaches the switch point.
+		js := j + sort.Search(len(misses)-j, func(i int) bool {
+			return (simtime.Duration(misses[j+i])+1)*step+simtime.Duration(j+i+1)*fill+paths >= nextSwitch
+		})
+		// Between misses js-1 and js, own time after reference r is
+		// (r+1)*step + js*fill + paths.
+		need := nextSwitch - paths - simtime.Duration(js)*fill
+		r := int((need+step-1)/step) - 1
+		if js < len(misses) && r >= int(misses[js]) {
+			r = int(misses[js])
+			js++
+		}
+		if r >= refs {
+			break
+		}
+		switches++
+		own := simtime.Duration(r+1)*step + simtime.Duration(js)*fill + paths
+		paths += mc.SwitchPath
+		nextSwitch = own + mc.SwitchPath + q
+		j = js
+	}
+	return RunResult{
+		Regime:       Stationary,
+		ResponseTime: simtime.Duration(refs)*step + simtime.Duration(len(misses))*fill + paths,
+		Switches:     switches,
+		Misses:       uint64(len(misses)),
+		Accesses:     uint64(refs),
+	}
 }
 
 // interBlock is the address-batch size for the intervening stream's
@@ -412,29 +550,39 @@ const interBlock = 256
 // runIntervening executes the intervening program on the same cache for q
 // of its own time. Its time does not count against the measured program.
 // It fails if a reference of the tail generator lies too far into the
-// program's address space for a replay-cache key.
+// program's address space for a replay-cache key. Like replay, it charges
+// a run whole when the quantum does not end within it.
 func runIntervening(mc machine.Config, c *lruCache, cur *cursor, q simtime.Duration) error {
-	step := mc.Compute(cur.s.gap)
+	keys, geom := c.keys, c.lruGeom
+	step, fill := mc.Compute(cur.s.gap), mc.LineFill
 	var t simtime.Duration
 	base, runs := cur.s.base, cur.s.runs
-	for t < q && (cur.left > 0 || cur.next < len(runs)) {
-		if cur.left == 0 {
-			cur.line, cur.left, cur.next = nextRun(runs, cur.next, cur.line)
+	line, left, next := cur.line, cur.left, cur.next
+	for t < q && (left > 0 || next < len(runs)) {
+		if left == 0 {
+			line, left, next = nextRun(runs, next, line)
 		}
 		// The first reference of the quantum or of the run goes through
 		// the cache; the rest of the run hits until the quantum ends.
-		t += step
-		if !c.access(c.locate(base, cur.line*memtrace.LineBytes, ownerIntervening)) {
-			t += mc.LineFill
+		set, key := geom.locate(base, line*memtrace.LineBytes, ownerIntervening)
+		var miss simtime.Duration // as in replay, no branch on the hit
+		if !touch(keys[set:set+geom.ways], key) {
+			miss = 1
 		}
+		if end := t + simtime.Duration(left)*step + miss*fill; end < q {
+			t, left = end, 0
+			continue
+		}
+		t += step + miss*fill
 		used := 1
 		if t < q {
-			h := hitsUntil(t, step, q, cur.left-1)
+			h := hitsUntil(t, step, q, left-1)
 			t += simtime.Duration(h) * step
 			used += h
 		}
-		cur.left -= used
+		left -= used
 	}
+	cur.line, cur.left, cur.next = line, left, next
 	if t >= q {
 		return nil
 	}

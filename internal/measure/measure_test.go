@@ -554,6 +554,80 @@ func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 	}
 }
 
+// TestStationaryFromMissesMatchesReplay holds the Stationary runs derived
+// from a stream's miss list to a full replay of the stream, on the three
+// geometries of TestRunStreamsMatchesPerReferenceOracle, at a Q below one
+// 5 µs step (a switch after every reference, the last included), at a Q
+// that is no multiple of the step, at the paper's 25 ms, at Q = budget,
+// and at a Q equal to the no-switch response time, whose one switch
+// falls on the last reference. It also checks that a geometry's miss
+// list is computed once and shared.
+func TestStationaryFromMissesMatchesReplay(t *testing.T) {
+	budget := 300 * simtime.Millisecond
+	for _, geom := range []cache.Config{
+		cache.SymmetryConfig(),
+		{SizeBytes: 32 << 10, LineBytes: 32, Ways: 4},
+		{SizeBytes: 8 << 10, LineBytes: 8, Ways: 1},
+	} {
+		mc := machine.Symmetry()
+		mc.Cache = geom
+		for _, p := range memtrace.Patterns() {
+			s, err := measuredStream(p, budget, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			misses, err := s.missList(mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := s.missList(mc); &again[0] != &misses[0] {
+				t.Errorf("%s %+v: miss list recomputed", p.Name, geom)
+			}
+			step := mc.Compute(s.gap)
+			replayed := func(q simtime.Duration) RunResult {
+				t.Helper()
+				c, err := newLRUCache(geom)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := replay(mc, c, s, nil, Stationary, q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			whole := replayed(simtime.Duration(simtime.Never))
+			if whole.Switches != 0 || whole.Misses != uint64(len(misses)) {
+				t.Fatalf("%s %+v: no-switch replay %+v, %d misses listed", p.Name, geom, whole, len(misses))
+			}
+			for _, q := range []simtime.Duration{
+				simtime.Microsecond, 333 * simtime.Microsecond, 25 * simtime.Millisecond, budget, whole.ResponseTime,
+			} {
+				want := replayed(q)
+				if got := stationary(mc, misses, s.refs, step, q); got != want {
+					t.Errorf("%s %+v Q %v:\nfrom misses %+v\nreplay      %+v", p.Name, geom, q, got, want)
+				}
+				if q <= budget {
+					got, err := runStreams(mc, s, nil, Stationary, Options{Q: q, Budget: budget, Seed: 3})
+					if err != nil || got != want {
+						t.Errorf("%s %+v Q %v: runStreams %+v (%v), replay %+v", p.Name, geom, q, got, err, want)
+					}
+				}
+				switch q {
+				case simtime.Microsecond:
+					if want.Switches != s.refs {
+						t.Errorf("%s: Q %v switched %d times in %d references", p.Name, q, want.Switches, s.refs)
+					}
+				case whole.ResponseTime:
+					if want.Switches != 1 {
+						t.Errorf("%s: Q %v switched %d times, want once, on the last reference", p.Name, q, want.Switches)
+					}
+				}
+			}
+		}
+	}
+}
+
 // measureCellSink keeps BenchmarkMeasureCell's result live.
 var measureCellSink Penalties
 

@@ -200,6 +200,23 @@ func TestQuickMonotoneElapsed(t *testing.T) {
 	}
 }
 
+// BenchmarkFillBlock generates each built-in pattern's stream in blocks
+// of 4,096 references, the block size of Table-1 stream construction, and
+// reports the cost of one reference.
+func BenchmarkFillBlock(b *testing.B) {
+	for _, p := range Patterns() {
+		b.Run(p.Name, func(b *testing.B) {
+			g := NewGenerator(p, 0, 1)
+			buf := make([]uint64, 4096)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.FillBlock(buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/ref")
+		})
+	}
+}
+
 func BenchmarkGeneratorNext(b *testing.B) {
 	g := NewGenerator(GravityPattern(), 0, 1)
 	b.ReportAllocs()

@@ -155,6 +155,13 @@ const interveningBase = 1 << 40
 // sharing it read-only across runs (and across the cells of a StreamSet)
 // removes the dominant generator cost from the hot loop while staying
 // bitwise identical to per-reference generation.
+//
+// A measured stream also keeps, per cache geometry, the ascending indices
+// of the references that miss when it replays alone (missList): the
+// misses of every Stationary run, at any Q, from which those runs are
+// derived without a replay. The lists are built on first use, under the
+// stream's lock, and hold a few thousand to tens of thousands of 4-byte
+// indices each for the built-in patterns.
 type Stream struct {
 	base uint64
 	runs []uint16 // run words; see nextRun

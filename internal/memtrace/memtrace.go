@@ -37,7 +37,6 @@ package memtrace
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/simtime"
 	"repro/internal/xrand"
@@ -163,26 +162,27 @@ type slot struct {
 	pos   int
 }
 
-// identity is the walk order of every sequential region, shared by all
-// generators: entry i is i. It only grows, by replacement, so the slices
-// handed out never change.
-var identity struct {
-	sync.Mutex
-	order []int32
-}
-
-// identityOrder returns the identity walk order of n lines.
-func identityOrder(n int) []int32 {
-	identity.Lock()
-	defer identity.Unlock()
-	if len(identity.order) < n {
-		o := make([]int32, max(n, 2*len(identity.order)))
-		for i := range o {
-			o[i] = int32(i)
-		}
-		identity.order = o
+// identity is the walk order of every sequential region of up to
+// len(identity) lines, shared by all generators: entry i is i. It is
+// filled at start-up and never written after.
+var identity = func() (o [4096]int32) {
+	for i := range o {
+		o[i] = int32(i)
 	}
-	return identity.order[:n:n]
+	return o
+}()
+
+// identityOrder returns the identity walk order of n lines: a slice of
+// the shared table when it is long enough, else a private copy.
+func identityOrder(n int) []int32 {
+	if n <= len(identity) {
+		return identity[:n:n]
+	}
+	o := make([]int32, n)
+	for i := range o {
+		o[i] = int32(i)
+	}
+	return o
 }
 
 // NewGenerator builds a generator for pattern p. base is the task's address

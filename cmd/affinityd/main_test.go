@@ -477,7 +477,8 @@ func TestPersistSmoke(t *testing.T) {
 // as in TestPersistSmoke: a subset campaign computes the first cells of
 // the tested grid to completion before anything else is submitted, and
 // the tested campaign cannot start before the stop, being queued behind
-// a paper-scale campaign that keeps the one job worker busy for minutes.
+// a paper-scale campaign of 100 replications a cell, which keeps the one
+// job worker busy far longer than the two requests before the stop take.
 func TestCellSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")

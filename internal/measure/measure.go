@@ -423,10 +423,7 @@ func replay(mc machine.Config, c *lruCache, measured *Stream, inter *cursor, reg
 		// A switch point falls within the run. The rest of it are hits up
 		// to the switch; the reference after a switch goes through the
 		// cache again, since the switch may have evicted the line.
-		own += step
-		if !hit {
-			own += fill
-		}
+		own += step + miss*fill
 		k--
 		for {
 			if own < nextSwitch {

@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test quick race fuzz-smoke bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke examples-smoke ci
+.PHONY: all build fmt-check vet test quick regen race fuzz-smoke bench-smoke bench-cache bench-compare bench-json bench-check bench-api serve-smoke obs-smoke cell-smoke analytic-smoke persist-smoke fleet-smoke examples-smoke ci
 
 all: build
 
@@ -26,6 +26,19 @@ test:
 
 # ROADMAP.md tier-1 verify.
 quick: build test
+
+# Re-records the byte contract: the CLI goldens, the campaign-body digests,
+# the campaign listing and the analytic promotion golden, each written by
+# its golden test under -update. The digests go first, alone: they refuse
+# to record changed campaign bodies under an unchanged version.Engine (a
+# persisted store would serve the old bytes under the same cell keys), and
+# then regen fails before any other file is written. Bump version.Engine,
+# then re-run. bench-json stays separate: it refuses a dirty tree, so it
+# runs after the re-record is committed.
+regen:
+	$(GO) test -count=1 -run '^TestCampaignBodyGoldens$$' ./internal/experiments -update
+	$(GO) test -count=1 -run '^(TestCLIGoldens|TestPromotionGolden|TestCampaignListingGolden)$$' \
+		./cmd/affinitysim ./internal/experiments ./internal/service -update
 
 race:
 	$(GO) test -race ./...
@@ -150,11 +163,13 @@ fleet-smoke:
 # tolerance (`affinitysim calibrate`, check mode), then pins the
 # engine-tier cache contract — engine=analytic and engine=sim derive
 # distinct cell cache keys, the analytic body is byte-stable across runs,
-# and engine=auto never selects analytic outside the promotion envelope.
-# TestCalibrationCheck covers the check itself on hand-built tables.
+# and engine=auto never selects analytic outside the promotion envelope;
+# the re-run calibration table must also equal the golden byte for byte
+# (TestPromotionGolden). TestCalibrationCheck covers the check itself on
+# hand-built tables.
 analytic-smoke:
 	$(GO) run ./cmd/affinitysim calibrate
-	$(GO) test -count=1 -run 'TestEngine|TestAnalytic|TestAuto|TestCalibration' ./internal/experiments/
+	$(GO) test -count=1 -run 'TestEngine|TestAnalytic|TestAuto|TestCalibration|TestPromotionGolden' ./internal/experiments/
 
 # The examples gate: runs the four example programs (futurecast and
 # multiprog at their -fast scale) and fails on a nonzero exit, so an API

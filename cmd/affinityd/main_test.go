@@ -269,8 +269,8 @@ func TestSigtermDrains(t *testing.T) {
 // The kill lands mid-grid by construction rather than by a polling race:
 // the subset's frames are all flushed before anything else is submitted,
 // and the tested campaign cannot start before the kill, being queued
-// behind a paper-scale campaign that keeps the one job worker busy for
-// minutes.
+// behind a paper-scale campaign of 100 replications a cell, which keeps
+// the one job worker busy for over a minute.
 func TestPersistSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binary build and campaign runs in -short mode")
@@ -280,7 +280,7 @@ func TestPersistSmoke(t *testing.T) {
 	const totalCells, subsetCells = 3, 2
 	req := `{"kind":"compare","params":{"fast":true,"mix":5,"reps":1,"workers":1,"policies":["Equipartition","Dynamic","Dyn-Aff"]}}`
 	subset := `{"kind":"compare","params":{"fast":true,"mix":5,"reps":1,"workers":1,"policies":["Equipartition","Dynamic"]}}`
-	blocker := `{"kind":"compare","params":{"reps":5,"workers":1},"async":true}`
+	blocker := `{"kind":"compare","params":{"reps":100,"workers":1},"async":true}`
 	bin := filepath.Join(t.TempDir(), "affinityd")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	build.Env = os.Environ()

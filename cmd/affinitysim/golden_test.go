@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -10,94 +11,34 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/report"
 )
+
+// update makes every golden test in this package write the bytes it
+// would otherwise compare (`make regen`).
+var update = flag.Bool("update", false, "rewrite the golden files instead of comparing against them")
 
 // cliGoldens pins the campaign CLI's observable behaviour: stdout,
 // stderr and exit code of each invocation, recorded under
 // testdata/golden/<name>.{stdout,stderr,code}. Every case is replayed at
-// -workers 1 and -workers 4 and must match byte for byte. The
-// policycompare, futuremodel and measurepenalty goldens were recorded
-// from those standalone CLIs before they were folded into affinitysim;
-// each is reproduced by the affinitysim invocation listed with it,
-// spelling out the flags whose defaults differed (futuremodel -fast used
-// a 4 s Table-1 budget). adjust, where set, undoes a deliberate layout
-// difference before the comparison — see the adjusters below.
+// -workers 1 and -workers 4 and must match byte for byte; under -update
+// the -workers 1 run is recorded, and the -workers 4 run must equal it.
 var cliGoldens = []struct {
-	name   string
-	args   []string
-	adjust func(t *testing.T, stdout string) string
+	name string
+	args []string
 }{
-	{"affinitysim_characterize_fast", []string{"characterize", "-fast"}, nil},
-	{"affinitysim_measure_fast_budget4", []string{"measure", "-fast", "-budget", "4"}, nil},
-	{"affinitysim_compare_fast_reps2_csv_timeshare_stats", []string{"compare", "-fast", "-reps", "2", "-csv", "-timeshare", "-stats"}, nil},
-	{"affinitysim_compare_fast_mix5_workers1", []string{"compare", "-fast", "-mix", "5", "-workers", "1"}, nil},
+	{"affinitysim_characterize_fast", []string{"characterize", "-fast"}},
+	{"affinitysim_measure_fast_budget4", []string{"measure", "-fast", "-budget", "4"}},
+	{"affinitysim_measure_budget4_detail", []string{"measure", "-budget", "4", "-detail"}},
+	{"affinitysim_compare_fast_reps2_csv_timeshare_stats", []string{"compare", "-fast", "-reps", "2", "-csv", "-timeshare", "-stats"}},
+	{"affinitysim_compare_fast_reps2_timeshare", []string{"compare", "-fast", "-reps", "2", "-timeshare"}},
+	{"affinitysim_compare_fast_mix5_workers1", []string{"compare", "-fast", "-mix", "5", "-workers", "1"}},
 	// Mix 3 under Dyn-Aff-Delay deadlocks at replication 4: the golden
 	// keeps that defect visible (exit 1, the scheduler's error on stderr).
-	{"affinitysim_compare_fast", []string{"compare", "-fast"}, nil},
-	{"affinitysim_future_fast_reps2_budget4_stats", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-stats"}, stripCrossovers},
-	{"affinitysim_extras_fast", []string{"extras", "-fast"}, nil},
-	{"policycompare_fast_reps2_timeshare", []string{"compare", "-fast", "-reps", "2", "-timeshare"}, foldTimeShareColumn},
-	{"futuremodel_fast_reps2", []string{"future", "-fast", "-reps", "2", "-budget", "4"}, nil},
-	{"futuremodel_fast_reps2_csv", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-csv"}, nil},
-	{"futuremodel_fast_reps2_simulate", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-simulate"}, nil},
-	{"measurepenalty_budget4_detail", []string{"measure", "-budget", "4", "-detail"}, nil},
-}
-
-// stripCrossovers removes the crossover table that affinitysim future
-// gained from futuremodel. The table itself must be present and identical
-// to the one in futuremodel's golden, which printed it after the same
-// charts.
-func stripCrossovers(t *testing.T, stdout string) string {
-	t.Helper()
-	fm := readGolden(t, "futuremodel_fast_reps2").stdout
-	i := strings.Index(fm, "Crossover products")
-	if i < 0 {
-		t.Fatal("futuremodel golden has no crossover table")
-	}
-	table := fm[i:]
-	if !strings.Contains(stdout, table) {
-		t.Fatalf("future output lacks futuremodel's crossover table:\n%s", table)
-	}
-	return strings.Replace(stdout, table, "", 1)
-}
-
-// foldTimeShareColumn rewrites affinitysim compare -timeshare output into
-// policycompare's layout, which showed TimeShare-RR as a fourth Figure 5
-// column: affinitysim prints the same numbers as its own "Extra —
-// TimeShare-RR" table, the third block.
-func foldTimeShareColumn(t *testing.T, stdout string) string {
-	t.Helper()
-	blocks := strings.Split(stdout, "\n\n")
-	if len(blocks) < 3 || !strings.HasPrefix(blocks[2], "Extra — TimeShare-RR") {
-		t.Fatalf("compare -timeshare output lacks the TimeShare-RR table:\n%s", stdout)
-	}
-	parse := func(block string) report.Table {
-		lines := strings.Split(block, "\n")
-		tab := report.Table{Title: lines[0], Headers: strings.Fields(lines[1])}
-		for _, l := range lines[3:] {
-			tab.Rows = append(tab.Rows, strings.Fields(l))
-		}
-		return tab
-	}
-	fig5, extra := parse(blocks[0]), parse(blocks[2])
-	if len(fig5.Rows) != len(extra.Rows) {
-		t.Fatalf("Figure 5 has %d rows, the TimeShare-RR table %d", len(fig5.Rows), len(extra.Rows))
-	}
-	fig5.Headers = append(fig5.Headers, extra.Headers[2])
-	for i := range fig5.Rows {
-		if fig5.Rows[i][0] != extra.Rows[i][0] || fig5.Rows[i][1] != extra.Rows[i][1] {
-			t.Fatalf("row %d: Figure 5 job %v, TimeShare-RR job %v", i, fig5.Rows[i][:2], extra.Rows[i][:2])
-		}
-		fig5.Rows[i] = append(fig5.Rows[i], extra.Rows[i][2])
-	}
-	var b strings.Builder
-	if err := fig5.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	blocks[0] = strings.TrimSuffix(b.String(), "\n")
-	return strings.Join(append(blocks[:2], blocks[3:]...), "\n\n")
+	{"affinitysim_compare_fast", []string{"compare", "-fast"}},
+	{"affinitysim_future_fast_reps2_budget4_stats", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-stats"}},
+	{"affinitysim_future_fast_reps2_budget4_csv", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-csv"}},
+	{"affinitysim_future_fast_reps2_budget4_simulate", []string{"future", "-fast", "-reps", "2", "-budget", "4", "-simulate"}},
+	{"affinitysim_extras_fast", []string{"extras", "-fast"}},
 }
 
 // cliResult is one invocation's observable behaviour.
@@ -122,10 +63,14 @@ func runCLI(t *testing.T, bin string, args []string) cliResult {
 	return cliResult{stdout.String(), stderr.String(), code}
 }
 
+func goldenPath(name, ext string) string {
+	return filepath.Join("testdata", "golden", name+"."+ext)
+}
+
 func readGolden(t *testing.T, name string) cliResult {
 	t.Helper()
 	read := func(ext string) string {
-		b, err := os.ReadFile(filepath.Join("testdata", "golden", name+"."+ext))
+		b, err := os.ReadFile(goldenPath(name, ext))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,6 +81,15 @@ func readGolden(t *testing.T, name string) cliResult {
 		t.Fatal(err)
 	}
 	return cliResult{read("stdout"), read("stderr"), code}
+}
+
+func writeGolden(t *testing.T, name string, r cliResult) {
+	t.Helper()
+	for ext, data := range map[string]string{"stdout": r.stdout, "stderr": r.stderr, "code": strconv.Itoa(r.code) + "\n"} {
+		if err := os.WriteFile(goldenPath(name, ext), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // firstDiff describes where two outputs first diverge.
@@ -179,12 +133,18 @@ func TestCLIGoldens(t *testing.T) {
 	for _, tc := range cliGoldens {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want := readGolden(t, tc.name)
-			for _, workers := range []string{"1", "4"} {
-				got := runCLI(t, bin, append(append([]string(nil), tc.args...), "-workers", workers))
-				if tc.adjust != nil && got.code == 0 {
-					got.stdout = tc.adjust(t, got.stdout)
-				}
+			run := func(workers string) cliResult {
+				return runCLI(t, bin, append(append([]string(nil), tc.args...), "-workers", workers))
+			}
+			var want cliResult
+			replay := []string{"1", "4"}
+			if *update {
+				want, replay = run("1"), replay[1:]
+			} else {
+				want = readGolden(t, tc.name)
+			}
+			for _, workers := range replay {
+				got := run(workers)
 				if got.code != want.code {
 					t.Errorf("workers=%s: exit code %d, golden %d (stderr %q)", workers, got.code, want.code, got.stderr)
 				}
@@ -195,6 +155,34 @@ func TestCLIGoldens(t *testing.T) {
 					t.Errorf("workers=%s: stdout differs from golden: %s", workers, firstDiff(got.stdout, want.stdout))
 				}
 			}
+			if *update && !t.Failed() {
+				writeGolden(t, tc.name, want)
+			}
 		})
+	}
+}
+
+// TestCLIGoldenFilesHaveCases: every file under testdata/golden belongs
+// to a case of cliGoldens, so a renamed or dropped case leaves no stale
+// golden that -update would never rewrite.
+func TestCLIGoldenFilesHaveCases(t *testing.T) {
+	want := make(map[string]bool)
+	for _, tc := range cliGoldens {
+		for _, ext := range []string{"stdout", "stderr", "code"} {
+			want[filepath.Base(goldenPath(tc.name, ext))] = true
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !want[e.Name()] {
+			t.Errorf("testdata/golden/%s belongs to no case of cliGoldens", e.Name())
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("testdata/golden/%s is missing; record it with make regen", name)
 	}
 }

@@ -15,7 +15,7 @@
 //	                                   # MPL sweep, two-level-cache analysis)
 //	affinitysim all          [flags]   # everything, in paper order
 //	affinitysim calibrate    [flags]   # analytic-engine calibration: run the grid on both
-//	                                   # engines, check the promotion golden (-write: rewrite it)
+//	                                   # engines, check the promotion golden
 //
 // Common flags:
 //
@@ -34,8 +34,6 @@
 //	              and print simulated vs model relative response times
 //	-policy NAME  policy for the trace subcommand (default Dyn-Aff)
 //	-window SEC   trace window length in seconds (default 5, from t=0)
-//	-write        calibrate: rewrite internal/analytic/promotion.json from this
-//	              pass instead of checking it (run from the repository root)
 //	-workers N    simulation cells run concurrently (0 = all CPUs, 1 = sequential);
 //	              results are identical for every worker count
 //	-stats        print the response-time decomposition table (engine
@@ -54,16 +52,14 @@
 // differential record of which campaign cells the auto engine tier may
 // serve from the analytic estimator. It runs the pinned calibration grid
 // (experiments.CalibrationGrid) through both engines and prints the
-// per-cell error table and the measured wall-clock speedup. By default it
-// then checks that every cell the checked-in golden promotes is still
-// within the golden's 10% tolerance; `make analytic-smoke` runs this check.
-// With -write it instead rewrites the golden, promoting the cells whose
-// analytic mean response time is within the stricter 8% threshold.
+// per-cell error table and the measured wall-clock speedup. It then checks
+// that every cell the checked-in golden promotes is still within the
+// golden's 10% tolerance; `make analytic-smoke` runs this check. `make
+// regen` re-records the golden itself.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -104,7 +100,6 @@ type cli struct {
 	window    float64
 	detail    bool
 	simulate  bool
-	write     bool
 	common    *cliflags.Common
 }
 
@@ -144,7 +139,6 @@ func parse(args []string) (string, *cli, error) {
 	fs.Float64Var(&c.window, "window", 5, "trace window length (seconds)")
 	fs.BoolVar(&c.detail, "detail", false, "measure: print per-regime run details")
 	fs.BoolVar(&c.simulate, "simulate", false, "future: also simulate the scaled machines directly")
-	fs.BoolVar(&c.write, "write", false, "calibrate: rewrite the promotion golden instead of checking it")
 	if err := fs.Parse(args[1:]); err != nil {
 		return "", nil, err
 	}
@@ -642,13 +636,8 @@ func (c *cli) simulateFuture(scen map[experiments.ScenarioKey]model.Scenario) er
 	return tab.Write(os.Stdout)
 }
 
-// promotionPath is the promotion golden calibrate -write rewrites,
-// relative to the repository root.
-const promotionPath = "internal/analytic/promotion.json"
-
 // calibrate runs the differential calibration grid, prints its per-cell
-// error table, and then checks the checked-in promotion golden against it
-// or, with -write, rewrites the golden from it.
+// error table, and then checks the checked-in promotion golden against it.
 func (c *cli) calibrate() error {
 	cal, err := experiments.Calibrate(c.ctx, c.params.Workers)
 	if err != nil {
@@ -657,24 +646,12 @@ func (c *cli) calibrate() error {
 	if err := writeCalibration(cal); err != nil {
 		return err
 	}
-	if !c.write {
-		golden := analytic.DefaultTable()
-		promoted, err := cal.Check(golden)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nall %d golden-promoted cells within tolerance %.0f%%\n", promoted, 100*golden.TolRelErr)
-		return nil
-	}
-	data, err := json.MarshalIndent(cal.Table, "", "  ")
+	golden := analytic.DefaultTable()
+	promoted, err := cal.Check(golden)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(promotionPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d cells, %d promoted (threshold %.0f%%)\n", promotionPath,
-		len(cal.Table.Cells), cal.Table.Envelope().Size(), 100*cal.Table.PromoteRelErr)
+	fmt.Printf("\nall %d golden-promoted cells within tolerance %.0f%%\n", promoted, 100*golden.TolRelErr)
 	return nil
 }
 

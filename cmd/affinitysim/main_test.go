@@ -45,10 +45,15 @@ func TestParse(t *testing.T) {
 			}
 		}
 	}
-	if _, c, err := parse([]string{"calibrate", "-write", "-workers", "2"}); err != nil {
+	if _, c, err := parse([]string{"calibrate", "-workers", "2"}); err != nil {
 		t.Fatal(err)
-	} else if !c.write || c.params.Workers != 2 {
-		t.Errorf("calibrate -write -workers 2: write=%v workers=%d", c.write, c.params.Workers)
+	} else if c.params.Workers != 2 {
+		t.Errorf("calibrate -workers 2: workers=%d", c.params.Workers)
+	}
+	// The promotion golden is re-recorded by `make regen`, not by a flag.
+	if _, _, err := parse([]string{"calibrate", "-write"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -write") {
+		t.Errorf("calibrate -write: err = %v, want an unknown-flag error", err)
 	}
 	// calibrate's runs record no stats, so it refuses -stats rather than
 	// print an all-zero table.

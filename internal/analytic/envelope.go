@@ -7,9 +7,9 @@ import (
 	"sync"
 )
 
-// promotionJSON is the checked-in calibration golden produced by
-// `affinitysim calibrate -write`: per-coordinate analytic-vs-sim errors and the
-// promotion verdicts defining the envelope the `auto` engine trusts.
+// promotionJSON is the checked-in calibration golden recorded by `make
+// regen`: per-coordinate analytic-vs-sim errors and the promotion verdicts
+// defining the envelope the `auto` engine trusts.
 //
 //go:embed promotion.json
 var promotionJSON []byte
@@ -42,7 +42,7 @@ type CalCell struct {
 
 // PromotionTable is the calibration golden: the error tolerance pair and
 // the calibrated cells. PromoteRelErr is the stricter bound a cell's mean
-// response-time error must meet at -write time for promotion; TolRelErr is
+// response-time error must meet when the golden is recorded; TolRelErr is
 // the looser bound the check (and the golden-based tests) re-enforce, leaving
 // hysteresis so cross-platform float drift cannot flip a borderline cell.
 type PromotionTable struct {
@@ -93,9 +93,6 @@ func (t *PromotionTable) Envelope() *Envelope {
 // Promoted reports whether the coordinate is inside the envelope. Unknown
 // coordinates — anything the calibration grid never measured — are outside.
 func (e *Envelope) Promoted(coord string) bool { return e.promoted[coord] }
-
-// Size returns the number of promoted coordinates.
-func (e *Envelope) Size() int { return len(e.promoted) }
 
 var (
 	defaultOnce  sync.Once

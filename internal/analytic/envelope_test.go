@@ -23,7 +23,7 @@ func TestDefaultEnvelopeLoads(t *testing.T) {
 			table.PromoteRelErr, table.TolRelErr, DefaultPromoteRelErr, DefaultTolRelErr)
 	}
 	env := DefaultEnvelope()
-	if env.Size() == 0 {
+	if len(env.promoted) == 0 {
 		t.Fatal("checked-in golden promotes no cells")
 	}
 	promoted := 0
@@ -34,15 +34,15 @@ func TestDefaultEnvelopeLoads(t *testing.T) {
 		}
 		if c.Promoted {
 			promoted++
-			// Promotion is decided on the strict threshold at -write time.
+			// Promotion is decided on the strict threshold when recorded.
 			if re := c.Metrics[PromotionMetric].RelErr; re > table.PromoteRelErr {
 				t.Errorf("%s promoted at %.1f%% rel err, above the %.0f%% promote bound",
 					c.Coord, 100*re, 100*table.PromoteRelErr)
 			}
 		}
 	}
-	if promoted != env.Size() {
-		t.Errorf("envelope size %d, table promotes %d", env.Size(), promoted)
+	if promoted != len(env.promoted) {
+		t.Errorf("envelope size %d, table promotes %d", len(env.promoted), promoted)
 	}
 	if env.Promoted("no-such-coordinate") {
 		t.Error("unknown coordinate inside the envelope")

@@ -17,11 +17,11 @@ import (
 // engine tier: it runs a pinned grid of campaign cells through both the
 // discrete-event simulator and the analytic estimator, records per-metric
 // relative errors, and promotes the cells whose mean response-time error
-// meets the strict threshold. `affinitysim calibrate -write` persists the
-// result as internal/analytic/promotion.json — the envelope `auto` trusts —
-// and `affinitysim calibrate` (wired into `make analytic-smoke`) re-runs
-// the grid and fails, through Calibration.Check, if any promoted cell has
-// drifted past the looser tolerance bound.
+// meets the strict threshold. `make regen` (TestPromotionGolden -update)
+// records the result as internal/analytic/promotion.json — the envelope
+// `auto` trusts — and `affinitysim calibrate` (wired into `make
+// analytic-smoke`) re-runs the grid and fails, through Calibration.Check,
+// if any promoted cell has drifted past the looser tolerance bound.
 
 // Calibration pin: the fast test scale every calibrated coordinate uses.
 // Changing any of these invalidates the checked-in golden — every Coord
@@ -255,7 +255,7 @@ func (c *Calibration) Check(golden *analytic.PromotionTable) (int, error) {
 		}
 	}
 	if promoted == 0 {
-		return 0, fmt.Errorf("golden promotes no cells; regenerate with affinitysim calibrate -write")
+		return 0, fmt.Errorf("golden promotes no cells; re-record it with make regen")
 	}
 	if len(bad) > 0 {
 		return promoted, fmt.Errorf("%d envelope violations:\n  %s", len(bad), strings.Join(bad, "\n  "))

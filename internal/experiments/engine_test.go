@@ -109,10 +109,6 @@ func TestEngineTiersDeriveDistinctCellKeys(t *testing.T) {
 // never outside it, and (on the calibrated grid) everywhere inside it.
 func TestAutoSelectsAnalyticOnlyInsideEnvelope(t *testing.T) {
 	env := analytic.DefaultEnvelope()
-	if env.Size() == 0 {
-		t.Fatal("checked-in golden promotes no cells")
-	}
-
 	p := calibrationParams()
 	p.Engine = EngineAuto
 	plan, err := Cells("compare", p)
@@ -193,7 +189,7 @@ func TestAnalyticCellBytesStable(t *testing.T) {
 }
 
 // Every golden-promoted cell's analytic mean response time must still be
-// within the golden's tolerance of the sim value recorded at -write time.
+// within the golden's tolerance of the sim value the golden records.
 // This is the cheap half of `affinitysim calibrate`: it re-runs only the
 // analytic side, trusting the golden's sim numbers.
 func TestAnalyticAccuracyWithinGoldenTolerance(t *testing.T) {
@@ -216,30 +212,6 @@ func TestAnalyticAccuracyWithinGoldenTolerance(t *testing.T) {
 	}
 	if promoted == 0 {
 		t.Fatal("golden promotes no cells")
-	}
-}
-
-// The calibration grid and the checked-in golden must agree coordinate for
-// coordinate: a drifted grid would silently shrink (or misdirect) the
-// envelope auto trusts.
-func TestCalibrationGridMatchesGolden(t *testing.T) {
-	grid := CalibrationGrid()
-	coords := make(map[string]bool, len(grid))
-	for _, c := range grid {
-		if coords[c.Coord] {
-			t.Errorf("duplicate calibration coordinate %s", c.Coord)
-		}
-		coords[c.Coord] = true
-	}
-	golden := analytic.DefaultTable()
-	if len(golden.Cells) != len(grid) {
-		t.Errorf("golden has %d cells, grid has %d; regenerate with affinitysim calibrate -write",
-			len(golden.Cells), len(grid))
-	}
-	for _, g := range golden.Cells {
-		if !coords[g.Coord] {
-			t.Errorf("golden cell %s is no longer on the calibration grid", g.Coord)
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -430,30 +431,41 @@ func TestCampaignSchemas(t *testing.T) {
 	}
 }
 
+// update makes the golden test in this package write the bytes it would
+// otherwise compare (`make regen`).
+var update = flag.Bool("update", false, "rewrite the golden files instead of comparing against them")
+
 // TestCampaignListingGolden pins GET /v1/campaigns byte for byte
 // (testdata/campaigns.json): every kind's description, parameter order,
 // defaults, bounds and allowed values are wire contract, so a change to
 // any of them shows here as a reviewed golden edit.
 func TestCampaignListingGolden(t *testing.T) {
+	const path = "testdata/campaigns.json"
 	e := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
 	resp, err := http.Get(e.url + "/v1/campaigns")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := readAll(t, resp)
-	want, err := os.ReadFile("testdata/campaigns.json")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("GET /v1/campaigns differs from testdata/campaigns.json:\n%s", got)
+		t.Errorf("GET /v1/campaigns differs from %s; re-record it with make regen:\n%s", path, got)
 	}
 }
 
 // TestFailingCellIsMissNotExecution: a cell whose run fails fails the
 // job and counts as a miss, never as an execution, and nothing is
 // cached for it. The failing input is the known Dyn-Aff-Delay deadlock
-// on mix 3 (ROADMAP, "A preempted task is never resumed").
+// on mix 3 (ROADMAP, "A preempted task is stranded").
 func TestFailingCellIsMissNotExecution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")

@@ -16,9 +16,9 @@ import (
 // TestCellMergeMatchesMonolithic is the sharding contract: for every
 // registered kind, splitting the campaign into cells, executing them in
 // reversed order (on 1 and on 8 workers), and merging the canonical-JSON
-// partials reproduces the monolithic bytes exactly — the body digests
-// recorded from the standalone per-kind drivers before they were folded
-// into the cell path.
+// partials reproduces the body digests pinned in
+// testdata/campaign_bodies.sha256 exactly, so merge order and worker
+// count can never change a result.
 func TestCellMergeMatchesMonolithic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs in -short mode")
@@ -68,7 +68,7 @@ func TestCellMergeMatchesMonolithic(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := bodyDigest(t, merged); got != want[tc.kind] {
-					t.Errorf("workers=%d: merged body sha256 %s, monolithic golden %s", workers, got, want[tc.kind])
+					t.Errorf("workers=%d: merged body sha256 %s, campaign_bodies.sha256 %s", workers, got, want[tc.kind])
 				}
 			}
 		})

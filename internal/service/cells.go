@@ -17,13 +17,12 @@ import (
 	"repro/internal/version"
 )
 
-// This file is the cell execution path: when the server runs the real
-// campaign registry (Config.Runner == nil), a job is not executed as one
-// opaque call but as its experiments.CellPlan — every cell is looked up
-// in the per-cell result cache, only the missing ones execute, and each
-// completed cell is cached immediately. A campaign cancelled mid-flight
-// therefore leaves its finished cells behind, and a re-submission (or a
-// superset campaign sharing a sub-grid) resumes instead of restarting.
+// This file is the server's one execution path: every job runs as its
+// experiments.CellPlan — each cell is looked up in the per-cell result
+// cache, only the missing ones execute, and each completed cell is
+// cached immediately. A campaign cancelled mid-flight therefore leaves
+// its finished cells behind, and a re-submission (or a superset campaign
+// sharing a sub-grid) resumes instead of restarting.
 // The merged body is byte-identical to an in-process experiments.Run of
 // the same params — the experiments-layer contract pinned by its body
 // goldens — so the campaign-level cache and the cell cache never
@@ -237,7 +236,7 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		// death. A remote cell keeps the worker's measured cost, so
 		// eviction still weighs simulation time rather than network time.
 		l, err := s.cells.Resolve(ctx, key, fill, func(ctx context.Context) ([]byte, error) {
-			return cell.RunBody(ctx)
+			return s.cfg.execCell(ctx, cell)
 		})
 		switch l.Source {
 		case resultcache.Memory:

@@ -3,16 +3,18 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/experiments"
 )
 
 // TestCellReuseAcrossCampaigns is the tentpole's service-level contract:
@@ -53,18 +55,9 @@ func TestCellReuseAcrossCampaigns(t *testing.T) {
 	}
 
 	// The reuse is visible on the job view.
-	var list struct {
-		Jobs []jobView `json:"jobs"`
-	}
-	resp, err := http.Get(e.url + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(readAll(t, resp), &list); err != nil {
-		t.Fatal(err)
-	}
+	jobs := e.listJobs()
 	found := false
-	for _, v := range list.Jobs {
+	for _, v := range jobs {
 		if v.CellsTotal == 3 {
 			found = true
 			if v.CellsDone != 3 || v.CellsFromCache != 2 {
@@ -73,7 +66,7 @@ func TestCellReuseAcrossCampaigns(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("no 3-cell job in listing: %+v", list.Jobs)
+		t.Errorf("no 3-cell job in listing: %+v", jobs)
 	}
 
 	// Reused cells must not change a single byte of the merged result.
@@ -164,7 +157,7 @@ func TestJobEventsStream(t *testing.T) {
 // TestErrorEnvelope checks every non-2xx /v1 response carries the
 // machine-readable envelope, with field paths on validation failures.
 func TestErrorEnvelope(t *testing.T) {
-	e := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
+	e := newEnv(t, Config{})
 	decode := func(resp *http.Response) api.ErrorEnvelope {
 		t.Helper()
 		var env api.ErrorEnvelope
@@ -262,12 +255,16 @@ func TestErrorEnvelope(t *testing.T) {
 // pagination: stable id (admission) order, limit-sized pages, and
 // next_page_token present exactly while more matches remain.
 func TestListJobsFilterPagination(t *testing.T) {
-	var runs atomic.Int64
-	e := newEnv(t, Config{Runner: countingRunner(&runs, 0), JobWorkers: 1})
+	e := newEnv(t, Config{JobWorkers: 1})
 
+	// A one-cell compare and a 9-cell fast table1, alternating.
 	kinds := []string{"compare", "table1", "compare", "table1", "compare"}
 	for i, kind := range kinds {
-		resp := e.submit(fmt.Sprintf(`{"kind":%q,"params":{"fast":true,"seed":%d},"async":true}`, kind, i+1))
+		req := oneCell(i+1, true)
+		if kind == "table1" {
+			req = fmt.Sprintf(`{"kind":"table1","params":{"fast":true,"budget_sec":0.5,"seed":%d},"async":true}`, i+1)
+		}
+		resp := e.submit(req)
 		b := readAll(t, resp)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, b)
@@ -365,7 +362,7 @@ func TestListJobsFilterPagination(t *testing.T) {
 // TestCampaignSchemas checks GET /v1/campaigns exposes a parameter
 // schema for every kind.
 func TestCampaignSchemas(t *testing.T) {
-	e := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
+	e := newEnv(t, Config{})
 	resp, err := http.Get(e.url + "/v1/campaigns")
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +438,7 @@ var update = flag.Bool("update", false, "rewrite the golden files instead of com
 // any of them shows here as a reviewed golden edit.
 func TestCampaignListingGolden(t *testing.T) {
 	const path = "testdata/campaigns.json"
-	e := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
+	e := newEnv(t, Config{})
 	resp, err := http.Get(e.url + "/v1/campaigns")
 	if err != nil {
 		t.Fatal(err)
@@ -464,17 +461,16 @@ func TestCampaignListingGolden(t *testing.T) {
 
 // TestFailingCellIsMissNotExecution: a cell whose run fails fails the
 // job and counts as a miss, never as an execution, and nothing is
-// cached for it. The failing input is the known Dyn-Aff-Delay deadlock
-// on mix 3 (ROADMAP, "A preempted task is stranded").
+// cached for it.
 func TestFailingCellIsMissNotExecution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign runs in -short mode")
+	fail := func(context.Context, *experiments.Cell) ([]byte, error) {
+		return nil, errors.New("injected cell failure")
 	}
-	e := newEnv(t, Config{})
-	r := e.submit(`{"kind":"compare","params":{"fast":true,"reps":5,"mix":3,"policies":["Dyn-Aff-Delay"]}}`)
+	e := newEnv(t, Config{execCell: fail})
+	r := e.submit(oneCell(1, false))
 	body := readAll(t, r)
 	if r.StatusCode == http.StatusOK {
-		t.Fatalf("deadlocking campaign succeeded: %s", body)
+		t.Fatalf("failing campaign succeeded: %s", body)
 	}
 	c := &e.s.metrics.cells
 	if m, x := c.Misses.Load(), c.Executions.Load(); m != 1 || x != 0 {

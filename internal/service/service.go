@@ -78,11 +78,6 @@ import (
 	"repro/internal/version"
 )
 
-// Runner executes one campaign as an opaque call. The server itself runs
-// campaigns cell by cell through their plans; tests substitute
-// controllable runners.
-type Runner func(ctx context.Context, kind string, p experiments.CampaignParams) (any, error)
-
 // Config parameterizes a Server. Zero values select the defaults noted on
 // each field.
 type Config struct {
@@ -113,11 +108,6 @@ type Config struct {
 	// it keeps the jobs map — and the result bodies it pins — bounded on
 	// a long-running daemon.
 	MaxJobs int
-	// Runner substitutes the campaign executor (tests); nil uses the
-	// experiments registry, executed cell by cell through the cell cache.
-	// A non-nil Runner is opaque to the server, so cell-level caching and
-	// progress events are disabled for it.
-	Runner Runner
 	// CellCache substitutes the per-cell result cache, letting several
 	// servers — or a restarted one — share completed cells; nil builds a
 	// private cache with the CacheBytes budget. Separate from the
@@ -157,6 +147,10 @@ type Config struct {
 	// StatsWriter, when non-nil, receives each completed job's
 	// response-time decomposition table (experiments.StatsReport).
 	StatsWriter io.Writer
+	// execCell executes one cell that missed every tier (default
+	// c.RunBody). Unexported: only this package's tests set it, to gate,
+	// count or fail a cell execution beneath the real cell path.
+	execCell func(ctx context.Context, c *experiments.Cell) ([]byte, error)
 }
 
 func (c Config) withDefaults() Config {
@@ -183,6 +177,11 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CellCache == nil {
 		c.CellCache = resultcache.New(c.CacheBytes)
+	}
+	if c.execCell == nil {
+		c.execCell = func(ctx context.Context, cell *experiments.Cell) ([]byte, error) {
+			return cell.RunBody(ctx)
+		}
 	}
 	return c
 }
@@ -317,7 +316,6 @@ type jobView struct {
 	Finished  string `json:"finished,omitempty"`
 	// Cell progress: total cells in the campaign's plan, completed so
 	// far, and how many of those were satisfied from the cell cache.
-	// All zero for jobs run through a custom Runner.
 	CellsTotal     int `json:"cells_total"`
 	CellsDone      int `json:"cells_done"`
 	CellsFromCache int `json:"cells_from_cache"`
@@ -419,9 +417,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Cache exposes the result cache (the smoke gate reads its counters).
-func (s *Server) Cache() *resultcache.Cache { return s.bodies.Memory }
 
 // campaignRequest is the POST /v1/campaigns body.
 type campaignRequest struct {
@@ -733,27 +728,7 @@ func (s *Server) worker() {
 		j.mu.Unlock()
 		span(&s.metrics.spanQueueWait, j.started.Sub(j.created))
 		s.metrics.inflight.Add(1)
-		// The registry path runs the campaign cell by cell through the
-		// cell cache; a custom Runner is opaque and runs monolithically.
-		// Either way the collector rides the context, not the params: the
-		// campaign attaches it to its run options, so stats flow out of
-		// band and the result bytes stay identical to an uninstrumented
-		// run.
-		exec := func() ([]byte, error) {
-			if s.cfg.Runner == nil {
-				return s.runCells(j)
-			}
-			res, err := s.cfg.Runner(obs.WithCollector(j.ctx, j.stats), j.kind, j.params)
-			if err != nil {
-				return nil, err
-			}
-			body, err := report.CanonicalJSON(res)
-			if err != nil {
-				return nil, fmt.Errorf("encode result: %s", err)
-			}
-			return body, nil
-		}
-		body, err := exec()
+		body, err := s.runCells(j)
 		elapsed := time.Since(j.started)
 		span(&s.metrics.spanExec, elapsed)
 		s.metrics.inflight.Add(-1)

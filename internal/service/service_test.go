@@ -18,8 +18,7 @@ import (
 	"repro/internal/experiments"
 )
 
-// testEnv wires a Server with a controllable runner behind an HTTP
-// listener.
+// testEnv wires a Server behind an HTTP listener.
 type testEnv struct {
 	t   *testing.T
 	s   *Server
@@ -60,44 +59,86 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return b
 }
 
-// countingRunner returns a deterministic result and counts executions.
-func countingRunner(runs *atomic.Int64, delay time.Duration) Runner {
-	return func(ctx context.Context, kind string, p experiments.CampaignParams) (any, error) {
-		runs.Add(1)
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		return map[string]any{"kind": kind, "seed": p.Seed, "payload": "deterministic"}, nil
+// oneCell is a campaign request whose plan is a single analytic cell
+// (a few milliseconds), so in a gated test one cell start is one job.
+func oneCell(seed int, async bool) string {
+	return fmt.Sprintf(`{"kind":"compare","params":{"engine":"analytic","mix":5,"policies":["Dynamic"],"seed":%d},"async":%t}`, seed, async)
+}
+
+// countCells is an execCell that counts executions and runs the real
+// cell.
+func countCells(n *atomic.Int64) func(context.Context, *experiments.Cell) ([]byte, error) {
+	return func(ctx context.Context, c *experiments.Cell) ([]byte, error) {
+		n.Add(1)
+		return c.RunBody(ctx)
 	}
 }
 
-// gateRunner blocks until released (or cancelled), reporting starts.
-type gateRunner struct {
+// gate blocks each executing cell until released (or cancelled),
+// reporting its start, then runs the real cell.
+type gate struct {
 	started chan string
 	release chan struct{}
 }
 
-func newGateRunner() *gateRunner {
-	return &gateRunner{started: make(chan string, 16), release: make(chan struct{})}
+func newGate() *gate {
+	return &gate{started: make(chan string, 16), release: make(chan struct{})}
 }
 
-func (g *gateRunner) run(ctx context.Context, kind string, p experiments.CampaignParams) (any, error) {
-	g.started <- kind
+func (g *gate) exec(ctx context.Context, c *experiments.Cell) ([]byte, error) {
+	g.started <- c.ID
 	select {
 	case <-g.release:
-		return map[string]any{"seed": p.Seed}, nil
+		return c.RunBody(ctx)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
+// listJobs returns GET /v1/jobs's job views.
+func (e *testEnv) listJobs() []jobView {
+	e.t.Helper()
+	r, err := http.Get(e.url + "/v1/jobs")
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	var listing struct {
+		Jobs []jobView `json:"jobs"`
+	}
+	if err := json.Unmarshal(readAll(e.t, r), &listing); err != nil {
+		e.t.Fatal(err)
+	}
+	return listing.Jobs
+}
+
+// requireCellPath checks the cell-path invariant once every job has
+// finished: each cell miss was exactly one execution, the executions are
+// the n cells execCell counted, and every finished job's view accounts
+// for all of its plan's cells.
+func (e *testEnv) requireCellPath(n int64) {
+	e.t.Helper()
+	c := &e.s.metrics.cells
+	if m, x := c.Misses.Load(), c.Executions.Load(); m != x || x != uint64(n) {
+		e.t.Errorf("cell misses=%d executions=%d, want both %d (the cells executed)", m, x, n)
+	}
+	done := 0
+	for _, v := range e.listJobs() {
+		if v.Status != "done" {
+			continue
+		}
+		done++
+		if v.CellsTotal == 0 || v.CellsDone != v.CellsTotal {
+			e.t.Errorf("job %s: cells_done=%d cells_total=%d, want equal and > 0", v.ID, v.CellsDone, v.CellsTotal)
+		}
+	}
+	if done == 0 {
+		e.t.Error("no finished job to check")
+	}
+}
+
 func TestSubmitCacheHitByteIdentical(t *testing.T) {
-	var runs atomic.Int64
-	e := newEnv(t, Config{Runner: countingRunner(&runs, 0)})
+	var cells atomic.Int64
+	e := newEnv(t, Config{execCell: countCells(&cells)})
 
 	req := `{"kind":"table1","params":{"fast":true,"budget_sec":0.5}}`
 	r1 := e.submit(req)
@@ -120,10 +161,11 @@ func TestSubmitCacheHitByteIdentical(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Errorf("bodies differ:\n%s\n%s", body1, body2)
 	}
-	if n := runs.Load(); n != 1 {
-		t.Errorf("runner executed %d times, want 1", n)
+	// One run of the fast table1 plan executes its 9 cells.
+	if n := cells.Load(); n != 9 {
+		t.Errorf("executed %d cells, want 9", n)
 	}
-	if st := e.s.Cache().Stats(); st.Hits != 1 {
+	if st := e.s.bodies.Memory.Stats(); st.Hits != 1 {
 		t.Errorf("cache hits = %d, want 1", st.Hits)
 	}
 
@@ -136,10 +178,11 @@ func TestSubmitCacheHitByteIdentical(t *testing.T) {
 	if !bytes.Equal(body1, body3) {
 		t.Errorf("equivalent request body differs")
 	}
+	e.requireCellPath(cells.Load())
 }
 
 func TestSubmitValidation(t *testing.T) {
-	e := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
+	e := newEnv(t, Config{})
 	cases := []struct {
 		body string
 		want int
@@ -160,10 +203,10 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestSingleflightDedup(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, JobWorkers: 4, QueueDepth: 8})
+	g := newGate()
+	e := newEnv(t, Config{execCell: g.exec, JobWorkers: 4, QueueDepth: 8})
 
-	req := `{"kind":"characterize","params":{"seed":7}}`
+	req := oneCell(7, false)
 	const clients = 5
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
@@ -179,7 +222,7 @@ func TestSingleflightDedup(t *testing.T) {
 	// No second start may arrive; give a dedup failure a moment to show.
 	select {
 	case k := <-g.started:
-		t.Errorf("second runner execution started (%s); singleflight failed", k)
+		t.Errorf("second cell execution started (%s); singleflight failed", k)
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(g.release)
@@ -192,20 +235,20 @@ func TestSingleflightDedup(t *testing.T) {
 }
 
 func TestQueueFull429(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run, JobWorkers: 1, QueueDepth: 1, RetryAfter: 3 * time.Second})
+	g := newGate()
+	e := newEnv(t, Config{execCell: g.exec, JobWorkers: 1, QueueDepth: 1, RetryAfter: 3 * time.Second})
 
 	// Occupy the single worker.
-	go e.submit(`{"kind":"characterize","params":{"seed":1}}`)
+	go e.submit(oneCell(1, false))
 	<-g.started
 	// Fill the single queue slot (async so we don't block).
-	r2 := e.submit(`{"kind":"characterize","params":{"seed":2},"async":true}`)
+	r2 := e.submit(oneCell(2, true))
 	readAll(t, r2)
 	if r2.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue-filling submit: %d", r2.StatusCode)
 	}
 	// Third distinct request must bounce.
-	r3 := e.submit(`{"kind":"characterize","params":{"seed":3}}`)
+	r3 := e.submit(oneCell(3, false))
 	b3 := readAll(t, r3)
 	if r3.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload submit: got %d (%s), want 429", r3.StatusCode, b3)
@@ -215,7 +258,7 @@ func TestQueueFull429(t *testing.T) {
 	}
 	// An identical duplicate of the RUNNING job still dedups — no queue
 	// slot needed, no 429.
-	r4 := e.submit(`{"kind":"characterize","params":{"seed":1},"async":true}`)
+	r4 := e.submit(oneCell(1, true))
 	readAll(t, r4)
 	if r4.StatusCode != http.StatusAccepted {
 		t.Errorf("dedup-during-overload: got %d, want 202", r4.StatusCode)
@@ -224,10 +267,10 @@ func TestQueueFull429(t *testing.T) {
 }
 
 func TestAsyncLifecycleAndResult(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run})
+	g := newGate()
+	e := newEnv(t, Config{execCell: g.exec})
 
-	resp := e.submit(`{"kind":"relatedwork","params":{"seed":9},"async":true}`)
+	resp := e.submit(oneCell(9, true))
 	var v jobView
 	if err := json.Unmarshal(readAll(t, resp), &v); err != nil {
 		t.Fatal(err)
@@ -270,8 +313,11 @@ func TestAsyncLifecycleAndResult(t *testing.T) {
 		t.Fatalf("job never completed: %+v", done)
 	}
 	r, body := get(done.ResultURL)
-	if r.StatusCode != 200 || !strings.Contains(string(body), `"seed":9`) {
-		t.Errorf("result fetch: %d %s", r.StatusCode, body)
+	cold := newEnv(t, Config{})
+	rc := cold.submit(oneCell(9, false))
+	want := readAll(t, rc)
+	if r.StatusCode != 200 || rc.StatusCode != 200 || !bytes.Equal(body, want) {
+		t.Errorf("result fetch: %d %s, want the cold run's %d %s", r.StatusCode, body, rc.StatusCode, want)
 	}
 	// Unknown job id.
 	if r, _ := get("/v1/jobs/zzz"); r.StatusCode != http.StatusNotFound {
@@ -280,10 +326,10 @@ func TestAsyncLifecycleAndResult(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run})
+	g := newGate()
+	e := newEnv(t, Config{execCell: g.exec})
 
-	resp := e.submit(`{"kind":"compare","params":{"seed":4},"async":true}`)
+	resp := e.submit(oneCell(4, true))
 	var v jobView
 	json.Unmarshal(readAll(t, resp), &v)
 	<-g.started
@@ -316,12 +362,12 @@ func TestCancelRunningJob(t *testing.T) {
 // TestDisconnectCancelsSoleWaiter: a synchronous client that goes away is
 // the only party interested; the campaign must stop.
 func TestDisconnectCancelsSoleWaiter(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run})
+	g := newGate()
+	e := newEnv(t, Config{execCell: g.exec})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, e.url+"/v1/campaigns",
-		strings.NewReader(`{"kind":"future","params":{"seed":6}}`))
+		strings.NewReader(oneCell(6, false)))
 	req.Header.Set("Content-Type", "application/json")
 	errc := make(chan error, 1)
 	go func() {
@@ -333,7 +379,7 @@ func TestDisconnectCancelsSoleWaiter(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("expected client-side context error")
 	}
-	// The runner observes ctx cancellation and the job lands in canceled.
+	// The gated cell observes ctx cancellation and the job lands in canceled.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		r, err := http.Get(e.url + "/v1/jobs")
@@ -350,8 +396,8 @@ func TestDisconnectCancelsSoleWaiter(t *testing.T) {
 }
 
 func TestShutdownDrainsInflightCancelsQueued(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Runner: g.run, JobWorkers: 1, QueueDepth: 4})
+	g := newGate()
+	s := New(Config{execCell: g.exec, JobWorkers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -363,12 +409,12 @@ func TestShutdownDrainsInflightCancelsQueued(t *testing.T) {
 		return resp
 	}
 	// One running...
-	r1 := post(`{"kind":"characterize","params":{"seed":1},"async":true}`)
+	r1 := post(oneCell(1, true))
 	var running jobView
 	json.Unmarshal(readAll(t, r1), &running)
 	<-g.started
 	// ...and one queued.
-	r2 := post(`{"kind":"characterize","params":{"seed":2},"async":true}`)
+	r2 := post(oneCell(2, true))
 	var queued jobView
 	json.Unmarshal(readAll(t, r2), &queued)
 
@@ -399,7 +445,7 @@ func TestShutdownDrainsInflightCancelsQueued(t *testing.T) {
 		t.Errorf("queued job at shutdown: %q, want canceled", st)
 	}
 	// New submissions are refused while draining/drained.
-	r3 := post(`{"kind":"characterize","params":{"seed":3}}`)
+	r3 := post(oneCell(3, false))
 	readAll(t, r3)
 	if r3.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown submit: got %d, want 503", r3.StatusCode)
@@ -407,8 +453,7 @@ func TestShutdownDrainsInflightCancelsQueued(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	var runs atomic.Int64
-	e := newEnv(t, Config{Runner: countingRunner(&runs, 0)})
+	e := newEnv(t, Config{})
 
 	r, err := http.Get(e.url + "/healthz")
 	if err != nil {
@@ -421,7 +466,31 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 	// Run a campaign twice: one miss, one hit.
 	for i := 0; i < 2; i++ {
-		readAll(t, e.submit(`{"kind":"table1","params":{"fast":true}}`))
+		readAll(t, e.submit(`{"kind":"table1","params":{"fast":true,"budget_sec":0.5}}`))
+	}
+	// The engine counters fold the one executed job's collector.
+	jobs := e.listJobs()
+	if len(jobs) != 1 {
+		t.Fatalf("jobs = %+v, want the one miss", jobs)
+	}
+	rs, err := http.Get(e.url + "/v1/jobs/" + jobs[0].ID + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		Stats struct {
+			Total struct {
+				Runs          uint64 `json:"runs"`
+				Reallocations uint64 `json:"reallocations"`
+			} `json:"total"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(readAll(t, rs), &job); err != nil {
+		t.Fatal(err)
+	}
+	sim := job.Stats.Total
+	if sim.Runs == 0 || sim.Reallocations == 0 {
+		t.Errorf("job stats runs=%d reallocations=%d, want both > 0", sim.Runs, sim.Reallocations)
 	}
 	r, err = http.Get(e.url + "/metrics")
 	if err != nil {
@@ -442,10 +511,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"affinityd_request_queue_wait_seconds_count 1",
 		"affinityd_request_exec_seconds_count 1",
 		`affinityd_request_exec_seconds_bucket{le="+Inf"} 1`,
-		// The stub runner carries no collector through the registry, so
-		// the engine counters exist but stay zero.
-		"affinityd_sim_runs_total 0",
-		"affinityd_sim_reallocations_total 0",
+		fmt.Sprintf("affinityd_sim_runs_total %d", sim.Runs),
+		fmt.Sprintf("affinityd_sim_reallocations_total %d", sim.Reallocations),
 	} {
 		if !strings.Contains(mb, want) {
 			t.Errorf("metrics missing %q\n%s", want, mb)
@@ -469,11 +536,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 // queued→running transition, this interleaving could finish a job twice
 // and panic the daemon on a double close of j.done.
 func TestCancelQueuedVsDequeueNoPanic(t *testing.T) {
-	var runs atomic.Int64
-	e := newEnv(t, Config{Runner: countingRunner(&runs, 0), JobWorkers: 2, QueueDepth: 64})
+	e := newEnv(t, Config{JobWorkers: 2, QueueDepth: 64})
 
 	for i := 1; i <= 60; i++ {
-		resp := e.submit(fmt.Sprintf(`{"kind":"characterize","params":{"seed":%d},"async":true}`, i))
+		resp := e.submit(oneCell(i, true))
 		b := readAll(t, resp)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, resp.StatusCode, b)
@@ -515,21 +581,21 @@ func TestCancelQueuedVsDequeueNoPanic(t *testing.T) {
 func TestResubmitAfterAbandonGetsFreshRun(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
-	stubborn := func(ctx context.Context, kind string, p experiments.CampaignParams) (any, error) {
+	stubborn := func(ctx context.Context, c *experiments.Cell) ([]byte, error) {
 		started <- struct{}{}
 		<-release // slow to observe cancellation, like a real campaign mid-cell
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		return map[string]any{"seed": p.Seed}, nil
+		return c.RunBody(ctx)
 	}
-	e := newEnv(t, Config{Runner: stubborn, JobWorkers: 1})
+	e := newEnv(t, Config{execCell: stubborn, JobWorkers: 1})
 
 	// Client A is the sole waiter; disconnecting cancels the job, but the
-	// runner keeps it occupying the singleflight slot.
+	// stubborn cell keeps it occupying the singleflight slot.
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, e.url+"/v1/campaigns",
-		strings.NewReader(`{"kind":"characterize","params":{"seed":11}}`))
+		strings.NewReader(oneCell(11, false)))
 	req.Header.Set("Content-Type", "application/json")
 	errc := make(chan error, 1)
 	go func() {
@@ -563,7 +629,7 @@ func TestResubmitAfterAbandonGetsFreshRun(t *testing.T) {
 	// Client B resubmits the identical request while the dying job still
 	// holds the slot, then the worker is released to reap it.
 	done := make(chan *http.Response, 1)
-	go func() { done <- e.submit(`{"kind":"characterize","params":{"seed":11}}`) }()
+	go func() { done <- e.submit(oneCell(11, false)) }()
 	time.Sleep(50 * time.Millisecond) // let B's admit run against the dying job
 	close(release)
 	resp := <-done
@@ -590,13 +656,13 @@ func TestRetryAfterNeverZero(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.cfg.String(), func(t *testing.T) {
-			g := newGateRunner()
-			e := newEnv(t, Config{Runner: g.run, JobWorkers: 1, QueueDepth: 1, RetryAfter: tc.cfg})
+			g := newGate()
+			e := newEnv(t, Config{execCell: g.exec, JobWorkers: 1, QueueDepth: 1, RetryAfter: tc.cfg})
 			// Occupy the worker and the single queue slot.
-			go e.submit(`{"kind":"characterize","params":{"seed":1}}`)
+			go e.submit(oneCell(1, false))
 			<-g.started
-			readAll(t, e.submit(`{"kind":"characterize","params":{"seed":2},"async":true}`))
-			r := e.submit(`{"kind":"characterize","params":{"seed":3}}`)
+			readAll(t, e.submit(oneCell(2, true)))
+			r := e.submit(oneCell(3, false))
 			readAll(t, r)
 			if r.StatusCode != http.StatusTooManyRequests {
 				t.Fatalf("overload submit: %d, want 429", r.StatusCode)
@@ -615,14 +681,14 @@ func TestRetryAfterNeverZero(t *testing.T) {
 // connection — not attach to a job shutdown is about to cancel, and not
 // hang waiting on a worker pool that is winding down.
 func TestDrainRejectsSubmitsWithConnectionClose(t *testing.T) {
-	g := newGateRunner()
-	s := New(Config{Runner: g.run, JobWorkers: 1})
+	g := newGate()
+	s := New(Config{execCell: g.exec, JobWorkers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// Put one job in flight so Shutdown blocks mid-drain.
 	r1, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
-		strings.NewReader(`{"kind":"characterize","params":{"seed":1},"async":true}`))
+		strings.NewReader(oneCell(1, true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +720,7 @@ func TestDrainRejectsSubmitsWithConnectionClose(t *testing.T) {
 	go func() {
 		defer close(done)
 		r, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
-			strings.NewReader(`{"kind":"characterize","params":{"seed":2}}`))
+			strings.NewReader(oneCell(2, false)))
 		if err != nil {
 			t.Errorf("mid-drain submit failed: %v", err)
 			return
@@ -688,10 +754,10 @@ func TestDrainRejectsSubmitsWithConnectionClose(t *testing.T) {
 // TestJobStatsEndpoint: every job exposes its simulation-counter
 // snapshot out of band at /v1/jobs/{id}/stats, at any lifecycle stage.
 func TestJobStatsEndpoint(t *testing.T) {
-	g := newGateRunner()
-	e := newEnv(t, Config{Runner: g.run})
+	g := newGate()
+	e := newEnv(t, Config{execCell: g.exec})
 
-	resp := e.submit(`{"kind":"characterize","params":{"seed":3},"async":true}`)
+	resp := e.submit(oneCell(3, true))
 	var v jobView
 	json.Unmarshal(readAll(t, resp), &v)
 	<-g.started
@@ -727,13 +793,13 @@ func TestJobStatsEndpoint(t *testing.T) {
 // TestPprofGating: the profiling surface exists only when explicitly
 // enabled.
 func TestPprofGating(t *testing.T) {
-	off := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0)})
+	off := newEnv(t, Config{})
 	if r, err := http.Get(off.url + "/debug/pprof/"); err != nil {
 		t.Fatal(err)
 	} else if readAll(t, r); r.StatusCode != http.StatusNotFound {
 		t.Errorf("pprof without EnablePprof: %d, want 404", r.StatusCode)
 	}
-	on := newEnv(t, Config{Runner: countingRunner(new(atomic.Int64), 0), EnablePprof: true})
+	on := newEnv(t, Config{EnablePprof: true})
 	if r, err := http.Get(on.url + "/debug/pprof/"); err != nil {
 		t.Fatal(err)
 	} else if b := readAll(t, r); r.StatusCode != http.StatusOK || !strings.Contains(string(b), "goroutine") {
@@ -746,11 +812,11 @@ func TestPprofGating(t *testing.T) {
 // result bodies it pins — stays bounded. The results themselves survive in
 // the content-addressed cache.
 func TestTerminalJobRetention(t *testing.T) {
-	var runs atomic.Int64
-	e := newEnv(t, Config{Runner: countingRunner(&runs, 0), JobTTL: 50 * time.Millisecond, MaxJobs: 2})
+	var cells atomic.Int64
+	e := newEnv(t, Config{execCell: countCells(&cells), JobTTL: 50 * time.Millisecond, MaxJobs: 2})
 
 	for i := 1; i <= 4; i++ {
-		resp := e.submit(fmt.Sprintf(`{"kind":"characterize","params":{"seed":%d}}`, i))
+		resp := e.submit(oneCell(i, false))
 		readAll(t, resp)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("submit %d: %d", i, resp.StatusCode)
@@ -769,19 +835,13 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 
 	// Grab a surviving id, let the TTL lapse, and verify full eviction.
-	r, err := http.Get(e.url + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing struct {
-		Jobs []jobView `json:"jobs"`
-	}
-	json.Unmarshal(readAll(t, r), &listing)
+	survivors := e.listJobs()
+	e.requireCellPath(cells.Load())
 	time.Sleep(60 * time.Millisecond)
 	if n := reap(); n != 0 {
 		t.Errorf("after TTL, retained %d jobs, want 0", n)
 	}
-	for _, v := range listing.Jobs {
+	for _, v := range survivors {
 		rs, err := http.Get(e.url + "/v1/jobs/" + v.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -793,13 +853,14 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 
 	// Eviction does not forget results: the identical request still hits.
-	resp := e.submit(`{"kind":"characterize","params":{"seed":4}}`)
+	resp := e.submit(oneCell(4, false))
 	readAll(t, resp)
 	if got := resp.Header.Get("X-Cache"); got != "hit" {
 		t.Errorf("resubmit after eviction X-Cache = %q, want hit", got)
 	}
-	if n := runs.Load(); n != 4 {
-		t.Errorf("runner executed %d times, want 4", n)
+	// Four one-cell jobs, one cell each.
+	if n := cells.Load(); n != 4 {
+		t.Errorf("executed %d cells, want 4", n)
 	}
 }
 
@@ -811,11 +872,10 @@ func TestTerminalJobRetention(t *testing.T) {
 // numerically, so ids that outgrow their zero-padding still order
 // correctly.
 func TestListJobsPaginationSurvivesReaping(t *testing.T) {
-	var runs atomic.Int64
-	e := newEnv(t, Config{QueueDepth: 16, JobWorkers: 1, Runner: countingRunner(&runs, 0)})
+	e := newEnv(t, Config{QueueDepth: 16, JobWorkers: 1})
 	submit := func(seed int) {
 		t.Helper()
-		r := e.submit(fmt.Sprintf(`{"kind":"table1","params":{"fast":true,"budget_sec":0.5,"seed":%d}}`, seed))
+		r := e.submit(oneCell(seed, false))
 		b := readAll(t, r)
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("submit seed %d: %d %s", seed, r.StatusCode, b)

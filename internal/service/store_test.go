@@ -386,7 +386,7 @@ func TestStoreBodyPromotionKeepsCost(t *testing.T) {
 	if r.StatusCode != http.StatusOK || r.Header.Get("X-Cache") != "disk" || !bytes.Equal(got, body) {
 		t.Fatalf("submit: %d X-Cache %q %q, want 200 disk %q", r.StatusCode, r.Header.Get("X-Cache"), got, body)
 	}
-	if b, c, ok := e.s.Cache().GetCost(key); !ok || !bytes.Equal(b, body) || c != cost {
+	if b, c, ok := e.s.bodies.Memory.GetCost(key); !ok || !bytes.Equal(b, body) || c != cost {
 		t.Errorf("promoted body %q cost %d ok=%v, want cost %d", b, c, ok, cost)
 	}
 }

@@ -137,24 +137,28 @@ func BenchmarkFreshAnalyticCampaign(b *testing.B) {
 
 // BenchmarkRunSim runs never-seen fast sim campaigns through
 // experiments.Run at Workers 1, the kinds of the service benchmark's
-// cold-sim workload: a compare over one mix (mix 5, the four policies
-// that workload asks for) and a futuresim over two policies and five
-// speed*cache products, whose cells are the simulator's hot path, and a
-// fast table1, whose cells build six reference streams and replay them on
-// the Table-1 replay cache. Each iteration takes a new seed, so no cell,
-// graph or stream is reused from an earlier one.
+// cold-sim workload: a compare over one mix (mix 5, and mix 4, two GRAVITY
+// jobs, the workload's slowest compare and so the one that sets its median
+// latency; each with the four policies that workload asks for) and a
+// futuresim over two policies and five speed*cache products, whose cells
+// are the simulator's hot path, and a fast table1, whose cells build six
+// reference streams and replay them on the Table-1 replay cache. Each
+// iteration takes a new seed, so no cell, graph or stream is reused from
+// an earlier one.
 func BenchmarkRunSim(b *testing.B) {
 	for _, bc := range []struct {
-		kind   string
-		params experiments.CampaignParams
+		name, kind string
+		params     experiments.CampaignParams
 	}{
-		{"compare", experiments.CampaignParams{Fast: true, Mix: 5,
+		{"compare", "compare", experiments.CampaignParams{Fast: true, Mix: 5,
 			Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-NoPri"}}},
-		{"futuresim", experiments.CampaignParams{Fast: true,
+		{"compare-mix4", "compare", experiments.CampaignParams{Fast: true, Mix: 4,
+			Policies: []string{"Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-NoPri"}}},
+		{"futuresim", "futuresim", experiments.CampaignParams{Fast: true,
 			Policies: []string{"Dynamic", "Dyn-Aff"}, Products: []float64{1, 16, 64, 256, 1024}}},
-		{"table1", experiments.CampaignParams{Fast: true}},
+		{"table1", "table1", experiments.CampaignParams{Fast: true}},
 	} {
-		b.Run(bc.kind, func(b *testing.B) {
+		b.Run(bc.name, func(b *testing.B) {
 			seed := uint64(1) << 41
 			ctx := context.Background()
 			b.ReportAllocs()

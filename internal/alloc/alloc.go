@@ -9,9 +9,13 @@
 // cannot use as "willing to yield". The discrete-event engine in
 // internal/sched plays the role of the operating system plus that shared
 // memory: before each policy invocation it publishes a fresh State snapshot
-// (demands, allocations, priorities/credits, and the affinity histories of
-// processors and tasks), and afterwards it applies the policy's
-// reassignment decisions, charging reallocation costs.
+// of the per-job scalars (activity, demands, allocations, priority credits)
+// and each processor's owner and yield mark, and afterwards it applies the
+// policy's reassignment decisions, charging reallocation costs. The
+// affinity histories the affinity rules consult (each job's desired
+// processors, each processor's last task) are not copied into the
+// snapshot: the engine answers them on demand through the Affinity source
+// it installs once per run, so a policy that never asks pays nothing.
 package alloc
 
 import (
@@ -98,30 +102,66 @@ type State struct {
 	MaxPar []int     // maximum parallelism (Equipartition's cap)
 
 	// Per-processor state.
-	ProcJob     []int  // assigned job, or -1
-	ProcWorking []bool // assigned and currently executing a thread
-	ProcYield   []bool // assigned, idle, and offered for reallocation
+	ProcJob   []int  // assigned job, or -1
+	ProcYield []bool // assigned, idle, and offered for reallocation
 
-	// Affinity histories (T = P = 1, as in the paper).
-	ProcLastTask []TaskRef // last task to have run on each processor
-	// LastTaskResumable[p] reports whether ProcLastTask[p] is not active
-	// elsewhere and its job has work for it (allocation rule A.1's
-	// precondition), precomputed by the engine.
-	LastTaskResumable []bool
-	// Desired[j] lists job j's desired processors under allocation rule
-	// A.2 — for each of the job's resumable tasks, the processor it last
-	// ran on — ordered by criticality (preempted tasks, which hold
-	// in-progress threads, before idle ones). The paper's constraint
-	// applies: a desired processor is granted only when it is not doing
-	// useful work, never by preempting its current task.
-	Desired [][]DesiredProc
+	// aff answers the affinity queries (Desired, LastTask) from the
+	// engine's run state; nil answers that no affinity history exists.
+	aff Affinity
 
 	// Reused backing for the query helpers (ActiveJobs, Requesters,
-	// UnassignedProcs, YieldingProcs, ProcsOf). Each helper owns one
-	// scratch slice, so the slice a helper returns stays valid until that
-	// same helper is called again — the access pattern every policy
+	// UnassignedProcs, YieldingProcs, ProcsOf, Desired). Each helper owns
+	// one scratch slice, so the slice a helper returns stays valid until
+	// that same helper is called again — the access pattern every policy
 	// follows — and the per-Rebalance query storm allocates nothing.
 	activeScratch, reqScratch, unassignedScratch, yieldScratch, procsOfScratch []int
+
+	desiredScratch []DesiredProc
+}
+
+// Affinity is the source of the affinity histories (T = P = 1, as in the
+// paper) that rules A.1 and A.2 consult. The engine implements it over its
+// own run state and installs it with SetAffinity, so the answers are
+// computed only when a policy asks and always reflect the state the
+// snapshot was published from: the engine does not run while a policy
+// decides.
+type Affinity interface {
+	// AppendDesired appends job j's desired processors to buf and returns
+	// the extended slice; see State.Desired.
+	AppendDesired(buf []DesiredProc, j int) []DesiredProc
+	// LastTask returns the last task to have run on processor p, and
+	// whether it is resumable; see State.LastTask.
+	LastTask(p int) (task TaskRef, resumable bool)
+}
+
+// SetAffinity installs the source of the affinity queries. The engine
+// calls it once per run, after Reset.
+func (s *State) SetAffinity(a Affinity) { s.aff = a }
+
+// Desired lists job j's desired processors under allocation rule A.2 —
+// for each of the job's resumable tasks, the processor it last ran on —
+// ordered by criticality (preempted tasks, which hold in-progress threads,
+// before idle ones). The paper's constraint applies: a desired processor
+// is granted only when it is not doing useful work, never by preempting
+// its current task. The returned slice is scratch owned by the State,
+// valid until the next Desired call.
+func (s *State) Desired(j int) []DesiredProc {
+	if s.aff == nil {
+		return nil
+	}
+	s.desiredScratch = s.aff.AppendDesired(s.desiredScratch[:0], j)
+	return s.desiredScratch
+}
+
+// LastTask returns the last task to have run on processor p, and whether
+// that task is resumable: not active elsewhere, and its job has work for
+// it (allocation rule A.1's precondition). A processor with no history
+// answers NoTask, false.
+func (s *State) LastTask(p int) (TaskRef, bool) {
+	if s.aff == nil {
+		return NoTask, false
+	}
+	return s.aff.LastTask(p)
 }
 
 // DesiredProc is a desired processor and the task that wants it.
@@ -139,9 +179,9 @@ func NewState(procs, jobs int) *State {
 
 // Reset re-sizes the snapshot for a new run's processor and job counts and
 // restores every field to its initial value, retaining allocated capacity
-// (including the Desired sub-slices and query scratch) so one State can
-// serve many simulation runs. A reset State is indistinguishable from a
-// freshly constructed one.
+// (including the query scratch) so one State can serve many simulation
+// runs. A reset State is indistinguishable from a freshly constructed one:
+// it has no Affinity source until SetAffinity installs one.
 func (s *State) Reset(procs, jobs int) {
 	s.Procs = procs
 	s.Active = resize(s.Active, jobs)
@@ -150,25 +190,18 @@ func (s *State) Reset(procs, jobs int) {
 	s.Credit = resize(s.Credit, jobs)
 	s.MaxPar = resize(s.MaxPar, jobs)
 	s.ProcJob = resize(s.ProcJob, procs)
-	s.ProcWorking = resize(s.ProcWorking, procs)
 	s.ProcYield = resize(s.ProcYield, procs)
-	s.ProcLastTask = resize(s.ProcLastTask, procs)
-	s.LastTaskResumable = resize(s.LastTaskResumable, procs)
-	s.Desired = resize(s.Desired, jobs)
+	s.aff = nil
 	for j := range jobs {
 		s.Active[j] = false
 		s.Demand[j] = 0
 		s.Alloc[j] = 0
 		s.Credit[j] = 0
 		s.MaxPar[j] = 0
-		s.Desired[j] = s.Desired[j][:0]
 	}
 	for p := 0; p < procs; p++ {
 		s.ProcJob[p] = -1
-		s.ProcWorking[p] = false
 		s.ProcYield[p] = false
-		s.ProcLastTask[p] = NoTask
-		s.LastTaskResumable[p] = false
 	}
 }
 
@@ -313,7 +346,6 @@ func (s *State) Assign(proc, job int) {
 	}
 	s.ProcJob[proc] = job
 	s.ProcYield[proc] = false
-	s.ProcWorking[proc] = false
 	if job >= 0 {
 		s.Alloc[job]++
 	}

@@ -46,12 +46,69 @@ func TestNewState(t *testing.T) {
 		if s.ProcJob[p] != -1 {
 			t.Errorf("proc %d not unassigned", p)
 		}
-		if s.ProcLastTask[p].Valid() {
-			t.Errorf("proc %d has a last task", p)
+		if last, ok := s.LastTask(p); last.Valid() || ok {
+			t.Errorf("proc %d has a last task: %v, %v", p, last, ok)
 		}
 	}
 	if len(s.UnassignedProcs()) != 4 {
 		t.Errorf("UnassignedProcs = %v", s.UnassignedProcs())
+	}
+	if d := s.Desired(0); len(d) != 0 {
+		t.Errorf("Desired(0) = %v with no affinity source", d)
+	}
+}
+
+// history is a fixed Affinity source.
+type history struct {
+	desired map[int][]DesiredProc
+	last    map[int]TaskRef // resumable last tasks, by processor
+}
+
+func (h *history) AppendDesired(buf []DesiredProc, j int) []DesiredProc {
+	return append(buf, h.desired[j]...)
+}
+
+func (h *history) LastTask(p int) (TaskRef, bool) {
+	if t, ok := h.last[p]; ok {
+		return t, true
+	}
+	return NoTask, false
+}
+
+// TestAffinityQueries: Desired and LastTask answer from the installed
+// source, Desired reuses one scratch slice, and Reset uninstalls the
+// source, so a reset State is indistinguishable from a fresh one.
+func TestAffinityQueries(t *testing.T) {
+	s := NewState(4, 2)
+	s.SetAffinity(&history{
+		desired: map[int][]DesiredProc{1: {{Proc: 2, Task: TaskRef{Job: 1, Task: 0}}, {Proc: 0, Task: TaskRef{Job: 1, Task: 3}}}},
+		last:    map[int]TaskRef{3: {Job: 1, Task: 0}},
+	})
+	d := s.Desired(1)
+	if len(d) != 2 || d[0].Proc != 2 || d[1].Task != (TaskRef{Job: 1, Task: 3}) {
+		t.Errorf("Desired(1) = %v", d)
+	}
+	if again := s.Desired(1); &again[0] != &d[0] {
+		t.Error("Desired did not reuse its scratch slice")
+	}
+	if d := s.Desired(0); len(d) != 0 {
+		t.Errorf("Desired(0) = %v", d)
+	}
+	if last, ok := s.LastTask(3); !ok || last != (TaskRef{Job: 1, Task: 0}) {
+		t.Errorf("LastTask(3) = %v, %v", last, ok)
+	}
+	if last, ok := s.LastTask(2); ok || last.Valid() {
+		t.Errorf("LastTask(2) = %v, %v", last, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Desired(1) }); n != 0 {
+		t.Errorf("Desired allocates %v times per call", n)
+	}
+	s.Reset(4, 2)
+	if last, ok := s.LastTask(3); ok || last.Valid() {
+		t.Errorf("LastTask(3) after Reset = %v, %v", last, ok)
+	}
+	if d := s.Desired(1); len(d) != 0 {
+		t.Errorf("Desired(1) after Reset = %v", d)
 	}
 }
 

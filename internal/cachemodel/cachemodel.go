@@ -100,7 +100,22 @@ type Stats struct {
 // Footprint is the analytic occupancy model (the default).
 type Footprint struct {
 	procs []*footprint.Cache
+	plans []plannedSegment // per processor, the last Plan's segment
 	stats Stats
+}
+
+// plannedSegment is one processor's last planned segment and its miss
+// count. A Commit of the same segment — every segment that runs to
+// completion — installs that count instead of evaluating the segment
+// again. The count does not depend on the task, only on the pattern,
+// interval and starting residency. The pattern is the same when the
+// pointer is: the scheduler's patterns do not change during a run, and
+// Reset forgets every plan.
+type plannedSegment struct {
+	pat    *memtrace.Pattern // nil before the first Plan
+	c0, w  simtime.Duration
+	r0     float64
+	misses float64
 }
 
 // NewFootprint builds the analytic model for nprocs processors with caches
@@ -109,7 +124,7 @@ func NewFootprint(nprocs, capacityLines int) (*Footprint, error) {
 	if nprocs <= 0 {
 		return nil, fmt.Errorf("cachemodel: need at least one processor")
 	}
-	f := &Footprint{}
+	f := &Footprint{procs: make([]*footprint.Cache, 0, nprocs), plans: make([]plannedSegment, nprocs)}
 	for i := 0; i < nprocs; i++ {
 		fc, err := footprint.New(capacityLines)
 		if err != nil {
@@ -128,6 +143,7 @@ func (f *Footprint) Reset() {
 	for _, fc := range f.procs {
 		fc.Reset()
 	}
+	clear(f.plans)
 	f.stats = Stats{}
 }
 
@@ -139,30 +155,40 @@ func (f *Footprint) Resident(proc, task int) float64 {
 	return f.procs[proc].Resident(task)
 }
 
-// Plan implements Model.
+// Plan implements Model. The segment and its miss count are kept for the
+// Commit that completes it.
 func (f *Footprint) Plan(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration, r0 float64) float64 {
 	f.stats.Plans++
-	return footprint.Segment(pat, c0, c0+w, r0)
+	m := footprint.Segment(pat, c0, c0+w, r0)
+	f.plans[proc] = plannedSegment{pat: pat, c0: c0, w: w, r0: r0, misses: m}
+	return m
 }
 
-// Commit implements Model.
+// Commit implements Model. Segment depends on its arguments alone, so a
+// Commit with the preceding Plan's arguments reuses the planned count; a
+// truncated segment (preemption) is evaluated afresh.
 func (f *Footprint) Commit(proc, task int, pat *memtrace.Pattern, c0, w simtime.Duration, r0 float64) float64 {
 	f.stats.Commits++
+	if pl := &f.plans[proc]; pl.pat == pat && pl.c0 == c0 && pl.w == w && pl.r0 == r0 {
+		f.procs[proc].Load(task, pl.misses)
+		return pl.misses
+	}
 	return f.procs[proc].RunSegment(task, pat, c0, c0+w, r0)
 }
 
-// InvalidateShared implements Model. Each processor scans only the
-// entries it holds, in place of a lookup per sibling; siblings must be
-// ascending. The lines removed and their sum, added processor by
-// processor and sibling by sibling, are those of invalidating every
-// sibling on every processor in turn.
+// InvalidateShared implements Model. The sibling set is prepared once for
+// the sweep, and each processor scans only the entries it holds, in place
+// of a lookup per sibling; siblings must be ascending. The lines removed
+// and their sum, added processor by processor and sibling by sibling, are
+// those of invalidating every sibling on every processor in turn.
 func (f *Footprint) InvalidateShared(fromProc int, siblings []int, lines float64) float64 {
+	set := footprint.NewTasks(siblings)
 	total := 0.0
 	for p, fc := range f.procs {
 		if p == fromProc {
 			continue
 		}
-		total = fc.Invalidate(siblings, lines, total)
+		total = fc.Invalidate(&set, lines, total)
 	}
 	f.stats.Flushes++
 	f.stats.InvalLines += total

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/footprint"
 	"repro/internal/memtrace"
 	"repro/internal/simtime"
 	"repro/internal/xrand"
@@ -241,15 +242,27 @@ func BenchmarkExactSegmentPreempt(b *testing.B) {
 }
 
 // TestFootprintInvalidateMatchesSiblingLoop drives random residency and
-// ascending sibling lists through Footprint.InvalidateShared, which scans
-// each processor's resident entries, and through the sibling-order loop it
-// replaced, which invalidates every sibling on every other processor in
-// turn and adds each amount to the total as it goes. The totals must be
-// bitwise equal and every processor's entries identical, order included:
-// a later Load's displacement sums over the entries in slice order.
+// ascending sibling lists through Footprint.InvalidateShared, which
+// prepares the sibling set once and scans each processor's resident
+// entries in one pass (falling back to an ordered scan when several
+// siblings are resident), and through the sibling-order loop it replaced,
+// which invalidates every sibling on every other processor in turn and
+// adds each amount to the total as it goes. The totals must be bitwise
+// equal and every processor's entries identical, order included: a later
+// Load's displacement sums over the entries in slice order.
+//
+// Task ids are two jobs' ids as the scheduler assigns them (job<<20 |
+// task+1). Sibling lists take every shape the scheduler's can and some it
+// cannot: a job's whole dense range, the range up to its newest task minus
+// the writer (the scheduler's shape), and sparse subsets. The counters
+// check that processors held none, one and several siblings, and that
+// sweeps removed residencies partially and fully.
 func TestFootprintInvalidateMatchesSiblingLoop(t *testing.T) {
-	const nprocs, ntasks = 6, 24
+	const nprocs, perJob = 6, 12
+	gid := func(job, task int) int { return job<<20 | (task + 1) }
 	var partial, removed, absent int
+	var resident [3]int // processors holding 0, 1 and several siblings
+	var shapes [3]int   // dense, dense minus writer, sparse
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := xrand.New(seed, 0x1a7)
 		capacity := 200 + rng.Intn(4000)
@@ -260,16 +273,34 @@ func TestFootprintInvalidateMatchesSiblingLoop(t *testing.T) {
 		want, _ := NewFootprint(nprocs, capacity)
 		for step := 0; step < 300; step++ {
 			if rng.Intn(3) > 0 {
-				p, task, lines := rng.Intn(nprocs), rng.Intn(ntasks), float64(rng.Intn(capacity))*rng.Float64()
+				p, task, lines := rng.Intn(nprocs), gid(rng.Intn(2), rng.Intn(perJob)), float64(rng.Intn(capacity))*rng.Float64()
 				got.procs[p].Load(task, lines)
 				want.procs[p].Load(task, lines)
 				continue
 			}
+			job, n := rng.Intn(2), 1+rng.Intn(perJob)
 			var siblings []int
-			for task := 0; task < ntasks; task++ {
-				if rng.Intn(3) == 0 {
-					siblings = append(siblings, task)
+			switch shape := rng.Intn(3); shape {
+			case 0:
+				for task := 0; task < n; task++ {
+					siblings = append(siblings, gid(job, task))
 				}
+				shapes[shape]++
+			case 1:
+				writer := rng.Intn(n)
+				for task := 0; task < n; task++ {
+					if task != writer {
+						siblings = append(siblings, gid(job, task))
+					}
+				}
+				shapes[shape]++
+			default:
+				for task := 0; task < perJob; task++ {
+					if rng.Intn(3) == 0 {
+						siblings = append(siblings, gid(job, task))
+					}
+				}
+				shapes[shape]++
 			}
 			from := rng.Intn(nprocs)
 			lines := float64(rng.Intn(400)) * rng.Float64()
@@ -281,6 +312,7 @@ func TestFootprintInvalidateMatchesSiblingLoop(t *testing.T) {
 				if p == from {
 					continue
 				}
+				held := 0
 				for _, sib := range siblings {
 					r := fc.Resident(sib)
 					switch {
@@ -291,8 +323,13 @@ func TestFootprintInvalidateMatchesSiblingLoop(t *testing.T) {
 					case lines > 0:
 						removed++
 					}
-					total = fc.Invalidate([]int{sib}, lines, total)
+					if r > 0 {
+						held++
+					}
+					one := footprint.NewTasks([]int{sib})
+					total = fc.Invalidate(&one, lines, total)
 				}
+				resident[min(held, 2)]++
 			}
 			if g := got.InvalidateShared(from, siblings, lines); math.Float64bits(g) != math.Float64bits(total) {
 				t.Fatalf("seed %d step %d: InvalidateShared = %v, sibling loop %v", seed, step, g, total)
@@ -305,7 +342,79 @@ func TestFootprintInvalidateMatchesSiblingLoop(t *testing.T) {
 			}
 		}
 	}
-	if partial == 0 || removed == 0 || absent == 0 {
-		t.Errorf("inputs missed a case: %d partial, %d removed, %d absent", partial, removed, absent)
+	t.Logf("%d partial, %d full, %d absent; processors holding 0/1/several siblings %v; dense/gap/sparse lists %v",
+		partial, removed, absent, resident, shapes)
+	if partial == 0 || removed == 0 || absent == 0 || resident[0] == 0 || resident[1] == 0 || resident[2] == 0 ||
+		shapes[0] == 0 || shapes[1] == 0 || shapes[2] == 0 {
+		t.Errorf("inputs missed a case: %d partial, %d removed, %d absent, residency %v, shapes %v",
+			partial, removed, absent, resident, shapes)
+	}
+}
+
+// TestFootprintCommitReusesPlan: a Commit with the preceding Plan's
+// arguments installs the planned count, and must leave the same misses and
+// occupancy, bit for bit, as evaluating the segment afresh
+// (footprint.Cache.RunSegment) — for full segments, truncated ones, other
+// tasks' commits in between, and plans never committed. Stats count every
+// call either way.
+func TestFootprintCommitReusesPlan(t *testing.T) {
+	const nprocs = 4
+	pats := []memtrace.Pattern{memtrace.MVAPattern(), memtrace.MatrixPattern(), memtrace.GravityPattern()}
+	var reused, fresh int
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := xrand.New(seed, 0xc0)
+		m, err := NewFootprint(nprocs, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := NewFootprint(nprocs, 4096)
+		var plans, commits uint64
+		for step := 0; step < 400; step++ {
+			p, task := rng.Intn(nprocs), rng.Intn(6)
+			pat := &pats[task%len(pats)]
+			c0 := simtime.Duration(rng.Intn(200)) * simtime.Millisecond
+			w := simtime.Duration(1+rng.Intn(400)) * simtime.Millisecond
+			r0 := ref.procs[p].Resident(task)
+			planned := m.Plan(p, task, pat, c0, w, r0)
+			plans++
+			full := false
+			switch rng.Intn(4) {
+			case 0: // preempted: a prefix executes
+				w = w.Scale(rng.Float64())
+				fresh++
+			case 1: // the plan is abandoned
+				continue
+			default:
+				full = true
+				reused++
+			}
+			if rng.Intn(5) == 0 { // another processor commits in between
+				q := (p + 1) % nprocs
+				m.Commit(q, task+1, pat, 0, w, 0)
+				ref.procs[q].RunSegment(task+1, pat, 0, w, 0)
+				commits++
+			}
+			g := m.Commit(p, task, pat, c0, w, r0)
+			commits++
+			want := ref.procs[p].RunSegment(task, pat, c0, c0+w, r0)
+			if math.Float64bits(g) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: Commit = %v, RunSegment %v", seed, step, g, want)
+			}
+			if full && math.Float64bits(g) != math.Float64bits(planned) {
+				t.Fatalf("seed %d step %d: planned %v, committed %v", seed, step, planned, g)
+			}
+			for q := range m.procs {
+				if !reflect.DeepEqual(m.procs[q], ref.procs[q]) {
+					t.Fatalf("seed %d step %d: processor %d diverged:\ngot  %+v\nwant %+v",
+						seed, step, q, *m.procs[q], *ref.procs[q])
+				}
+			}
+		}
+		if st := m.Stats(); st.Plans != plans || st.Commits != commits {
+			t.Fatalf("seed %d: stats %+v, want %d plans and %d commits", seed, st, plans, commits)
+		}
+	}
+	if reused == 0 || fresh == 0 {
+		t.Errorf("inputs missed a case: %d full, %d truncated", reused, fresh)
 	}
 }

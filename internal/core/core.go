@@ -193,9 +193,8 @@ func (d *dynamicCore) Rebalance(s *alloc.State, trig alloc.Trigger, arg int) []a
 	// the processor it has affinity for.
 	if d.affinity && trig == alloc.TrigProcFree && arg >= 0 {
 		p := arg
-		last := s.ProcLastTask[p]
-		if last.Valid() && s.LastTaskResumable[p] &&
-			s.Active[last.Job] && s.Demand[last.Job] > s.Alloc[last.Job] &&
+		last, resumable := s.LastTask(p)
+		if resumable && s.Active[last.Job] && s.Demand[last.Job] > s.Alloc[last.Job] &&
 			s.ProcJob[p] != last.Job {
 			ok := true
 			if d.priority {
@@ -220,25 +219,34 @@ func (d *dynamicCore) Rebalance(s *alloc.State, trig alloc.Trigger, arg int) []a
 	// paper notes limits affinity's influence on the Dynamic discipline.
 	// Remaining demand is served with the least valuable processor via
 	// rules D.1, D.2 and D.3, and the job's runtime picks a task.
+	//
+	// Every grant takes a processor out of the idle supply (unassigned or
+	// willing to yield) and none puts one back, so when the supply is empty
+	// here, A.2, D.1 and D.2 cannot grant anything: each request goes
+	// straight to D.3, and the engine is never asked for desired
+	// processors.
+	supply := hasSupply(s)
 	for _, j := range s.Requesters() {
+		var want []alloc.DesiredProc
+		if d.affinity && supply {
+			want = s.Desired(j)
+		}
 		desired := 0
 		for s.Demand[j] > s.Alloc[j] {
 			granted := false
-			if d.affinity {
-				for desired < len(s.Desired[j]) {
-					dp := s.Desired[j][desired]
-					desired++
-					if dp.Proc >= 0 && idleAvailable(s, dp.Proc) && s.ProcJob[dp.Proc] != j {
-						d.assign(s, dp.Proc, j, dp.Task)
-						granted = true
-						break
-					}
+			for desired < len(want) {
+				dp := want[desired]
+				desired++
+				if dp.Proc >= 0 && idleAvailable(s, dp.Proc) && s.ProcJob[dp.Proc] != j {
+					d.assign(s, dp.Proc, j, dp.Task)
+					granted = true
+					break
 				}
 			}
 			if granted {
 				continue
 			}
-			p := d.takeProcessor(s, j, -1)
+			p := d.takeProcessor(s, j, supply)
 			if p < 0 {
 				break
 			}
@@ -254,36 +262,43 @@ func idleAvailable(s *alloc.State, p int) bool {
 	return s.ProcJob[p] == -1 || s.ProcYield[p]
 }
 
-// takeProcessor selects the least valuable available processor for job j,
-// preferring the desired processor 'want' (-1 for none) when it is in the
-// supply. It returns -1 when no processor may be taken.
-func (d *dynamicCore) takeProcessor(s *alloc.State, j, want int) int {
-	pick := func(supply []int) int {
-		if len(supply) == 0 {
+// hasSupply reports whether any processor is idleAvailable.
+func hasSupply(s *alloc.State) bool {
+	for p := range s.ProcJob {
+		if idleAvailable(s, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// takeProcessor selects the least valuable available processor for job j.
+// supply reports whether any processor is idleAvailable; without one, only
+// D.3 can yield a processor. It returns -1 when no processor may be taken.
+func (d *dynamicCore) takeProcessor(s *alloc.State, j int, supply bool) int {
+	pick := func(procs []int) int {
+		if len(procs) == 0 {
 			return -1
 		}
-		for _, p := range supply {
-			if p == want {
-				return p
+		d.cursor++
+		return procs[d.cursor%len(procs)]
+	}
+	if supply {
+		// D.1: unassigned processors.
+		if p := pick(s.UnassignedProcs()); p >= 0 {
+			return p
+		}
+		// D.2: willing-to-yield processors of other jobs.
+		yield := d.yieldScratch[:0]
+		for _, p := range s.YieldingProcs() {
+			if s.ProcJob[p] != j {
+				yield = append(yield, p)
 			}
 		}
-		d.cursor++
-		return supply[d.cursor%len(supply)]
-	}
-	// D.1: unassigned processors.
-	if p := pick(s.UnassignedProcs()); p >= 0 {
-		return p
-	}
-	// D.2: willing-to-yield processors of other jobs.
-	yield := d.yieldScratch[:0]
-	for _, p := range s.YieldingProcs() {
-		if s.ProcJob[p] != j {
-			yield = append(yield, p)
+		d.yieldScratch = yield
+		if p := pick(yield); p >= 0 {
+			return p
 		}
-	}
-	d.yieldScratch = yield
-	if p := pick(yield); p >= 0 {
-		return p
 	}
 	// D.3: equitable-allocation preemption. A requester holding
 	// substantially more credit than the victim — accrued by using few
@@ -317,14 +332,7 @@ func (d *dynamicCore) takeProcessor(s *alloc.State, j, want int) int {
 			return -1
 		}
 	}
-	victimProcs := s.ProcsOf(victim)
-	if len(victimProcs) == 0 {
-		return -1
-	}
-	if p := pick(victimProcs); p >= 0 {
-		return p
-	}
-	return victimProcs[0]
+	return pick(s.ProcsOf(victim))
 }
 
 // NewDynamic returns the basic Dynamic policy (McCann et al.): maximal

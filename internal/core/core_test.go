@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/alloc"
@@ -24,6 +25,35 @@ func state(procs int, jobs [][3]int) *alloc.State {
 		}
 	}
 	return s
+}
+
+// history is a fixed alloc.Affinity source: each job's desired processors,
+// and each processor's last task, all resumable.
+type history struct {
+	desired map[int][]alloc.DesiredProc
+	last    map[int]alloc.TaskRef
+}
+
+func (h *history) AppendDesired(buf []alloc.DesiredProc, j int) []alloc.DesiredProc {
+	return append(buf, h.desired[j]...)
+}
+
+func (h *history) LastTask(p int) (alloc.TaskRef, bool) {
+	if t, ok := h.last[p]; ok {
+		return t, true
+	}
+	return alloc.NoTask, false
+}
+
+// lastTask installs a history whose only entry is proc's resumable last
+// task.
+func lastTask(s *alloc.State, proc int, task alloc.TaskRef) {
+	s.SetAffinity(&history{last: map[int]alloc.TaskRef{proc: task}})
+}
+
+// desires installs a history whose only entry is job j's desired list.
+func desires(s *alloc.State, j int, dps ...alloc.DesiredProc) {
+	s.SetAffinity(&history{desired: map[int][]alloc.DesiredProc{j: dps}})
 }
 
 func apply(s *alloc.State, decs []alloc.Decision) {
@@ -162,9 +192,6 @@ func TestDynamicD3Equity(t *testing.T) {
 	pol := NewDynamic()
 	// Job 0 holds everything and is working; job 1 arrives needing 8.
 	s := state(16, [][3]int{{1, 100, 16}, {1, 8, 0}})
-	for p := range s.ProcWorking {
-		s.ProcWorking[p] = true
-	}
 	decs := pol.Rebalance(s, alloc.TrigArrival, 1)
 	apply(s, decs)
 	// Equity: preempt until within one processor.
@@ -212,8 +239,7 @@ func TestDynAffA1GivesProcToLastTask(t *testing.T) {
 	// more processors.
 	s := state(4, [][3]int{{1, 4, 4}, {1, 2, 0}})
 	s.ProcYield[3] = true
-	s.ProcLastTask[3] = alloc.TaskRef{Job: 1, Task: 0}
-	s.LastTaskResumable[3] = true
+	lastTask(s, 3, alloc.TaskRef{Job: 1, Task: 0})
 	decs := pol.Rebalance(s, alloc.TrigProcFree, 3)
 	apply(s, decs)
 	if s.ProcJob[3] != 1 {
@@ -229,8 +255,7 @@ func TestDynAffA1DefersToPriority(t *testing.T) {
 	// Last task's job (1) has much lower credit than requester job 2.
 	s := state(4, [][3]int{{1, 4, 4}, {1, 2, 0}, {1, 2, 0}})
 	s.ProcYield[3] = true
-	s.ProcLastTask[3] = alloc.TaskRef{Job: 1, Task: 0}
-	s.LastTaskResumable[3] = true
+	lastTask(s, 3, alloc.TaskRef{Job: 1, Task: 0})
 	s.Credit[1] = 0
 	s.Credit[2] = 10
 	decs := pol.Rebalance(s, alloc.TrigProcFree, 3)
@@ -244,8 +269,7 @@ func TestDynAffNoPriA1IgnoresPriority(t *testing.T) {
 	pol := NewDynAffNoPri()
 	s := state(4, [][3]int{{1, 4, 4}, {1, 2, 0}, {1, 2, 0}})
 	s.ProcYield[3] = true
-	s.ProcLastTask[3] = alloc.TaskRef{Job: 1, Task: 0}
-	s.LastTaskResumable[3] = true
+	lastTask(s, 3, alloc.TaskRef{Job: 1, Task: 0})
 	s.Credit[1] = 0
 	s.Credit[2] = 10
 	decs := pol.Rebalance(s, alloc.TrigProcFree, 3)
@@ -259,7 +283,7 @@ func TestDynAffA2PrefersDesiredProcessor(t *testing.T) {
 	pol := NewDynAff()
 	// Four unassigned procs; job 0 desires proc 3 for its task 2.
 	s := state(4, [][3]int{{1, 2, 0}})
-	s.Desired[0] = []alloc.DesiredProc{{Proc: 3, Task: alloc.TaskRef{Job: 0, Task: 2}}}
+	desires(s, 0, alloc.DesiredProc{Proc: 3, Task: alloc.TaskRef{Job: 0, Task: 2}})
 	decs := pol.Rebalance(s, alloc.TrigDemandUp, 0)
 	apply(s, decs)
 	if len(decs) == 0 || decs[0].Proc != 3 {
@@ -277,10 +301,62 @@ func TestDynAffA2PrefersDesiredProcessor(t *testing.T) {
 func TestDynamicIgnoresDesired(t *testing.T) {
 	pol := NewDynamic()
 	s := state(4, [][3]int{{1, 1, 0}})
-	s.Desired[0] = []alloc.DesiredProc{{Proc: 3, Task: alloc.TaskRef{Job: 0, Task: 0}}}
+	desires(s, 0, alloc.DesiredProc{Proc: 3, Task: alloc.TaskRef{Job: 0, Task: 0}})
 	decs := pol.Rebalance(s, alloc.TrigDemandUp, 0)
 	if len(decs) == 0 || decs[0].HasTask {
 		t.Fatalf("Dynamic grant should be untargeted: %v", decs)
+	}
+}
+
+// noDesired is an alloc.Affinity source that answers LastTask from its
+// history but fails the test when asked for desired processors.
+type noDesired struct {
+	t *testing.T
+	history
+}
+
+func (n *noDesired) AppendDesired(buf []alloc.DesiredProc, j int) []alloc.DesiredProc {
+	n.t.Errorf("asked for job %d's desired processors with no idle supply", j)
+	return buf
+}
+
+// TestNoSupplySkipsDesired: when no processor is unassigned or willing to
+// yield, an affinity policy's requests go straight to rule D.3 — the
+// decisions Dynamic makes on the same snapshot, or none without the
+// priority scheme — and never ask for desired processors. Rule A.1 still
+// grants the freed processor first, and the supply that grant empties is
+// what the requests see.
+func TestNoSupplySkipsDesired(t *testing.T) {
+	for _, name := range []string{"Dyn-Aff", "Dyn-Aff-Delay", "Dyn-Aff-NoPri"} {
+		// Job 0 holds all 16 processors and works on every one; job 1
+		// requests 8.
+		pol, _ := ByName(name)
+		s := state(16, [][3]int{{1, 100, 16}, {1, 8, 0}})
+		s.SetAffinity(&noDesired{t: t})
+		got := pol.Rebalance(s, alloc.TrigDemandUp, 1)
+		if name == "Dyn-Aff-NoPri" {
+			if len(got) != 0 {
+				t.Errorf("%s preempted: %+v", name, got)
+			}
+		} else if want := NewDynamic().Rebalance(state(16, [][3]int{{1, 100, 16}, {1, 8, 0}}), alloc.TrigDemandUp, 1); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s D.3 decisions = %+v, want Dynamic's %+v", name, got, want)
+		}
+
+		// Processor 3 yields; A.1 returns it to its last task's job 1,
+		// which wants one more processor and must take it by D.3.
+		pol, _ = ByName(name)
+		s = state(4, [][3]int{{1, 4, 4}, {1, 2, 0}})
+		s.ProcYield[3] = true
+		last := alloc.TaskRef{Job: 1, Task: 0}
+		s.SetAffinity(&noDesired{t: t, history: history{last: map[int]alloc.TaskRef{3: last}}})
+		got = pol.Rebalance(s, alloc.TrigProcFree, 3)
+		want := []alloc.Decision{{Proc: 3, Job: 1, Task: last, HasTask: true}, {Proc: 1, Job: 1, Task: alloc.NoTask}}
+		if name == "Dyn-Aff-NoPri" {
+			want = want[:1]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s A.1 then D.3 = %+v, want %+v", name, got, want)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func Run(ctx context.Context, kind string, p CampaignParams) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	parallel.Fold(cellStats, func(_ int, s *obs.CampaignStats) { collector.Merge(s) })
+	parallel.Fold(cellStats, func(_ int, s *obs.CampaignStats) { collector.AddCell(s) })
 	return plan.Merge(ctx, partials)
 }
 

@@ -134,6 +134,13 @@ func TestSimStatsDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(seq, par) {
 			t.Fatalf("%s: SimStats differ between Workers=1 and Workers=8:\nseq %+v\npar %+v", tc.kind, seq, par)
 		}
+		p := determinismParams(1)
+		p.Policies, p.Products = tc.policies, tc.products
+		if plan, err := Cells(tc.kind, p); err != nil {
+			t.Fatal(err)
+		} else if seq.Cells != uint64(len(plan.Cells)) {
+			t.Errorf("%s: stats count %d cells, the plan has %d", tc.kind, seq.Cells, len(plan.Cells))
+		}
 		if tc.cells == nil {
 			continue
 		}

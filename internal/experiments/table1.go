@@ -66,7 +66,9 @@ func Table1Result(ctx context.Context, t1 measure.Table1, mc machine.Config, bud
 		for _, app := range t1.Apps {
 			pen := t1.Cells[q][app]
 			if stats != nil {
-				stats.Add("measure", table1CellStats(mc, pen, t1.Apps, budget))
+				cell := obs.NewCampaignStats()
+				cell.Add("measure", table1CellStats(mc, pen, t1.Apps, budget))
+				stats.AddCell(cell)
 			}
 			parts = append(parts, newTable1Partial(pen))
 		}

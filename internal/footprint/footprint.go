@@ -130,28 +130,97 @@ func (c *Cache) remove(i int) {
 	c.entries = c.entries[:last]
 }
 
-// Invalidate removes up to lines of each listed task's residency,
-// modelling coherency invalidations when another processor writes lines
-// the tasks have cached. tasks must be in ascending order. It returns sum
-// plus the lines actually invalidated, added task by task in list order,
-// so that a caller summing over several caches adds in one fixed order.
+// Tasks is an ascending set of task ids prepared for Invalidate. A dense
+// range with at most one id missing — a writer's siblings, which are its
+// job's task ids minus its own — is tested for membership by comparisons
+// alone; any other set by binary search. Preparing the set once serves a
+// whole sweep over the processors' caches.
+type Tasks struct {
+	ids    []int
+	lo, hi int
+	// gap is the id a dense range lacks, or lo-1 when it lacks none.
+	gap   int
+	dense bool
+}
+
+// NewTasks prepares the ascending, distinct ids. The set refers to ids,
+// which must not change while it is in use.
+func NewTasks(ids []int) Tasks {
+	if len(ids) == 0 {
+		return Tasks{}
+	}
+	t := Tasks{ids: ids, lo: ids[0], hi: ids[len(ids)-1]}
+	switch t.hi - t.lo + 1 {
+	case len(ids):
+		t.dense, t.gap = true, t.lo-1
+	case len(ids) + 1:
+		// The gap is at the first position whose id is past its slot.
+		lo, hi := 0, len(ids)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if ids[m] == t.lo+m {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		t.dense, t.gap = true, t.lo+lo
+	}
+	return t
+}
+
+// has reports whether task is in the set.
+func (t *Tasks) has(task int) bool {
+	if task < t.lo || task > t.hi {
+		return false
+	}
+	if t.dense {
+		return task != t.gap
+	}
+	return listed(t.ids, task)
+}
+
+// Invalidate removes up to lines of each task's residency, modelling
+// coherency invalidations when another processor writes lines the tasks
+// have cached. It returns sum plus the lines actually invalidated, added
+// task by task in ascending task order, so that a caller summing over
+// several caches adds in one fixed order. The entries change exactly as
+// invalidating each task in turn would change them, since an absent task
+// is a no-op.
 //
-// Only the cache's own entries are scanned, smallest listed task first:
-// the cost grows with the few tasks resident here, not with the length of
-// the list. The entries change exactly as invalidating each listed task
-// in turn would change them, since an absent task is a no-op.
-func (c *Cache) Invalidate(tasks []int, lines, sum float64) float64 {
-	if lines <= 0 || len(tasks) == 0 {
+// Only the cache's own entries are scanned: the cost grows with the few
+// tasks resident here, not with the size of the set. An empty cache costs
+// one comparison.
+func (c *Cache) Invalidate(tasks *Tasks, lines, sum float64) float64 {
+	if len(c.entries) == 0 || lines <= 0 {
 		return sum
 	}
-	lo, hi := tasks[0], tasks[len(tasks)-1]
+	return c.invalidate(tasks, lines, sum)
+}
+
+func (c *Cache) invalidate(tasks *Tasks, lines, sum float64) float64 {
+	// One pass finds the listed entries: a processor rarely holds more
+	// than one of a job's other tasks.
+	at, n := -1, 0
+	for i := range c.entries {
+		if tasks.has(c.entries[i].task) {
+			at = i
+			n++
+		}
+	}
+	if n <= 1 {
+		if at >= 0 {
+			sum += c.invalidateAt(at, lines)
+		}
+		return sum
+	}
+	// Several: smallest listed task first. A full removal swaps the last
+	// entry into its slot, so each step scans afresh.
 	for last := math.MinInt; ; {
-		// The smallest listed task resident here above last.
 		at := -1
 		for i := range c.entries {
 			task := c.entries[i].task
-			if task > last && task >= lo && task <= hi &&
-				(at < 0 || task < c.entries[at].task) && listed(tasks, task) {
+			if task > last && (at < 0 || task < c.entries[at].task) && tasks.has(task) {
 				at = i
 			}
 		}

@@ -205,7 +205,7 @@ func TestQuickInvariants(t *testing.T) {
 			case 0:
 				c.Flush()
 			case 1:
-				c.Invalidate([]int{rng.Intn(5)}, float64(rng.Intn(400)), 0)
+				c.Invalidate(one(rng.Intn(5)), float64(rng.Intn(400)), 0)
 			default:
 				c.Load(rng.Intn(5), float64(rng.Intn(400)))
 			}
@@ -252,27 +252,64 @@ func TestQuickSegmentMonotone(t *testing.T) {
 	}
 }
 
+// one is the set holding task alone.
+func one(task int) *Tasks {
+	t := NewTasks([]int{task})
+	return &t
+}
+
+// TestTasksMembership: a prepared set holds exactly its ids, whatever its
+// shape — empty, a dense range, a dense range missing one id (the first,
+// an inner one or the last), or a sparse list.
+func TestTasksMembership(t *testing.T) {
+	var shapes [][]int
+	shapes = append(shapes, nil, []int{7}, []int{3, 4, 5, 6})
+	for gap := 0; gap < 6; gap++ {
+		var ids []int
+		for id := 10; id < 16; id++ {
+			if id != 10+gap {
+				ids = append(ids, id)
+			}
+		}
+		shapes = append(shapes, ids)
+	}
+	shapes = append(shapes, []int{1, 3, 5}, []int{2, 3, 6, 7}, []int{1<<20 | 1, 1<<20 | 2, 1<<20 | 4})
+	for _, ids := range shapes {
+		set := NewTasks(ids)
+		for task := -1; task < 20; task++ {
+			if got, want := set.has(task), listed(ids, task); got != want {
+				t.Errorf("NewTasks(%v).has(%d) = %v, want %v", ids, task, got, want)
+			}
+		}
+		for _, id := range ids {
+			if !set.has(id) || set.has(id+1<<21) {
+				t.Errorf("NewTasks(%v): membership of %d wrong", ids, id)
+			}
+		}
+	}
+}
+
 func TestInvalidate(t *testing.T) {
 	c := MustNew(100)
 	c.Load(1, 50)
-	if got := c.Invalidate([]int{1}, 20, 0); got != 20 {
+	if got := c.Invalidate(one(1), 20, 0); got != 20 {
 		t.Errorf("Invalidate = %v, want 20", got)
 	}
 	if c.Resident(1) != 30 || c.Occupied() != 30 {
 		t.Errorf("after partial invalidate: r=%v occ=%v", c.Resident(1), c.Occupied())
 	}
 	// Over-invalidation removes everything and reports the actual amount.
-	if got := c.Invalidate([]int{1}, 100, 0); got != 30 {
+	if got := c.Invalidate(one(1), 100, 0); got != 30 {
 		t.Errorf("over-Invalidate = %v, want 30", got)
 	}
 	if c.Resident(1) != 0 || c.Occupied() != 0 {
 		t.Error("residue after full invalidate")
 	}
 	// Absent task and non-positive amounts are no-ops.
-	if got := c.Invalidate([]int{9}, 10, 0); got != 0 {
+	if got := c.Invalidate(one(9), 10, 0); got != 0 {
 		t.Errorf("absent-task Invalidate = %v", got)
 	}
-	if got := c.Invalidate([]int{1}, -5, 0); got != 0 {
+	if got := c.Invalidate(one(1), -5, 0); got != 0 {
 		t.Errorf("negative Invalidate = %v", got)
 	}
 }

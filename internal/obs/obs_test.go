@@ -73,12 +73,20 @@ func TestSimStatsMerge(t *testing.T) {
 }
 
 func TestCampaignStatsSnapshot(t *testing.T) {
+	// Two cells: the first runs two policies, the second one. Cells
+	// counts the cells folded in, not the runs.
+	a, b := NewCampaignStats(), NewCampaignStats()
+	a.Add("Equipartition", SimStats{Runs: 1, Reallocations: 4})
+	a.Add("Affinity", SimStats{Runs: 1, Reallocations: 2})
+	b.Add("Equipartition", SimStats{Runs: 1, Reallocations: 6})
+	if s := a.Snapshot(); s.Cells != 0 || s.Total.Runs != 2 {
+		t.Fatalf("cell snapshot = %+v", s)
+	}
 	c := NewCampaignStats()
-	c.Add("Equipartition", SimStats{Runs: 1, Reallocations: 4})
-	c.Add("Affinity", SimStats{Runs: 1, Reallocations: 2})
-	c.Add("Equipartition", SimStats{Runs: 1, Reallocations: 6})
+	c.AddCell(a)
+	c.AddCell(b)
 	s := c.Snapshot()
-	if s.Cells != 3 || s.Total.Reallocations != 12 {
+	if s.Cells != 2 || s.Total.Runs != 3 || s.Total.Reallocations != 12 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if !reflect.DeepEqual(s.PolicyOrder, []string{"Affinity", "Equipartition"}) {
@@ -90,6 +98,8 @@ func TestCampaignStatsSnapshot(t *testing.T) {
 	// nil receivers are inert so call sites need no guards.
 	var nilC *CampaignStats
 	nilC.Add("x", SimStats{Runs: 1})
+	nilC.AddCell(a)
+	c.AddCell(nil)
 	if got := nilC.Snapshot(); got.Cells != 0 {
 		t.Fatalf("nil snapshot = %+v", got)
 	}

@@ -66,9 +66,10 @@ func (s *SimStats) Merge(o SimStats) {
 
 // CampaignStats accumulates SimStats across the cells of one campaign
 // (or several campaigns sharing a collector), keyed by policy (or
-// driver) label. It is safe for concurrent use; campaign drivers fold
-// cells in deterministic grid order after the parallel phase completes,
-// so the totals are identical at any worker count.
+// driver) label. It is safe for concurrent use. Each cell collects into
+// its own CampaignStats, which AddCell then folds in and counts; campaign
+// drivers fold cells in deterministic grid order after the parallel phase
+// completes, so the totals are identical at any worker count.
 type CampaignStats struct {
 	mu        sync.Mutex
 	cells     uint64
@@ -81,13 +82,13 @@ func NewCampaignStats() *CampaignStats {
 	return &CampaignStats{perPolicy: make(map[string]*SimStats)}
 }
 
-// Add folds one cell's stats under the given policy label.
+// Add folds one run's (or one driver's) stats under the given policy
+// label.
 func (c *CampaignStats) Add(policy string, s SimStats) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.cells++
 	c.total.Merge(s)
 	p := c.perPolicy[policy]
 	if p == nil {
@@ -98,11 +99,12 @@ func (c *CampaignStats) Add(policy string, s SimStats) {
 	c.mu.Unlock()
 }
 
-// Merge folds everything o has collected into c, as one grouped Add per
-// policy. Folding per-cell collectors in grid order this way makes the
-// totals independent of the order concurrent cells finished in — even
-// InvalLines, the one float, whose sums depend on association order.
-func (c *CampaignStats) Merge(o *CampaignStats) {
+// AddCell folds in everything one cell's collector o has collected, as one
+// grouped Add per policy, and counts the cell. Folding per-cell collectors
+// in grid order this way makes the totals independent of the order
+// concurrent cells finished in — even InvalLines, the one float, whose
+// sums depend on association order.
+func (c *CampaignStats) AddCell(o *CampaignStats) {
 	if c == nil || o == nil {
 		return
 	}
@@ -110,7 +112,7 @@ func (c *CampaignStats) Merge(o *CampaignStats) {
 	defer o.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cells += o.cells
+	c.cells++
 	c.total.Merge(o.total)
 	for policy, s := range o.perPolicy {
 		p := c.perPolicy[policy]
@@ -126,7 +128,7 @@ func (c *CampaignStats) Merge(o *CampaignStats) {
 // PolicyOrder lists PerPolicy's keys sorted, so renderers iterate
 // deterministically.
 type CampaignSnapshot struct {
-	Cells       uint64              `json:"cells"`
+	Cells       uint64              `json:"cells"` // cells folded in by AddCell
 	Total       SimStats            `json:"total"`
 	PerPolicy   map[string]SimStats `json:"per_policy"`
 	PolicyOrder []string            `json:"-"`

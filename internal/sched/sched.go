@@ -336,6 +336,11 @@ type engine struct {
 	// integer increments on the dispatch path (not atomics — the engine is
 	// single-goroutine), folded into Result.Stats at the end of the run.
 	stats obs.SimStats
+
+	// audit, when set (only tests set it), runs at every policy event
+	// after the snapshot is published and before the policy reads it. It
+	// survives reset.
+	audit func(trig alloc.Trigger, arg int)
 }
 
 // Runner executes simulation runs back to back, reusing the full engine
@@ -437,6 +442,7 @@ func (e *engine) reset(cfg Config, model cachemodel.Model) error {
 	} else {
 		e.st.Reset(nproc, njob)
 	}
+	e.st.SetAffinity(e)
 	e.credits = sizedZero(e.credits, njob)
 	e.profile = sizedZero(e.profile, nproc+1)
 	e.lastCredit = 0
@@ -1032,7 +1038,10 @@ func (e *engine) updateCredits() {
 	}
 }
 
-// buildState publishes the allocator-visible snapshot.
+// buildState publishes the allocator-visible snapshot: the per-job scalars
+// and each processor's owner and yield mark. The affinity histories are
+// not copied: the policy asks for them through AppendDesired and LastTask,
+// which read the same run state, unchanged while the policy decides.
 func (e *engine) buildState() {
 	s := e.st
 	for _, j := range e.jobs {
@@ -1041,50 +1050,60 @@ func (e *engine) buildState() {
 		s.Demand[j.id] = j.job.Demand()
 		s.Alloc[j.id] = j.curAlloc
 		s.MaxPar[j.id] = j.app.MaxParallelism()
-		s.Desired[j.id] = s.Desired[j.id][:0]
-		if s.Active[j.id] {
-			// Desired processors, most critical tasks first: preempted
-			// tasks hold in-progress threads; idle tasks can take new
-			// work when the job has ready threads.
-			for _, t := range j.tasks {
-				if t.state == taskPreempted && t.lastProc >= 0 {
-					s.Desired[j.id] = append(s.Desired[j.id],
-						alloc.DesiredProc{Proc: t.lastProc, Task: t.ref})
-				}
-			}
-			if j.job.ReadyCount() > 0 {
-				for _, t := range j.tasks {
-					if t.state == taskIdle && t.lastProc >= 0 {
-						s.Desired[j.id] = append(s.Desired[j.id],
-							alloc.DesiredProc{Proc: t.lastProc, Task: t.ref})
-					}
-				}
-			}
-		}
 	}
 	for _, p := range e.procs {
 		s.ProcJob[p.id] = p.job
-		s.ProcWorking[p.id] = p.running
 		s.ProcYield[p.id] = p.yield && !p.running
-		s.ProcLastTask[p.id] = p.lastTask
-		s.LastTaskResumable[p.id] = false
-		if p.lastTask.Valid() {
-			lj := e.jobs[p.lastTask.Job]
-			if lj.arrived && !lj.done {
-				lt := lj.tasks[p.lastTask.Task]
-				if lt.state == taskPreempted ||
-					(lt.state == taskIdle && lj.job.ReadyCount() > 0) {
-					s.LastTaskResumable[p.id] = true
-				}
+	}
+}
+
+// AppendDesired implements alloc.Affinity: for each of job j's tasks that
+// could resume, the processor it last ran on, most critical first —
+// preempted tasks hold in-progress threads; idle tasks can take new work
+// when the job has ready threads. A job not in the system desires nothing.
+func (e *engine) AppendDesired(buf []alloc.DesiredProc, j int) []alloc.DesiredProc {
+	jr := e.jobs[j]
+	if !jr.arrived || jr.done {
+		return buf
+	}
+	for _, t := range jr.tasks {
+		if t.state == taskPreempted && t.lastProc >= 0 {
+			buf = append(buf, alloc.DesiredProc{Proc: t.lastProc, Task: t.ref})
+		}
+	}
+	if jr.job.ReadyCount() > 0 {
+		for _, t := range jr.tasks {
+			if t.state == taskIdle && t.lastProc >= 0 {
+				buf = append(buf, alloc.DesiredProc{Proc: t.lastProc, Task: t.ref})
 			}
 		}
 	}
+	return buf
+}
+
+// LastTask implements alloc.Affinity: processor p's last task is resumable
+// when its job is in the system and the task is preempted, or idle while
+// the job has a ready thread for it.
+func (e *engine) LastTask(p int) (alloc.TaskRef, bool) {
+	last := e.procs[p].lastTask
+	if !last.Valid() {
+		return last, false
+	}
+	lj := e.jobs[last.Job]
+	if !lj.arrived || lj.done {
+		return last, false
+	}
+	lt := lj.tasks[last.Task]
+	return last, lt.state == taskPreempted || (lt.state == taskIdle && lj.job.ReadyCount() > 0)
 }
 
 // policyEvent invokes the policy and applies its decisions.
 func (e *engine) policyEvent(trig alloc.Trigger, arg int) {
 	e.updateCredits()
 	e.buildState()
+	if e.audit != nil {
+		e.audit(trig, arg)
+	}
 	decs := e.pol.Rebalance(e.st, trig, arg)
 	e.applyDecisions(decs)
 }

@@ -184,7 +184,6 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		return nil, err
 	}
 	j.cells.setTotal(len(plan.Cells))
-	ctx := obs.WithCollector(j.ctx, j.stats)
 	// In coordinator mode the campaign gets one re-dispatch budget for
 	// all its cells: every retry and hedge spends a unit, and exhaustion
 	// degrades to local execution (never failure). Published on the job
@@ -196,7 +195,7 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		j.mu.Unlock()
 	}
 	partials := make([][]byte, len(plan.Cells))
-	err = parallel.ForEach(ctx, j.params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
+	err = parallel.ForEach(j.ctx, j.params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
 		cell := &plan.Cells[i]
 		key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
 		// Fleet dispatch: in coordinator mode a missed cell is executed
@@ -235,8 +234,15 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		// cell's work, and the write-behind disk Put survives a process
 		// death. A remote cell keeps the worker's measured cost, so
 		// eviction still weighs simulation time rather than network time.
+		// An executed cell collects its simulation stats apart and folds
+		// them into the job's as one cell when it succeeds.
 		l, err := s.cells.Resolve(ctx, key, fill, func(ctx context.Context) ([]byte, error) {
-			return s.cfg.execCell(ctx, cell)
+			stats := obs.NewCampaignStats()
+			body, err := s.cfg.execCell(obs.WithCollector(ctx, stats), cell)
+			if err == nil {
+				j.stats.AddCell(stats)
+			}
+			return body, err
 		})
 		switch l.Source {
 		case resultcache.Memory:

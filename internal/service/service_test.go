@@ -790,6 +790,47 @@ func TestJobStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestJobStatsCountsCells: a job's stats count the cells whose simulation
+// stats were folded in, so a fresh job's stats.cells equals its view's
+// cells_total — one for a one-cell analytic compare (whose cell runs five
+// replications), nine for a fast table1.
+func TestJobStatsCountsCells(t *testing.T) {
+	for _, tc := range []struct {
+		body  string
+		cells int
+	}{
+		{oneCell(1, false), 1},
+		{`{"kind":"table1","params":{"fast":true,"budget_sec":0.5}}`, 9},
+	} {
+		e := newEnv(t, Config{})
+		if resp := e.submit(tc.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.body, resp.StatusCode, readAll(t, resp))
+		} else {
+			readAll(t, resp)
+		}
+		jobs := e.listJobs()
+		if len(jobs) != 1 || jobs[0].Status != "done" {
+			t.Fatalf("%s: jobs %+v", tc.body, jobs)
+		}
+		r, err := http.Get(e.url + "/v1/jobs/" + jobs[0].ID + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload struct {
+			Stats struct {
+				Cells uint64 `json:"cells"`
+			} `json:"stats"`
+		}
+		if err := json.Unmarshal(readAll(t, r), &payload); err != nil {
+			t.Fatal(err)
+		}
+		if got := payload.Stats.Cells; got != uint64(jobs[0].CellsTotal) || got != uint64(tc.cells) {
+			t.Errorf("%s: stats.cells = %d, cells_total = %d, want both %d",
+				tc.body, got, jobs[0].CellsTotal, tc.cells)
+		}
+	}
+}
+
 // TestPprofGating: the profiling surface exists only when explicitly
 // enabled.
 func TestPprofGating(t *testing.T) {

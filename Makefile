@@ -52,11 +52,15 @@ race:
 # sequences. Then ten seconds of FuzzFillBlock, which holds the trace
 # generator's FillBlock to a per-reference float-compare oracle on random
 # patterns split into random blocks, with saves, restores and clones
-# between them. A plain `go test` runs their seed corpora only.
+# between them. Then ten seconds of FuzzMeasureCell, which holds every run
+# of a Table-1 cell's lockstep replay to the per-reference oracle on
+# random patterns, 1-, 2- and 4-way caches, quanta and budgets. A plain
+# `go test` runs their seed corpora only.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignParams$$' -fuzztime 10s -parallel 2 ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzServiceN$$' -fuzztime 10s -parallel 2 ./internal/bus/
 	$(GO) test -run '^$$' -fuzz '^FuzzFillBlock$$' -fuzztime 10s -parallel 2 ./internal/memtrace/
+	$(GO) test -run '^$$' -fuzz '^FuzzMeasureCell$$' -fuzztime 10s -parallel 2 ./internal/measure/
 
 # One iteration of every benchmark — proves the exhibit drivers still run,
 # without the minutes-long full sweep.
@@ -79,8 +83,9 @@ bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkComparePolicies$$' -cpu 1,4,8 -benchtime 2x .
 
 # Machine-readable perf baseline (BENCH_cache.json): the cache/replay
-# microbenchmarks at full benchtime plus the campaign-level exhibits,
-# allocation-profile benchmarks and fresh-seed sim campaigns
+# microbenchmarks, the Table-1 cell replay included, at full benchtime
+# plus the campaign-level exhibits, allocation-profile benchmarks and
+# fresh-seed sim campaigns
 # (BenchmarkRunSim, recorded but not yet gated by bench-check) at a few
 # iterations, parsed into
 # benchmark -> {ns/op, B/op, allocs/op}. benchjson is built (not `go run`)
@@ -90,7 +95,7 @@ bench-compare:
 bench-json:
 	$(GO) build -o benchjson.bin ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench . -benchmem \
-		./internal/cache/ ./internal/cachemodel/ ./internal/memtrace/ ; \
+		./internal/cache/ ./internal/cachemodel/ ./internal/measure/ ./internal/memtrace/ ; \
 	  $(GO) test -run '^$$' -benchmem -benchtime 2x \
 		-bench 'BenchmarkComparePolicies$$|BenchmarkTable1$$|BenchmarkAblationExactEngine$$|BenchmarkSchedRunAllocs$$|BenchmarkSchedRunnerSteadyState$$|BenchmarkCompareCellAllocs$$|BenchmarkRunSim$$' . ; } \
 	| ./benchjson.bin -o BENCH_cache.json

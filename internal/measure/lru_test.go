@@ -124,6 +124,60 @@ func TestReplayKeyBound(t *testing.T) {
 	}
 }
 
+// TestReplayReturnsLowestLaneError checks that a lockstep replay whose
+// lanes fail returns the error replaying its runs one after another would:
+// the lowest failed lane's, whether that lane's intervening program ran
+// past the key bound or its stream never built, and whichever lane failed
+// first in replay order.
+func TestReplayReturnsLowestLaneError(t *testing.T) {
+	mc := machine.Symmetry()
+	opts := Options{Q: 10 * simtime.Millisecond, Budget: 20 * simtime.Millisecond, Seed: 1}
+	ms, err := measuredStream(memtrace.MVAPattern(), opts.Budget, opts.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two sprawls pass the key bound at different addresses (see
+	// TestReplayKeyBound), so their errors differ.
+	var sprawls []*Stream
+	var alone []error
+	for _, lines := range []int{1 << 21, 1 << 22} {
+		p := memtrace.Pattern{
+			Name:       "SPRAWL",
+			Gap:        1,
+			Components: []memtrace.Component{{Lines: lines, Period: simtime.Duration(lines)}},
+			PhaseEvery: 1,
+		}
+		is, err := interveningStream(p, 2, opts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = runStreams(mc, ms, is, Multiprog, opts)
+		if err == nil || !strings.Contains(err.Error(), "key bound") {
+			t.Fatalf("a %d-line sprawl alone: err = %v, want a key-bound error", lines, err)
+		}
+		sprawls, alone = append(sprawls, is), append(alone, err)
+	}
+	if alone[0].Error() == alone[1].Error() {
+		t.Fatalf("the sprawls fail alike: %v", alone[0])
+	}
+	built := fmt.Errorf("stream never built")
+	multi := func(s *Stream) lane { return lane{regime: Multiprog, inter: cursor{s: s}} }
+	for _, tc := range []struct {
+		name  string
+		lanes []lane
+		want  error
+	}{
+		{"two sprawls", []lane{{regime: Migrating}, multi(sprawls[0]), multi(sprawls[1])}, alone[0]},
+		{"two sprawls, reversed", []lane{{regime: Migrating}, multi(sprawls[1]), multi(sprawls[0])}, alone[1]},
+		{"a sprawl before an unbuilt stream", []lane{{regime: Migrating}, multi(sprawls[1]), {regime: Multiprog, err: built}}, alone[1]},
+		{"an unbuilt stream before a sprawl", []lane{{regime: Migrating}, {regime: Multiprog, err: built}, multi(sprawls[0])}, built},
+	} {
+		if err := replay(mc, ms, opts.Q, tc.lanes); err == nil || err.Error() != tc.want.Error() {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestReplayCacheRejectsMisalignedBase checks that a line size the
 // intervening address base is not a multiple of is refused, since a line
 // index within an address space would then not name one cache line.

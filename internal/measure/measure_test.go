@@ -2,7 +2,9 @@ package measure
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -48,6 +50,35 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := Run(machine.Symmetry(), memtrace.MVAPattern(), memtrace.Pattern{}, Stationary, Options{}); err == nil {
 		t.Error("bad options accepted")
+	}
+
+	// An invalid pattern is refused with memtrace's reason, not a panic in
+	// the generator, and a rejected cell builds no stream.
+	bad := memtrace.Pattern{Name: "bad"}
+	mva, opts := memtrace.MVAPattern(), fast(25*simtime.Millisecond)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "memtrace: bad: Gap must be positive") {
+			t.Errorf("%s: err = %v, want memtrace's refusal", what, err)
+		}
+	}
+	for _, regime := range []Regime{Stationary, Migrating, Multiprog} {
+		_, err := Run(machine.Symmetry(), bad, mva, regime, opts)
+		refused("Run with a bad measured pattern, "+regime.String(), err)
+	}
+	_, err := Run(machine.Symmetry(), mva, bad, Multiprog, opts)
+	refused("Run with a bad intervening pattern", err)
+	_, err = MeasurePenalties(machine.Symmetry(), bad, nil, opts)
+	refused("MeasurePenalties with a bad measured pattern", err)
+	_, err = MeasurePenalties(machine.Symmetry(), mva, []memtrace.Pattern{memtrace.MatrixPattern(), bad}, opts)
+	refused("MeasurePenalties with a bad intervening pattern", err)
+	set := NewStreamSet([]memtrace.Pattern{mva, bad}, opts.Budget, opts.Seed)
+	for measured := range 2 {
+		_, err := set.MeasureCell(machine.Symmetry(), measured, opts.Q)
+		refused(fmt.Sprintf("MeasureCell %d of a set with a bad pattern", measured), err)
+	}
+	if n := set.built.Load(); n != 0 {
+		t.Errorf("rejected cells built %d streams, want 0", n)
 	}
 }
 
@@ -253,7 +284,8 @@ func TestMeasureCellMatchesBuildTable1(t *testing.T) {
 
 // TestStreamSetBuildsEachStreamOnce runs a full grid on one set and checks
 // that each of its 2×len(patterns) streams was built exactly once, at one
-// worker and at several.
+// worker and at several, by MeasureCell calls and by BuildTable1's cells,
+// and that BuildTable1's table is the same at one worker and at three.
 func TestStreamSetBuildsEachStreamOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement runs in -short mode")
@@ -273,6 +305,21 @@ func TestStreamSetBuildsEachStreamOnce(t *testing.T) {
 		if got, want := int(set.built.Load()), 2*len(pats); got != want {
 			t.Errorf("workers %d: %d streams built, want %d", workers, got, want)
 		}
+	}
+	var tables []Table1
+	for _, workers := range []int{1, 3} {
+		set := NewStreamSet(pats, 500*simtime.Millisecond, 3)
+		tbl, err := set.table1(context.Background(), mc, qs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int(set.built.Load()), 2*len(pats); got != want {
+			t.Errorf("BuildTable1 at %d workers: %d streams built, want %d", workers, got, want)
+		}
+		tables = append(tables, tbl)
+	}
+	if !reflect.DeepEqual(tables[0], tables[1]) {
+		t.Errorf("BuildTable1 differs between 1 and 3 workers:\n%+v\n%+v", tables[0], tables[1])
 	}
 }
 
@@ -460,16 +507,17 @@ func oracleRun(t *testing.T, mc machine.Config, measured, intervening memtrace.P
 	return res, consumed
 }
 
-// TestRunStreamsMatchesPerReferenceOracle replays every regime on
-// run-length streams over the replay cache and on the per-reference
-// oracle over cache.Cache. The cases include a 7 µs quantum (a switch
-// every second reference, splitting nearly every run), budgets short
-// enough that the intervening program runs past its stream's prefix into
-// the tail generator, and a pattern that re-touches a line for thousands
-// of references, so its runs reach maxRun. Besides the Symmetry's cache
-// they run on a 4-way cache of 32-byte lines, where two memtrace lines
-// share a cache line, and on a direct-mapped cache of 8-byte lines.
-func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
+// oracleCase is one (Q, budget) case of the oracle tests.
+type oracleCase struct {
+	q, budget simtime.Duration
+}
+
+// oracleGrid returns the machines, patterns and cases the oracle tests
+// replay (see TestRunStreamsMatchesPerReferenceOracle): the Symmetry and
+// two other geometries; the built-in patterns, LAZY, whose runs reach
+// maxRun, and SLOW, whose short prefix the intervening program runs past;
+// and a 7 µs quantum at two budgets, a 1 ms and a 25 ms one.
+func oracleGrid() ([]machine.Config, []memtrace.Pattern, []oracleCase) {
 	lazy := memtrace.Pattern{
 		Name:       "LAZY",
 		Gap:        5 * simtime.Microsecond,
@@ -491,14 +539,27 @@ func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 		machines = append(machines, mc)
 	}
 	pats := append(memtrace.Patterns(), lazy, slow)
-	cases := []struct {
-		q, budget simtime.Duration
-	}{
+	cases := []oracleCase{
 		{7 * simtime.Microsecond, 3 * simtime.Millisecond},
 		{7 * simtime.Microsecond, 40 * simtime.Millisecond},
 		{simtime.Millisecond, 30 * simtime.Millisecond},
 		{25 * simtime.Millisecond, 200 * simtime.Millisecond},
 	}
+	return machines, pats, cases
+}
+
+// TestRunStreamsMatchesPerReferenceOracle replays every regime on
+// run-length streams over the replay cache and on the per-reference
+// oracle over cache.Cache. The cases include a 7 µs quantum (a switch
+// every second reference, splitting nearly every run), budgets short
+// enough that the intervening program runs past its stream's prefix into
+// the tail generator, and a pattern that re-touches a line for thousands
+// of references, so its runs reach maxRun. Besides the Symmetry's cache
+// they run on a 4-way cache of 32-byte lines, where two memtrace lines
+// share a cache line, and on a direct-mapped cache of 8-byte lines.
+func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
+	machines, pats, cases := oracleGrid()
+	lazy := pats[len(pats)-2]
 	var tails int
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -554,6 +615,154 @@ func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 	}
 }
 
+// oracleRuns memoizes oracleRun for one machine and one set of options,
+// by measured and intervening pattern name and regime; the intervening
+// pattern is ignored but for Multiprog.
+type oracleRuns struct {
+	t    *testing.T
+	mc   machine.Config
+	opts Options
+	runs map[string]RunResult
+}
+
+func (o *oracleRuns) run(m, iv memtrace.Pattern, regime Regime) RunResult {
+	if regime != Multiprog {
+		iv = memtrace.Pattern{}
+	}
+	key := m.Name + "/" + iv.Name + "/" + regime.String()
+	if r, ok := o.runs[key]; ok {
+		return r
+	}
+	if o.runs == nil {
+		o.runs = make(map[string]RunResult)
+	}
+	r, _ := oracleRun(o.t, o.mc, m, iv, regime, o.opts)
+	o.runs[key] = r
+	return r
+}
+
+// check holds each run of a measured application's penalties against the
+// intervening patterns ivs to the oracle.
+func (o *oracleRuns) check(what string, pen Penalties, m memtrace.Pattern, ivs []memtrace.Pattern) {
+	t := o.t
+	t.Helper()
+	where := fmt.Sprintf("%s: %+v, %s, Q %v, budget %v, seed %d", what, o.mc.Cache, m.Name, o.opts.Q, o.opts.Budget, o.opts.Seed)
+	if want := o.run(m, m, Stationary); pen.Stationary != want {
+		t.Fatalf("%s: stationary\nlockstep %+v\noracle   %+v", where, pen.Stationary, want)
+	}
+	if want := o.run(m, m, Migrating); pen.Migrating != want {
+		t.Fatalf("%s: migrating\nlockstep %+v\noracle   %+v", where, pen.Migrating, want)
+	}
+	if len(pen.Multi) != len(ivs) {
+		t.Fatalf("%s: %d multiprogrammed runs, want %d", where, len(pen.Multi), len(ivs))
+	}
+	for _, iv := range ivs {
+		if got, want := pen.Multi[iv.Name], o.run(m, iv, Multiprog); got != want {
+			t.Fatalf("%s: multiprog against %s\nlockstep %+v\noracle   %+v", where, iv.Name, got, want)
+		}
+	}
+}
+
+// TestLockstepLanesMatchPerReferenceOracle holds every lane of a lockstep
+// replay to the per-reference oracle, on the machines and cases of
+// oracleGrid: each run of every MeasureCell cell of a set, of
+// MeasurePenalties against no, one and several intervening patterns, and
+// of one-lane Runs under each regime.
+func TestLockstepLanesMatchPerReferenceOracle(t *testing.T) {
+	machines, pats, cases := oracleGrid()
+	for _, tc := range cases {
+		for seed := uint64(1); seed <= 2; seed++ {
+			opts := Options{Q: tc.q, Budget: tc.budget, Seed: seed}
+			for _, mc := range machines {
+				o := &oracleRuns{t: t, mc: mc, opts: opts}
+				set := NewStreamSet(pats, tc.budget, seed)
+				for mi, m := range pats {
+					pen, err := set.MeasureCell(mc, mi, tc.q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.check("MeasureCell", pen, m, pats)
+				}
+				m := pats[len(pats)-2] // LAZY, whose runs reach maxRun
+				for _, ivs := range [][]memtrace.Pattern{nil, pats[4:], pats} {
+					pen, err := MeasurePenalties(mc, m, ivs, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.check(fmt.Sprintf("MeasurePenalties against %d", len(ivs)), pen, m, ivs)
+				}
+				for _, regime := range []Regime{Stationary, Migrating, Multiprog} {
+					got, err := Run(mc, pats[0], pats[len(pats)-1], regime, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := o.run(pats[0], pats[len(pats)-1], regime); got != want {
+						t.Fatalf("Run %v: %+v, Q %v, budget %v, seed %d:\nlane   %+v\noracle %+v",
+							regime, mc.Cache, tc.q, tc.budget, seed, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMeasureCell holds every lane of MeasureCell's lockstep replay to the
+// per-reference oracle on random grids of one to three patterns: one or
+// two components each, sequential or permuted walks, with or without
+// phases; 1-, 2- and 4-way caches of 8-, 16- and 32-byte lines, small
+// enough that the patterns thrash them; quanta from 5 µs, splitting
+// nearly every run, to 1.28 ms; and budgets of one to 16 quanta, whose
+// switches and misses often run the intervening program past its prefix.
+func FuzzMeasureCell(f *testing.F) {
+	f.Add(uint64(1), uint8(1), uint8(0), uint8(3), []byte{2, 40, 3, 1, 0, 9, 200, 1, 1})
+	f.Add(uint64(9), uint8(0), uint8(40), uint8(15), []byte{0, 255, 0, 0, 7, 3, 10, 0, 0, 1, 90, 2})
+	f.Add(uint64(5), uint8(2), uint8(255), uint8(8), []byte{19, 7, 1, 1, 5, 4, 128, 3, 0, 12, 30, 0, 2, 0, 60, 1})
+	geoms := []cache.Config{
+		{SizeBytes: 2 << 10, LineBytes: 8, Ways: 1},
+		{SizeBytes: 4 << 10, LineBytes: 16, Ways: 2},
+		{SizeBytes: 8 << 10, LineBytes: 32, Ways: 4},
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, geom, q, budget uint8, shape []byte) {
+		mc := machine.Symmetry()
+		mc.Cache = geoms[int(geom)%len(geoms)]
+		opts := Options{Q: simtime.Duration(1+int(q)) * 5 * simtime.Microsecond, Seed: seed}
+		opts.Budget = opts.Q * simtime.Duration(1+budget%16)
+		next := func() int { // the next shape byte, 0 past the end
+			if len(shape) == 0 {
+				return 0
+			}
+			b := shape[0]
+			shape = shape[1:]
+			return int(b)
+		}
+		var pats []memtrace.Pattern
+		for i, n := 0, 1+next()%3; i < n; i++ {
+			p := memtrace.Pattern{Name: fmt.Sprintf("P%d", i), Gap: simtime.Duration(1+next()%20) * simtime.Microsecond}
+			nc := 1 + next()%2
+			for range nc {
+				lines := 1 + 16*next()
+				// Weight lines*gap/period at most 1/nc, so the weights sum
+				// to 1 or less.
+				period := simtime.Duration(lines*nc) * p.Gap * simtime.Duration(1+next()%4)
+				p.Components = append(p.Components, memtrace.Component{Lines: lines, Period: period, Permuted: next()&1 == 1})
+			}
+			if ph := next() % 8; ph > 0 {
+				p.PhaseEvery = simtime.Duration(ph) * 100 * simtime.Microsecond
+			}
+			pats = append(pats, p)
+		}
+		o := &oracleRuns{t: t, mc: mc, opts: opts}
+		set := NewStreamSet(pats, opts.Budget, seed)
+		for mi, m := range pats {
+			pen, err := set.MeasureCell(mc, mi, opts.Q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.check("MeasureCell", pen, m, pats)
+		}
+	})
+}
+
 // TestStationaryFromMissesMatchesReplay holds the Stationary runs derived
 // from a stream's miss list to a full replay of the stream, on the three
 // geometries of TestRunStreamsMatchesPerReferenceOracle, at a Q below one
@@ -561,7 +770,8 @@ func TestRunStreamsMatchesPerReferenceOracle(t *testing.T) {
 // that is no multiple of the step, at the paper's 25 ms, at Q = budget,
 // and at a Q equal to the no-switch response time, whose one switch
 // falls on the last reference. It also checks that a geometry's miss
-// list is computed once and shared.
+// list is computed once and shared, and that it lists exactly the
+// references that miss on cache.Cache.
 func TestStationaryFromMissesMatchesReplay(t *testing.T) {
 	budget := 300 * simtime.Millisecond
 	for _, geom := range []cache.Config{
@@ -583,18 +793,26 @@ func TestStationaryFromMissesMatchesReplay(t *testing.T) {
 			if again, _ := s.missList(mc); &again[0] != &misses[0] {
 				t.Errorf("%s %+v: miss list recomputed", p.Name, geom)
 			}
+			// The list holds exactly the references that miss on the
+			// exact cache, fed the stream's addresses one by one.
+			c := cache.MustNew(geom)
+			var want []int32
+			for i, addr := range decode(s) {
+				if !c.Access(ownerMeasured, addr) {
+					want = append(want, int32(i))
+				}
+			}
+			if !reflect.DeepEqual(misses, want) {
+				t.Fatalf("%s %+v: miss list of %d differs from the %d misses on cache.Cache", p.Name, geom, len(misses), len(want))
+			}
 			step := mc.Compute(s.gap)
 			replayed := func(q simtime.Duration) RunResult {
 				t.Helper()
-				c, err := newLRUCache(geom)
-				if err != nil {
+				lanes := []lane{{regime: Stationary}}
+				if err := replay(mc, s, q, lanes); err != nil {
 					t.Fatal(err)
 				}
-				res, err := replay(mc, c, s, nil, Stationary, q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+				return lanes[0].result(s)
 			}
 			whole := replayed(simtime.Duration(simtime.Never))
 			if whole.Switches != 0 || whole.Misses != uint64(len(misses)) {
@@ -633,8 +851,10 @@ var measureCellSink Penalties
 
 // BenchmarkMeasureCell replays one cell of a fast Table-1 campaign (4 s
 // budget, Q = 25 ms, the first pattern measured against all three) over a
-// stream set whose streams were built before the timer starts, so it
-// times the five runs' cache replay alone.
+// stream set whose streams, and the measured stream's miss list, were
+// built before the timer starts. So it times the cell's one lockstep
+// replay of its four runs, Migrating and three Multiprog, alone; the
+// Stationary run is derived from the miss list.
 func BenchmarkMeasureCell(b *testing.B) {
 	mc := machine.Symmetry()
 	mc.Processors = 1

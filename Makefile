@@ -84,10 +84,11 @@ bench-compare:
 
 # Machine-readable perf baseline (BENCH_cache.json): the cache/replay
 # microbenchmarks, the Table-1 cell replay included, at full benchtime
-# plus the campaign-level exhibits, allocation-profile benchmarks and
-# fresh-seed sim campaigns
-# (BenchmarkRunSim, recorded but not yet gated by bench-check) at a few
-# iterations, parsed into
+# plus the campaign-level exhibits, allocation-profile benchmarks,
+# fresh-seed sim campaigns (BenchmarkRunSim) and a fresh analytic
+# campaign through an in-process coordinator and two workers
+# (BenchmarkFleetCampaign) at a few iterations — the last two recorded
+# but not yet gated by bench-check — parsed into
 # benchmark -> {ns/op, B/op, allocs/op}. benchjson is built (not `go run`)
 # so the binary carries VCS build info and the baseline's _meta records the
 # git revision that produced it; benchjson refuses to write a baseline from
@@ -97,7 +98,7 @@ bench-json:
 	{ $(GO) test -run '^$$' -bench . -benchmem \
 		./internal/cache/ ./internal/cachemodel/ ./internal/measure/ ./internal/memtrace/ ; \
 	  $(GO) test -run '^$$' -benchmem -benchtime 2x \
-		-bench 'BenchmarkComparePolicies$$|BenchmarkTable1$$|BenchmarkAblationExactEngine$$|BenchmarkSchedRunAllocs$$|BenchmarkSchedRunnerSteadyState$$|BenchmarkCompareCellAllocs$$|BenchmarkRunSim$$' . ; } \
+		-bench 'BenchmarkComparePolicies$$|BenchmarkTable1$$|BenchmarkAblationExactEngine$$|BenchmarkSchedRunAllocs$$|BenchmarkSchedRunnerSteadyState$$|BenchmarkCompareCellAllocs$$|BenchmarkRunSim$$|BenchmarkFleetCampaign$$' . ; } \
 	| ./benchjson.bin -o BENCH_cache.json
 	rm -f benchjson.bin
 
@@ -157,9 +158,10 @@ persist-smoke:
 # three workers (readiness by polling /v1/workers, never by sleeping),
 # kill -9s the worker placement will pick first, while it is still
 # registered, submits a table1 campaign, and requires the coordinator to
-# absorb the loss — at least one retried or hedged cell in
+# absorb the loss — at least one retried or hedged batch in
 # affinityd_fleet_* — with a final body byte-identical to a cold
-# single-process run.
+# single-process run, one placement decision per batch attempt, and
+# fewer batches than dispatched cells.
 fleet-smoke:
 	$(GO) test -race -count=1 -run 'TestFleetSmoke' ./cmd/affinityd/
 

@@ -45,10 +45,10 @@
 //	-advertise   base URL workers advertise to the coordinator (default:
 //	             derived from the bound listener address — set it when
 //	             behind NAT or a non-loopback interface)
-//	-hedge-ms    coordinator: milliseconds before a straggling cell is
-//	             re-dispatched to another worker (default 1000)
+//	-hedge-ms    coordinator: milliseconds before a straggling batch of
+//	             cells is re-dispatched to another worker (default 1000)
 //	-hedge-budget coordinator: max retries + hedges one campaign may spend
-//	             across all its cells (default 16, <0 = unlimited); once
+//	             across all its batches (default 16, <0 = unlimited); once
 //	             dry, cells fall back to local execution and the job view
 //	             reports budget_exhausted
 //	-fleet-token shared secret authenticating every fleet request (HMAC
@@ -119,7 +119,7 @@ func run() (err error) {
 	coordinator := fs.Bool("coordinator", false, "run as fleet coordinator (dispatch cells to joined workers)")
 	join := fs.String("join", "", "run as fleet worker: coordinator base URL to register with")
 	advertise := fs.String("advertise", "", "base URL to advertise to the coordinator (default: bound address)")
-	hedgeMS := fs.Int("hedge-ms", 1000, "coordinator: ms before a straggling cell is re-dispatched")
+	hedgeMS := fs.Int("hedge-ms", 1000, "coordinator: ms before a straggling batch is re-dispatched")
 	fleetToken := fs.String("fleet-token", "", "shared secret authenticating fleet requests (HMAC; empty = unauthenticated)")
 	hedgeBudget := fs.Int("hedge-budget", 16, "coordinator: max retries+hedges per campaign (<0 = unlimited)")
 	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof/ runtime profiles")

@@ -599,10 +599,13 @@ func TestCellSmoke(t *testing.T) {
 //     envelope: the authenticated transport is on for the whole run.
 //  2. Kill -9 the best-scored worker (the one placement will pick
 //     first) while it is still registered, and submit a table1
-//     campaign: its first dispatch goes to the dead worker. The
-//     coordinator must absorb the loss — retry the cell elsewhere
+//     campaign: its first batch goes to the dead worker. The
+//     coordinator must absorb the loss — retry the batch elsewhere
 //     (visible in affinityd_fleet_*), shift placement to the survivors
-//     — and finish; the dead worker drops from /v1/workers/{id}.
+//     — and finish; the dead worker drops from /v1/workers/{id}. The
+//     campaign's nine cells travel as three batches (workers 3), so
+//     every batch attempt is one placement decision and there are
+//     fewer batches than dispatched cells.
 //  3. The final body must be byte-identical to a cold single-process
 //     run, with the coordinator's misses == executions invariant intact
 //     (duplicates from hedging never double-fold).
@@ -803,7 +806,7 @@ func TestFleetSmoke(t *testing.T) {
 	// Kill -9 the worker placement will pick first, then submit. Before
 	// any dispatch every worker scores the same (idle, unmeasured, never
 	// failed), and the scorer breaks ties by URL, so the campaign's first
-	// dispatch goes to the lowest URL. The coordinator still lists the
+	// batch goes to the lowest URL. The coordinator still lists the
 	// dead worker (its last heartbeat is under WorkerTTL old), so that
 	// dispatch fails and is retried on a survivor by construction, not by
 	// racing the grid's progress.
@@ -900,10 +903,16 @@ func TestFleetSmoke(t *testing.T) {
 			t.Errorf("GET /v1/workers/%s after kill: %d, want 404", deadID, dr.StatusCode)
 		}
 	}
-	// Placement was scored, not round-robined: every dispatch recorded a
-	// decision, and the survivors' detail rows show RTT measurements.
-	if pd := metric(coordBase, "affinityd_fleet_placement_decisions_total"); pd < totalCells {
-		t.Errorf("placement decisions = %d, want >= %d", pd, totalCells)
+	// Placement was scored, not round-robined: every batch attempt
+	// recorded a decision, and the survivors' detail rows show RTT
+	// measurements. The cells travelled in batches: fewer execute
+	// exchanges than dispatched cells.
+	batches := metric(coordBase, "affinityd_fleet_batches_total")
+	if pd := metric(coordBase, "affinityd_fleet_placement_decisions_total"); pd != batches {
+		t.Errorf("placement decisions = %d, want one per batch attempt (%d)", pd, batches)
+	}
+	if dispatched := metric(coordBase, "affinityd_fleet_dispatches_total"); batches >= dispatched {
+		t.Errorf("batches = %d for %d dispatched cells, want fewer batches than cells", batches, dispatched)
 	}
 	if err := json.Unmarshal(get(coordBase, "/v1/workers"), &wv); err != nil {
 		t.Fatal(err)

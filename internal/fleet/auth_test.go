@@ -210,7 +210,7 @@ func TestWorkerCapacityRejection(t *testing.T) {
 	// Occupy the single capacity slot directly; the next request is over.
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
-	payload, _ := json.Marshal(execReq("c1"))
+	payload, _ := json.Marshal(newBatch([]ExecuteRequest{execReq("c1")}))
 	resp, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)

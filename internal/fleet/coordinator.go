@@ -46,9 +46,9 @@ type Config struct {
 	Token string
 	// WorkerTTL expires a worker that has not heartbeated (default 10s).
 	WorkerTTL time.Duration
-	// HedgeDelay is how long a dispatch waits on an attempt before
-	// re-issuing the cell to another worker (default 1s). The first
-	// valid result wins; the straggler's is discarded.
+	// HedgeDelay is how long a dispatch waits on a batch attempt before
+	// re-issuing the batch to another worker (default 1s). The first
+	// valid answer wins; the straggler's is discarded.
 	HedgeDelay time.Duration
 	// Backoff is the pause before relaunching after a failed attempt
 	// (default 50ms).
@@ -71,7 +71,7 @@ func (c Config) withDefaults() Config {
 }
 
 const (
-	// maxAttempts bounds attempts per cell across retries and hedges.
+	// maxAttempts bounds attempts per batch across retries and hedges.
 	// Each attempt targets a distinct worker.
 	maxAttempts = 3
 	// defaultCapacity is assumed for workers that register without one,
@@ -83,36 +83,51 @@ const (
 	// optimization, so a slow tier must not stall the cell past what
 	// executing it would cost.
 	peerFillTimeout = 500 * time.Millisecond
+	// maxReplyBytes bounds a worker's answer the coordinator reads: an
+	// execute reply with every cell body of a batch, or one cell read.
+	maxReplyBytes = 64 << 20
+	// maxBatchBytes bounds an execute request a worker reads: the params
+	// once, then about a hundred bytes per cell.
+	maxBatchBytes = 8 << 20
 )
 
 // Metrics are the coordinator's fleet counters, written lock-free on
 // the dispatch path and rendered as affinityd_fleet_* at /metrics.
+// Dispatches, RemoteCells, Duplicates, Failures and Fallbacks count
+// cells: a batch attempt adds its cell count to Dispatches when it
+// launches and to exactly one of RemoteCells, Duplicates or Failures
+// when it ends, so Dispatches == RemoteCells + Duplicates + Failures
+// once every attempt has ended. Batches, Retries, Hedges, HedgeWins,
+// the placement counters and RTTNs count batch attempts or dispatches.
 type Metrics struct {
-	// Dispatches counts attempts launched (first tries, retries, and
-	// hedges all included).
+	// Batches counts batch attempts launched: one execute exchange each
+	// (first tries, retries, and hedges all included).
+	Batches obs.Counter
+	// Dispatches counts the cells of the batch attempts launched.
 	Dispatches obs.Counter
-	// RemoteCells counts DispatchBudget calls resolved by a worker's result.
+	// RemoteCells counts cells delivered from a worker's answer: the
+	// cells of each Dispatch call a winning attempt resolved.
 	RemoteCells obs.Counter
-	// Retries counts attempts relaunched after a failed one.
+	// Retries counts batch attempts relaunched after a failed one.
 	Retries obs.Counter
-	// Hedges counts attempts launched by the straggler timer while an
-	// earlier attempt was still in flight.
+	// Hedges counts batch attempts launched by the straggler timer while
+	// an earlier attempt was still in flight.
 	Hedges obs.Counter
-	// HedgeWins counts dispatches whose winning result came from a
+	// HedgeWins counts Dispatch calls whose winning answer came from a
 	// retry or hedge rather than the first attempt.
 	HedgeWins obs.Counter
-	// Duplicates counts valid results that arrived after a winner and
-	// were discarded by cell key — the at-least-once overshoot.
+	// Duplicates counts the cells of valid answers that arrived after a
+	// winner and were discarded — the at-least-once overshoot.
 	Duplicates obs.Counter
-	// DuplicateMismatches counts the duplicates whose cell body differs
-	// from the winner's. Cells are deterministic, so any mismatch is a
-	// worker computing a different answer for the same key.
+	// DuplicateMismatches counts the discarded duplicate cells whose body
+	// differs from the winner's. Cells are deterministic, so any mismatch
+	// is a worker computing a different answer for the same key.
 	DuplicateMismatches obs.Counter
-	// Failures counts attempts that returned an error (connection
-	// failure, non-200, or an identity mismatch).
+	// Failures counts the cells of batch attempts that returned an error
+	// (connection failure, non-200, or an answer refused whole).
 	Failures obs.Counter
-	// Fallbacks counts dispatches that returned no result, sending the
-	// cell to local execution.
+	// Fallbacks counts the cells of Dispatch calls that returned no
+	// result, sending each cell to peer fill, then local execution.
 	Fallbacks obs.Counter
 	// Registrations counts new workers; heartbeats of a known worker do
 	// not count.
@@ -128,7 +143,7 @@ type Metrics struct {
 	// nothing.
 	WorkerFills obs.Counter
 	// PlacementDecisions counts scored placement decisions (one per
-	// launched attempt).
+	// launched batch attempt, so it equals Batches).
 	PlacementDecisions obs.Counter
 	// PlacementCapacitySkips counts candidate workers passed over
 	// because every capacity slot was occupied.
@@ -140,7 +155,7 @@ type Metrics struct {
 	// BudgetExhausted counts campaigns whose retry+hedge budget ran dry
 	// (incremented by the service, once per campaign).
 	BudgetExhausted obs.Counter
-	// RTTNs is the round-trip time of successful dispatch attempts.
+	// RTTNs is the round-trip time of successful batch attempts.
 	RTTNs obs.Histogram
 }
 
@@ -342,7 +357,7 @@ func (c *Coordinator) fetchCell(ctx context.Context, base, key string) ([]byte, 
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, 0, false
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes))
 	if err != nil || len(body) == 0 || !json.Valid(body) {
 		return nil, 0, false
 	}
@@ -469,7 +484,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 }
 
 // pick reserves one unit of capacity on the best-scored live worker not
-// yet tried for this cell (placement.go). Returns "" when no worker
+// yet tried for this batch (placement.go). Returns "" when no worker
 // qualifies, else the worker's URL and the rendered placement decision
 // for event attribution.
 func (c *Coordinator) pick(tried map[string]bool) (string, string) {
@@ -571,26 +586,47 @@ func (c *Coordinator) release(url string, rtt time.Duration, end attemptEnd) {
 	}
 }
 
-// attemptOutcome is one dispatch attempt's result.
+// attemptOutcome is one batch attempt's result.
 type attemptOutcome struct {
-	resp      *ExecuteResponse
+	resps     []ExecuteResponse
 	err       error
 	attempt   int    // 1-based launch order
 	placement string // the scored decision that launched it
 }
 
-// DispatchBudget executes one cell on the fleet: bounded retry with
-// backoff on failure, hedged re-dispatch of stragglers after
-// HedgeDelay, first valid result wins. Exactly one response is ever
-// returned per call — late duplicates are drained and counted, never
-// delivered — so the caller's one-result-per-miss accounting (misses ==
-// execution attempts) holds no matter how the race resolves. Every
-// retry and hedge beyond the first attempt spends one unit of budget
-// (nil = unlimited); when the budget is dry the attempt is simply not
-// launched. A non-nil error (ErrNoWorkers, ErrBudgetExhausted, every
-// attempt failed, or ctx cancelled) means the caller should execute the
-// cell locally.
+// DispatchBudget executes one cell on the fleet: Dispatch of a batch of
+// one.
 func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, budget *Budget) (*ExecuteResponse, error) {
+	resps, err := c.Dispatch(ctx, []ExecuteRequest{req}, budget)
+	if err != nil {
+		return nil, err
+	}
+	return &resps[0], nil
+}
+
+// Dispatch executes a batch of one campaign's cells on the fleet, as one
+// execute request per attempt: bounded retry with backoff on failure,
+// hedged re-dispatch of a straggling batch after HedgeDelay, first valid
+// answer wins. It returns one response per request, in request order,
+// or an error and no response: a batch is all-or-nothing. Late
+// duplicates are drained and compared with the winner cell by cell,
+// never delivered, so the caller's one-result-per-miss accounting
+// (misses == executions) holds no matter how the race resolves. Every
+// retry and hedge spends one unit of budget (nil = unlimited); when the
+// budget is dry the attempt is simply not launched. A non-nil error
+// (ErrNoWorkers, ErrBudgetExhausted, every attempt failed, or ctx
+// cancelled) means the caller should produce the cells another way.
+// reqs share Kind, Params and RequestID; the first request's are sent.
+func (c *Coordinator) Dispatch(ctx context.Context, reqs []ExecuteRequest, budget *Budget) ([]ExecuteResponse, error) {
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	cells := uint64(len(reqs))
+	payload, err := json.Marshal(newBatch(reqs))
+	if err != nil {
+		c.Stats.Fallbacks.Add(cells)
+		return nil, err
+	}
 	tried := make(map[string]bool, maxAttempts)
 	ch := make(chan attemptOutcome, maxAttempts)
 	launched := 0
@@ -605,15 +641,16 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 		tried[url] = true
 		launched++
 		attempt := launched
-		c.Stats.Dispatches.Inc()
+		c.Stats.Batches.Inc()
+		c.Stats.Dispatches.Add(cells)
 		go func() {
-			resp, err := c.execute(ctx, url, req)
-			ch <- attemptOutcome{resp: resp, err: err, attempt: attempt, placement: placement}
+			resps, err := c.execute(ctx, url, reqs, payload)
+			ch <- attemptOutcome{resps: resps, err: err, attempt: attempt, placement: placement}
 		}()
 		return true
 	}
 	if !launch() {
-		c.Stats.Fallbacks.Inc()
+		c.Stats.Fallbacks.Add(cells)
 		return nil, ErrNoWorkers
 	}
 	hedge := time.NewTimer(c.cfg.HedgeDelay)
@@ -625,17 +662,19 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 		case out := <-ch:
 			outstanding--
 			if out.err == nil {
-				c.Stats.RemoteCells.Inc()
+				c.Stats.RemoteCells.Add(cells)
 				if out.attempt > 1 {
 					c.Stats.HedgeWins.Inc()
 				}
 				if outstanding > 0 {
-					go c.drainLate(ch, outstanding, out.resp.Body)
+					go c.drainLate(ch, outstanding, cells, out.resps)
 				}
-				out.resp.Placement = out.placement
-				return out.resp, nil
+				for i := range out.resps {
+					out.resps[i].Placement = out.placement
+				}
+				return out.resps, nil
 			}
-			c.Stats.Failures.Inc()
+			c.Stats.Failures.Add(cells)
 			lastErr = out.err
 			if launched < maxAttempts {
 				// Brief pause so a flapping fleet doesn't spin; the
@@ -643,11 +682,11 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 				select {
 				case <-time.After(c.cfg.Backoff):
 				case <-ctx.Done():
-					c.abandon(ch, outstanding)
+					c.abandon(ch, outstanding, cells)
 					return nil, ctx.Err()
 				}
 				// A retry is re-dispatch overshoot: it spends budget. When
-				// the campaign's budget is dry the cell stops retrying and
+				// the campaign's budget is dry the batch stops retrying and
 				// (if nothing is still in flight) falls back locally.
 				if budget.TrySpend() {
 					if launch() {
@@ -656,16 +695,16 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 						continue
 					}
 				} else if outstanding == 0 {
-					c.Stats.Fallbacks.Inc()
+					c.Stats.Fallbacks.Add(cells)
 					return nil, ErrBudgetExhausted
 				}
 			}
 			if outstanding == 0 {
-				c.Stats.Fallbacks.Inc()
+				c.Stats.Fallbacks.Add(cells)
 				return nil, lastErr
 			}
 		case <-hedge.C:
-			// The attempt is straggling: re-issue the cell elsewhere and
+			// The attempt is straggling: re-issue the batch elsewhere and
 			// race the two. Determinism makes either answer correct. A
 			// hedge spends budget like a retry; once dry, the straggler
 			// simply races on alone.
@@ -674,46 +713,58 @@ func (c *Coordinator) DispatchBudget(ctx context.Context, req ExecuteRequest, bu
 				outstanding++
 			}
 		case <-ctx.Done():
-			c.abandon(ch, outstanding)
+			c.abandon(ch, outstanding, cells)
 			return nil, ctx.Err()
 		}
 	}
 }
 
+// newBatch is the wire form of reqs, with the first request's Kind and
+// Params.
+func newBatch(reqs []ExecuteRequest) ExecuteBatch {
+	batch := ExecuteBatch{Kind: reqs[0].Kind, Params: reqs[0].Params, Cells: make([]BatchCell, len(reqs))}
+	for i, r := range reqs {
+		batch.Cells[i] = BatchCell{Index: r.Index, CellID: r.CellID, Key: r.Key}
+	}
+	return batch
+}
+
 // abandon drains outstanding attempts in the background after the
-// dispatch stops caring, counting the fallback.
-func (c *Coordinator) abandon(ch chan attemptOutcome, outstanding int) {
-	c.Stats.Fallbacks.Inc()
+// dispatch stops caring, counting the batch's cells as fallbacks.
+func (c *Coordinator) abandon(ch chan attemptOutcome, outstanding int, cells uint64) {
+	c.Stats.Fallbacks.Add(cells)
 	if outstanding > 0 {
-		go c.drainLate(ch, outstanding, nil)
+		go c.drainLate(ch, outstanding, cells, nil)
 	}
 }
 
-// drainLate consumes attempts that finished after a winner (or after
-// abandonment, when winner is nil): valid duplicates are counted and
-// discarded — never folded into stats or a merge — after their body is
-// checked against the winner's, and late failures are counted as
-// failures.
-func (c *Coordinator) drainLate(ch chan attemptOutcome, n int, winner json.RawMessage) {
+// drainLate consumes n batch attempts that finished after a winner (or
+// after abandonment, when winner is nil): a valid duplicate's cells are
+// counted and discarded — never folded into stats or a merge — after
+// each body is checked against the winner's, and a late failure's cells
+// are counted as failures.
+func (c *Coordinator) drainLate(ch chan attemptOutcome, n int, cells uint64, winner []ExecuteResponse) {
 	for i := 0; i < n; i++ {
 		out := <-ch
-		if out.err == nil {
-			c.Stats.Duplicates.Inc()
-			if winner != nil && !bytes.Equal(out.resp.Body, winner) {
+		if out.err != nil {
+			c.Stats.Failures.Add(cells)
+			continue
+		}
+		c.Stats.Duplicates.Add(cells)
+		for k := range winner {
+			if !bytes.Equal(out.resps[k].Body, winner[k].Body) {
 				c.Stats.DuplicateMismatches.Inc()
 			}
-		} else {
-			c.Stats.Failures.Inc()
 		}
 	}
 }
 
-// execute runs one HTTP attempt against one worker and releases the
+// execute runs one batch attempt against one worker and releases the
 // worker's capacity unit with the attempt's outcome. Any error, a
 // cancelled attempt's included, is an attempt failure, never a result.
-func (c *Coordinator) execute(ctx context.Context, workerURL string, req ExecuteRequest) (*ExecuteResponse, error) {
+func (c *Coordinator) execute(ctx context.Context, workerURL string, reqs []ExecuteRequest, payload []byte) ([]ExecuteResponse, error) {
 	start := time.Now()
-	resp, end, err := c.post(ctx, workerURL, req)
+	resps, end, err := c.post(ctx, workerURL, reqs, payload)
 	if err != nil && ctx.Err() != nil {
 		end = cancelled
 	}
@@ -722,24 +773,21 @@ func (c *Coordinator) execute(ctx context.Context, workerURL string, req Execute
 	if end == served {
 		c.Stats.RTTNs.Observe(uint64(rtt))
 	}
-	return resp, err
+	return resps, err
 }
 
-// post sends the execute request and validates the response's
-// identity: the returned key and cell id must echo the request, and the
-// body must be non-empty JSON.
-func (c *Coordinator) post(ctx context.Context, workerURL string, req ExecuteRequest) (*ExecuteResponse, attemptEnd, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, refused, err
-	}
+// post sends one encoded batch and validates the answer as a whole: one
+// response per request, in request order, each echoing its request's key
+// and cell id with a non-empty JSON body. Anything less refuses the
+// whole batch.
+func (c *Coordinator) post(ctx context.Context, workerURL string, reqs []ExecuteRequest, payload []byte) ([]ExecuteResponse, attemptEnd, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+PathExecute, bytes.NewReader(payload))
 	if err != nil {
 		return nil, refused, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	if req.RequestID != "" {
-		hreq.Header.Set(api.RequestIDHeader, req.RequestID)
+	if rid := reqs[0].RequestID; rid != "" {
+		hreq.Header.Set(api.RequestIDHeader, rid)
 	}
 	c.auth.sign(hreq, payload)
 	hresp, err := c.client.Do(hreq)
@@ -750,19 +798,24 @@ func (c *Coordinator) post(ctx context.Context, workerURL string, req ExecuteReq
 		return nil, unreachable, fmt.Errorf("fleet: worker %s: %w", workerURL, err)
 	}
 	defer hresp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(hresp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(hresp.Body, maxReplyBytes))
 	if err != nil {
 		return nil, unreachable, fmt.Errorf("fleet: worker %s: read: %w", workerURL, err)
 	}
 	if hresp.StatusCode != http.StatusOK {
 		return nil, refused, fmt.Errorf("fleet: worker %s: status %d: %.200s", workerURL, hresp.StatusCode, body)
 	}
-	var resp ExecuteResponse
+	var resp BatchResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return nil, refused, fmt.Errorf("fleet: worker %s: bad response: %w", workerURL, err)
 	}
-	if resp.Key != req.Key || resp.CellID != req.CellID || len(resp.Body) == 0 || !json.Valid(resp.Body) {
-		return nil, refused, fmt.Errorf("fleet: worker %s: identity mismatch (cell %q key %.16q)", workerURL, resp.CellID, resp.Key)
+	if len(resp.Cells) != len(reqs) {
+		return nil, refused, fmt.Errorf("fleet: worker %s: answered %d cells of %d", workerURL, len(resp.Cells), len(reqs))
 	}
-	return &resp, served, nil
+	for i, r := range resp.Cells {
+		if r.Key != reqs[i].Key || r.CellID != reqs[i].CellID || len(r.Body) == 0 || !json.Valid(r.Body) {
+			return nil, refused, fmt.Errorf("fleet: worker %s: identity mismatch at cell %d (cell %q key %.16q)", workerURL, i, r.CellID, r.Key)
+		}
+	}
+	return resp.Cells, served, nil
 }

@@ -2,36 +2,45 @@
 // campaign executor. One daemon runs as the coordinator: it owns the
 // job queue, the two-tier result cache (memory LRU + disk store), and
 // the deterministic Merge. Any number of daemons join as workers: they
-// register with the coordinator, heartbeat, and execute individual
-// campaign cells on demand.
+// register with the coordinator, heartbeat, and execute campaign cells
+// on demand.
 //
-// The unit of distribution is the cell (internal/experiments.Cells):
+// The unit of caching is the cell (internal/experiments.Cells):
 // content-addressed, individually cacheable, and deterministic, so a
 // cell can execute on any worker — or twice on two workers — and the
-// bytes are identical. That property carries the whole design:
+// bytes are identical. The unit of dispatch is a batch of one
+// campaign's cells: the coordinator deals a campaign's misses
+// round-robin into as many batches as the campaign runs cells at once,
+// and each batch is one POST /v1/fleet/execute, which pays the HTTP
+// round trip, the signature and the JSON framing once for all its
+// cells. Cell determinism carries the whole design:
 //
-//   - Dispatch is at-least-once. A cell may be retried after a worker
+//   - Dispatch is at-least-once. A batch may be retried after a worker
 //     failure and hedged when a worker straggles; the first valid
-//     result wins and duplicates are discarded by cell key. Because
-//     cells are deterministic, duplicates are byte-identical and
-//     discarding is safe. A per-campaign budget (Budget) bounds the
-//     total retries+hedges so a pathological cell cannot hedge forever:
-//     past the budget the cell falls back to local execution.
+//     answer wins and duplicates are discarded. Because cells are
+//     deterministic, duplicates are byte-identical, cell by cell, and
+//     discarding is safe. A batch is all-or-nothing: an answer is valid
+//     only if it carries every cell, in request order, each echoing its
+//     key and cell id with a non-empty JSON body. A per-campaign budget
+//     (Budget) bounds the total retries+hedges so a pathological batch
+//     cannot hedge forever: past the budget its cells fall back to local
+//     execution, one by one.
 //   - The wire format is a plan coordinate, not code: the coordinator
-//     sends (kind, normalized params, cell index, cell id, cache key)
-//     and the worker builds the dispatched cell locally
-//     (experiments.CellAt), not the rest of the plan. Workers verify that
-//     the built cell's id and cache key match the request, and
-//     registration rejects engine-version skew, so a mixed-version
+//     sends (kind, normalized params) once and (cell index, cell id,
+//     cache key) per cell, and the worker builds the dispatched cells
+//     locally (experiments.CellAt), not the rest of the plan. Workers
+//     verify that every built cell's id and cache key match the request
+//     before running any of them and refuse the whole batch otherwise,
+//     and registration rejects engine-version skew, so a mixed-version
 //     fleet can never silently serve wrong bytes.
 //   - Traffic is one-way. The coordinator dispatches only cells its own
 //     tiers missed, and results flow back into those tiers; a worker
-//     answers from its own tiers or executes, and apart from
-//     registration never calls the coordinator. The coordinator is the
-//     only member that reads another member's tiers
-//     (GET /v1/fleet/cells/{key} on a worker), and only after a
-//     dispatch returned nothing. Exec-cost metadata rides along, so
-//     eviction currency stays uniform fleet-wide.
+//     runs a batch's cells one after another, each from its own tiers
+//     or executed, and apart from registration never calls the
+//     coordinator. The coordinator is the only member that reads another
+//     member's tiers (GET /v1/fleet/cells/{key} on a worker), and only
+//     for a cell whose batch returned nothing. Exec-cost metadata rides
+//     along, so eviction currency stays uniform fleet-wide.
 //
 // The wire protocol is part of the /v1 API contract (DESIGN.md §7):
 // every response body carries "api_version", every non-2xx response is
@@ -42,11 +51,13 @@
 // Failure model: workers are soft state. They expire when heartbeats
 // stop, are dropped immediately on connection failure, and re-register
 // themselves; the coordinator falls back to local execution when no
-// worker can serve a cell, so a fleet of zero workers degrades to
+// worker can serve a batch, so a fleet of zero workers degrades to
 // exactly the single-process daemon. Placement over the live workers is
 // capacity-aware (placement.go): a scorer over each worker's inflight
 // load, RTT, and decaying failure penalty, so a briefly slow worker is
 // deprioritized — not dropped — and recovers as its penalty decays.
+// Capacity counts concurrent execute requests, each running its cells
+// in order, and every batch attempt is one placement decision.
 package fleet
 
 import (
@@ -66,7 +77,8 @@ const (
 	// PathRegister is the worker registration/heartbeat endpoint
 	// (coordinator side).
 	PathRegister = "/v1/fleet/register"
-	// PathExecute is the cell execution endpoint (worker side).
+	// PathExecute is the batch execution endpoint (worker side): POST an
+	// ExecuteBatch, get a BatchResponse.
 	PathExecute = "/v1/fleet/execute"
 	// PathCells is the cell-read prefix (worker side): GET PathCells +
 	// key returns the cell body from the worker's memory+disk tiers, or
@@ -83,8 +95,9 @@ type RegisterRequest struct {
 	// It is the worker's identity: re-registering the same URL updates
 	// the existing entry.
 	URL string `json:"url"`
-	// Capacity bounds the cells the coordinator dispatches to this
-	// worker concurrently (<=0 selects the coordinator's default).
+	// Capacity bounds the execute requests (batches) the coordinator
+	// sends this worker concurrently (<=0 selects the coordinator's
+	// default).
 	Capacity int `json:"capacity,omitempty"`
 	// EngineVersion is the worker's version.Engine. The coordinator
 	// rejects a mismatch with 409: cache keys embed the engine version,
@@ -104,10 +117,11 @@ type RegisterResponse struct {
 	HeartbeatSec float64 `json:"heartbeat_sec"`
 }
 
-// ExecuteRequest dispatches one cell: a coordinate into the plan that
-// experiments.Cells derives from (Kind, Params), plus the identity the
-// worker must reproduce. The worker builds only that cell, with
-// experiments.CellAt.
+// ExecuteRequest is one cell of a dispatch: a coordinate into the plan
+// that experiments.Cells derives from (Kind, Params), plus the identity
+// the worker must reproduce. Coordinator.Dispatch sends a campaign's
+// requests as one ExecuteBatch, so they must share Kind, Params and
+// RequestID.
 type ExecuteRequest struct {
 	Kind string `json:"kind"`
 	// Params are the job's normalized campaign params; the worker
@@ -127,10 +141,35 @@ type ExecuteRequest struct {
 	RequestID string `json:"-"`
 }
 
-// ExecuteResponse is a worker's reply: the cell's canonical JSON body
-// plus provenance.
+// ExecuteBatch is the body of POST PathExecute: one campaign's kind and
+// normalized params, and the cells of its plan to run, in order. The
+// worker builds each cell with experiments.CellAt.
+type ExecuteBatch struct {
+	Kind   string                     `json:"kind"`
+	Params experiments.CampaignParams `json:"params"`
+	Cells  []BatchCell                `json:"cells"`
+}
+
+// BatchCell is one cell of an ExecuteBatch: its plan index and the id
+// and cache key the worker must reproduce.
+type BatchCell struct {
+	Index  int    `json:"index"`
+	CellID string `json:"cell_id"`
+	Key    string `json:"key"`
+}
+
+// BatchResponse is a worker's answer to an ExecuteBatch: one
+// ExecuteResponse per requested cell, in request order.
+type BatchResponse struct {
+	APIVersion string            `json:"api_version"`
+	Cells      []ExecuteResponse `json:"cells"`
+}
+
+// ExecuteResponse is one cell of a worker's answer: the cell's
+// canonical JSON body plus provenance.
 type ExecuteResponse struct {
-	APIVersion string `json:"api_version"`
+	// APIVersion is empty inside a BatchResponse, which carries it once.
+	APIVersion string `json:"api_version,omitempty"`
 	CellID     string `json:"cell_id"`
 	Key        string `json:"key"`
 	// Worker is the responding worker's advertised URL.
@@ -148,8 +187,8 @@ type ExecuteResponse struct {
 	// Body is the cell's canonical JSON partial, verbatim.
 	Body json.RawMessage `json:"body"`
 	// Placement attributes the coordinator's placement decision for the
-	// winning attempt ("score=… load=… rtt_ms=… penalty=…"); filled by
-	// the coordinator after the race resolves, never by the worker.
+	// winning batch attempt ("score=… load=… rtt_ms=… penalty=…"); filled
+	// by the coordinator after the race resolves, never by the worker.
 	Placement string `json:"placement,omitempty"`
 }
 
@@ -158,12 +197,13 @@ type ExecuteResponse struct {
 const execCostHeader = "X-Exec-Cost-Ns"
 
 // Budget is a per-campaign cap on dispatch overshoot: every retry and
-// hedge beyond a cell's first attempt spends one unit. When the budget
-// runs dry, in-flight attempts still resolve but nothing new launches —
-// the cell falls back to local execution — and Exhausted latches so the
-// job view can report budget_exhausted. First attempts are never
-// charged: the budget bounds pathology (a cell hedging forever across
-// the fleet), not normal dispatch.
+// hedge beyond a batch's first attempt spends one unit, whatever the
+// batch's size. When the budget runs dry, in-flight attempts still
+// resolve but nothing new launches — the batch's cells fall back to
+// local execution — and Exhausted latches so the job view can report
+// budget_exhausted. First attempts are never charged: the budget bounds
+// pathology (a batch hedging forever across the fleet), not normal
+// dispatch.
 type Budget struct {
 	remaining atomic.Int64
 	unlimited bool
@@ -195,8 +235,8 @@ func (b *Budget) TrySpend() bool {
 func (b *Budget) Exhausted() bool { return b != nil && b.exhausted.Load() }
 
 // writeFleetJSON writes a fleet response body. Unlike the client-facing
-// /v1 endpoints, fleet bodies are compact, not indented: an
-// ExecuteResponse embeds the cell's canonical bytes as a RawMessage,
+// /v1 endpoints, fleet bodies are compact, not indented: a
+// BatchResponse embeds each cell's canonical bytes as a RawMessage,
 // and an indenting encoder would re-format them — breaking the
 // byte-identity the whole dispatch design rests on.
 func writeFleetJSON(w http.ResponseWriter, code int, v any) {

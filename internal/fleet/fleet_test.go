@@ -46,14 +46,16 @@ func registerWorker(t *testing.T, coordURL, workerURL string, capacity int, engi
 	return resp.StatusCode
 }
 
-// stubWorker is a fake worker endpoint that answers execute requests
-// with a valid response after a per-request delay.
+// stubWorker is a fake worker endpoint that answers execute batches
+// with a valid answer after a per-request delay.
 type stubWorker struct {
 	ts *httptest.Server
 	// delay returns how long request number n should take.
 	delay func(n int) time.Duration
-	// body, when set, is answered in place of the cell's echoed body.
+	// body, when set, is answered in place of each cell's echoed body.
 	body string
+	// mangle, when set, rewrites answer number n before it is sent.
+	mangle func(n int, cells []ExecuteResponse) []ExecuteResponse
 
 	mu     sync.Mutex
 	served int
@@ -64,7 +66,7 @@ func newStubWorker(t *testing.T, delay func(n int) time.Duration) *stubWorker {
 	s := &stubWorker{delay: delay}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathExecute, func(w http.ResponseWriter, r *http.Request) {
-		var req ExecuteRequest
+		var req ExecuteBatch
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			api.WriteError(w, http.StatusBadRequest, "invalid_request", "", err.Error())
 			return
@@ -80,18 +82,18 @@ func newStubWorker(t *testing.T, delay func(n int) time.Duration) *stubWorker {
 				return
 			}
 		}
-		body := json.RawMessage(fmt.Sprintf(`{"cell":%q}`, req.CellID))
-		if s.body != "" {
-			body = json.RawMessage(s.body)
+		cells := make([]ExecuteResponse, len(req.Cells))
+		for i, c := range req.Cells {
+			body := json.RawMessage(fmt.Sprintf(`{"cell":%q}`, c.CellID))
+			if s.body != "" {
+				body = json.RawMessage(s.body)
+			}
+			cells[i] = ExecuteResponse{CellID: c.CellID, Key: c.Key, Worker: s.ts.URL, Source: "executed", ExecNs: 1, Body: body}
 		}
-		writeFleetJSON(w, http.StatusOK, ExecuteResponse{
-			CellID: req.CellID,
-			Key:    req.Key,
-			Worker: s.ts.URL,
-			Source: "executed",
-			ExecNs: 1,
-			Body:   body,
-		})
+		if s.mangle != nil {
+			cells = s.mangle(n, cells)
+		}
+		writeFleetJSON(w, http.StatusOK, BatchResponse{APIVersion: api.Version, Cells: cells})
 	})
 	s.ts = httptest.NewServer(mux)
 	t.Cleanup(s.ts.Close)
@@ -333,6 +335,101 @@ func TestLateDuplicateMismatchCounted(t *testing.T) {
 	}
 }
 
+// TestBatchRefusedWhole: a batch is all-or-nothing. An answer with its
+// cells out of order, with one wrong key, or with too few cells is
+// refused for the whole batch, which is retried on another worker; the
+// cells are counted per cell on every attempt. A straggling batch's late
+// duplicate is compared with the winner cell by cell.
+func TestBatchRefusedWhole(t *testing.T) {
+	reqs := []ExecuteRequest{execReq("c0"), execReq("c1"), execReq("c2")}
+	for _, tc := range []struct {
+		name   string
+		mangle func(cells []ExecuteResponse) []ExecuteResponse
+	}{
+		{"out of order", func(cells []ExecuteResponse) []ExecuteResponse {
+			cells[0], cells[1] = cells[1], cells[0]
+			return cells
+		}},
+		{"one wrong key", func(cells []ExecuteResponse) []ExecuteResponse {
+			cells[1].Key = "key-other"
+			return cells
+		}},
+		{"too few cells", func(cells []ExecuteResponse) []ExecuteResponse { return cells[:2] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCoordinator(Config{Backoff: time.Millisecond, HedgeDelay: time.Minute})
+			ts := coordServer(t, c)
+			liar := newStubWorker(t, nil)
+			liar.mangle = func(_ int, cells []ExecuteResponse) []ExecuteResponse { return tc.mangle(cells) }
+			honest := newStubWorker(t, nil)
+			// The liar advertises more capacity, so the scorer places the
+			// first attempt on it.
+			registerWorker(t, ts.URL, liar.ts.URL, 16, version.Engine)
+			registerWorker(t, ts.URL, honest.ts.URL, 1, version.Engine)
+
+			resps, err := c.Dispatch(context.Background(), reqs, nil)
+			if err != nil {
+				t.Fatalf("dispatch: %v", err)
+			}
+			if len(resps) != len(reqs) {
+				t.Fatalf("%d responses for %d cells", len(resps), len(reqs))
+			}
+			for i, r := range resps {
+				if r.Worker != honest.ts.URL || r.CellID != reqs[i].CellID || string(r.Body) != fmt.Sprintf(`{"cell":%q}`, reqs[i].CellID) {
+					t.Errorf("cell %d: %+v, want the honest worker's echo of %s", i, r, reqs[i].CellID)
+				}
+			}
+			if liar.servedCount() != 1 || honest.servedCount() != 1 {
+				t.Errorf("served liar=%d honest=%d, want one batch each", liar.servedCount(), honest.servedCount())
+			}
+			st := &c.Stats
+			if st.Batches.Load() != 2 || st.Retries.Load() != 1 || st.PlacementDecisions.Load() != 2 {
+				t.Errorf("batches=%d retries=%d placements=%d, want 2/1/2",
+					st.Batches.Load(), st.Retries.Load(), st.PlacementDecisions.Load())
+			}
+			if st.Dispatches.Load() != 6 || st.Failures.Load() != 3 || st.RemoteCells.Load() != 3 || st.Duplicates.Load() != 0 {
+				t.Errorf("cells: dispatches=%d failures=%d remote=%d duplicates=%d, want 6/3/3/0",
+					st.Dispatches.Load(), st.Failures.Load(), st.RemoteCells.Load(), st.Duplicates.Load())
+			}
+		})
+	}
+
+	t.Run("late duplicate compared per cell", func(t *testing.T) {
+		c := NewCoordinator(Config{HedgeDelay: 10 * time.Millisecond, Backoff: time.Millisecond})
+		ts := coordServer(t, c)
+		slow := newStubWorker(t, func(int) time.Duration { return 300 * time.Millisecond })
+		slow.mangle = func(_ int, cells []ExecuteResponse) []ExecuteResponse {
+			cells[2].Body = json.RawMessage(`{"cell":"diverged"}`)
+			return cells
+		}
+		fast := newStubWorker(t, nil)
+		registerWorker(t, ts.URL, slow.ts.URL, 16, version.Engine)
+		registerWorker(t, ts.URL, fast.ts.URL, 1, version.Engine)
+
+		resps, err := c.Dispatch(context.Background(), reqs, nil)
+		if err != nil {
+			t.Fatalf("dispatch: %v", err)
+		}
+		if resps[0].Worker != fast.ts.URL {
+			t.Fatalf("dispatch won by %q, want the fast hedge", resps[0].Worker)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Stats.Duplicates.Load() != 3 {
+			if time.Now().After(deadline) {
+				t.Fatalf("straggling batch never drained (dup=%d fail=%d)",
+					c.Stats.Duplicates.Load(), c.Stats.Failures.Load())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if m := c.Stats.DuplicateMismatches.Load(); m != 1 {
+			t.Errorf("DuplicateMismatches = %d, want 1 (the one diverged cell)", m)
+		}
+		if d, r := c.Stats.Dispatches.Load(), c.Stats.RemoteCells.Load()+c.Stats.Duplicates.Load()+c.Stats.Failures.Load(); d != r || d != 6 {
+			t.Errorf("dispatches=%d, remote+duplicates+failures=%d, want 6 each", d, r)
+		}
+	})
+}
+
 // TestHedgeDeterminismProperty is the dispatch-determinism property test:
 // across many dispatches with adversarially jittered worker latencies
 // (some straggling past the hedge delay, some fast), every Dispatch call
@@ -522,17 +619,12 @@ func TestWorkerNeverCallsCoordinator(t *testing.T) {
 	t.Cleanup(coord.Close)
 	w, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Capacity: 4})
 
-	payload, _ := json.Marshal(ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key})
-	hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
+	code, raw := postBatch(t, wts.URL, ExecuteRequest{Kind: "compare", Params: params, Index: 0, CellID: cell.ID, Key: key})
+	var batch BatchResponse
+	if err := json.Unmarshal(raw, &batch); code != http.StatusOK || err != nil || len(batch.Cells) != 1 {
+		t.Fatalf("execute: status %d: %s", code, raw)
 	}
-	var resp ExecuteResponse
-	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if resp.Source != "executed" || !bytes.Equal(resp.Body, want) {
+	if resp := batch.Cells[0]; resp.Source != "executed" || !bytes.Equal(resp.Body, want) {
 		t.Fatalf("source %q, body %.80s: want the cell executed on the worker", resp.Source, resp.Body)
 	}
 	if got := w.Stats.Executions.Load(); got != 1 {
@@ -545,6 +637,23 @@ func TestWorkerNeverCallsCoordinator(t *testing.T) {
 			t.Errorf("coordinator received %s; a worker may only register", req)
 		}
 	}
+}
+
+// postBatch POSTs reqs to a worker's execute endpoint as one unsigned
+// batch, returning the status and body.
+func postBatch(t *testing.T, base string, reqs ...ExecuteRequest) (int, []byte) {
+	t.Helper()
+	payload, _ := json.Marshal(newBatch(reqs))
+	hr, err := http.Post(base+PathExecute, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	body, err := io.ReadAll(hr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hr.StatusCode, body
 }
 
 // startWorker boots a real Worker behind an httptest listener and
@@ -621,8 +730,9 @@ func TestWorkerCellReadServesDisk(t *testing.T) {
 // TestWorkerDispatchesAnyCellOfAPlan: the worker builds the dispatched
 // cell of a multi-cell plan, not cell 0. A future plan's table1 cells lie
 // past its compare cells; one of them must come back as the local run's
-// bytes, an index past the plan is a 400 on "index", and a cell ID that
-// is not the plan's is a 409.
+// bytes. A batch holding an index past the plan is a 400 on "index", one
+// holding a cell ID that is not the plan's is a 409, each refused whole
+// before any of its cells runs, and an empty batch is a 400 on "cells".
 func TestWorkerDispatchesAnyCellOfAPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a measurement cell in -short mode")
@@ -655,29 +765,19 @@ func TestWorkerDispatchesAnyCellOfAPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord := coordServer(t, NewCoordinator(Config{}))
-	_, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Capacity: 4})
-	post := func(req ExecuteRequest) (int, []byte) {
-		t.Helper()
-		payload, _ := json.Marshal(req)
-		hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer hr.Body.Close()
-		body, err := io.ReadAll(hr.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hr.StatusCode, body
-	}
+	w, wts := startWorker(t, WorkerConfig{Coordinator: coord.URL, Capacity: 4})
 	req := ExecuteRequest{Kind: "future", Params: params, Index: idx, CellID: cell.ID, Key: key}
 
-	code, body := post(req)
-	var resp ExecuteResponse
-	if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil {
+	prev := &plan.Cells[idx-1]
+	first := ExecuteRequest{Kind: "future", Params: params, Index: idx - 1, CellID: prev.ID,
+		Key: resultcache.Key(prev.KeyKind, prev.KeyParams, version.Engine)}
+
+	code, body := postBatch(t, wts.URL, req)
+	var batch BatchResponse
+	if err := json.Unmarshal(body, &batch); code != http.StatusOK || err != nil || len(batch.Cells) != 1 {
 		t.Fatalf("dispatch of cell %d: status %d: %s", idx, code, body)
 	}
-	if resp.CellID != cell.ID || resp.Source != "executed" || !bytes.Equal(resp.Body, want) {
+	if resp := batch.Cells[0]; resp.CellID != cell.ID || resp.Source != "executed" || !bytes.Equal(resp.Body, want) {
 		t.Fatalf("cell %d: got %q source %q body %.80s, want %q executed with the local run's bytes",
 			idx, resp.CellID, resp.Source, resp.Body, cell.ID)
 	}
@@ -692,12 +792,27 @@ func TestWorkerDispatchesAnyCellOfAPlan(t *testing.T) {
 		{"index past the plan", func(r *ExecuteRequest) { r.Index = len(plan.Cells) }, http.StatusBadRequest, "invalid_param", "index"},
 		{"wrong cell ID", func(r *ExecuteRequest) { r.CellID = plan.Cells[idx-1].ID }, http.StatusConflict, "plan_mismatch", ""},
 	} {
+		// The bad cell rides behind a valid one: it refuses the whole batch.
 		bad := req
 		tc.mutate(&bad)
-		status, body := post(bad)
+		status, body := postBatch(t, wts.URL, first, bad)
 		var env api.ErrorEnvelope
 		if err := json.Unmarshal(body, &env); err != nil || status != tc.status || env.Error.Code != tc.code || env.Error.Field != tc.field {
 			t.Errorf("%s: status %d body %s; want %d %s on field %q", tc.name, status, body, tc.status, tc.code, tc.field)
 		}
+	}
+	// Every cell is checked before any runs: the valid cells of the
+	// refused batches never executed.
+	if got := w.Stats.Executions.Load(); got != 1 {
+		t.Errorf("worker Executions = %d after two refused batches, want 1", got)
+	}
+	empty, _ := json.Marshal(ExecuteBatch{Kind: "future", Params: params})
+	hr, err := http.Post(wts.URL+PathExecute, "application/json", bytes.NewReader(empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := decodeEnvelope(t, hr)
+	if hr.StatusCode != http.StatusBadRequest || env.Error.Code != "invalid_param" || env.Error.Field != "cells" {
+		t.Errorf("empty batch: status %d %+v, want 400 invalid_param on cells", hr.StatusCode, env.Error)
 	}
 }

@@ -29,10 +29,11 @@ type WorkerConfig struct {
 	// disables signing.
 	Token string
 	// Capacity is advertised to the coordinator as the max concurrent
-	// cells this worker wants (<=0 lets the coordinator default it). The
-	// worker also enforces it locally: execute requests beyond capacity
-	// are refused with 429 so an overeager or skewed coordinator cannot
-	// pile work past what was advertised.
+	// execute requests this worker wants, each running its batch's cells
+	// in order (<=0 lets the coordinator default it). The worker also
+	// enforces it locally: execute requests beyond capacity are refused
+	// with 429 so an overeager or skewed coordinator cannot pile work
+	// past what was advertised.
 	Capacity int
 	// Cache and Store are the worker's local tiers, consulted before
 	// execution and read by the coordinator via the cell-read endpoint;
@@ -49,13 +50,15 @@ type WorkerConfig struct {
 }
 
 // WorkerMetrics are the worker-side counters rendered as
-// affinityd_fleet_worker_* at /metrics.
+// affinityd_fleet_worker_* at /metrics. Requests, Rejections and Errors
+// count execute requests (batches); Executions, CacheHits and DiskHits
+// count cells.
 type WorkerMetrics struct {
 	// Requests counts execute requests received.
 	Requests obs.Counter
 	// Executions counts cells this worker simulated to completion.
 	Executions obs.Counter
-	// CacheHits/DiskHits count execute requests served from the
+	// CacheHits/DiskHits count dispatched cells served from the
 	// worker's local memory cache / disk store.
 	CacheHits obs.Counter
 	DiskHits  obs.Counter
@@ -68,14 +71,14 @@ type WorkerMetrics struct {
 	// worker was already at its advertised capacity.
 	Rejections obs.Counter
 	// Errors counts execute requests that failed (bad plan coordinate,
-	// identity mismatch, or execution error).
+	// identity mismatch, execution error, or an abandoned batch).
 	Errors obs.Counter
 	// ExecNs is the local execution wall time per executed cell.
 	ExecNs obs.Histogram
 }
 
-// Worker executes dispatched cells and keeps itself registered with the
-// coordinator.
+// Worker executes dispatched batches and keeps itself registered with
+// the coordinator.
 type Worker struct {
 	cfg    WorkerConfig
 	tiers  resultcache.Tiers
@@ -211,15 +214,17 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// handleExecute runs one dispatched cell: local memory → local disk →
-// execute. The worker never calls back to the coordinator — the
+// handleExecute runs one dispatched batch. It builds and checks every
+// cell before running any, so a batch with one bad coordinate is refused
+// whole, then runs the cells one after another: local memory → local
+// disk → execute. The worker never calls back to the coordinator — the
 // coordinator dispatches only cells its own tiers missed. Whatever the
-// source, the response carries the cell's canonical bytes and their
-// provenance.
+// source, each answered cell carries its canonical bytes and their
+// provenance, in request order.
 func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.Stats.Requests.Inc()
 	api.EchoRequestID(rw, r)
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes))
 	if err != nil {
 		w.Stats.Errors.Inc()
 		api.WriteError(rw, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("read body: %v", err))
@@ -230,7 +235,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		writeAuthError(rw, err)
 		return
 	}
-	var req ExecuteRequest
+	var req ExecuteBatch
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -238,78 +243,93 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 		api.WriteError(rw, http.StatusBadRequest, "invalid_request", "", fmt.Sprintf("bad execute body: %v", err))
 		return
 	}
+	if len(req.Cells) == 0 {
+		w.Stats.Errors.Inc()
+		api.WriteError(rw, http.StatusBadRequest, "invalid_param", "cells", "execute batch names no cells")
+		return
+	}
 	// Enforce the advertised capacity locally: a worker is the authority
 	// on its own concurrency, whatever the coordinator believes. The
 	// Retry-After matches the coordinator's backoff scale — the refused
-	// attempt retries elsewhere, and capacity frees within a cell's
+	// attempt retries elsewhere, and capacity frees within a batch's
 	// execution time.
 	if n := w.inflight.Add(1); n > w.capacity() {
 		w.inflight.Add(-1)
 		w.Stats.Rejections.Inc()
 		rw.Header().Set("Retry-After", "1")
 		api.WriteError(rw, http.StatusTooManyRequests, "over_capacity", "",
-			fmt.Sprintf("worker at capacity (%d cells in flight)", w.capacity()))
+			fmt.Sprintf("worker at capacity (%d requests in flight)", w.capacity()))
 		return
 	}
 	defer w.inflight.Add(-1)
-	// Build only the dispatched cell: the rest of the plan is the
+	// Build only the dispatched cells: the rest of the plan is the
 	// coordinator's business.
-	cell, n, err := experiments.CellAt(req.Kind, req.Params, req.Index)
-	switch {
-	case n > 0 && (req.Index < 0 || req.Index >= n):
-		w.Stats.Errors.Inc()
-		api.WriteError(rw, http.StatusBadRequest, "invalid_param", "index",
-			fmt.Sprintf("cell index %d outside plan (%d cells)", req.Index, n))
-		return
-	case err != nil:
-		w.Stats.Errors.Inc()
-		api.WriteError(rw, http.StatusBadRequest, "invalid_param", "params", fmt.Sprintf("cell plan: %v", err))
-		return
-	}
-	key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
-	if cell.ID != req.CellID || key != req.Key {
-		// The two sides derived different plans from the same params —
-		// engine-version skew or a protocol bug. Refusing is the only
-		// safe answer: these bytes would be filed under the wrong key.
-		w.Stats.Errors.Inc()
-		api.WriteError(rw, http.StatusConflict, "plan_mismatch", "", fmt.Sprintf(
-			"plan mismatch: computed cell %q key %.16s, dispatched %q %.16s", cell.ID, key, req.CellID, req.Key))
-		return
+	cells := make([]*experiments.Cell, len(req.Cells))
+	for i, bc := range req.Cells {
+		cell, n, err := experiments.CellAt(req.Kind, req.Params, bc.Index)
+		switch {
+		case n > 0 && (bc.Index < 0 || bc.Index >= n):
+			w.Stats.Errors.Inc()
+			api.WriteError(rw, http.StatusBadRequest, "invalid_param", "index",
+				fmt.Sprintf("cell index %d outside plan (%d cells)", bc.Index, n))
+			return
+		case err != nil:
+			w.Stats.Errors.Inc()
+			api.WriteError(rw, http.StatusBadRequest, "invalid_param", "params", fmt.Sprintf("cell plan: %v", err))
+			return
+		}
+		if key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine); cell.ID != bc.CellID || key != bc.Key {
+			// The two sides derived different plans from the same params —
+			// engine-version skew or a protocol bug. Refusing is the only
+			// safe answer: these bytes would be filed under the wrong key.
+			w.Stats.Errors.Inc()
+			api.WriteError(rw, http.StatusConflict, "plan_mismatch", "", fmt.Sprintf(
+				"plan mismatch: computed cell %q key %.16s, dispatched %q %.16s", cell.ID, key, bc.CellID, bc.Key))
+			return
+		}
+		cells[i] = cell
 	}
 	w.mu.Lock()
 	advertise := w.advertise
 	w.mu.Unlock()
-	resp := ExecuteResponse{APIVersion: api.Version, CellID: cell.ID, Key: key, Worker: advertise, Engine: cell.Engine}
-
-	// Executed bytes land in both local tiers, so the store keeps them
-	// across a restart.
-	l, err := w.tiers.Resolve(r.Context(), key, nil, func(ctx context.Context) ([]byte, error) {
-		return cell.RunBody(ctx)
-	})
-	if err != nil {
-		w.Stats.Errors.Inc()
-		api.WriteError(rw, http.StatusInternalServerError, "internal", "", fmt.Sprintf("cell %s: %v", cell.ID, err))
-		return
+	resp := BatchResponse{APIVersion: api.Version, Cells: make([]ExecuteResponse, len(cells))}
+	for i, cell := range cells {
+		if err := r.Context().Err(); err != nil {
+			// The coordinator gave up on this attempt; nobody reads on.
+			w.Stats.Errors.Inc()
+			return
+		}
+		// Executed bytes land in both local tiers, so the store keeps them
+		// across a restart, and a refused batch's finished cells are kept.
+		l, err := w.tiers.Resolve(r.Context(), req.Cells[i].Key, nil, cell.RunBody)
+		if err != nil {
+			w.Stats.Errors.Inc()
+			api.WriteError(rw, http.StatusInternalServerError, "internal", "", fmt.Sprintf("cell %s: %v", cell.ID, err))
+			return
+		}
+		cr := ExecuteResponse{CellID: cell.ID, Key: req.Cells[i].Key, Worker: advertise, Engine: cell.Engine,
+			Body: l.Body, ExecNs: l.CostNs}
+		switch l.Source {
+		case resultcache.Memory:
+			w.Stats.CacheHits.Inc()
+			cr.Source = "cache"
+		case resultcache.Disk:
+			w.Stats.DiskHits.Inc()
+			cr.Source = "disk"
+		default:
+			w.Stats.Executions.Inc()
+			w.Stats.ExecNs.Observe(l.CostNs)
+			cr.Source = "executed"
+		}
+		resp.Cells[i] = cr
 	}
-	switch l.Source {
-	case resultcache.Memory:
-		w.Stats.CacheHits.Inc()
-		resp.Source = "cache"
-	case resultcache.Disk:
-		w.Stats.DiskHits.Inc()
-		resp.Source = "disk"
-	default:
-		w.Stats.Executions.Inc()
-		w.Stats.ExecNs.Observe(l.CostNs)
-		resp.Source = "executed"
-	}
-	resp.Body, resp.ExecNs = l.Body, l.CostNs
 	writeFleetJSON(rw, http.StatusOK, resp)
 }
 
 // handleCell serves the worker's own tiers to the coordinator, which
-// reads here only after a dispatch returned nothing (Coordinator.PeerFill),
-// so bytes this worker already computed are not computed again.
+// reads here only for a cell whose batch returned nothing
+// (Coordinator.PeerFill), so bytes this worker already computed are not
+// computed again.
 func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 	api.EchoRequestID(rw, r)
 	if err := w.auth.verify(r, nil); err != nil {

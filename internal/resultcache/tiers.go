@@ -14,8 +14,8 @@ const (
 	Miss     Source = iota // nothing answered
 	Memory                 // the in-memory LRU tier
 	Disk                   // the persistent store
-	Filled                 // Resolve's fill step (a fleet peer)
-	Executed               // Resolve's run step
+	Filled                 // Produce's fill step (a fleet worker)
+	Executed               // Produce's run step
 )
 
 // Tiers is the result lookup chain: a memory tier over a disk tier,
@@ -33,7 +33,7 @@ type Lookup struct {
 	CostNs uint64 // the production cost the bytes are filed under
 	Source Source
 	// MemoryProbe and DiskProbe time each tier's Get (zero for a tier
-	// not probed); MissPath is Resolve's wall time after both missed.
+	// not probed); MissPath is Produce's wall time after both missed.
 	MemoryProbe, DiskProbe, MissPath time.Duration
 }
 
@@ -73,11 +73,7 @@ func (t Tiers) Put(key string, body []byte, costNs uint64) {
 	}
 }
 
-// Resolve is Get, then on a miss fill (a remote source), then run only
-// if fill missed; a nil step is skipped, so with run nil the lookup can
-// end a Miss. The produced bytes are filed in both tiers under the cost
-// of the step that produced them, a zero cost becoming that step's wall
-// time. A run error is returned and nothing is filed.
+// Resolve is Get, then on a miss Produce.
 func (t Tiers) Resolve(ctx context.Context, key string,
 	fill func(context.Context) ([]byte, uint64, bool),
 	run func(context.Context) ([]byte, error)) (Lookup, error) {
@@ -85,6 +81,19 @@ func (t Tiers) Resolve(ctx context.Context, key string,
 	if l.Source != Miss {
 		return l, nil
 	}
+	return t.Produce(ctx, key, l, fill, run)
+}
+
+// Produce is Resolve's miss step, for a caller that probed key with Get
+// already and got the miss l: fill (a remote source), then run only if
+// fill missed; a nil step is skipped, so with run nil the lookup can end
+// a Miss. The produced bytes are filed in both tiers under the cost of
+// the step that produced them, a zero cost becoming that step's wall
+// time. A run error is returned and nothing is filed. The result keeps
+// l's probe timings.
+func (t Tiers) Produce(ctx context.Context, key string, l Lookup,
+	fill func(context.Context) ([]byte, uint64, bool),
+	run func(context.Context) ([]byte, error)) (Lookup, error) {
 	start := time.Now()
 	step := start
 	if fill != nil {

@@ -202,3 +202,36 @@ func TestTiersConcurrentResolve(t *testing.T) {
 		t.Errorf("disk tier holds %d entries, want 1", st.Entries)
 	}
 }
+
+// TestTiersProduceProbesNothing: Produce is only the miss step. Given a
+// caller's miss it fills or runs without probing the tiers again — the
+// store counts the one probe of the caller's Get — keeps that Get's probe
+// timings, and files the produced bytes in both tiers.
+func TestTiersProduceProbesNothing(t *testing.T) {
+	cache, store := New(1<<20), openStore(t)
+	tiers := Tiers{Memory: cache, Disk: store}
+	miss := tiers.Get("k")
+	if miss.Source != Miss {
+		t.Fatalf("Get = %+v, want a miss", miss)
+	}
+	body := []byte(`{"v":3}`)
+	l, err := tiers.Produce(context.Background(), "k", miss, func(context.Context) ([]byte, uint64, bool) {
+		return body, 9, true
+	}, nil)
+	if err != nil || l.Source != Filled || !bytes.Equal(l.Body, body) || l.CostNs != 9 {
+		t.Fatalf("Produce = %+v err=%v, want the fill's bytes at cost 9", l, err)
+	}
+	if l.DiskProbe != miss.DiskProbe || l.MemoryProbe != miss.MemoryProbe {
+		t.Errorf("Produce probes %v/%v, want the Get's %v/%v", l.MemoryProbe, l.DiskProbe, miss.MemoryProbe, miss.DiskProbe)
+	}
+	if got := store.Stats().Misses; got != 1 {
+		t.Errorf("store misses = %d, want only the Get's probe", got)
+	}
+	syncStore(t, store)
+	if b, cost, ok := store.Get("k"); !ok || !bytes.Equal(b, body) || cost != 9 {
+		t.Errorf("store holds %q at %d (ok=%v), want the filled bytes at cost 9", b, cost, ok)
+	}
+	if b, cost, ok := cache.GetCost("k"); !ok || !bytes.Equal(b, body) || cost != 9 {
+		t.Errorf("memory holds %q at %d (ok=%v), want the filled bytes at cost 9", b, cost, ok)
+	}
+}

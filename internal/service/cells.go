@@ -55,9 +55,10 @@ type jobEvent struct {
 	// remotely executed cell; empty for local execution and cache tiers.
 	Worker string `json:"worker,omitempty"`
 	// Placement attributes the coordinator's scored placement decision
-	// for a remotely executed cell ("score=… load=… rtt_ms=… penalty=…",
-	// or "peer_fill" when a worker's cache tier served the bytes after
-	// dispatch failed); empty for local execution and cache tiers.
+	// for the batch that carried a remotely executed cell ("score=…
+	// load=… rtt_ms=… penalty=…", or "peer_fill" when a worker's cache
+	// tier served the bytes after the batch failed); empty for local
+	// execution and cache tiers.
 	Placement      string `json:"placement,omitempty"`
 	CellsTotal     int    `json:"cells_total"`
 	CellsDone      int    `json:"cells_done"`
@@ -184,66 +185,24 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 		return nil, err
 	}
 	j.cells.setTotal(len(plan.Cells))
-	// In coordinator mode the campaign gets one re-dispatch budget for
-	// all its cells: every retry and hedge spends a unit, and exhaustion
-	// degrades to local execution (never failure). Published on the job
-	// so status views report budget_exhausted live.
-	if s.fleet != nil {
-		b := fleet.NewBudget(s.cfg.HedgeBudget)
-		j.mu.Lock()
-		j.budget = b
-		j.mu.Unlock()
-	}
 	partials := make([][]byte, len(plan.Cells))
-	err = parallel.ForEach(j.ctx, j.params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
-		cell := &plan.Cells[i]
-		key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
-		// Fleet dispatch: in coordinator mode a missed cell is executed
-		// on a worker, with retry/hedging absorbed inside DispatchBudget
-		// so exactly one result ever comes back per miss — the Misses ==
-		// Executions invariant is placement-independent. When dispatch
-		// cannot produce a result (no live workers, budget exhausted,
-		// every attempt failed), peer fill gets one shot — a worker's
-		// tiers may still hold bytes the fleet already paid for — and
-		// then the cell falls back to local execution: the fleet
-		// accelerates campaigns, never gates them.
-		var workerURL, placement string
-		var fill func(context.Context) ([]byte, uint64, bool)
-		if s.fleet != nil {
-			fill = func(ctx context.Context) ([]byte, uint64, bool) {
-				if resp, err := s.fleet.DispatchBudget(ctx, fleet.ExecuteRequest{
-					Kind:      plan.Kind,
-					Params:    j.params,
-					Index:     i,
-					CellID:    cell.ID,
-					Key:       key,
-					RequestID: j.requestID,
-				}, j.budget); err == nil {
-					workerURL, placement = resp.Worker, resp.Placement
-					return resp.Body, resp.ExecNs, true
-				}
-				body, costNs, worker, ok := s.fleet.PeerFill(ctx, key)
-				if ok {
-					workerURL, placement = worker, "peer_fill"
-				}
-				return body, costNs, ok
-			}
-		}
-		// The tiers file a fresh partial in memory and on disk the moment
-		// it completes: a drain or cancel later in the campaign keeps this
-		// cell's work, and the write-behind disk Put survives a process
-		// death. A remote cell keeps the worker's measured cost, so
-		// eviction still weighs simulation time rather than network time.
-		// An executed cell collects its simulation stats apart and folds
-		// them into the job's as one cell when it succeeds.
-		l, err := s.cells.Resolve(ctx, key, fill, func(ctx context.Context) ([]byte, error) {
+	// exec runs a cell here. An executed cell collects its simulation
+	// stats apart and folds them into the job's as one cell when it
+	// succeeds.
+	exec := func(cell *experiments.Cell) func(context.Context) ([]byte, error) {
+		return func(ctx context.Context) ([]byte, error) {
 			stats := obs.NewCampaignStats()
 			body, err := s.cfg.execCell(obs.WithCollector(ctx, stats), cell)
 			if err == nil {
 				j.stats.AddCell(stats)
 			}
 			return body, err
-		})
+		}
+	}
+	// finish accounts cell i's lookup, keeps its partial and logs its
+	// event; worker and placement attribute a cell a fleet worker served.
+	finish := func(i int, l resultcache.Lookup, err error, worker, placement string) error {
+		cell := &plan.Cells[i]
 		switch l.Source {
 		case resultcache.Memory:
 			s.metrics.cells.Hits.Inc()
@@ -267,9 +226,23 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 			}
 		}
 		partials[i] = l.Body
-		j.cells.recordCell(j.id, cell.ID, i, cacheLabel[l.Source], cell.Engine, workerURL, placement)
+		j.cells.recordCell(j.id, cell.ID, i, cacheLabel[l.Source], cell.Engine, worker, placement)
 		return nil
-	})
+	}
+	// The tiers file a fresh partial in memory and on disk the moment it
+	// completes: a drain or cancel later in the campaign keeps this
+	// cell's work, and the write-behind disk Put survives a process
+	// death.
+	if s.fleet == nil {
+		err = parallel.ForEach(j.ctx, j.params.Workers, len(plan.Cells), func(ctx context.Context, i int) error {
+			cell := &plan.Cells[i]
+			key := resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
+			l, err := s.cells.Resolve(ctx, key, nil, exec(cell))
+			return finish(i, l, err, "", "")
+		})
+	} else {
+		err = s.dispatchCells(j, plan, exec, finish)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -287,6 +260,89 @@ func (s *Server) runCells(j *job) ([]byte, error) {
 	}
 	span(&s.metrics.cells.MergeNs, time.Since(start))
 	return body, nil
+}
+
+// dispatchCells is runCells' cell loop in coordinator mode. It probes
+// every cell's tiers once, then deals the misses round-robin into as
+// many batches as the campaign runs cells at once, so the campaign keeps
+// as many remote cells in flight as it would run locally, and sends each
+// batch to the fleet as one Dispatch; retries and hedges happen inside
+// it, so exactly one result comes back per miss and misses ==
+// executions whatever the placement. A cell whose batch returned
+// nothing (no live workers, budget exhausted, every attempt failed) gets
+// one peer fill — a worker's tiers may still hold bytes the fleet
+// already paid for — and then runs locally: the fleet accelerates
+// campaigns, never gates them. A remote cell keeps the worker's measured
+// cost, so eviction still weighs simulation time rather than network
+// time.
+func (s *Server) dispatchCells(j *job, plan *experiments.CellPlan,
+	exec func(*experiments.Cell) func(context.Context) ([]byte, error),
+	finish func(i int, l resultcache.Lookup, err error, worker, placement string) error) error {
+	// The campaign gets one re-dispatch budget for all its batches:
+	// every retry and hedge spends a unit, and exhaustion degrades to
+	// local execution (never failure). Published on the job so status
+	// views report budget_exhausted live.
+	b := fleet.NewBudget(s.cfg.HedgeBudget)
+	j.mu.Lock()
+	j.budget = b
+	j.mu.Unlock()
+
+	n := len(plan.Cells)
+	keys := make([]string, n)
+	probes := make([]resultcache.Lookup, n)
+	err := parallel.ForEach(j.ctx, j.params.Workers, n, func(ctx context.Context, i int) error {
+		cell := &plan.Cells[i]
+		keys[i] = resultcache.Key(cell.KeyKind, cell.KeyParams, version.Engine)
+		if probes[i] = s.cells.Get(keys[i]); probes[i].Source == resultcache.Miss {
+			return nil
+		}
+		return finish(i, probes[i], nil, "", "")
+	})
+	if err != nil {
+		return err
+	}
+	var misses []int
+	for i := range probes {
+		if probes[i].Source == resultcache.Miss {
+			misses = append(misses, i)
+		}
+	}
+	batches := min(parallel.Workers(j.params.Workers), len(misses))
+	return parallel.ForEach(j.ctx, batches, batches, func(ctx context.Context, bi int) error {
+		var reqs []fleet.ExecuteRequest
+		for k := bi; k < len(misses); k += batches {
+			i := misses[k]
+			reqs = append(reqs, fleet.ExecuteRequest{Kind: plan.Kind, Params: j.params, Index: i,
+				CellID: plan.Cells[i].ID, Key: keys[i], RequestID: j.requestID})
+		}
+		began := time.Now()
+		resps, derr := s.fleet.Dispatch(ctx, reqs, b)
+		// A remote cell's miss path is its share of the exchange, so the
+		// cell execution histograms still sum to the time misses took.
+		share := time.Since(began) / time.Duration(len(reqs))
+		for k, r := range reqs {
+			var worker, placement string
+			fill := func(ctx context.Context) ([]byte, uint64, bool) {
+				if derr == nil {
+					worker, placement = resps[k].Worker, resps[k].Placement
+					return resps[k].Body, resps[k].ExecNs, true
+				}
+				body, costNs, w, ok := s.fleet.PeerFill(ctx, r.Key)
+				if ok {
+					worker, placement = w, "peer_fill"
+				}
+				return body, costNs, ok
+			}
+			l, err := s.cells.Produce(ctx, r.Key, probes[r.Index], fill, exec(&plan.Cells[r.Index]))
+			if derr == nil {
+				l.MissPath = share
+			}
+			if err := finish(r.Index, l, err, worker, placement); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // handleJobEvents streams a job's progress as NDJSON: one jobEvent line

@@ -426,3 +426,105 @@ func TestPeerFillServesFailedDispatch(t *testing.T) {
 		t.Errorf("metrics missing affinityd_fleet_worker_fills_total 1:\n%s", metrics)
 	}
 }
+
+// TestFleetBatchAccounting drives fresh analytic campaigns through a
+// coordinator with a disk store and two in-process workers, and holds
+// the batch dispatch to the service's accounting: each body equals a
+// fleet-less daemon's byte for byte; every dispatched cell resolves as a
+// remote cell, a discarded duplicate or a failure; every cell misses
+// once and executes once; each cell's tiers are probed once (the store
+// misses each cell and the campaign body, nothing more); every cell
+// event names the worker that ran it; and the misses travel in as many
+// batches as the campaign's cell workers.
+func TestFleetBatchAccounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign runs in -short mode")
+	}
+	store := openStore(t, t.TempDir())
+	t.Cleanup(func() { store.Close() })
+	coord := fleet.NewCoordinator(fleet.Config{HedgeDelay: time.Minute})
+	e := newEnv(t, Config{Fleet: coord, Store: store})
+	plain := newEnv(t, Config{})
+	for i := 0; i < 2; i++ {
+		w := fleet.NewWorker(fleet.WorkerConfig{Coordinator: e.url, Cache: resultcache.New(1 << 20), Heartbeat: time.Minute})
+		mux := http.NewServeMux()
+		w.RegisterHandlers(mux)
+		wts := httptest.NewServer(mux)
+		t.Cleanup(wts.Close)
+		w.Start(wts.URL)
+		t.Cleanup(w.Stop)
+	}
+	if n := coord.LiveWorkers(); n != 2 {
+		t.Fatalf("%d of 2 workers registered", n)
+	}
+
+	const workers = 2
+	cells := &e.s.metrics.cells
+	for _, campaign := range []string{
+		`{"kind":"compare","params":{"fast":true,"seed":901,"engine":"analytic","policies":["Equipartition","Dynamic","Dyn-Aff","Dyn-Aff-NoPri"],"workers":2}}`,
+		`{"kind":"futuresim","params":{"fast":true,"seed":902,"engine":"analytic","policies":["Dynamic","Dyn-Aff"],"products":[1,16,64,256,1024],"workers":2}}`,
+	} {
+		misses0, execs0, storeMisses0 := cells.Misses.Load(), cells.Executions.Load(), store.Stats().Misses
+		batches0 := coord.Stats.Batches.Load()
+		resp := e.submit(campaign)
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("fleet campaign: %d %s", resp.StatusCode, body)
+		}
+		ref := plain.submit(campaign)
+		if refBody := readAll(t, ref); !bytes.Equal(body, refBody) {
+			t.Errorf("fleet body differs from fleet-less run:\n%.200s\n%.200s", body, refBody)
+		}
+
+		jobs := e.listJobs() // in submission order
+		v := jobs[len(jobs)-1]
+		n := uint64(v.CellsTotal)
+		if v.CellsRemote != v.CellsTotal {
+			t.Errorf("job view: %d of %d cells remote, want all", v.CellsRemote, v.CellsTotal)
+		}
+		if n < 2*workers {
+			t.Fatalf("campaign has %d cells; want at least %d so every batch carries two", n, 2*workers)
+		}
+		if m, x := cells.Misses.Load()-misses0, cells.Executions.Load()-execs0; m != n || x != n {
+			t.Errorf("cell misses=%d executions=%d, want both %d (the cells)", m, x, n)
+		}
+		if got := store.Stats().Misses - storeMisses0; got != n+1 {
+			t.Errorf("store misses = %d, want %d: one probe per cell and one for the body", got, n+1)
+		}
+		if got := coord.Stats.Batches.Load() - batches0; got != workers {
+			t.Errorf("batches = %d, want %d (one per cell worker)", got, workers)
+		}
+		er, err := http.Get(e.url + v.EventsURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(er.Body)
+		events := 0
+		for {
+			var ev jobEvent
+			if err := dec.Decode(&ev); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Type != "cell" {
+				continue
+			}
+			events++
+			if ev.Worker == "" || ev.Cache != "miss" {
+				t.Errorf("cell event %d (%s): worker %q cache %q, want a worker and a miss", ev.Index, ev.Cell, ev.Worker, ev.Cache)
+			}
+		}
+		er.Body.Close()
+		if uint64(events) != n {
+			t.Errorf("%d cell events, want %d", events, n)
+		}
+	}
+	st := &coord.Stats
+	if d, r := st.Dispatches.Load(), st.RemoteCells.Load()+st.Duplicates.Load()+st.Failures.Load(); d != r {
+		t.Errorf("dispatches %d != remote + duplicates + failures %d", d, r)
+	}
+	if st.PlacementDecisions.Load() != st.Batches.Load() {
+		t.Errorf("placement decisions %d != batches %d", st.PlacementDecisions.Load(), st.Batches.Load())
+	}
+}

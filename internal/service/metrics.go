@@ -189,30 +189,31 @@ func (m *metrics) serve(w http.ResponseWriter, r *http.Request) {
 	// single-process scrapes keep their historical metric set.
 	if fc := m.server.fleet; fc != nil {
 		gauge("affinityd_fleet_workers", "Live registered fleet workers.", fc.LiveWorkers())
-		counter("affinityd_fleet_dispatches_total", "Cell dispatch attempts launched (first tries, retries, hedges).", fc.Stats.Dispatches.Load())
+		counter("affinityd_fleet_batches_total", "Batch dispatch attempts launched, one execute exchange each (first tries, retries, hedges).", fc.Stats.Batches.Load())
+		counter("affinityd_fleet_dispatches_total", "Cells of the batch dispatch attempts launched.", fc.Stats.Dispatches.Load())
 		counter("affinityd_fleet_remote_cells_total", "Cells resolved by a fleet worker's result.", fc.Stats.RemoteCells.Load())
-		counter("affinityd_fleet_retries_total", "Dispatch attempts relaunched after a failed one.", fc.Stats.Retries.Load())
-		counter("affinityd_fleet_hedges_total", "Hedged re-dispatches of straggling cells.", fc.Stats.Hedges.Load())
-		counter("affinityd_fleet_hedge_wins_total", "Dispatches won by a retry or hedge rather than the first attempt.", fc.Stats.HedgeWins.Load())
-		counter("affinityd_fleet_duplicates_discarded_total", "Valid duplicate results discarded after a winner (at-least-once overshoot).", fc.Stats.Duplicates.Load())
+		counter("affinityd_fleet_retries_total", "Batch attempts relaunched after a failed one.", fc.Stats.Retries.Load())
+		counter("affinityd_fleet_hedges_total", "Hedged re-dispatches of straggling batches.", fc.Stats.Hedges.Load())
+		counter("affinityd_fleet_hedge_wins_total", "Batch dispatches won by a retry or hedge rather than the first attempt.", fc.Stats.HedgeWins.Load())
+		counter("affinityd_fleet_duplicates_discarded_total", "Cells of valid duplicate answers discarded after a winner (at-least-once overshoot).", fc.Stats.Duplicates.Load())
 		counter("affinityd_fleet_duplicate_mismatches_total", "Discarded duplicates whose cell body differed from the winner's (a determinism break).", fc.Stats.DuplicateMismatches.Load())
-		counter("affinityd_fleet_attempt_failures_total", "Dispatch attempts that returned an error.", fc.Stats.Failures.Load())
-		counter("affinityd_fleet_local_fallbacks_total", "Dispatches that returned no result, executing the cell locally.", fc.Stats.Fallbacks.Load())
+		counter("affinityd_fleet_attempt_failures_total", "Cells of batch attempts that returned an error.", fc.Stats.Failures.Load())
+		counter("affinityd_fleet_local_fallbacks_total", "Cells whose batch dispatch returned no result, filled from a peer or executed locally.", fc.Stats.Fallbacks.Load())
 		counter("affinityd_fleet_registrations_total", "New workers registered.", fc.Stats.Registrations.Load())
 		counter("affinityd_fleet_auth_rejections_total", "Fleet requests refused with 401 (missing, garbled, or stale signature).", fc.Stats.AuthRejections.Load())
 		counter("affinityd_fleet_expirations_total", "Workers dropped by heartbeat expiry or connection failure.", fc.Stats.Expirations.Load())
 		counter("affinityd_fleet_worker_fills_total", "Cells taken from a worker's tiers after a dispatch returned nothing.", fc.Stats.WorkerFills.Load())
-		counter("affinityd_fleet_placement_decisions_total", "Scored placement decisions (one per launched attempt).", fc.Stats.PlacementDecisions.Load())
+		counter("affinityd_fleet_placement_decisions_total", "Scored placement decisions (one per launched batch attempt).", fc.Stats.PlacementDecisions.Load())
 		counter("affinityd_fleet_placement_capacity_skips_total", "Candidate workers passed over because all capacity slots were occupied.", fc.Stats.PlacementCapacitySkips.Load())
 		counter("affinityd_fleet_placement_penalized_total", "Placement decisions made while a candidate carried a failure penalty.", fc.Stats.PlacementPenalized.Load())
 		counter("affinityd_fleet_budget_exhausted_total", "Campaigns whose retry+hedge budget ran dry.", fc.Stats.BudgetExhausted.Load())
-		nsHistogram(&b, "affinityd_fleet_rtt_seconds", "Round-trip time of successful dispatch attempts.", &fc.Stats.RTTNs)
+		nsHistogram(&b, "affinityd_fleet_rtt_seconds", "Round-trip time of successful batch attempts.", &fc.Stats.RTTNs)
 	}
 	if fw := m.server.fleetWorker; fw != nil {
-		counter("affinityd_fleet_worker_requests_total", "Cell execute requests received from the coordinator.", fw.Stats.Requests.Load())
+		counter("affinityd_fleet_worker_requests_total", "Batch execute requests received from the coordinator.", fw.Stats.Requests.Load())
 		counter("affinityd_fleet_worker_executions_total", "Cells this worker simulated to completion.", fw.Stats.Executions.Load())
-		counter("affinityd_fleet_worker_cache_hits_total", "Execute requests served from the worker's memory cache.", fw.Stats.CacheHits.Load())
-		counter("affinityd_fleet_worker_disk_hits_total", "Execute requests served from the worker's disk store.", fw.Stats.DiskHits.Load())
+		counter("affinityd_fleet_worker_cache_hits_total", "Dispatched cells served from the worker's memory cache.", fw.Stats.CacheHits.Load())
+		counter("affinityd_fleet_worker_disk_hits_total", "Dispatched cells served from the worker's disk store.", fw.Stats.DiskHits.Load())
 		counter("affinityd_fleet_worker_cell_serves_total", "Cell reads this worker answered from its own tiers.", fw.Stats.CellServes.Load())
 		counter("affinityd_fleet_worker_auth_rejections_total", "Fleet requests this worker refused with 401.", fw.Stats.AuthRejections.Load())
 		counter("affinityd_fleet_worker_rejections_total", "Execute requests refused with 429 at advertised capacity.", fw.Stats.Rejections.Load())
